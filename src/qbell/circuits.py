@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 class CircuitError(ValueError):
     """Bad builder parameters."""
@@ -590,7 +588,6 @@ def build_mul3_inplace(n):
 def validate_circuit(circuit: Circuit) -> None:
     """Check index bounds, control/target distinctness, single MEASURE_Y,
     and that discarded qubits are never touched again before a re-ALLOC."""
-    nq = circuit.n_qubits
     live = set()
     measured = 0
     for gate in circuit.gates:
@@ -632,106 +629,154 @@ def validate_circuit(circuit: Circuit) -> None:
             raise MalformedCircuit(f"use of dead or unallocated qubit {q} in {gate}")
     if measured != 1:
         raise MalformedCircuit(f"expected exactly one MEASURE_Y, found {measured}")
-    del nq
 
 
 # ---------------------------------------------------------------------------
-# classical evaluation
+# evaluation: one gate loop over bit-sliced lanes
+#
+# Row q of the state is an int whose bit j is qubit q's value in lane j, the
+# bit-slicing of Biham's software DES, so one int operation applies a gate
+# to every lane.  A lane is one input (classical evaluation) or one branch
+# of one run (two-branch evaluation).
 
-def evaluate_classical(circuit: Circuit, x: int):
-    """Run the circuit on basis input x; returns (y_value, garbage_bits).
+def _transpose(rows, width) -> list:
+    """Bit-matrix transpose: bit j of rows[i] becomes bit i of out[j], for
+    rows below 2**width.  Packs per-lane values into qubit rows, and
+    unpacks rows into per-lane values."""
+    if not width:
+        return []
+    if not rows:
+        return [0] * width
+    fmt = f"0{width}b"
+    columns = zip(*(format(row, fmt) for row in reversed(rows)))
+    return [int("".join(col), 2) for col in columns][::-1]
 
-    CPHASE gates are diagonal and have no effect on basis states; garbage
-    bits are recorded in discard order, little-endian within each event.
+
+def _sampled_errors(error_prob, rng, runs):
+    """Erring (unitary gate, run) pairs in gate-major order: each pair errs
+    independently with probability error_prob, found by geometric skips.
+
+    Yields (gate, run, pick, pauli).  The struck qubit is
+    touched[pick % len(touched)]; pick is uniform over range(6), a multiple
+    of every touched-qubit count, so the qubit is uniform too.
+    """
+    log_keep = math.log1p(-error_prob) if error_prob < 1 else -math.inf
+    pos = -1
+    while True:
+        pos += 1 + int(math.log(1.0 - rng.random()) / log_keep)
+        gate, run = divmod(pos, runs)
+        yield gate, run, rng.randrange(6), "XYZ"[rng.randrange(3)]
+
+
+_NO_ERROR = (-1, 0, 0, "")
+
+
+@dataclass
+class _Lanes:
+    rows: list  # final row of every qubit
+    y_rows: list  # rows of the y register at MEASURE_Y
+    garbage: list  # discarded rows in discard order (classical lanes only)
+    h_rows: list  # Hadamard outcomes per discarded qubit, bit j for run j
+    phase: int  # noisy-pair phase bits, bit j for run j
+    clean_phase: int  # the same h against the clean pair
+    n_errors: list  # per run
+
+
+def _run_lanes(circuit: Circuit, inputs, runs=0, error_prob=0.0, rng=None,
+               error_plan=None) -> _Lanes:
+    """Run the gate list once over one lane per input (x register = input).
+
+    With runs = R > 0 the 4R lanes are blocks of R: noisy branch 0, noisy
+    branch 1, clean branch 0, clean branch 1.  Pauli errors strike the
+    noisy pair of one run (drawn from rng, or pinned by error_plan for R =
+    1).  Each discarded qubit gets R Hadamard outcomes h, bit j for run j
+    (all zero without an rng), and folds h & (b0 xor b1) into the noisy
+    pair's phase and, with the same h, into the clean pair's: the phase
+    the verifier recomputes from the claw.
     """
     x_reg = circuit.registers["x"]
-    if x < 0 or x.bit_length() > len(x_reg):
-        raise MalformedCircuit(f"input {x} does not fit the x register")
-    # input bits are loaded when the x register's qubits are first allocated
-    pending = {q: (x >> i) & 1 for i, q in enumerate(x_reg)}
-    state = 0
+    if any(x < 0 or x.bit_length() > len(x_reg) for x in inputs):
+        raise MalformedCircuit("input does not fit the x register")
+    full = (1 << len(inputs)) - 1
+    # input rows are loaded when the x register's qubits are first allocated
+    pending = dict(zip(x_reg, _transpose(inputs, len(x_reg))))
+    rows = [0] * circuit.n_qubits
     garbage = []
-    y_val = None
+    h_rows = []
+    draw_h = rng.getrandbits if rng is not None else (lambda k: 0)
+    run_mask = (1 << runs) - 1
+    phase = clean = 0
+    n_errors = [0] * runs
+    planned = error_plan is not None
+    if planned:
+        errors = iter(sorted((u, 0, q, pauli) for u, (q, pauli) in error_plan.items()))
+    elif runs and error_prob > 0 and rng is not None:
+        errors = _sampled_errors(error_prob, rng, runs)
+    else:
+        errors = iter(())
+    err_u, err_run, err_q, pauli = next(errors, _NO_ERROR)
+    u = -1  # index among X/CNOT/Toffoli gates
+    y_rows = None
     for gate in circuit.gates:
         tag = gate[0]
         if tag == TOFFOLI:
             _, a, b, t = gate
-            if (state >> a) & (state >> b) & 1:
-                state ^= 1 << t
+            rows[t] ^= rows[a] & rows[b]
         elif tag == CNOT:
             _, c, t = gate
-            if (state >> c) & 1:
-                state ^= 1 << t
-        elif tag == X:
-            state ^= 1 << gate[1]
+            rows[t] ^= rows[c]
         elif tag == ALLOC:
-            q = gate[1]
-            if pending.pop(q, 0):
-                state |= 1 << q
-            else:
-                state &= ~(1 << q)
+            rows[gate[1]] = pending.pop(gate[1], 0)
+            continue
         elif tag == DISCARD:
+            if not runs:
+                garbage.extend([rows[q] for q in gate[1]])
+                continue
+            # one draw per event, qubit i taking bits [i R, (i + 1) R): a
+            # single run's h for the event is then getrandbits(width)
+            hs = draw_h(runs * len(gate[1]))
             for q in gate[1]:
-                garbage.append((state >> q) & 1)
-        elif tag == MEASURE_Y:
-            y_val = 0
-            for i, q in enumerate(gate[1]):
-                y_val |= ((state >> q) & 1) << i
-        # CPHASE: no bit effect
-    if y_val is None:
-        raise MalformedCircuit("circuit has no MEASURE_Y")
-    return y_val, garbage
-
-
-def evaluate_classical_batch(circuit: Circuit, xs):
-    """Vectorized evaluate_classical over many inputs.
-
-    Returns (ys: list[int], garbage: uint8 array of shape [len(xs), n_garbage]).
-    """
-    x_reg = circuit.registers["x"]
-    xs = list(xs)
-    R = len(xs)
-    state = np.zeros((R, circuit.n_qubits), dtype=np.uint8)
-    pending = {q: np.fromiter(((x >> i) & 1 for x in xs), dtype=np.uint8, count=R)
-               for i, q in enumerate(x_reg)}
-    garbage_cols = []
-    y_cols = None
-    for gate in circuit.gates:
-        tag = gate[0]
-        if tag == TOFFOLI:
-            _, a, b, t = gate
-            state[:, t] ^= state[:, a] & state[:, b]
-        elif tag == CNOT:
-            _, c, t = gate
-            state[:, t] ^= state[:, c]
+                row = rows[q]
+                h = hs & run_mask
+                hs >>= runs
+                h_rows.append(h)
+                phase ^= h & (row ^ (row >> runs))
+                clean ^= h & ((row >> 2 * runs) ^ (row >> 3 * runs))
+            continue
         elif tag == X:
-            state[:, gate[1]] ^= 1
-        elif tag == ALLOC:
-            q = gate[1]
-            if q in pending:
-                state[:, q] = pending.pop(q)
-            else:
-                state[:, q] = 0
-        elif tag == DISCARD:
-            garbage_cols.append(state[:, list(gate[1])].copy())
+            rows[gate[1]] ^= full
         elif tag == MEASURE_Y:
-            y_cols = state[:, list(gate[1])].copy()
-    ys = _columns_to_ints(y_cols)
-    garbage = np.concatenate(garbage_cols, axis=1) if garbage_cols else np.zeros((R, 0), np.uint8)
-    return ys, garbage
+            y_rows = [rows[q] for q in gate[1]]
+            continue
+        else:  # CPHASE is diagonal: no effect on basis states
+            continue
+        u += 1
+        while u == err_u:
+            q = err_q if planned else gate[1 + err_q % (len(gate) - 1)]
+            lo, hi = err_run, err_run + runs
+            row = rows[q]
+            if pauli != "X":  # Z or Y: sign flip where the two branches differ
+                phase ^= (((row >> lo) ^ (row >> hi)) & 1) << lo
+            if pauli != "Z":  # X or Y: bit flip in both branches
+                rows[q] = row ^ (1 << lo) ^ (1 << hi)
+            n_errors[err_run] += 1
+            err_u, err_run, err_q, pauli = next(errors, _NO_ERROR)
+    if y_rows is None:
+        raise MalformedCircuit("circuit has no MEASURE_Y")
+    return _Lanes(rows=rows, y_rows=y_rows, garbage=garbage, h_rows=h_rows,
+                  phase=phase, clean_phase=clean, n_errors=n_errors)
 
 
-def _columns_to_ints(cols) -> list:
-    """Little-endian bit columns [R, W] -> list of ints."""
-    R, W = cols.shape
-    out = [0] * R
-    weights = [1 << i for i in range(W)]
-    for i in range(W):
-        w = weights[i]
-        col = cols[:, i]
-        for r in np.nonzero(col)[0]:
-            out[r] += w
-    return out
+def evaluate_classical(circuit: Circuit, xs):
+    """Run the circuit on each basis input in xs; returns (ys, garbage).
+
+    Both are per-input ints; bit i of a garbage int is the i-th discarded
+    qubit, in discard order and little-endian within each event.  CPHASE
+    gates are diagonal and have no effect on basis states.
+    """
+    xs = list(xs)
+    lanes = _run_lanes(circuit, xs)
+    return _transpose(lanes.y_rows, len(xs)), _transpose(lanes.garbage, len(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +791,8 @@ class TwoBranchRun:
     reg0: int  # x-register value, branch 0
     reg1: int
     rel_phase: int  # +1 / -1
-    records: list  # GarbageRecord per discard event
+    h: int  # Hadamard outcomes, bit i for the i-th discarded qubit
+    h_len: int
     n_errors: int
 
 
@@ -755,183 +801,38 @@ def run_two_branch(circuit: Circuit, x0: int, x1: int, error_prob: float = 0.0, 
     """Evaluate the circuit on both branch bitstrings with a shared error
     realization, tracking the relative phase exactly.
 
-    With probability error_prob, each X/CNOT/Toffoli gate is followed by a
-    Pauli error (uniform over X, Y, Z) on one of its qubits.  X flips the
-    struck bit in both branches; Z multiplies the relative phase by
-    (-1)^(b0 xor b1) of the struck qubit; Y does both.  Discards draw a
-    uniform h and apply the (-1)^(h . (g0 xor g1)) rule.
+    Each X/CNOT/Toffoli gate independently errs with probability
+    error_prob: a Pauli error (uniform over X, Y, Z) on one of its qubits.
+    X flips the struck bit in both branches; Z multiplies the relative
+    phase by (-1)^(b0 xor b1) of the struck qubit; Y does both.  Discards
+    draw a uniform h and apply the (-1)^(h . (g0 xor g1)) rule.
 
     error_plan, when given, pins the realization: a dict mapping the index
     of a unitary gate (counting only X/CNOT/Toffoli) to a (qubit, pauli)
     pair applied right after that gate.
     """
-    x_reg = circuit.registers["x"]
-    if max(x0, x1).bit_length() > len(x_reg):
-        raise MalformedCircuit("branch value does not fit the x register")
-    s = [0, 0]
-    pending = {q: ((x0 >> i) & 1, (x1 >> i) & 1) for i, q in enumerate(x_reg)}
-    phase = 0  # phase bit: rel_phase = (-1)^phase
-    records = []
-    n_errors = 0
-    unitary_index = -1
-    y0 = y1 = None
-    for gate in circuit.gates:
-        tag = gate[0]
-        if tag == TOFFOLI:
-            _, a, b, t = gate
-            if (s[0] >> a) & (s[0] >> b) & 1:
-                s[0] ^= 1 << t
-            if (s[1] >> a) & (s[1] >> b) & 1:
-                s[1] ^= 1 << t
-            touched = (a, b, t)
-        elif tag == CNOT:
-            _, c, t = gate
-            if (s[0] >> c) & 1:
-                s[0] ^= 1 << t
-            if (s[1] >> c) & 1:
-                s[1] ^= 1 << t
-            touched = (c, t)
-        elif tag == X:
-            q = gate[1]
-            s[0] ^= 1 << q
-            s[1] ^= 1 << q
-            touched = (q,)
-        elif tag == ALLOC:
-            q = gate[1]
-            mask = ~(1 << q)
-            s[0] &= mask
-            s[1] &= mask
-            if q in pending:
-                b0, b1 = pending.pop(q)
-                s[0] |= b0 << q
-                s[1] |= b1 << q
-            continue
-        elif tag == DISCARD:
-            qs = gate[1]
-            g0 = g1 = 0
-            for i, q in enumerate(qs):
-                g0 |= ((s[0] >> q) & 1) << i
-                g1 |= ((s[1] >> q) & 1) << i
-            h = rng.getrandbits(len(qs)) if rng is not None else 0
-            rec = GarbageRecord(h=h, g0=g0, g1=g1, width=len(qs))
-            records.append(rec)
-            if (h & (g0 ^ g1)).bit_count() & 1:
-                phase ^= 1
-            continue
-        elif tag == MEASURE_Y:
-            y0 = y1 = 0
-            for i, q in enumerate(gate[1]):
-                y0 |= ((s[0] >> q) & 1) << i
-                y1 |= ((s[1] >> q) & 1) << i
-            continue
-        else:
-            continue
-        unitary_index += 1
-        if error_plan is not None:
-            hit = error_plan.get(unitary_index)
-            if hit is None:
-                continue
-            q, pauli = hit
-        elif error_prob and rng is not None and rng.random() < error_prob:
-            q = touched[rng.randrange(len(touched))]
-            pauli = ("X", "Y", "Z")[rng.randrange(3)]
-        else:
-            continue
-        n_errors += 1
-        if pauli in ("Z", "Y"):
-            if ((s[0] ^ s[1]) >> q) & 1:
-                phase ^= 1
-        if pauli in ("X", "Y"):
-            s[0] ^= 1 << q
-            s[1] ^= 1 << q
-
-    reg0 = reg1 = 0
-    for i, q in enumerate(x_reg):
-        reg0 |= ((s[0] >> q) & 1) << i
-        reg1 |= ((s[1] >> q) & 1) << i
+    lanes = _run_lanes(circuit, [x0, x1, x0, x1], 1, error_prob, rng, error_plan)
+    y0, y1, _, _ = _transpose(lanes.y_rows, 4)
+    reg0, reg1, _, _ = _transpose([lanes.rows[q] for q in circuit.registers["x"]], 4)
     return TwoBranchRun(y0=y0, y1=y1, reg0=reg0, reg1=reg1,
-                        rel_phase=-1 if phase else 1, records=records, n_errors=n_errors)
+                        rel_phase=-1 if lanes.phase else 1,
+                        h=_transpose(lanes.h_rows, 1)[0], h_len=len(lanes.h_rows),
+                        n_errors=lanes.n_errors[0])
 
 
 def run_two_branch_batch(circuit: Circuit, x0s, x1s, error_prob, rng):
-    """Vectorized two-branch runs with a clean shadow pair.
+    """R = len(x0s) independent two-branch runs, each beside a clean shadow.
 
-    Runs R = len(x0s) independent error realizations at once.  Alongside the
-    noisy pair it evolves an error-free shadow of the same inputs and draws
-    the *same* Hadamard outcomes h at each discard, producing the phase the
-    verifier would reconstruct from the true claw.  Returns a dict with
-    noisy/clean y values and x-register values, the prover phase bit, the
-    verifier (shadow) phase bit, and per-run error counts.
-
-    The four branch states are stacked into one array so each gate is a
-    single vectorized update; error events index the noisy halves only.
+    The shadow pair evolves the same inputs without errors and meets the
+    same Hadamard outcomes h at each discard, producing the phase the
+    verifier would reconstruct from the true claw.  Returns a dict of
+    per-run lists: noisy/clean y values and x-register values, the prover
+    and verifier (shadow) phase bits, and error counts.
     """
-    x_reg = list(circuit.registers["x"])
     R = len(x0s)
-    Q = circuit.n_qubits
-    # qubit-major layout: row q holds that qubit's bit for all runs;
-    # run columns [0:R) noisy branch 0, [R:2R) noisy branch 1, then shadows
-    S = np.zeros((Q, 4 * R), np.uint8)
-    pending = {}
-    for i, q in enumerate(x_reg):
-        b0 = np.fromiter(((x >> i) & 1 for x in x0s), np.uint8, count=R)
-        b1 = np.fromiter(((x >> i) & 1 for x in x1s), np.uint8, count=R)
-        pending[q] = np.concatenate([b0, b1, b0, b1])
-    phase_p = np.zeros(R, np.uint8)
-    phase_v = np.zeros(R, np.uint8)
-    err_count = np.zeros(R, np.int32)
-    y_rows = None
-
-    for gate in circuit.gates:
-        tag = gate[0]
-        if tag == TOFFOLI:
-            _, a, b, t = gate
-            S[t] ^= S[a] & S[b]
-            touched = (a, b, t)
-        elif tag == CNOT:
-            _, c, t = gate
-            S[t] ^= S[c]
-            touched = (c, t)
-        elif tag == X:
-            q = gate[1]
-            S[q] ^= 1
-            touched = (q,)
-        elif tag == ALLOC:
-            q = gate[1]
-            if q in pending:
-                S[q] = pending.pop(q)
-            else:
-                S[q] = 0
-            continue
-        elif tag == DISCARD:
-            for q in gate[1]:
-                h = rng.integers(0, 2, size=R, dtype=np.uint8)
-                row = S[q]
-                phase_p ^= h & (row[:R] ^ row[R:2 * R])
-                phase_v ^= h & (row[2 * R:3 * R] ^ row[3 * R:])
-            continue
-        elif tag == MEASURE_Y:
-            y_rows = list(gate[1])
-            continue
-        else:
-            continue
-        if error_prob > 0:
-            k = rng.binomial(R, error_prob)
-            if k:
-                runs = rng.integers(0, R, size=k)
-                qubits = rng.integers(0, len(touched), size=k)
-                paulis = rng.integers(0, 3, size=k)  # 0=X 1=Y 2=Z
-                for run, qi, pa in zip(runs, qubits, paulis):
-                    q = touched[qi]
-                    err_count[run] += 1
-                    if pa >= 1:  # Y or Z
-                        phase_p[run] ^= S[q, run] ^ S[q, R + run]
-                    if pa <= 1:  # X or Y
-                        S[q, run] ^= 1
-                        S[q, R + run] ^= 1
-
-    ys = _rows_to_ints(S, y_rows)
-    regs = _rows_to_ints(S, x_reg)
+    lanes = _run_lanes(circuit, [*x0s, *x1s, *x0s, *x1s], R, error_prob, rng)
+    ys = _transpose(lanes.y_rows, 4 * R)
+    regs = _transpose([lanes.rows[q] for q in circuit.registers["x"]], 4 * R)
     return {
         "y0": ys[:R],
         "y1": ys[R:2 * R],
@@ -940,25 +841,31 @@ def run_two_branch_batch(circuit: Circuit, x0s, x1s, error_prob, rng):
         "reg1": regs[R:2 * R],
         "creg0": regs[2 * R:3 * R],
         "creg1": regs[3 * R:],
-        "phase_prover": phase_p,
-        "phase_verifier": phase_v,
-        "n_errors": err_count,
+        "phase_prover": _transpose([lanes.phase], R),
+        "phase_verifier": _transpose([lanes.clean_phase], R),
+        "n_errors": lanes.n_errors,
     }
-
-
-def _rows_to_ints(S, rows) -> list:
-    """Qubit-major rows (little-endian register order) -> per-run ints."""
-    total = S.shape[1]
-    out = [0] * total
-    for i, q in enumerate(rows):
-        w = 1 << i
-        for r in np.nonzero(S[q])[0]:
-            out[r] += w
-    return out
 
 
 # ---------------------------------------------------------------------------
 # resource accounting
+
+def _tally(ops) -> tuple:
+    """(gates, Toffolis, depth) of a stream of (tag, qubits) pairs, the
+    depth by greedy qubit-disjoint layering."""
+    total = toffoli = depth = 0
+    layer = {}
+    for tag, qs in ops:
+        total += 1
+        if tag == TOFFOLI:
+            toffoli += 1
+        lv = 1 + max(layer.get(q, 0) for q in qs)
+        for q in qs:
+            layer[q] = lv
+        if lv > depth:
+            depth = lv
+    return total, toffoli, depth
+
 
 def count_resources(circuit: Circuit) -> ResourceReport:
     """Gate totals plus a greedy qubit-disjoint layering depth.
@@ -966,28 +873,9 @@ def count_resources(circuit: Circuit) -> ResourceReport:
     ALLOC/DISCARD/MEASURE_Y are bookkeeping, not gates; they do not count
     toward totals or depth.
     """
-    total = 0
-    toffoli = 0
-    layer = {}
-    depth = 0
-    for gate in circuit.gates:
-        tag = gate[0]
-        if tag == TOFFOLI:
-            qs = gate[1:4]
-            toffoli += 1
-        elif tag == CNOT:
-            qs = gate[1:3]
-        elif tag == X:
-            qs = gate[1:2]
-        elif tag == CPHASE:
-            qs = tuple(gate[1]) + (gate[2],)
-        else:
-            continue
-        total += 1
-        lv = 1 + max((layer.get(q, 0) for q in qs))
-        for q in qs:
-            layer[q] = lv
-        depth = max(depth, lv)
+    total, toffoli, depth = _tally(
+        (g[0], tuple(g[1]) + (g[2],) if g[0] == CPHASE else g[1:])
+        for g in circuit.gates if g[0] in UNITARY_TAGS)
     return ResourceReport(qubits=circuit.n_qubits, total_gates=total,
                           toffoli_count=toffoli, depth=depth)
 
@@ -1141,26 +1029,16 @@ def phase_circuit_resources(variant, n, extra_bits=3) -> ResourceReport:
     else:
         L_max = (n // 2 + 1).bit_length()
         qubits = n + m_out + 1 + 2 * L_max
-    total = 0
-    toffoli = 0
-    layer = {}
-    depth = 0
-    for op in _phase_gate_stream(variant, n, N, m_out):
-        tag = op[0]
-        if tag == CPHASE:
-            controls, target = op[1], op[2]
-            controls = controls if isinstance(controls[0], tuple) else (controls,)
-            qs = tuple(controls) + (("y", 0) if variant == 1 else target,)
-        elif tag == TOFFOLI:
-            qs = op[1:]
-            toffoli += 1
-        else:
-            qs = op[1:]
-        total += 1
-        lv = 1 + max((layer.get(q, 0) for q in qs))
-        for q in qs:
-            layer[q] = lv
-        depth = max(depth, lv)
+
+    def ops():
+        for op in _phase_gate_stream(variant, n, N, m_out):
+            if op[0] == CPHASE:
+                controls = op[1] if isinstance(op[1][0], tuple) else (op[1],)
+                yield CPHASE, controls + (("y", 0) if variant == 1 else op[2],)
+            else:
+                yield op[0], op[1:]
+
+    total, toffoli, depth = _tally(ops())
     return ResourceReport(qubits=qubits, total_gates=total,
                           toffoli_count=toffoli, depth=depth)
 

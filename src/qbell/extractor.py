@@ -114,11 +114,6 @@ class RewindableOracle:
         return guess
 
 
-def parity_guess(oracle: RewindableOracle, r: int) -> int:
-    """Single oracle guess of the parity r.x1."""
-    return oracle.query(r)
-
-
 def gl_list_decode(oracle, n: int, params: GlParams, rng) -> list:
     """Goldreich-Levin list decoding with pairwise-independent probe sums.
 

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import circuits, protocol, tcf
 from .provers import NoiseModel, optimal_theta, sample_claw
 from .seeds import derive_rng, derive_seed
@@ -118,7 +116,7 @@ def _sweep_point(config: SweepConfig, lifted: LiftedKey, base: LiftedKey,
 
     seed = derive_seed(config.seed, "point", lifted.m, repr(noise.circuit_fidelity))
     rng = derive_rng(seed, "rounds")
-    nprng = np.random.default_rng(derive_seed(seed, "engine"))
+    engine_rng = derive_rng(seed, "engine")
 
     # stage 1: run the circuit, post-select, remember the surviving runs
     kept_runs = []
@@ -132,7 +130,7 @@ def _sweep_point(config: SweepConfig, lifted: LiftedKey, base: LiftedKey,
         claws = [sample_claw(keys, rng) for _ in range(R)]
         x0s = [c[0] for c in claws]
         x1s = [c[1] for c in claws]
-        out = circuits.run_two_branch_batch(circ, x0s, x1s, noise.error_prob, nprng)
+        out = circuits.run_two_branch_batch(circ, x0s, x1s, noise.error_prob, engine_rng)
         for i in range(R):
             y0, y1 = out["y0"][i], out["y1"][i]
             if y0 != y1:
@@ -161,8 +159,8 @@ def _sweep_point(config: SweepConfig, lifted: LiftedKey, base: LiftedKey,
                 discarded += 1  # verifier-side silent discard
                 continue
             kept_runs.append((
-                v0, v1, int(out["phase_prover"][i]),
-                int(out["phase_verifier"][i]), collapsed, kind, inverted, y_base,
+                v0, v1, out["phase_prover"][i], out["phase_verifier"][i],
+                collapsed, kind, inverted, y_base,
             ))
 
     # stage 2: calibrate the round-3 angle; the prover only sees its own
@@ -170,7 +168,7 @@ def _sweep_point(config: SweepConfig, lifted: LiftedKey, base: LiftedKey,
     theta = _calibrated_theta(cal_total, cal_bits, cal_state)
 
     # stage 3: play rounds against the verifier
-    width = lifted_width(lifted)
+    width = len(circ.registers["x"])
     tx = ax = tm = am = 0
     for v0, v1, phase_p, phase_v, collapsed, kind, inverted, y_base in kept_runs:
         if rng.random() < 0.5:
@@ -196,7 +194,6 @@ def _sweep_point(config: SweepConfig, lifted: LiftedKey, base: LiftedKey,
                 actual = protocol.compute_qubit_state(v0, v1, r, d,
                                                       rel_phase_bit=phase_p)
             sign = 1 if rng.random() < 0.5 else -1
-            bit = _born_sample(rng, actual, sign, theta)
             if kind == "single":
                 w = inverted * k
                 pred = protocol.QubitState.ZERO if protocol.parity(r & w) == 0 \
@@ -206,8 +203,11 @@ def _sweep_point(config: SweepConfig, lifted: LiftedKey, base: LiftedKey,
                 w1 = inverted.x1 * k
                 pred = protocol.compute_qubit_state(w0, w1, r, d,
                                                     rel_phase_bit=phase_v)
-            if bit == protocol.expected_bit(pred, sign):
-                am += 1
+            # the round is won with the Born probability of the bit the
+            # verifier expects; adding it instead of a sampled 0/1 keeps p_m
+            # unbiased and removes the measurement's own sampling noise
+            am += protocol.born_probability(actual, sign * theta,
+                                            protocol.expected_bit(pred, sign))
 
     kept = tx + tm
     discard_rate = discarded / trials
@@ -240,10 +240,6 @@ def _calibrated_theta(total, bits_ok, state_ok) -> float:
     return optimal_theta(f_par, f_perp)
 
 
-def lifted_width(lifted: LiftedKey) -> int:
-    return len(lifted.circuit.registers["x"])
-
-
 def _sample_d(rng, width, r, v0, v1, phase_bit):
     d = rng.getrandbits(width)
     if protocol.parity(r & v0) == protocol.parity(r & v1):
@@ -251,11 +247,6 @@ def _sample_d(rng, width, r, v0, v1, phase_bit):
         if protocol.parity(d & diff) != phase_bit:
             d ^= diff & -diff
     return d
-
-
-def _born_sample(rng, state, sign, theta=math.pi / 4):
-    p0 = protocol.born_probability(state, sign * theta, 0)
-    return 0 if rng.random() < p0 else 1
 
 
 def threshold_of(rows) -> float:

@@ -314,11 +314,8 @@ def _verifier_phase_bit(ctx: ProtocolContext, x0_base, x1_base, h: int, h_len: i
     garbage strings, recomputed classically from the claw."""
     if ctx.circuit is None or h_len == 0:
         return 0
-    _, g0 = circuits.evaluate_classical(ctx.circuit, x0_base)
-    _, g1 = circuits.evaluate_classical(ctx.circuit, x1_base)
-    g0i = sum(b << i for i, b in enumerate(g0))
-    g1i = sum(b << i for i, b in enumerate(g1))
-    return parity(h & (g0i ^ g1i))
+    _, (g0, g1) = circuits.evaluate_classical(ctx.circuit, (x0_base, x1_base))
+    return parity(h & (g0 ^ g1))
 
 
 def run_iteration(ctx: ProtocolContext, prover, rng, config: IterationConfig,

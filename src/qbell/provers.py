@@ -304,10 +304,6 @@ class CheaterProver(ProverBase):
         return expected_bit(assumed, basis_sign)
 
 
-def cheater_strategy(public_keys, seed: int) -> CheaterProver:
-    return CheaterProver(public_keys, seed)
-
-
 class PhaseNoisyProver(ProverBase):
     """Correct branch strings, correct phase only with probability 1/2 + delta;
     measures round 3 at +/- theta (the sign follows the requested basis)."""
@@ -344,8 +340,8 @@ def noisy_round1(keys, circuit, noise: NoiseModel, rng, ctx: ProtocolContext | N
 
     Both branch bitstrings share one error realization.  If the branches'
     output registers disagree, the y measurement collapses the state to one
-    branch chosen uniformly.  Returns (y, state, records) where records
-    carries the per-discard Hadamard outcomes.
+    branch chosen uniformly.  Returns (y, state, run) where the
+    TwoBranchRun run carries the Hadamard outcomes h of the discards.
     """
     ctx = ctx or ProtocolContext.for_circuit(keys, circuit)
     x0, x1, _ = sample_claw(keys, rng)
@@ -360,7 +356,7 @@ def noisy_round1(keys, circuit, noise: NoiseModel, rng, ctx: ProtocolContext | N
         state = TwoBranchState(x0=run.reg0, x1=run.reg1, rel_phase=run.rel_phase,
                                y=y, width=ctx.reg_width,
                                collapsed=None if run.reg0 != run.reg1 else 0)
-    return y, state, run.records
+    return y, state, run
 
 
 class NoisyCircuitProver(ProverBase):
@@ -388,17 +384,12 @@ class NoisyCircuitProver(ProverBase):
         rng = self._rng("round1")
         for _ in range(self.max_attempts):
             self.attempts += 1
-            y, state, records = noisy_round1(self.keys, self.circuit, self.noise,
-                                             rng, self.ctx)
+            y, state, run = noisy_round1(self.keys, self.circuit, self.noise,
+                                         rng, self.ctx)
             if not self.retry_invalid or y % k2 == 0:
                 self.valid_attempts += 1
                 self.state = state
-                h = 0
-                shift = 0
-                for rec in records:
-                    h |= rec.h << shift
-                    shift += rec.width
-                return y, h, shift
+                return y, run.h, run.h_len
         raise RuntimeError("no valid y within the attempt budget")
 
     def answer_preimage(self):

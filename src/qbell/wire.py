@@ -36,10 +36,6 @@ class WireFrame:
     version: int = WIRE_VERSION
 
 
-def _int_out(v):
-    return str(v)
-
-
 def _encode_payload(msg) -> dict:
     body = {"tag": msg["tag"]}
     for k, v in msg.items():
@@ -48,9 +44,9 @@ def _encode_payload(msg) -> dict:
         if isinstance(v, bool):
             body[k] = v
         elif isinstance(v, int):
-            body[k] = _int_out(v)
+            body[k] = str(v)
         elif isinstance(v, (list, tuple)):
-            body[k] = [_int_out(x) for x in v]
+            body[k] = [str(x) for x in v]
         else:
             body[k] = v
     return body
@@ -70,19 +66,21 @@ def decode_frame(line: bytes) -> WireFrame:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"bad JSON: {e.msg}", offset=e.pos) from None
+    if not isinstance(doc, dict):
+        raise ParseError("frame is not a JSON object")
     if doc.get("v") != WIRE_VERSION:
         raise ParseError(f"unsupported version {doc.get('v')!r}")
     for field in ("session", "seq", "msg"):
         if field not in doc:
             raise ParseError(f"missing field {field!r}")
-    msg = doc["msg"]
+    msg, seq = doc["msg"], doc["seq"]
+    if not isinstance(msg, dict):
+        raise ParseError("message is not a JSON object")
     if "tag" not in msg:
         raise ParseError("message lacks a tag")
-    return WireFrame(session=doc["session"], seq=int(doc["seq"]), msg=msg)
-
-
-def _as_int(v) -> int:
-    return int(v)
+    if not isinstance(seq, int) or isinstance(seq, bool):
+        raise ParseError(f"sequence number {seq!r} is not an integer")
+    return WireFrame(session=doc["session"], seq=seq, msg=msg)
 
 
 # ---------------------------------------------------------------------------
@@ -150,22 +148,22 @@ class RemoteProver:
         if msg["tag"] != "image":
             raise TransportError(f"expected image, got {msg['tag']}")
         y = msg["y"]
-        y = tuple(_as_int(v) for v in y) if isinstance(y, list) else _as_int(y)
-        return y, _as_int(msg.get("h", "0")), int(msg.get("h_len", 0))
+        y = tuple(int(v) for v in y) if isinstance(y, list) else int(y)
+        return y, int(msg.get("h", "0")), int(msg.get("h_len", 0))
 
     def answer_preimage(self):
         self.ch.send({"tag": "challenge", "kind": "preimage"})
         msg = self.ch.recv()
         if msg["tag"] != "preimage":
             raise TransportError(f"expected preimage, got {msg['tag']}")
-        return _as_int(msg["x"])
+        return int(msg["x"])
 
     def round2(self, r):
         self.ch.send({"tag": "vector", "r": r})
         msg = self.ch.recv()
         if msg["tag"] != "equation":
             raise TransportError(f"expected equation, got {msg['tag']}")
-        return _as_int(msg["d"])
+        return int(msg["d"])
 
     def round3(self, sign):
         self.ch.send({"tag": "basis", "sign": sign})
@@ -209,7 +207,7 @@ def prover_loop(channel: Channel, make_prover):
         elif tag == "challenge":
             channel.send({"tag": "preimage", "x": prover.answer_preimage()})
         elif tag == "vector":
-            channel.send({"tag": "equation", "d": prover.round2(_as_int(msg["r"]))})
+            channel.send({"tag": "equation", "d": prover.round2(int(msg["r"]))})
         elif tag == "basis":
             channel.send({"tag": "result", "bit": prover.round3(int(msg["sign"]))})
         else:

@@ -70,7 +70,7 @@ def test_c1_completeness(key32):
 
 def test_c2_soundness_saturation(key32):
     trials = 100_000
-    rep = run_protocol(key32, provers.cheater_strategy(key32.public(), seed=2),
+    rep = run_protocol(key32, provers.CheaterProver(key32.public(), seed=2),
                        trials, seed=102)
     pm = float(rep.p_m)
     sig_m = math.sqrt(0.75 * 0.25 / rep.trials_m)
@@ -99,7 +99,7 @@ def test_c3_extraction():
     cheat_wins = 0
     for trial in range(100):
         keys = gen_exact_bits(24 + (trial % 9), seed0=5000 + 20 * trial)
-        cheat = provers.cheater_strategy(keys.public(), seed=trial)
+        cheat = provers.CheaterProver(keys.public(), seed=trial)
         try:
             ex.extract_and_factor(cheat, keys.N, ex.GlParams(t=5),
                                   derive_rng(104, "gl", trial))
@@ -140,7 +140,7 @@ def test_c5_circuit_semantics():
         bound = (N + 1) // 2
         for circ in (cc.build_schoolbook(n, N), cc.build_karatsuba(n, N, cutoff=8)):
             rp = circ.metadata["rprime"]
-            ys, _ = cc.evaluate_classical_batch(circ, range(bound))
+            ys, _ = cc.evaluate_classical(circ, range(bound))
             for x in range(bound):
                 assert ys[x] == x * x * rp % N, (N, x)
             checked += bound

@@ -3,7 +3,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,14 +18,12 @@ class TestMul3:
     def test_exhaustive(self, n):
         frag = cc.build_mul3_inplace(n)
         cc.validate_circuit(frag)
-        for x in range(1 << n):
-            y, _ = cc.evaluate_classical(frag, x)
-            assert y == 3 * x
+        ys, _ = cc.evaluate_classical(frag, range(1 << n))
+        assert ys == [3 * x for x in range(1 << n)]
 
     def test_worked_values(self):
         frag = cc.build_mul3_inplace(4)
-        assert cc.evaluate_classical(frag, 5)[0] == 15
-        assert cc.evaluate_classical(frag, 0)[0] == 0
+        assert cc.evaluate_classical(frag, [5, 0])[0] == [15, 0]
 
 
 class TestBuilders:
@@ -34,8 +31,8 @@ class TestBuilders:
         circ = cc.build_schoolbook(7, 77)
         cc.validate_circuit(circ)
         rp = circ.metadata["rprime"]
-        for x in range(39):
-            y, _ = cc.evaluate_classical(circ, x)
+        ys, _ = cc.evaluate_classical(circ, range(39))
+        for x, y in enumerate(ys):
             assert 0 <= y < 77
             assert y == x * x * rp % 77
 
@@ -52,7 +49,7 @@ class TestBuilders:
             for circ in (cc.build_schoolbook(n, N), cc.build_karatsuba(n, N, cutoff=8)):
                 rp = circ.metadata["rprime"]
                 bound = (N + 1) // 2
-                ys, _ = cc.evaluate_classical_batch(circ, range(bound))
+                ys, _ = cc.evaluate_classical(circ, range(bound))
                 for x in range(bound):
                     assert ys[x] == x * x * rp % N, (N, x, circ.metadata["builder"])
 
@@ -62,8 +59,8 @@ class TestBuilders:
         ka = cc.build_karatsuba(24, keys.N, cutoff=8)
         rng = random.Random(0)
         xs = [rng.randrange((keys.N + 1) // 2) for _ in range(30)]
-        ys_sb, _ = cc.evaluate_classical_batch(sb, xs)
-        ys_ka, _ = cc.evaluate_classical_batch(ka, xs)
+        ys_sb, _ = cc.evaluate_classical(sb, xs)
+        ys_ka, _ = cc.evaluate_classical(ka, xs)
         assert ys_sb == ys_ka
 
     def test_lifted_builder(self):
@@ -74,19 +71,19 @@ class TestBuilders:
             k = 3 ** m
             modulus = k * k * N
             rp = circ.metadata["rprime"]
-            for x in range(0, 39, 5):
-                y, _ = cc.evaluate_classical(circ, x)
+            xs = range(0, 39, 5)
+            ys, _ = cc.evaluate_classical(circ, xs)
+            for x, y in zip(xs, ys):
                 assert y == (k * x) ** 2 * rp % modulus
                 assert y % (k * k) == 0  # honest images carry the redundancy
 
     def test_batch_matches_scalar(self):
+        # one call over many inputs equals one call per input
         circ = cc.build_karatsuba(10, 583, cutoff=8)  # 11 * 53
         xs = list(range(0, 292, 3))
-        ys, garb = cc.evaluate_classical_batch(circ, xs)
+        ys, garb = cc.evaluate_classical(circ, xs)
         for i, x in enumerate(xs):
-            y, g = cc.evaluate_classical(circ, x)
-            assert ys[i] == y
-            assert list(garb[i]) == g
+            assert cc.evaluate_classical(circ, [x]) == ([ys[i]], [garb[i]])
 
 
 class TestMontgomeryStage:
@@ -95,14 +92,14 @@ class TestMontgomeryStage:
         cc.validate_circuit(stage)
         rp = stage.metadata["rprime"]
         undo = pow(rp, -1, 77)
-        for x in range(39):
-            y, _ = cc.evaluate_classical(stage, x * x)
+        ys, _ = cc.evaluate_classical(stage, [x * x for x in range(39)])
+        for x, y in enumerate(ys):
             assert y == x * x * rp % 77
             assert y * undo % 77 == x * x % 77
 
     def test_zero(self):
         stage = cc.montgomery_stage(7, 77)
-        assert cc.evaluate_classical(stage, 0)[0] == 0
+        assert cc.evaluate_classical(stage, [0])[0] == [0]
 
     def test_rprime_invertible(self):
         stage = cc.montgomery_stage(9, 341)  # 11 * 31
@@ -148,17 +145,9 @@ class TestDiscardPhase:
                 continue
             x0, x1 = sorted(roots)
             run = cc.run_two_branch(circ, x0, x1, 0.0, rng)
-            _, g0 = cc.evaluate_classical(circ, x0)
-            _, g1 = cc.evaluate_classical(circ, x1)
-            sign = 1
-            pos = 0
-            for rec in run.records:
-                w = rec.width
-                g0v = sum(b << i for i, b in enumerate(g0[pos:pos + w]))
-                g1v = sum(b << i for i, b in enumerate(g1[pos:pos + w]))
-                pos += w
-                sign *= cc.discard_phase(cc.GarbageRecord(rec.h, g0v, g1v, w))
-            assert sign == run.rel_phase
+            _, (g0, g1) = cc.evaluate_classical(circ, (x0, x1))
+            rec = cc.GarbageRecord(h=run.h, g0=g0, g1=g1, width=run.h_len)
+            assert cc.discard_phase(rec) == run.rel_phase
 
 
 class TestValidation:
@@ -237,6 +226,14 @@ class TestResources:
         assert cc.count_resources(circ).qubits <= 60
 
 
+class _AllOnes(random.Random):
+    """Every Hadamard outcome is 1, for one lane or many, so each discard
+    folds the full garbage difference into the phase."""
+
+    def getrandbits(self, k):
+        return (1 << k) - 1
+
+
 class TestTwoBranchRuns:
     def test_noise_free_consistency(self):
         keys = gen_exact_bits(12)
@@ -265,8 +262,7 @@ class TestTwoBranchRuns:
             if len(roots) == 2:
                 pairs.append(tuple(sorted(roots)))
         out = cc.run_two_branch_batch(circ, [p[0] for p in pairs],
-                                      [p[1] for p in pairs], 0.0,
-                                      np.random.default_rng(3))
+                                      [p[1] for p in pairs], 0.0, random.Random(3))
         k = 3
         for i, (a, b) in enumerate(pairs):
             run = cc.run_two_branch(circ, a, b, 0.0, random.Random(i))
@@ -274,16 +270,51 @@ class TestTwoBranchRuns:
             assert out["reg0"][i] == k * a and out["reg1"][i] == k * b
             assert out["creg0"][i] == k * a and out["creg1"][i] == k * b
         # clean shadow phases and prover phases see identical h draws
-        assert np.array_equal(out["phase_prover"], out["phase_verifier"])
+        assert out["phase_prover"] == out["phase_verifier"]
+
+    def test_batch_lanes_match_single_runs(self, monkeypatch):
+        # one batch call over R runs equals R single-pair calls; errors are
+        # planted in one middle run only, so any cross-talk between lanes
+        # (bits, phases or error counts) shows up in a neighbouring run
+        keys = gen_exact_bits(12)
+        circ = cc.build_modsquare(keys.N, lift_m=1, method="schoolbook")
+        rng = random.Random(2)
+        pairs = []
+        while len(pairs) < 16:
+            x0 = rng.randrange((keys.N + 1) // 2)
+            roots = tcf.rabin_invert(keys, x0 * x0 % keys.N)
+            if len(roots) == 2:
+                pairs.append(tuple(sorted(roots)))
+        unitary = [g for g in circ.gates if g[0] in (cc.X, cc.CNOT, cc.TOFFOLI)]
+        plan = {u: (unitary[u][1], "XYZ"[u % 3])
+                for u in random.Random(3).sample(range(len(unitary)), 40)}
+        hit = 5
+        # the sampler's pick 0 strikes the gate's first qubit, as the plan does
+        planted = sorted((u, hit, 0, pauli) for u, (_, pauli) in plan.items())
+        monkeypatch.setattr(cc, "_sampled_errors", lambda p, rng, runs: iter(planted))
+        out = cc.run_two_branch_batch(circ, [a for a, _ in pairs], [b for _, b in pairs],
+                                      0.5, _AllOnes())
+        for i, (a, b) in enumerate(pairs):
+            run = cc.run_two_branch(circ, a, b, rng=_AllOnes(),
+                                    error_plan=plan if i == hit else None)
+            clean = cc.run_two_branch(circ, a, b, rng=_AllOnes())
+            assert (out["y0"][i], out["y1"][i]) == (run.y0, run.y1), i
+            assert (out["reg0"][i], out["reg1"][i]) == (run.reg0, run.reg1), i
+            assert out["phase_prover"][i] == (run.rel_phase == -1), i
+            assert out["n_errors"][i] == run.n_errors, i
+            assert out["y_clean"][i] == clean.y0 == clean.y1, i
+            assert (out["creg0"][i], out["creg1"][i]) == (clean.reg0, clean.reg1), i
+            assert out["phase_verifier"][i] == (clean.rel_phase == -1), i
+        assert out["n_errors"][hit] == len(plan)
+        assert (out["y0"][hit], out["reg0"][hit]) != (out["y_clean"][hit], out["creg0"][hit])
 
     def test_error_counts_scale(self):
         keys = gen_exact_bits(12)
         circ = cc.build_modsquare(keys.N, lift_m=0, method="schoolbook")
         ng = cc.count_resources(circ).total_gates
         p = 2.0 / ng  # two errors per run on average
-        out = cc.run_two_branch_batch(circ, [2] * 600, [5] * 600, p,
-                                      np.random.default_rng(4))
-        mean = out["n_errors"].mean()
+        out = cc.run_two_branch_batch(circ, [2] * 600, [5] * 600, p, random.Random(4))
+        mean = sum(out["n_errors"]) / 600
         assert abs(mean - 2.0) < 0.35
 
 

@@ -59,7 +59,7 @@ class TestParityGuess:
         n = keys.N.bit_length()
         for _ in range(300):
             r = rng.getrandbits(n)
-            assert ex.parity_guess(oracle, r) == proto.parity(r & x1)
+            assert oracle.query(r) == proto.parity(r & x1)
 
     def test_ideal_prover_accuracy_above_union_bound(self):
         keys = gen_exact_bits(24)
@@ -222,7 +222,7 @@ class TestExtractAndFactor:
     def test_cheater_never_factors(self):
         for trial in range(15):
             keys = gen_exact_bits(28, seed0=700 + trial)
-            cheat = provers.cheater_strategy(keys.public(), seed=trial)
+            cheat = provers.CheaterProver(keys.public(), seed=trial)
             with pytest.raises(ex.ExtractionFailed):
                 ex.extract_and_factor(cheat, keys.N, ex.GlParams(t=5),
                                       derive_rng(901, "x", trial))

@@ -34,7 +34,7 @@ class TestLiftKey:
         keys = tcf.RabinKeyPair(N=77, p=11, q=7)
         lifted = ps.lift_key(keys, 1, method="schoolbook")
         rp = lifted.circuit.metadata["rprime"]
-        y, _ = cc.evaluate_classical(lifted.circuit, 15)
+        (y,), _ = cc.evaluate_classical(lifted.circuit, [15])
         assert y == (3 * 15) ** 2 * rp % 693
         # 15^2 mod 77 = 71, so the unscaled lifted image is 9 * 71 = 639
         undo = lifted.circuit.metadata["r_undo"]

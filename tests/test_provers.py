@@ -108,7 +108,7 @@ class TestCheater:
     def test_statistics(self):
         keys = gen_exact_bits(32)
         ctx = proto.ProtocolContext.plain(keys)
-        prover = provers.cheater_strategy(keys.public(), seed=1)
+        prover = provers.CheaterProver(keys.public(), seed=1)
         rng = derive_rng(11, "v")
         cfg = proto.IterationConfig()
         ts = [proto.run_iteration(ctx, prover, rng, cfg, i) for i in range(30_000)]
@@ -119,7 +119,7 @@ class TestCheater:
 
     def test_uses_public_key_only(self):
         pub = gen_exact_bits(24).public()
-        prover = provers.cheater_strategy(pub, seed=0)
+        prover = provers.CheaterProver(pub, seed=0)
         y, _, _ = prover.round1()
         assert proto.check_preimage(pub, prover.answer_preimage(), y)
 

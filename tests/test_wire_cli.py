@@ -46,6 +46,24 @@ class TestFrames:
         with pytest.raises(wire.ParseError):
             wire.decode_frame(b'{"v": 1, "session": "x", "seq": 0, "msg": {}}')
 
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+        lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+        max_leaves=20))
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_line_is_frame_or_parse_error(self, value):
+        # the value as a whole line, as the sequence number and as the message
+        for doc in (value,
+                    {"v": 1, "session": "s", "seq": value, "msg": {"tag": "end"}},
+                    {"v": 1, "session": "s", "seq": 0, "msg": value}):
+            line = json.dumps(doc).encode() + b"\n"
+            try:
+                frame = wire.decode_frame(line)
+            except wire.ParseError:
+                continue
+            assert isinstance(frame, wire.WireFrame)
+            assert isinstance(frame.seq, int) and isinstance(frame.msg, dict)
+
     def test_big_ints_as_decimal_strings(self):
         frame = wire.WireFrame(session="s", seq=0, msg={"tag": "image", "y": 2 ** 90})
         doc = json.loads(wire.encode_frame(frame))
@@ -141,6 +159,13 @@ class TestCli:
     def test_usage_error_exit_code(self):
         assert run_cli("frobnicate") == 2
         assert run_cli("run", "--key", "/nonexistent", "--prover", "bogus") in (2, 3)
+
+    def test_malformed_frame_exits_protocol_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qbell.cli", "prove", "--transport", "stdio"],
+            input=b"[1]\n", capture_output=True, timeout=120)
+        assert proc.returncode == 4, proc.stderr
+        assert b"Traceback" not in proc.stderr
 
     def test_wrong_key_file(self, tmp_path):
         bad = tmp_path / "bad.json"
