@@ -68,21 +68,6 @@ class ResourceReport:
         return self.total_gates + 14 * self.toffoli_count
 
 
-@dataclass(frozen=True)
-class GarbageRecord:
-    """One discard event: Hadamard outcomes h and garbage values per branch."""
-
-    h: int
-    g0: int
-    g1: int
-    width: int
-
-
-def discard_phase(record: GarbageRecord) -> int:
-    """Relative phase (-1)^(h . (g0 xor g1)) a discard imposes between branches."""
-    return -1 if (record.h & (record.g0 ^ record.g1)).bit_count() & 1 else 1
-
-
 class QubitPool:
     """Allocates qubit indices into a gate list, reusing discarded ones."""
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import circuits, protocol, tcf
-from .provers import NoiseModel, optimal_theta, sample_claw
+from .provers import (NoiseModel, ideal_round2, is_valid_y, measure_y, optimal_theta,
+                      sample_claw)
 from .seeds import derive_rng, derive_seed
 
 
@@ -43,11 +44,6 @@ def lift_key(keys: tcf.RabinKeyPair, m: int, method: str = "karatsuba",
     k = 3 ** m
     return LiftedKey(base=keys, m=m, k=k, n_lifted=k * k * keys.N, circuit=circ,
                      gate_count=circuits.count_resources(circ).total_gates)
-
-
-def is_valid_y(y: int, k: int) -> bool:
-    """Prover-side validity: the lifted image must be a multiple of k^2."""
-    return y % (k * k) == 0
 
 
 def rejection_power(k: int) -> Fraction:
@@ -106,12 +102,7 @@ def run_sweep(config: SweepConfig, keys: tcf.RabinKeyPair) -> list:
 def _sweep_point(config: SweepConfig, lifted: LiftedKey, base: LiftedKey,
                  noise: NoiseModel) -> SweepRow:
     keys = lifted.base
-    N = keys.N
-    k = lifted.k
-    k2 = k * k
-    circ = lifted.circuit
-    meta = circ.metadata
-    modulus, r_undo = meta["modulus"], meta["r_undo"]
+    ctx = protocol.ProtocolContext.for_circuit(keys, lifted.circuit)
     trials = config.trials_per_point
 
     seed = derive_seed(config.seed, "point", lifted.m, repr(noise.circuit_fidelity))
@@ -130,84 +121,56 @@ def _sweep_point(config: SweepConfig, lifted: LiftedKey, base: LiftedKey,
         claws = [sample_claw(keys, rng) for _ in range(R)]
         x0s = [c[0] for c in claws]
         x1s = [c[1] for c in claws]
-        out = circuits.run_two_branch_batch(circ, x0s, x1s, noise.error_prob, engine_rng)
+        out = circuits.run_two_branch_batch(lifted.circuit, x0s, x1s, noise.error_prob,
+                                            engine_rng)
         for i in range(R):
-            y0, y1 = out["y0"][i], out["y1"][i]
-            if y0 != y1:
-                pick = rng.randrange(2)
-                y = (y0, y1)[pick]
-                collapsed = pick
-            else:
-                y = y0
-                collapsed = None
-            if not is_valid_y(y, k):
+            phase_p, phase_v = out["phase_prover"][i], out["phase_verifier"][i]
+            state = measure_y(out["y0"][i], out["y1"][i], out["reg0"][i], out["reg1"][i],
+                              -1 if phase_p else 1, ctx.reg_width, rng)
+            if not is_valid_y(state.y, lifted.k):
                 discarded += 1  # prover-side: re-run the circuit
                 continue
             # device characterization against the intended (error-free)
             # computation, over the runs the prover itself can keep
-            v0, v1 = out["reg0"][i], out["reg1"][i]
             cal_total += 1
-            if collapsed is None and {v0, v1} == {out["creg0"][i], out["creg1"][i]}:
+            if state.collapsed is None and \
+                    {state.x0, state.x1} == {out["creg0"][i], out["creg1"][i]}:
                 cal_bits += 1
-                if out["phase_prover"][i] == out["phase_verifier"][i]:
+                if phase_p == phase_v:
                     cal_state += 1
-            y_base_wire = y * r_undo % modulus
-            y_base = y_base_wire // k2 if y_base_wire % k2 == 0 else None
-            kind, inverted = ("invalid", None) if y_base is None else \
-                protocol.verifier_check_image(keys, y_base)
+            kind, inverted = ctx.check_image_wire(state.y)
             if kind == "invalid":
                 discarded += 1  # verifier-side silent discard
                 continue
-            kept_runs.append((
-                v0, v1, out["phase_prover"][i], out["phase_verifier"][i],
-                collapsed, kind, inverted, y_base,
-            ))
+            kept_runs.append((state, phase_v, kind, inverted))
 
     # stage 2: calibrate the round-3 angle; the prover only sees its own
     # post-selected ensemble, not the verifier's silent discards
     theta = _calibrated_theta(cal_total, cal_bits, cal_state)
 
-    # stage 3: play rounds against the verifier
-    width = len(circ.registers["x"])
+    # stage 3: play rounds against the verifier.  Its discard phase bit is
+    # the clean shadow's phase_v instead of an evaluate_classical call per
+    # round, and the predicted state keeps its distribution: when y inverts
+    # to the sampled claw, the verifier recomputes from that claw with the
+    # same h and gets phase_v; for another claw {w0, w1}, d.(w0 xor w1) is
+    # uniform over the prover's d unless w0 xor w1 equals its own branch
+    # difference, so the predicted sign is a fair coin under either phase.
     tx = ax = tm = am = 0
-    for v0, v1, phase_p, phase_v, collapsed, kind, inverted, y_base in kept_runs:
-        if rng.random() < 0.5:
+    for state, phase_v, kind, inverted in kept_runs:
+        if protocol.choose_challenge(rng) == "preimage":
             tx += 1
-            if collapsed is not None:
-                answer = (v0, v1)[collapsed]
-            else:
-                answer = (v0, v1)[rng.randrange(2)]
-            if answer % k == 0 and answer // k < tcf.rabin_domain_size(N) \
-                    and (answer // k) ** 2 % N == y_base:
-                ax += 1
+            ax += ctx.check_preimage_wire(state.preimage(rng), state.y)
         else:
             tm += 1
-            r = rng.getrandbits(width)
-            merged = collapsed is not None or v0 == v1
-            if merged:
-                d = rng.getrandbits(width)
-                branch = (v0, v1)[collapsed or 0]
-                actual = protocol.QubitState.ZERO if protocol.parity(r & branch) == 0 \
-                    else protocol.QubitState.ONE
-            else:
-                d = _sample_d(rng, width, r, v0, v1, phase_p)
-                actual = protocol.compute_qubit_state(v0, v1, r, d,
-                                                      rel_phase_bit=phase_p)
+            r = rng.getrandbits(ctx.reg_width)
+            d = ideal_round2(state, r, rng)
             sign = 1 if rng.random() < 0.5 else -1
-            if kind == "single":
-                w = inverted * k
-                pred = protocol.QubitState.ZERO if protocol.parity(r & w) == 0 \
-                    else protocol.QubitState.ONE
-            else:
-                w0 = inverted.x0 * k
-                w1 = inverted.x1 * k
-                pred = protocol.compute_qubit_state(w0, w1, r, d,
-                                                    rel_phase_bit=phase_v)
+            expected = protocol.expected_bit(
+                protocol.predicted_state(ctx, kind, inverted, r, d, phase_v), sign)
             # the round is won with the Born probability of the bit the
             # verifier expects; adding it instead of a sampled 0/1 keeps p_m
             # unbiased and removes the measurement's own sampling noise
-            am += protocol.born_probability(actual, sign * theta,
-                                            protocol.expected_bit(pred, sign))
+            am += protocol.born_probability(state.qubit(r, d), sign * theta, expected)
 
     kept = tx + tm
     discard_rate = discarded / trials
@@ -238,15 +201,6 @@ def _calibrated_theta(total, bits_ok, state_ok) -> float:
     if f_par <= 0.5 + 1e-9:
         return math.pi / 4
     return optimal_theta(f_par, f_perp)
-
-
-def _sample_d(rng, width, r, v0, v1, phase_bit):
-    d = rng.getrandbits(width)
-    if protocol.parity(r & v0) == protocol.parity(r & v1):
-        diff = v0 ^ v1
-        if protocol.parity(d & diff) != phase_bit:
-            d ^= diff & -diff
-    return d
 
 
 def threshold_of(rows) -> float:

@@ -280,6 +280,12 @@ class ProtocolContext:
             out |= v << (1 + i * per)
         return out
 
+    def check_image_wire(self, y_wire: int):
+        """verifier_check_image on the base image of a wire value;
+        ("invalid", None) when it has none."""
+        y = self.base_image(y_wire)
+        return ("invalid", None) if y is None else verifier_check_image(self.keys, y)
+
     def check_preimage_wire(self, x_wire: int, y_wire: int) -> bool:
         """Verify a round-1 preimage answer as sent on the wire."""
         if isinstance(self.keys, tcf.RabinKeyPair):
@@ -318,6 +324,18 @@ def _verifier_phase_bit(ctx: ProtocolContext, x0_base, x1_base, h: int, h_len: i
     return parity(h & (g0 ^ g1))
 
 
+def predicted_state(ctx: ProtocolContext, kind: str, inverted, r: int, d: int,
+                    phase_bit: int) -> QubitState:
+    """The qubit the verifier expects after round 2 for an image it inverted
+    to `inverted` ("single": one preimage, "claw": a Claw whose branches
+    carry the discard phase bit phase_bit)."""
+    if kind == "single":
+        x0 = x1 = ctx.encode_domain(inverted)
+    else:
+        x0, x1 = ctx.encode_domain(inverted.x0), ctx.encode_domain(inverted.x1)
+    return compute_qubit_state(x0, x1, r, d, rel_phase_bit=phase_bit)
+
+
 def run_iteration(ctx: ProtocolContext, prover, rng, config: IterationConfig,
                   iteration: int = 0) -> Transcript:
     """Drive one iteration against a prover implementing the 3-round interface."""
@@ -325,9 +343,7 @@ def run_iteration(ctx: ProtocolContext, prover, rng, config: IterationConfig,
     y_wire, h, h_len = prover.round1()
     t.msgs.append(ImageMsg(y=y_wire, h=h, h_len=h_len))
 
-    y_base = ctx.base_image(y_wire)
-    kind, inverted = ("invalid", None) if y_base is None \
-        else verifier_check_image(ctx.keys, y_base)
+    kind, inverted = ctx.check_image_wire(y_wire)
     if config.postselect and kind == "invalid":
         # silent discard: the prover is not told, the iteration is dropped
         t.outcome = Outcome.DISCARDED_INVALID_Y
@@ -355,18 +371,9 @@ def run_iteration(ctx: ProtocolContext, prover, rng, config: IterationConfig,
         # post-selection off: an unindexable y can never be accepted
         t.outcome = Outcome.REJECTED_MEASUREMENT
         return t
-    if kind == "single":
-        x_reg = ctx.encode_domain(inverted)
-        state = QubitState.ZERO if parity(r & x_reg) == 0 else QubitState.ONE
-    else:
-        x0_reg = ctx.encode_domain(inverted.x0)
-        x1_reg = ctx.encode_domain(inverted.x1)
-        if isinstance(ctx.keys, tcf.RabinKeyPair):
-            pv = _verifier_phase_bit(ctx, inverted.x0, inverted.x1, h, h_len)
-        else:
-            pv = 0
-        state = compute_qubit_state(x0_reg, x1_reg, r, d, rel_phase_bit=pv)
-    ok = bit == expected_bit(state, sign)
+    pv = _verifier_phase_bit(ctx, inverted.x0, inverted.x1, h, h_len) \
+        if kind == "claw" else 0
+    ok = bit == expected_bit(predicted_state(ctx, kind, inverted, r, d, pv), sign)
     t.outcome = Outcome.ACCEPTED_MEASUREMENT if ok else Outcome.REJECTED_MEASUREMENT
     return t
 

@@ -24,13 +24,9 @@ import math
 from dataclasses import dataclass
 
 from . import circuits, tcf
-from .protocol import (COS2_PI_8, ProtocolContext, QubitState, born_probability,
+from .protocol import (ProtocolContext, QubitState, born_probability,
                        compute_qubit_state, expected_bit, parity)
 from .seeds import derive_rng, derive_seed
-
-
-class CollapsedState(RuntimeError):
-    """Round-2 measurement requested on an already collapsed register."""
 
 
 class DegenerateModel(ValueError):
@@ -54,6 +50,23 @@ class TwoBranchState:
     @property
     def merged(self) -> bool:
         return self.collapsed is not None or self.x0 == self.x1
+
+    @property
+    def phase_bit(self) -> int:
+        return 0 if self.rel_phase == 1 else 1
+
+    def preimage(self, rng) -> int:
+        """Standard-basis measurement of the input register: the surviving
+        branch, or either branch with probability one half."""
+        pick = rng.randrange(2) if self.collapsed is None else self.collapsed
+        return (self.x0, self.x1)[pick]
+
+    def qubit(self, r: int, d: int) -> QubitState:
+        """The round-3 qubit after round 2 with vector r and equation d."""
+        if self.collapsed is not None:
+            branch = (self.x0, self.x1)[self.collapsed]
+            return compute_qubit_state(branch, branch, r, d)
+        return compute_qubit_state(self.x0, self.x1, r, d, rel_phase_bit=self.phase_bit)
 
 
 @dataclass(frozen=True)
@@ -154,17 +167,14 @@ def ideal_round1(keys, rng, ctx: ProtocolContext | None = None):
 def ideal_round2(state: TwoBranchState, r: int, rng) -> int:
     """Hadamard-basis measurement string d of the input register.
 
-    If r.x0 != r.x1 every d is equally likely.  Otherwise the branches
-    interfere and d is uniform over the affine class
-    {d : d.(x0 xor x1) = rel_phase_bit}.
+    If the register is merged or r.x0 != r.x1 every d is equally likely
+    (the first draw of rng).  Otherwise the branches interfere and d is
+    uniform over the affine class {d : d.(x0 xor x1) = rel_phase_bit}.
     """
-    if state.merged:
-        raise CollapsedState("input register already collapsed")
     d = rng.getrandbits(state.width)
-    if parity(r & state.x0) == parity(r & state.x1):
-        want = 0 if state.rel_phase == 1 else 1
+    if not state.merged and parity(r & state.x0) == parity(r & state.x1):
         diff = state.x0 ^ state.x1
-        if parity(d & diff) != want:
+        if parity(d & diff) != state.phase_bit:
             # flip d at the lowest set bit of the branch difference
             d ^= diff & -diff
     return d
@@ -174,13 +184,7 @@ def ideal_round3(state: TwoBranchState, r: int, d: int, basis_sign: int, rng,
                  theta: float = math.pi / 4) -> int:
     """Sample the round-3 outcome with exact Born probabilities at the
     (possibly adapted) angle basis_sign * theta."""
-    if state.merged:
-        branch = state.x0 if (state.collapsed in (None, 0)) else state.x1
-        qubit = QubitState.ZERO if parity(r & branch) == 0 else QubitState.ONE
-    else:
-        pbit = 0 if state.rel_phase == 1 else 1
-        qubit = compute_qubit_state(state.x0, state.x1, r, d, rel_phase_bit=pbit)
-    p0 = born_probability(qubit, basis_sign * theta, 0)
+    p0 = born_probability(state.qubit(r, d), basis_sign * theta, 0)
     return 0 if rng.random() < p0 else 1
 
 
@@ -240,7 +244,14 @@ class ProverBase:
 
 
 class IdealProver(ProverBase):
-    """Noise-free two-branch simulation of the honest quantum prover."""
+    """Noise-free two-branch simulation of the honest quantum prover.
+
+    Rounds 2 and 3 and the preimage answer measure the TwoBranchState that
+    round 1 leaves in `state`, at the round-3 angle `theta`; the noisy
+    provers below differ only in how round 1 prepares that state.
+    """
+
+    theta = math.pi / 4
 
     def __init__(self, keys, seed: int, ctx: ProtocolContext | None = None):
         super().__init__(seed)
@@ -256,15 +267,14 @@ class IdealProver(ProverBase):
         return y, 0, 0
 
     def answer_preimage(self) -> int:
-        pick = self._rng("preimage").randrange(2)
-        return self.state.x0 if pick == 0 else self.state.x1
+        return self.state.preimage(self._rng("preimage"))
 
     def _round2_impl(self, r):
         return ideal_round2(self.state, r, self._rng("d", r))
 
     def _round3_impl(self, r, d, basis_sign):
         return ideal_round3(self.state, r, d, basis_sign,
-                            self._rng("m", r, basis_sign))
+                            self._rng("m", r, basis_sign), theta=self.theta)
 
 
 class CheaterProver(ProverBase):
@@ -300,21 +310,18 @@ class CheaterProver(ProverBase):
         return self._rng("d", r).getrandbits(self.ctx.reg_width)
 
     def _round3_impl(self, r, d, basis_sign):
-        assumed = QubitState.ZERO if parity(r & self._x0_wire) == 0 else QubitState.ONE
+        assumed = compute_qubit_state(self._x0_wire, self._x0_wire, r, d)
         return expected_bit(assumed, basis_sign)
 
 
-class PhaseNoisyProver(ProverBase):
+class PhaseNoisyProver(IdealProver):
     """Correct branch strings, correct phase only with probability 1/2 + delta;
     measures round 3 at +/- theta (the sign follows the requested basis)."""
 
     def __init__(self, keys, seed: int, delta: float, theta: float = math.pi / 4):
-        super().__init__(seed)
-        self.keys = keys
-        self.ctx = ProtocolContext.plain(keys)
+        super().__init__(keys, seed)
         self.delta = delta
         self.theta = theta
-        self.state = None
 
     def _round1_impl(self):
         rng = self._rng("round1")
@@ -323,43 +330,41 @@ class PhaseNoisyProver(ProverBase):
             self.state.rel_phase = -1
         return y, 0, 0
 
-    def answer_preimage(self):
-        pick = self._rng("preimage").randrange(2)
-        return self.state.x0 if pick == 0 else self.state.x1
 
-    def _round2_impl(self, r):
-        return ideal_round2(self.state, r, self._rng("d", r))
+def measure_y(y0, y1, reg0, reg1, rel_phase, width, rng) -> TwoBranchState:
+    """The y measurement after a two-branch circuit run.  If the branches'
+    outputs disagree it collapses the state onto one branch chosen
+    uniformly (one rng draw); equal registers leave a single branch too."""
+    collapsed = None
+    if y0 != y1:
+        collapsed = rng.randrange(2)
+    elif reg0 == reg1:
+        collapsed = 0
+    return TwoBranchState(x0=reg0, x1=reg1, rel_phase=rel_phase,
+                          y=(y0, y1)[collapsed or 0], width=width, collapsed=collapsed)
 
-    def _round3_impl(self, r, d, basis_sign):
-        return ideal_round3(self.state, r, d, basis_sign,
-                            self._rng("m", r, basis_sign), theta=self.theta)
+
+def is_valid_y(y: int, k: int) -> bool:
+    """Prover-side validity: the lifted image must be a multiple of k^2."""
+    return y % (k * k) == 0
 
 
 def noisy_round1(keys, circuit, noise: NoiseModel, rng, ctx: ProtocolContext | None = None):
     """Round 1 through an actual gate list with Pauli errors.
 
-    Both branch bitstrings share one error realization.  If the branches'
-    output registers disagree, the y measurement collapses the state to one
-    branch chosen uniformly.  Returns (y, state, run) where the
-    TwoBranchRun run carries the Hadamard outcomes h of the discards.
+    Both branch bitstrings share one error realization, and measure_y reads
+    y from them.  Returns (y, state, run) where the TwoBranchRun run
+    carries the Hadamard outcomes h of the discards.
     """
     ctx = ctx or ProtocolContext.for_circuit(keys, circuit)
     x0, x1, _ = sample_claw(keys, rng)
     run = circuits.run_two_branch(circuit, x0, x1, noise.error_prob, rng)
-    if run.y0 != run.y1:
-        pick = rng.randrange(2)
-        y = (run.y0, run.y1)[pick]
-        state = TwoBranchState(x0=run.reg0, x1=run.reg1, rel_phase=run.rel_phase,
-                               y=y, width=ctx.reg_width, collapsed=pick)
-    else:
-        y = run.y0
-        state = TwoBranchState(x0=run.reg0, x1=run.reg1, rel_phase=run.rel_phase,
-                               y=y, width=ctx.reg_width,
-                               collapsed=None if run.reg0 != run.reg1 else 0)
-    return y, state, run
+    state = measure_y(run.y0, run.y1, run.reg0, run.reg1, run.rel_phase,
+                      ctx.reg_width, rng)
+    return state.y, state, run
 
 
-class NoisyCircuitProver(ProverBase):
+class NoisyCircuitProver(IdealProver):
     """Circuit-level prover with per-gate Pauli noise and optional
     prover-side post-selection (retry until the measured y is a multiple
     of k^2, which is all the prover can check without the trapdoor)."""
@@ -367,42 +372,23 @@ class NoisyCircuitProver(ProverBase):
     def __init__(self, keys, circuit, noise: NoiseModel, seed: int,
                  theta: float = math.pi / 4, retry_invalid: bool = True,
                  max_attempts: int = 1000):
-        super().__init__(seed)
-        self.keys = keys
+        super().__init__(keys, seed, ProtocolContext.for_circuit(keys, circuit))
         self.circuit = circuit
         self.noise = noise
         self.theta = theta
         self.retry_invalid = retry_invalid
         self.max_attempts = max_attempts
-        self.ctx = ProtocolContext.for_circuit(keys, circuit)
         self.attempts = 0
         self.valid_attempts = 0
-        self.state = None
 
     def _round1_impl(self):
-        k2 = self.ctx.lift_k ** 2
         rng = self._rng("round1")
         for _ in range(self.max_attempts):
             self.attempts += 1
             y, state, run = noisy_round1(self.keys, self.circuit, self.noise,
                                          rng, self.ctx)
-            if not self.retry_invalid or y % k2 == 0:
+            if not self.retry_invalid or is_valid_y(y, self.ctx.lift_k):
                 self.valid_attempts += 1
                 self.state = state
                 return y, run.h, run.h_len
         raise RuntimeError("no valid y within the attempt budget")
-
-    def answer_preimage(self):
-        if self.state.collapsed is not None:
-            return (self.state.x0, self.state.x1)[self.state.collapsed]
-        pick = self._rng("preimage").randrange(2)
-        return self.state.x0 if pick == 0 else self.state.x1
-
-    def _round2_impl(self, r):
-        if self.state.merged:
-            return self._rng("d", r).getrandbits(self.state.width)
-        return ideal_round2(self.state, r, self._rng("d", r))
-
-    def _round3_impl(self, r, d, basis_sign):
-        return ideal_round3(self.state, r, d, basis_sign,
-                            self._rng("m", r, basis_sign), theta=self.theta)

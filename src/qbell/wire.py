@@ -135,6 +135,19 @@ def channel_from_socket(sock: socket.socket, session: str, timeout: float = 30.0
 # ---------------------------------------------------------------------------
 # verifier / prover drivers
 
+def _int(value, field: str) -> int:
+    """A payload integer, sent as a decimal string (or a JSON integer);
+    ParseError for anything else, a missing field (None) included."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ParseError(f"field {field!r} is missing or not an integer: {value!r:.40}")
+
+
 class RemoteProver:
     """Prover proxy on the verifier side: each protocol round is one
     request/response exchange on the channel."""
@@ -142,35 +155,30 @@ class RemoteProver:
     def __init__(self, channel: Channel):
         self.ch = channel
 
-    def round1(self):
-        self.ch.send({"tag": "round1"})
+    def _exchange(self, request: dict, reply_tag: str) -> dict:
+        self.ch.send(request)
         msg = self.ch.recv()
-        if msg["tag"] != "image":
-            raise TransportError(f"expected image, got {msg['tag']}")
-        y = msg["y"]
-        y = tuple(int(v) for v in y) if isinstance(y, list) else int(y)
-        return y, int(msg.get("h", "0")), int(msg.get("h_len", 0))
+        if msg["tag"] != reply_tag:
+            raise ParseError(f"expected {reply_tag}, got {msg['tag']!r:.40}")
+        return msg
+
+    def round1(self):
+        msg = self._exchange({"tag": "round1"}, "image")
+        y = msg.get("y")
+        y = tuple(_int(v, "y") for v in y) if isinstance(y, list) else _int(y, "y")
+        return y, _int(msg.get("h", 0), "h"), _int(msg.get("h_len", 0), "h_len")
 
     def answer_preimage(self):
-        self.ch.send({"tag": "challenge", "kind": "preimage"})
-        msg = self.ch.recv()
-        if msg["tag"] != "preimage":
-            raise TransportError(f"expected preimage, got {msg['tag']}")
-        return int(msg["x"])
+        msg = self._exchange({"tag": "challenge", "kind": "preimage"}, "preimage")
+        return _int(msg.get("x"), "x")
 
     def round2(self, r):
-        self.ch.send({"tag": "vector", "r": r})
-        msg = self.ch.recv()
-        if msg["tag"] != "equation":
-            raise TransportError(f"expected equation, got {msg['tag']}")
-        return int(msg["d"])
+        msg = self._exchange({"tag": "vector", "r": r}, "equation")
+        return _int(msg.get("d"), "d")
 
     def round3(self, sign):
-        self.ch.send({"tag": "basis", "sign": sign})
-        msg = self.ch.recv()
-        if msg["tag"] != "result":
-            raise TransportError(f"expected result, got {msg['tag']}")
-        return int(msg["bit"])
+        msg = self._exchange({"tag": "basis", "sign": sign}, "result")
+        return _int(msg.get("bit"), "bit")
 
 
 def serve_session(channel: Channel, ctx, trials: int, seed: int, config=None):
@@ -189,26 +197,46 @@ def serve_session(channel: Channel, ctx, trials: int, seed: int, config=None):
     return protocol.score(transcripts), transcripts
 
 
+# the verifier frames that may follow each one in a session (None: the key)
+_NEXT = {
+    None: ("round1",),
+    "round1": ("round1", "challenge", "vector"),  # round1 again: silent discard
+    "challenge": ("round1",),
+    "vector": ("basis",),
+    "basis": ("round1",),
+}
+
+
 def prover_loop(channel: Channel, make_prover):
     """Prover-side session loop: builds the prover from the received public
-    key and answers until the end frame."""
+    key and answers until the end frame.  A frame out of protocol order or
+    a missing or non-integer field raises ParseError."""
     hello = channel.recv()
     if hello["tag"] != "key":
         raise TransportError("expected key frame first")
-    prover = make_prover(hello["key_json"], int(hello.get("prover_seed", 0)))
+    if not isinstance(hello.get("key_json"), str):
+        raise ParseError("key frame lacks the key_json string")
+    prover = make_prover(hello["key_json"], _int(hello.get("prover_seed", 0), "prover_seed"))
+    last = None
     while True:
         msg = channel.recv()
         tag = msg["tag"]
         if tag == "end":
             return
+        if not isinstance(tag, str) or tag not in _NEXT:
+            raise TransportError(f"unexpected frame {tag!r:.40}")
+        if tag not in _NEXT[last]:
+            raise ParseError(f"{tag!r} frame after {last!r}")
+        last = tag
         if tag == "round1":
             y, h, h_len = prover.round1()
             channel.send({"tag": "image", "y": y, "h": h, "h_len": h_len})
         elif tag == "challenge":
             channel.send({"tag": "preimage", "x": prover.answer_preimage()})
         elif tag == "vector":
-            channel.send({"tag": "equation", "d": prover.round2(int(msg["r"]))})
-        elif tag == "basis":
-            channel.send({"tag": "result", "bit": prover.round3(int(msg["sign"]))})
+            channel.send({"tag": "equation", "d": prover.round2(_int(msg.get("r"), "r"))})
         else:
-            raise TransportError(f"unexpected frame {tag!r}")
+            sign = _int(msg.get("sign"), "sign")
+            if sign not in (1, -1):
+                raise ParseError(f"basis sign must be +1 or -1, got {sign!r:.40}")
+            channel.send({"tag": "result", "bit": prover.round3(sign)})

@@ -4,10 +4,9 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qbell import circuits as cc
+from qbell import protocol as proto
 from qbell import tcf
 
 from helpers import blum_semiprimes, gen_exact_bits
@@ -111,32 +110,10 @@ class TestMontgomeryStage:
 
 
 class TestDiscardPhase:
-    def test_zero_h(self):
-        rec = cc.GarbageRecord(h=0, g0=0b101, g1=0b011, width=3)
-        assert cc.discard_phase(rec) == 1
-
-    def test_agreeing_garbage(self):
-        rng = random.Random(0)
-        for _ in range(50):
-            g = rng.getrandbits(8)
-            rec = cc.GarbageRecord(h=rng.getrandbits(8), g0=g, g1=g, width=8)
-            assert cc.discard_phase(rec) == 1
-
-    def test_worked_parity(self):
-        # h = 101, g0 xor g1 = 100: single overlap, sign flips
-        rec = cc.GarbageRecord(h=0b101, g0=0b100, g1=0b000, width=3)
-        assert cc.discard_phase(rec) == -1
-
-    @given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
-    @settings(max_examples=60, deadline=None)
-    def test_parity_property(self, h, g0, g1):
-        rec = cc.GarbageRecord(h=h, g0=g0, g1=g1, width=8)
-        expect = (-1) ** bin(h & (g0 ^ g1)).count("1")
-        assert cc.discard_phase(rec) == expect
-
     def test_two_branch_phase_equals_verifier_recomputation(self):
         keys = gen_exact_bits(12)
         circ = cc.build_modsquare(keys.N, lift_m=0, method="schoolbook")
+        ctx = proto.ProtocolContext.for_circuit(keys, circ)
         rng = random.Random(5)
         for _ in range(30):
             x0 = rng.randrange((keys.N + 1) // 2)
@@ -145,9 +122,8 @@ class TestDiscardPhase:
                 continue
             x0, x1 = sorted(roots)
             run = cc.run_two_branch(circ, x0, x1, 0.0, rng)
-            _, (g0, g1) = cc.evaluate_classical(circ, (x0, x1))
-            rec = cc.GarbageRecord(h=run.h, g0=g0, g1=g1, width=run.h_len)
-            assert cc.discard_phase(rec) == run.rel_phase
+            pv = proto._verifier_phase_bit(ctx, x0, x1, run.h, run.h_len)
+            assert run.rel_phase == (-1 if pv else 1)
 
 
 class TestValidation:

@@ -143,6 +143,28 @@ class TestSweep:
         assert row.runtime_overhead > 1.0 / (1.0 - row.discard_rate)
 
 
+    def test_out_of_range_images_discarded(self, monkeypatch):
+        # y + k^2 N passes the prover's k^2 test but is no wire value the
+        # verifier accepts (ProtocolContext.base_image), so nothing survives
+        keys = gen_exact_bits(16)
+        clean = cc.run_two_branch_batch
+
+        def shifted(circuit, x0s, x1s, error_prob, rng):
+            out = clean(circuit, x0s, x1s, 0.0, rng)
+            modulus = circuit.metadata["modulus"]
+            for key in ("y0", "y1"):
+                out[key] = [y + modulus for y in out[key]]
+            return out
+
+        monkeypatch.setattr(cc, "run_two_branch_batch", shifted)
+        for m in (0, 1):
+            cfg = ps.SweepConfig(m_values=(m,), fidelity_grid=(1.0,),
+                                 trials_per_point=100, seed=7, method="schoolbook")
+            row = ps.run_sweep(cfg, keys)[0]
+            assert row.kept == 0
+            assert row.discard_rate == 1.0
+
+
 class TestSweepMatchesMessagePath:
     def test_theta_free_statistics_agree(self):
         # the batched sweep engine and the exact per-message path must see

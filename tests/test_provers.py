@@ -49,10 +49,16 @@ class TestIdealRound1:
 
 
 class TestIdealRound2:
-    def test_collapsed_raises(self):
-        st = provers.TwoBranchState(x0=3, x1=3, rel_phase=1, y=9, width=4)
-        with pytest.raises(provers.CollapsedState):
-            provers.ideal_round2(st, 1, random.Random(0))
+    def test_merged_state_returns_first_draw(self):
+        # a merged register (equal branches, or collapsed by the y
+        # measurement) gives d as the rng's first uniform draw, for any r
+        for st in (provers.TwoBranchState(x0=3, x1=3, rel_phase=1, y=9, width=4),
+                   provers.TwoBranchState(x0=0b01001, x1=0b00010, rel_phase=-1,
+                                          y=0, width=5, collapsed=1)):
+            for seed in range(20):
+                expect = random.Random(seed).getrandbits(st.width)
+                for r in (0, 1, 0b01011):
+                    assert provers.ideal_round2(st, r, random.Random(seed)) == expect
 
     def test_equal_case_parity_class_plus(self):
         st = provers.TwoBranchState(x0=0b01001, x1=0b00010, rel_phase=1, y=0, width=5)

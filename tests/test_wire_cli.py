@@ -6,6 +6,7 @@ import socket
 import subprocess
 import sys
 import threading
+from io import BytesIO
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +64,44 @@ class TestFrames:
                 continue
             assert isinstance(frame, wire.WireFrame)
             assert isinstance(frame.seq, int) and isinstance(frame.msg, dict)
+
+    @given(st.lists(st.fixed_dictionaries(
+        {"tag": st.sampled_from(["round1", "challenge", "vector", "basis", "end",
+                                 "image", "key", "bogus"])},
+        optional={field: st.none() | st.booleans() | st.integers() | st.floats()
+                  | st.text(max_size=8) | st.integers().map(str)
+                  | st.lists(st.integers(), max_size=2)
+                  for field in ("r", "sign")}), max_size=12), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_any_message_sequence_is_answered_or_typed_error(self, msgs, ideal):
+        keys = gen_exact_bits(16)
+        frames = [{"tag": "key", "key_json": tcf.key_to_json(keys, include_secret=False)}]
+        frames += msgs
+        lines = b"".join(json.dumps({"v": 1, "session": "v", "seq": i, "msg": m}).encode()
+                         + b"\n" for i, m in enumerate(frames))
+        ch = wire.Channel(BytesIO(lines), BytesIO(), "p")
+
+        def make_prover(key_json, seed):
+            if ideal:
+                return provers.IdealProver(keys, seed)
+            return provers.CheaterProver(tcf.key_from_json(key_json), seed)
+
+        try:
+            wire.prover_loop(ch, make_prover)
+        except (wire.ParseError, wire.TransportError):
+            pass
+
+    @pytest.mark.parametrize("call, reply", [
+        (lambda rp: rp.round1(), {"tag": "image", "y": "12", "h": "x"}),
+        (lambda rp: rp.answer_preimage(), {"tag": "preimage"}),
+        (lambda rp: rp.round2(3), {"tag": "equation", "d": 1.5}),
+        (lambda rp: rp.round3(1), {"tag": "image", "y": "1"}),  # wrong reply
+    ])
+    def test_remote_prover_rejects_bad_replies(self, call, reply):
+        line = json.dumps({"v": 1, "session": "p", "seq": 0, "msg": reply}).encode()
+        remote = wire.RemoteProver(wire.Channel(BytesIO(line + b"\n"), BytesIO(), "v"))
+        with pytest.raises(wire.ParseError):
+            call(remote)
 
     def test_big_ints_as_decimal_strings(self):
         frame = wire.WireFrame(session="s", seq=0, msg={"tag": "image", "y": 2 ** 90})
@@ -167,6 +206,25 @@ class TestCli:
         assert proc.returncode == 4, proc.stderr
         assert b"Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("msgs", [
+        [{"tag": "round1"}, {"tag": "basis", "sign": 1}],  # basis before vector
+        [{"tag": "vector", "r": 5}],  # vector before round1
+        [{"tag": "round1"}, {"tag": "vector", "r": "abc"}],
+        [{"tag": "round1"}, {"tag": "vector"}],  # no r
+        [{"tag": "round1"}, {"tag": "vector", "r": 5}, {"tag": "basis", "sign": 7}],
+    ])
+    def test_prover_payload_and_order_faults_exit_protocol_error(self, msgs):
+        keys = gen_exact_bits(16)
+        frames = [{"tag": "key", "key_json": tcf.key_to_json(keys, include_secret=False)}]
+        stdin = b"".join(wire.encode_frame(wire.WireFrame("v", i, m))
+                         for i, m in enumerate(frames + msgs))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qbell.cli", "prove", "--transport", "stdio",
+             "--prover", "cheater"],
+            input=stdin, capture_output=True, timeout=120)
+        assert proc.returncode == 4, proc.stderr
+        assert b"Traceback" not in proc.stderr
+
     def test_wrong_key_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -222,7 +280,6 @@ class TestStdioPair:
     def test_prover_side_never_sees_trapdoor(self, tmp_path):
         # capture every byte the verifier emits; no secret may appear
         import random
-        from io import BytesIO
 
         keys = gen_exact_bits(28)
         ctx = proto.ProtocolContext.plain(keys)
