@@ -23,7 +23,9 @@ so that both branches of a claw measure the identical y.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class CircuitError(ValueError):
@@ -52,6 +54,42 @@ class Circuit:
     gates: list
     registers: dict
     metadata: dict = field(default_factory=dict)
+
+    @cached_property
+    def schedule(self) -> "Schedule":
+        """The static draw order of a two-branch run, computed on first use;
+        the gate list must not change after that."""
+        unitary = 0
+        befores, widths, spans = [], [], []
+        for gate in self.gates:
+            tag = gate[0]
+            if tag in (X, CNOT, TOFFOLI):
+                unitary += 1
+            elif tag == DISCARD:
+                e, width = len(widths), len(gate[1])
+                befores.append(unitary)
+                widths.append(width)
+                if width == 1 and spans and spans[-1][2] == 1 and spans[-1][1] == e:
+                    spans[-1] = (spans[-1][0], e + 1, 1)
+                else:
+                    spans.append((e, e + 1, width))
+        return Schedule(unitary=unitary, befores=befores, widths=widths, spans=spans,
+                        h_len=sum(widths))
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """Where a two-branch run draws randomness.  Pauli errors strike the
+    `unitary` X/CNOT/Toffoli gates.  DISCARD event e draws
+    getrandbits(widths[e]) after befores[e] unitary gates.  `spans` covers
+    the events in order with (first, end, width) triples: a single event
+    wider than one qubit, or a run of one-qubit events."""
+
+    unitary: int
+    befores: list
+    widths: list
+    spans: list
+    h_len: int
 
 
 @dataclass(frozen=True)
@@ -624,6 +662,10 @@ def validate_circuit(circuit: Circuit) -> None:
 # to every lane.  A lane is one input (classical evaluation) or one branch
 # of one run (two-branch evaluation).
 
+# lane j of the narrow transpose path: each byte read as "1" where its bit j is set
+_LANE_DIGITS = tuple(bytes(b"01"[(b >> j) & 1] for b in range(256)) for j in range(8))
+
+
 def _transpose(rows, width) -> list:
     """Bit-matrix transpose: bit j of rows[i] becomes bit i of out[j], for
     rows below 2**width.  Packs per-lane values into qubit rows, and
@@ -632,9 +674,28 @@ def _transpose(rows, width) -> list:
         return []
     if not rows:
         return [0] * width
+    if width <= 8:
+        # one byte per row, most significant first; each lane is then one
+        # translate of those bytes into binary digits
+        data = bytes(reversed(rows))
+        return [int(data.translate(digits), 2) for digits in _LANE_DIGITS[:width]]
     fmt = f"0{width}b"
     columns = zip(*(format(row, fmt) for row in reversed(rows)))
     return [int("".join(col), 2) for col in columns][::-1]
+
+
+def _bit_rows(seqs, n) -> list:
+    """n rows of len(seqs) bits: bit j of row i is seqs[j][i], for byte
+    strings of 0/1 values and length n.  Eight sequences at a time become
+    eight bit positions of one int, one byte per row."""
+    rows = None
+    for g in range(0, len(seqs), 8):
+        acc = 0
+        for j, seq in enumerate(seqs[g:g + 8]):
+            acc |= int.from_bytes(seq, "little") << j
+        part = acc.to_bytes(n, "little")
+        rows = list(part) if rows is None else [row | b << g for row, b in zip(rows, part)]
+    return [0] * n if rows is None else rows
 
 
 def _sampled_errors(error_prob, rng, runs):
@@ -661,23 +722,24 @@ class _Lanes:
     rows: list  # final row of every qubit
     y_rows: list  # rows of the y register at MEASURE_Y
     garbage: list  # discarded rows in discard order (classical lanes only)
-    h_rows: list  # Hadamard outcomes per discarded qubit, bit j for run j
     phase: int  # noisy-pair phase bits, bit j for run j
     clean_phase: int  # the same h against the clean pair
     n_errors: list  # per run
 
 
-def _run_lanes(circuit: Circuit, inputs, runs=0, error_prob=0.0, rng=None,
-               error_plan=None) -> _Lanes:
+def _run_lanes(circuit: Circuit, inputs, runs=0, errors=(), h_rows=None,
+               draw_h=None) -> _Lanes:
     """Run the gate list once over one lane per input (x register = input).
 
-    With runs = R > 0 the 4R lanes are blocks of R: noisy branch 0, noisy
-    branch 1, clean branch 0, clean branch 1.  Pauli errors strike the
-    noisy pair of one run (drawn from rng, or pinned by error_plan for R =
-    1).  Each discarded qubit gets R Hadamard outcomes h, bit j for run j
-    (all zero without an rng), and folds h & (b0 xor b1) into the noisy
-    pair's phase and, with the same h, into the clean pair's: the phase
-    the verifier recomputes from the claw.
+    With runs = R > 0 the lanes are blocks of R: noisy branch 0, noisy
+    branch 1 and, when given, clean branch 0 and clean branch 1.  errors,
+    (unitary gate, run, pick, pauli) in gate-major order as _sampled_errors
+    yields them, strike the noisy pair of their run right after the gate.
+    The i-th discarded qubit takes the R Hadamard outcomes h_rows[i], bit j
+    for run j, or, with draw_h, one draw_h(R * width) per discard event
+    whose qubit i takes bits [i R, (i + 1) R).  It folds h & (b0 xor b1)
+    into the noisy pair's phase and, with the same h, into the clean
+    pair's: the phase the verifier recomputes from the claw.
     """
     x_reg = circuit.registers["x"]
     if any(x < 0 or x.bit_length() > len(x_reg) for x in inputs):
@@ -687,19 +749,12 @@ def _run_lanes(circuit: Circuit, inputs, runs=0, error_prob=0.0, rng=None,
     pending = dict(zip(x_reg, _transpose(inputs, len(x_reg))))
     rows = [0] * circuit.n_qubits
     garbage = []
-    h_rows = []
-    draw_h = rng.getrandbits if rng is not None else (lambda k: 0)
+    k = 0  # next discarded qubit
     run_mask = (1 << runs) - 1
     phase = clean = 0
     n_errors = [0] * runs
-    planned = error_plan is not None
-    if planned:
-        errors = iter(sorted((u, 0, q, pauli) for u, (q, pauli) in error_plan.items()))
-    elif runs and error_prob > 0 and rng is not None:
-        errors = _sampled_errors(error_prob, rng, runs)
-    else:
-        errors = iter(())
-    err_u, err_run, err_q, pauli = next(errors, _NO_ERROR)
+    errors = iter(errors)
+    err_u, err_run, err_pick, pauli = next(errors, _NO_ERROR)
     u = -1  # index among X/CNOT/Toffoli gates
     y_rows = None
     for gate in circuit.gates:
@@ -717,14 +772,15 @@ def _run_lanes(circuit: Circuit, inputs, runs=0, error_prob=0.0, rng=None,
             if not runs:
                 garbage.extend([rows[q] for q in gate[1]])
                 continue
-            # one draw per event, qubit i taking bits [i R, (i + 1) R): a
-            # single run's h for the event is then getrandbits(width)
-            hs = draw_h(runs * len(gate[1]))
+            hs = draw_h(runs * len(gate[1])) if draw_h else None
             for q in gate[1]:
+                if hs is None:
+                    h = h_rows[k]
+                    k += 1
+                else:
+                    h = hs & run_mask
+                    hs >>= runs
                 row = rows[q]
-                h = hs & run_mask
-                hs >>= runs
-                h_rows.append(h)
                 phase ^= h & (row ^ (row >> runs))
                 clean ^= h & ((row >> 2 * runs) ^ (row >> 3 * runs))
             continue
@@ -737,7 +793,7 @@ def _run_lanes(circuit: Circuit, inputs, runs=0, error_prob=0.0, rng=None,
             continue
         u += 1
         while u == err_u:
-            q = err_q if planned else gate[1 + err_q % (len(gate) - 1)]
+            q = gate[1 + err_pick % (len(gate) - 1)]
             lo, hi = err_run, err_run + runs
             row = rows[q]
             if pauli != "X":  # Z or Y: sign flip where the two branches differ
@@ -745,11 +801,11 @@ def _run_lanes(circuit: Circuit, inputs, runs=0, error_prob=0.0, rng=None,
             if pauli != "Z":  # X or Y: bit flip in both branches
                 rows[q] = row ^ (1 << lo) ^ (1 << hi)
             n_errors[err_run] += 1
-            err_u, err_run, err_q, pauli = next(errors, _NO_ERROR)
+            err_u, err_run, err_pick, pauli = next(errors, _NO_ERROR)
     if y_rows is None:
         raise MalformedCircuit("circuit has no MEASURE_Y")
-    return _Lanes(rows=rows, y_rows=y_rows, garbage=garbage, h_rows=h_rows,
-                  phase=phase, clean_phase=clean, n_errors=n_errors)
+    return _Lanes(rows=rows, y_rows=y_rows, garbage=garbage, phase=phase,
+                  clean_phase=clean, n_errors=n_errors)
 
 
 def evaluate_classical(circuit: Circuit, xs):
@@ -781,6 +837,54 @@ class TwoBranchRun:
     n_errors: int
 
 
+def replay_draws(schedule: Schedule, error_prob: float, rng):
+    """The draws one two-branch run makes from rng, without evaluating a
+    gate: returns (h, errors), h its Hadamard outcomes as one 0/1 byte per
+    discarded qubit, in discard order, and errors its Pauli errors as
+    _sampled_errors yields them, (gate, 0, pick, pauli).
+
+    A run draws its first error, then walks the gates: each DISCARD draws
+    getrandbits(width), and each error, once applied after its gate, draws
+    the next one.  Where discards fall among the unitary gates is static
+    (the schedule), so the order of the draws follows from the error
+    positions alone, and the discards between two errors are one map over
+    their widths.
+    """
+    draw, widths = rng.getrandbits, schedule.widths
+    values, errors = [], []
+    if error_prob > 0:
+        for err in _sampled_errors(error_prob, rng, 1):
+            if err[0] >= schedule.unitary:  # drawn, but past the last gate
+                break
+            stop = bisect_right(schedule.befores, err[0])
+            values.extend(map(draw, widths[len(values):stop]))
+            errors.append(err)
+    values.extend(map(draw, widths[len(values):]))
+    h = b"".join(bytes(values[a:b]) if width == 1 else
+                 bytes((values[a] >> i) & 1 for i in range(width))
+                 for a, b, width in schedule.spans)
+    return h, errors
+
+
+def run_two_branch_block(circuit: Circuit, x0s, x1s, draws) -> list:
+    """len(x0s) two-branch runs in one engine call, run j on the claw
+    (x0s[j], x1s[j]) with the draws draws[j] = (h, errors) of replay_draws.
+    Returns one TwoBranchRun per run."""
+    R = len(x0s)
+    h_len = circuit.schedule.h_len
+    errors = sorted((u, j, pick, pauli) for j, (_, errs) in enumerate(draws)
+                    for u, _, pick, pauli in errs)
+    lanes = _run_lanes(circuit, [*x0s, *x1s], R, errors,
+                       _bit_rows([h for h, _ in draws], h_len))
+    ys = _transpose(lanes.y_rows, 2 * R)
+    regs = _transpose([lanes.rows[q] for q in circuit.registers["x"]], 2 * R)
+    return [TwoBranchRun(y0=ys[j], y1=ys[R + j], reg0=regs[j], reg1=regs[R + j],
+                         rel_phase=-1 if lanes.phase >> j & 1 else 1,
+                         h=_transpose(draws[j][0], 1)[0], h_len=h_len,
+                         n_errors=lanes.n_errors[j])
+            for j in range(R)]
+
+
 def run_two_branch(circuit: Circuit, x0: int, x1: int, error_prob: float = 0.0, rng=None,
                    error_plan=None):
     """Evaluate the circuit on both branch bitstrings with a shared error
@@ -790,32 +894,39 @@ def run_two_branch(circuit: Circuit, x0: int, x1: int, error_prob: float = 0.0, 
     error_prob: a Pauli error (uniform over X, Y, Z) on one of its qubits.
     X flips the struck bit in both branches; Z multiplies the relative
     phase by (-1)^(b0 xor b1) of the struck qubit; Y does both.  Discards
-    draw a uniform h and apply the (-1)^(h . (g0 xor g1)) rule.
+    draw a uniform h and apply the (-1)^(h . (g0 xor g1)) rule; without an
+    rng, h = 0 and error_prob is ignored.  The draws are replay_draws'.
 
     error_plan, when given, pins the realization: a dict mapping the index
     of a unitary gate (counting only X/CNOT/Toffoli) to a (qubit, pauli)
-    pair applied right after that gate.
+    pair applied right after that gate to one of its qubits.
     """
-    lanes = _run_lanes(circuit, [x0, x1, x0, x1], 1, error_prob, rng, error_plan)
-    y0, y1, _, _ = _transpose(lanes.y_rows, 4)
-    reg0, reg1, _, _ = _transpose([lanes.rows[q] for q in circuit.registers["x"]], 4)
-    return TwoBranchRun(y0=y0, y1=y1, reg0=reg0, reg1=reg1,
-                        rel_phase=-1 if lanes.phase else 1,
-                        h=_transpose(lanes.h_rows, 1)[0], h_len=len(lanes.h_rows),
-                        n_errors=lanes.n_errors[0])
+    if rng is None:
+        h, errors = bytes(circuit.schedule.h_len), []
+    else:
+        h, errors = replay_draws(circuit.schedule,
+                                 0.0 if error_plan is not None else error_prob, rng)
+    if error_plan is not None:
+        unitary = [gate[1:] for gate in circuit.gates if gate[0] in (X, CNOT, TOFFOLI)]
+        errors = [(u, 0, unitary[u].index(q), pauli) for u, (q, pauli) in error_plan.items()]
+    return run_two_branch_block(circuit, [x0], [x1], [(h, errors)])[0]
 
 
 def run_two_branch_batch(circuit: Circuit, x0s, x1s, error_prob, rng):
     """R = len(x0s) independent two-branch runs, each beside a clean shadow.
 
-    The shadow pair evolves the same inputs without errors and meets the
-    same Hadamard outcomes h at each discard, producing the phase the
-    verifier would reconstruct from the true claw.  Returns a dict of
-    per-run lists: noisy/clean y values and x-register values, the prover
-    and verifier (shadow) phase bits, and error counts.
+    The runs share one stream: the engine draws each discard's R outcomes
+    and the errors of all runs from rng as it goes.  The shadow pair
+    evolves the same inputs without errors and meets the same Hadamard
+    outcomes h at each discard, producing the phase the verifier would
+    reconstruct from the true claw.  Returns a dict of per-run lists:
+    noisy/clean y values and x-register values, the prover and verifier
+    (shadow) phase bits, and error counts.
     """
     R = len(x0s)
-    lanes = _run_lanes(circuit, [*x0s, *x1s, *x0s, *x1s], R, error_prob, rng)
+    errors = _sampled_errors(error_prob, rng, R) if error_prob > 0 else ()
+    lanes = _run_lanes(circuit, [*x0s, *x1s, *x0s, *x1s], R, errors,
+                       draw_h=rng.getrandbits)
     ys = _transpose(lanes.y_rows, 4 * R)
     regs = _transpose([lanes.rows[q] for q in circuit.registers["x"]], 4 * R)
     return {

@@ -332,7 +332,8 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"transport error: {e}", file=sys.stderr)
         return EXIT_TRANSPORT
-    except (wire.ParseError, tcf.DomainError, protocol.InsufficientData) as e:
+    except (wire.ParseError, tcf.DomainError, protocol.InsufficientData,
+            provers.AttemptsExhausted) as e:
         print(f"protocol error: {e}", file=sys.stderr)
         return EXIT_PROTOCOL
 

@@ -13,7 +13,7 @@ import json
 import socket
 from dataclasses import dataclass
 
-from . import protocol
+from . import protocol, tcf
 
 WIRE_VERSION = 1
 
@@ -150,10 +150,12 @@ def _int(value, field: str) -> int:
 
 class RemoteProver:
     """Prover proxy on the verifier side: each protocol round is one
-    request/response exchange on the channel."""
+    request/response exchange on the channel.  `keys` (public data
+    suffices) fixes the shape of a valid image."""
 
-    def __init__(self, channel: Channel):
+    def __init__(self, channel: Channel, keys):
         self.ch = channel
+        self.keys = keys
 
     def _exchange(self, request: dict, reply_tag: str) -> dict:
         self.ch.send(request)
@@ -165,7 +167,12 @@ class RemoteProver:
     def round1(self):
         msg = self._exchange({"tag": "round1"}, "image")
         y = msg.get("y")
-        y = tuple(_int(v, "y") for v in y) if isinstance(y, list) else _int(y, "y")
+        if isinstance(self.keys, tcf.RabinKeyPair):
+            y = _int(y, "y")
+        elif isinstance(y, list) and len(y) == self.keys.k:
+            y = tuple(_int(v, "y") for v in y)
+        else:
+            raise ParseError(f"image is not a list of {self.keys.k} integers: {y!r:.40}")
         return y, _int(msg.get("h", 0), "h"), _int(msg.get("h_len", 0), "h_len")
 
     def answer_preimage(self):
@@ -183,12 +190,11 @@ class RemoteProver:
 
 def serve_session(channel: Channel, ctx, trials: int, seed: int, config=None):
     """Verifier-side session loop; returns (ScoreReport, transcripts)."""
-    from . import tcf as _tcf
     from .seeds import derive_rng
     config = config or protocol.IterationConfig()
-    channel.send({"tag": "key", "key_json": _tcf.key_to_json(ctx.keys, include_secret=False),
+    channel.send({"tag": "key", "key_json": tcf.key_to_json(ctx.keys, include_secret=False),
                   "trials": trials, "prover_seed": seed})
-    remote = RemoteProver(channel)
+    remote = RemoteProver(channel, ctx.keys)
     rng = derive_rng(seed, "verifier")
     transcripts = []
     for i in range(trials):

@@ -1,9 +1,21 @@
 """Shared test utilities: independent simulation oracles and key helpers."""
 
+import os
+
 import numpy as np
 
 from qbell import circuits as cc
-from qbell import tcf
+from qbell import protocol, provers, tcf
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def cli_env():
+    """Environment for a `python -m qbell.cli` child process: the source
+    tree first on PYTHONPATH, so the child imports this checkout's qbell."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def gen_exact_bits(n, seed0=0):
@@ -127,3 +139,72 @@ def hybrid_phase_run(circuit, x):
                 k = y_pos[t]
                 amps = np.where((zidx >> k) & 1 == 1, amps * np.exp(1j * angle), amps)
     return amps
+
+
+def sequential_two_branch(circuit, x0, x1, error_prob, rng):
+    """One two-branch run, one bit per qubit and branch, drawing from rng
+    inside the gate loop: the first error before the loop, each discard's
+    getrandbits(width) where it stands, each next error right after the
+    previous one strikes.  The reference for the draw order that
+    cc.replay_draws reproduces without evaluating gates."""
+    x_reg = {q: i for i, q in enumerate(circuit.registers["x"])}
+    bits = ([0] * circuit.n_qubits, [0] * circuit.n_qubits)
+    loaded = set()
+    errors = cc._sampled_errors(error_prob, rng, 1) if error_prob > 0 else iter(())
+    err = next(errors, None)
+    u = -1
+    phase = h = h_len = n_errors = 0
+    ys = None
+    for gate in circuit.gates:
+        tag = gate[0]
+        if tag == cc.ALLOC:
+            q = gate[1]
+            first = q in x_reg and q not in loaded
+            loaded.add(q)
+            for branch, x in zip(bits, (x0, x1)):
+                branch[q] = (x >> x_reg[q]) & 1 if first else 0
+        elif tag == cc.DISCARD:
+            hs = rng.getrandbits(len(gate[1]))
+            for i, q in enumerate(gate[1]):
+                hb = (hs >> i) & 1
+                phase ^= hb & (bits[0][q] ^ bits[1][q])
+                h |= hb << h_len
+                h_len += 1
+        elif tag == cc.MEASURE_Y:
+            ys = [sum(branch[q] << i for i, q in enumerate(gate[1])) for branch in bits]
+        elif tag in (cc.X, cc.CNOT, cc.TOFFOLI):
+            for branch in bits:
+                if tag == cc.X:
+                    branch[gate[1]] ^= 1
+                elif tag == cc.CNOT:
+                    branch[gate[2]] ^= branch[gate[1]]
+                else:
+                    branch[gate[3]] ^= branch[gate[1]] & branch[gate[2]]
+            u += 1
+            while err is not None and err[0] == u:
+                _, _, pick, pauli = err
+                q = gate[1 + pick % (len(gate) - 1)]
+                if pauli != "X":
+                    phase ^= bits[0][q] ^ bits[1][q]
+                if pauli != "Z":
+                    bits[0][q] ^= 1
+                    bits[1][q] ^= 1
+                n_errors += 1
+                err = next(errors, None)
+    regs = [sum(branch[q] << i for q, i in x_reg.items()) for branch in bits]
+    return cc.TwoBranchRun(y0=ys[0], y1=ys[1], reg0=regs[0], reg1=regs[1],
+                           rel_phase=-1 if phase else 1, h=h, h_len=h_len,
+                           n_errors=n_errors)
+
+
+def noisy_round1(keys, circuit, noise, rng, ctx=None):
+    """One round-1 attempt of the noisy circuit prover, one run at a time:
+    the claw, one cc.run_two_branch call and the y measurement, all drawn
+    from rng.  Returns (y, state, run).  The sequential oracle for the
+    prover's blocked round 1."""
+    ctx = ctx or protocol.ProtocolContext.for_circuit(keys, circuit)
+    x0, x1, _ = provers.sample_claw(keys, rng)
+    run = cc.run_two_branch(circuit, x0, x1, noise.error_prob, rng)
+    state = provers.measure_y(run.y0, run.y1, run.reg0, run.reg1, run.rel_phase,
+                              ctx.reg_width, rng)
+    return state.y, state, run

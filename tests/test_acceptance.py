@@ -21,7 +21,7 @@ from qbell import protocol as proto
 from qbell import provers, tcf
 from qbell.seeds import derive_rng
 
-from helpers import StateVector, blum_semiprimes, gen_exact_bits
+from helpers import StateVector, blum_semiprimes, cli_env, gen_exact_bits
 
 SQRT2M1 = math.sqrt(2) - 1
 
@@ -311,7 +311,7 @@ def test_c8_angle_adaptation():
 def test_c9_cli_determinism(tmp_path):
     key = tmp_path / "key.json"
     rc = subprocess.run([sys.executable, "-m", "qbell.cli", "keygen", "--bits", "28",
-                         "--seed", "6", "--out", str(key)]).returncode
+                         "--seed", "6", "--out", str(key)], env=cli_env()).returncode
     assert rc == 0
     outputs = []
     for tag in ("a", "b"):
@@ -320,7 +320,8 @@ def test_c9_cli_determinism(tmp_path):
         rc = subprocess.run([sys.executable, "-m", "qbell.cli", "run",
                              "--key", str(key), "--prover", "ideal",
                              "--trials", "3000", "--seed", "9",
-                             "--out", str(rep), "--transcripts", str(tr)]).returncode
+                             "--out", str(rep), "--transcripts", str(tr)],
+                            env=cli_env()).returncode
         assert rc == 0
         outputs.append(rep.read_bytes() + tr.read_bytes())
     sweep_outputs = []
@@ -329,7 +330,7 @@ def test_c9_cli_determinism(tmp_path):
         rc = subprocess.run([sys.executable, "-m", "qbell.cli", "sweep",
                              "--key", str(key), "--m-values", "0",
                              "--fidelities", "0.9", "--trials", "300",
-                             "--seed", "4", "--out", str(out)]).returncode
+                             "--seed", "4", "--out", str(out)], env=cli_env()).returncode
         assert rc == 0
         sweep_outputs.append(out.read_bytes())
     ok = outputs[0] == outputs[1] and sweep_outputs[0] == sweep_outputs[1]

@@ -4,12 +4,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbell import circuits as cc
 from qbell import protocol as proto
 from qbell import tcf
 
-from helpers import blum_semiprimes, gen_exact_bits
+from helpers import blum_semiprimes, gen_exact_bits, sequential_two_branch
 
 
 class TestMul3:
@@ -284,6 +286,44 @@ class TestTwoBranchRuns:
         assert out["n_errors"][hit] == len(plan)
         assert (out["y0"][hit], out["reg0"][hit]) != (out["y_clean"][hit], out["creg0"][hit])
 
+    @pytest.mark.parametrize("method, m", [("schoolbook", 0), ("schoolbook", 2),
+                                           ("karatsuba", 1)])
+    def test_replayed_draws_match_in_loop_draws(self, method, m):
+        # run_two_branch draws from rng without evaluating gates first; its
+        # runs and the rng's state afterwards equal those of a run drawing
+        # inside the gate loop, from no errors up to dozens per run
+        keys = gen_exact_bits(14)
+        circ = cc.build_modsquare(keys.N, lift_m=m, method=method, cutoff=8)
+        ng = cc.count_resources(circ).total_gates
+        pick = random.Random(m)
+        for p in (0.0, 0.3 / ng, 3.0 / ng, 30.0 / ng, 1.0):
+            for seed in range(4):
+                x0, x1 = pick.getrandbits(14), pick.getrandbits(14)
+                a, b = random.Random(seed), random.Random(seed)
+                assert cc.run_two_branch(circ, x0, x1, p, a) == \
+                    sequential_two_branch(circ, x0, x1, p, b), (p, seed)
+                assert a.random() == b.random()
+
+    def test_block_errors_strike_only_their_run(self):
+        keys = gen_exact_bits(12)
+        circ = cc.build_modsquare(keys.N, lift_m=1, method="schoolbook")
+        rng = random.Random(6)
+        R, hit = 9, 4
+        x0s = [rng.getrandbits(12) for _ in range(R)]
+        x1s = [rng.getrandbits(12) for _ in range(R)]
+        errors = [(u, 0, rng.randrange(6), "XYZ"[u % 3])
+                  for u in sorted(rng.sample(range(circ.schedule.unitary), 30))]
+        h_len = circ.schedule.h_len
+        draws = [(bytes(rng.choices((0, 1), k=h_len)), errors if j == hit else [])
+                 for j in range(R)]
+        runs = cc.run_two_branch_block(circ, x0s, x1s, draws)
+        for j in range(R):
+            alone = cc.run_two_branch_block(circ, [x0s[j]], [x1s[j]], [draws[j]])
+            assert runs[j] == alone[0], j
+            assert runs[j].n_errors == (len(errors) if j == hit else 0), j
+        clean = cc.run_two_branch_block(circ, [x0s[hit]], [x1s[hit]], [(draws[hit][0], [])])
+        assert (runs[hit].y0, runs[hit].reg0) != (clean[0].y0, clean[0].reg0)
+
     def test_error_counts_scale(self):
         keys = gen_exact_bits(12)
         circ = cc.build_modsquare(keys.N, lift_m=0, method="schoolbook")
@@ -323,3 +363,16 @@ class TestSerialization:
     def test_unknown_line_rejected(self):
         with pytest.raises(cc.MalformedCircuit):
             cc.circuit_from_text("HADAMARD 3\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda w: st.tuples(
+    st.just(w), st.lists(st.integers(0, (1 << w) - 1), max_size=70))))
+def test_narrow_transpose_matches_general_path(case):
+    # rows of at most 8 bits take the bytes path; padding the width to 9
+    # sends the same rows through the general path
+    width, rows = case
+    out = cc._transpose(rows, width)
+    assert out == cc._transpose(rows, 9)[:width]
+    assert out == [sum(((row >> j) & 1) << i for i, row in enumerate(rows))
+                   for j in range(width)]

@@ -9,9 +9,9 @@ import pytest
 from qbell import circuits as cc
 from qbell import protocol as proto
 from qbell import provers, tcf
-from qbell.seeds import derive_rng
+from qbell.seeds import derive_rng, derive_seed
 
-from helpers import StateVector, gen_exact_bits
+from helpers import StateVector, gen_exact_bits, noisy_round1
 
 
 class TestIdealRound1:
@@ -163,7 +163,7 @@ class TestNoiseModel:
         rng = random.Random(0)
         rp = circ.metadata["rprime"]
         for _ in range(40):
-            y, state, _ = provers.noisy_round1(keys, circ, noise, rng, ctx)
+            y, state, _ = noisy_round1(keys, circ, noise, rng, ctx)
             assert state.rel_phase in (-1, 1)
             assert state.collapsed is None
             y_base = y * circ.metadata["r_undo"] % keys.N
@@ -207,7 +207,7 @@ class TestNoiseModel:
         rng = random.Random(8)
         picks = []
         for _ in range(4000):
-            y, state, _ = provers.noisy_round1(keys, circ, noise, rng)
+            y, state, _ = noisy_round1(keys, circ, noise, rng)
             if state.collapsed is not None:
                 picks.append(state.collapsed)
         assert len(picks) > 200
@@ -339,3 +339,53 @@ class TestNoisyProverProtocol:
         rep = proto.score(ts)
         assert rep.p_x == 1
         assert abs(float(rep.score) - (math.sqrt(2) - 1)) < rep.ci_halfwidth
+
+
+def sequential_round1(prover, seed, i):
+    """(attempts, (y, state, h, h_len) or None) of iteration i of a
+    NoisyCircuitProver built with `seed`, one attempt at a time from the
+    iteration's own stream."""
+    rng = derive_rng(derive_seed(seed, "iter", i), "round1")
+    for attempt in range(1, prover.max_attempts + 1):
+        y, state, run = noisy_round1(prover.keys, prover.circuit, prover.noise, rng,
+                                     prover.ctx)
+        if not prover.retry_invalid or provers.is_valid_y(y, prover.ctx.lift_k):
+            return attempt, (y, state, run.h, run.h_len)
+    return prover.max_attempts, None
+
+
+class TestBlockedRound1:
+    @pytest.mark.parametrize("retry", [True, False])
+    @pytest.mark.parametrize("method", ["schoolbook", "karatsuba"])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("F", [1.0, 0.5, 0.05])
+    def test_matches_sequential_oracle(self, F, m, method, retry):
+        # iteration by iteration across a block boundary: the same image, h,
+        # state and attempt counts as one attempt at a time; an iteration
+        # out of attempts raises only when played, and reset() rewinds to
+        # the same state
+        keys = gen_exact_bits(14)
+        circ = cc.build_modsquare(keys.N, lift_m=m, method=method, cutoff=8)
+        noise = provers.NoiseModel(F, cc.count_resources(circ).total_gates)
+        seed = 11 + m
+        prover = provers.NoisyCircuitProver(keys, circ, noise, seed,
+                                            retry_invalid=retry, max_attempts=5)
+        attempts = valid = 0
+        rng = random.Random(seed)
+        for i in range(provers.ROUND1_BLOCK + 3):
+            tries, found = sequential_round1(prover, seed, i)
+            attempts += tries
+            if found is None:
+                with pytest.raises(provers.AttemptsExhausted):
+                    prover.round1()
+            else:
+                valid += 1
+                y, state, h, h_len = found
+                assert prover.round1() == (y, h, h_len), i
+                assert prover.state == state, i
+                r, sign = rng.getrandbits(state.width), rng.choice((1, -1))
+                d, bit = prover.round2(r), prover.round3(sign)
+                prover.reset()
+                assert prover.state == state, i
+                assert (prover.round2(r), prover.round3(sign)) == (d, bit), i
+            assert (prover.attempts, prover.valid_attempts) == (attempts, valid), i

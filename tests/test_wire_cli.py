@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import socket
 import subprocess
 import sys
@@ -13,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbell import protocol as proto
-from qbell import provers, tcf, wire
+from qbell import cli, provers, tcf, wire
 from qbell.cli import main as cli_main
 
-from helpers import gen_exact_bits
+from helpers import cli_env, gen_exact_bits
 
 
 class TestFrames:
@@ -99,9 +100,24 @@ class TestFrames:
     ])
     def test_remote_prover_rejects_bad_replies(self, call, reply):
         line = json.dumps({"v": 1, "session": "p", "seq": 0, "msg": reply}).encode()
-        remote = wire.RemoteProver(wire.Channel(BytesIO(line + b"\n"), BytesIO(), "v"))
+        remote = wire.RemoteProver(wire.Channel(BytesIO(line + b"\n"), BytesIO(), "v"),
+                                   tcf.RabinKeyPair(N=77, p=11, q=7))
         with pytest.raises(wire.ParseError):
             call(remote)
+
+    @pytest.mark.parametrize("family, y", [
+        ("rabin", ["1", "2"]),  # a DDH-shaped image under a Rabin key
+        ("ddh", "12"),
+        ("ddh", ["1", "2", "3"]),  # one component too many for k = 2
+    ])
+    def test_image_of_wrong_shape_is_a_parse_error(self, family, y):
+        keys = gen_exact_bits(16) if family == "rabin" else tcf.ddh_gen(2, 10, seed=3)
+        line = json.dumps({"v": 1, "session": "p", "seq": 0,
+                           "msg": {"tag": "image", "y": y}}).encode()
+        remote = wire.RemoteProver(wire.Channel(BytesIO(line + b"\n"), BytesIO(), "v"), keys)
+        with pytest.raises(wire.ParseError):
+            proto.run_iteration(proto.ProtocolContext.plain(keys), remote,
+                                random.Random(0), proto.IterationConfig())
 
     def test_big_ints_as_decimal_strings(self):
         frame = wire.WireFrame(session="s", seq=0, msg={"tag": "image", "y": 2 ** 90})
@@ -195,6 +211,21 @@ class TestCli:
         assert lines[0] == "m,F,p_x,p_m,score,discard_rate,overhead"
         assert len(lines) == 2
 
+    def test_exhausted_attempt_budget_exits_protocol_error(self, monkeypatch, tmp_path):
+        key = tmp_path / "key16.json"
+        key.write_text(tcf.key_to_json(gen_exact_bits(16)))
+        build = cli.build_prover
+
+        def small_budget(spec, keys, seed):
+            prover, ctx = build(spec, keys, seed)
+            prover.max_attempts = 2  # y is valid with probability ~1/729 here
+            return prover, ctx
+
+        monkeypatch.setattr(cli, "build_prover", small_budget)
+        assert run_cli("run", "--key", str(key), "--prover",
+                       "noisy:F=0.0001,circuit=schoolbook,m=3", "--trials", "3",
+                       "--out", str(tmp_path / "rep.json")) == 4
+
     def test_usage_error_exit_code(self):
         assert run_cli("frobnicate") == 2
         assert run_cli("run", "--key", "/nonexistent", "--prover", "bogus") in (2, 3)
@@ -202,7 +233,7 @@ class TestCli:
     def test_malformed_frame_exits_protocol_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "qbell.cli", "prove", "--transport", "stdio"],
-            input=b"[1]\n", capture_output=True, timeout=120)
+            input=b"[1]\n", capture_output=True, timeout=120, env=cli_env())
         assert proc.returncode == 4, proc.stderr
         assert b"Traceback" not in proc.stderr
 
@@ -221,7 +252,7 @@ class TestCli:
         proc = subprocess.run(
             [sys.executable, "-m", "qbell.cli", "prove", "--transport", "stdio",
              "--prover", "cheater"],
-            input=stdin, capture_output=True, timeout=120)
+            input=stdin, capture_output=True, timeout=120, env=cli_env())
         assert proc.returncode == 4, proc.stderr
         assert b"Traceback" not in proc.stderr
 
@@ -238,10 +269,10 @@ class TestStdioPair:
         p2v_r, p2v_w = os.pipe()
         verifier = subprocess.Popen(
             [sys.executable, "-m", "qbell.cli"] + verifier_args,
-            stdin=p2v_r, stdout=v2p_w, stderr=subprocess.PIPE)
+            stdin=p2v_r, stdout=v2p_w, stderr=subprocess.PIPE, env=cli_env())
         prover = subprocess.Popen(
             [sys.executable, "-m", "qbell.cli"] + prover_args,
-            stdin=v2p_r, stdout=p2v_w, stderr=subprocess.PIPE)
+            stdin=v2p_r, stdout=p2v_w, stderr=subprocess.PIPE, env=cli_env())
         for fd in (v2p_r, v2p_w, p2v_r, p2v_w):
             os.close(fd)
         rc_v = verifier.wait(timeout=180)
@@ -279,8 +310,6 @@ class TestStdioPair:
 
     def test_prover_side_never_sees_trapdoor(self, tmp_path):
         # capture every byte the verifier emits; no secret may appear
-        import random
-
         keys = gen_exact_bits(28)
         ctx = proto.ProtocolContext.plain(keys)
         sent = BytesIO()
@@ -358,11 +387,11 @@ class TestTcpTransport:
             [sys.executable, "-m", "qbell.cli", "verify", "--key", str(key),
              "--transport", "stdio", "--trials", "600", "--seed", "42",
              "--out", str(rep_path)],
-            stdin=p2v_r, stdout=v2p_w, stderr=subprocess.PIPE)
+            stdin=p2v_r, stdout=v2p_w, stderr=subprocess.PIPE, env=cli_env())
         prover = subprocess.Popen(
             [sys.executable, "-m", "qbell.cli", "prove", "--prover", "cheater",
              "--transport", "stdio"],
-            stdin=v2p_r, stdout=p2v_w, stderr=subprocess.PIPE)
+            stdin=v2p_r, stdout=p2v_w, stderr=subprocess.PIPE, env=cli_env())
         for fd in (v2p_r, v2p_w, p2v_r, p2v_w):
             os.close(fd)
         assert verifier.wait(timeout=120) == 0, verifier.stderr.read()
