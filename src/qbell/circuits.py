@@ -139,10 +139,6 @@ class QubitPool:
         self._free.extend(qs)
         self._live -= len(qs)
 
-    @property
-    def total_indices(self) -> int:
-        return self._next
-
 
 # ---------------------------------------------------------------------------
 # arithmetic building blocks
@@ -963,6 +959,11 @@ def _tally(ops) -> tuple:
     return total, toffoli, depth
 
 
+def gate_count(circuit: Circuit) -> int:
+    """count_resources(circuit).total_gates without the depth layering."""
+    return sum(g[0] in UNITARY_TAGS for g in circuit.gates)
+
+
 def count_resources(circuit: Circuit) -> ResourceReport:
     """Gate totals plus a greedy qubit-disjoint layering depth.
 
@@ -990,7 +991,7 @@ def phase_angle(exponent_sum: int, N: int) -> float:
     return 2.0 * math.pi * pow(2, exponent_sum, N) / N
 
 
-def _phase_gate_stream(variant, n, N, m_out):
+def _phase_gate_stream(variant, n, m_out):
     """Yield the controlled-phase schedule; targets index the y register 0..m_out-1.
 
     Variant 1 visits output bits one at a time (n^3/2-type count); the
@@ -1021,10 +1022,10 @@ def _phase_gate_stream(variant, n, N, m_out):
                 yield op
             for b in range(L):
                 for k in range(m_out):
-                    yield (CPHASE, ((("counter", b)),), ("y", k), s + 1 + b + k)
+                    yield (CPHASE, (("counter", b),), ("y", k), s + 1 + b + k)
             if s % 2 == 0 and s // 2 < n:
                 for k in range(m_out):
-                    yield (CPHASE, ((("x", s // 2)),), ("y", k), s + k)
+                    yield (CPHASE, (("x", s // 2),), ("y", k), s + k)
             for op in reversed(compute):
                 yield op
     else:
@@ -1088,10 +1089,9 @@ def phase_schedule(variant, n, N, extra_bits=3) -> Circuit:
     m_out = n + extra_bits
     mapping, total = _phase_qubit_map(variant, n, m_out)
     gates = [(ALLOC, q) for q in range(total)]
-    for op in _phase_gate_stream(variant, n, N, m_out):
+    for op in _phase_gate_stream(variant, n, m_out):
         if op[0] == CPHASE:
             _, controls, target, s = op
-            controls = controls if isinstance(controls[0], tuple) else (controls,)
             gates.append((CPHASE, tuple(mapping[c] for c in controls),
                           mapping[target], phase_angle(s, N)))
         else:
@@ -1118,7 +1118,6 @@ def phase_circuit_resources(variant, n, extra_bits=3) -> ResourceReport:
     """
     if n < 8:
         raise CircuitError("resource estimates are defined for n >= 8")
-    N = (1 << n) - 1  # counts do not depend on the modulus value
     m_out = n + extra_bits
     if variant == 1:
         qubits = n + 1
@@ -1127,10 +1126,9 @@ def phase_circuit_resources(variant, n, extra_bits=3) -> ResourceReport:
         qubits = n + m_out + 1 + 2 * L_max
 
     def ops():
-        for op in _phase_gate_stream(variant, n, N, m_out):
+        for op in _phase_gate_stream(variant, n, m_out):
             if op[0] == CPHASE:
-                controls = op[1] if isinstance(op[1][0], tuple) else (op[1],)
-                yield CPHASE, controls + (("y", 0) if variant == 1 else op[2],)
+                yield CPHASE, op[1] + (("y", 0) if variant == 1 else op[2],)
             else:
                 yield op[0], op[1:]
 

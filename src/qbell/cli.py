@@ -60,12 +60,12 @@ def build_prover(spec: dict, keys, seed: int):
     if spec["kind"] == "cheater":
         ctx = protocol.ProtocolContext.plain(keys)
         return provers.CheaterProver(keys.public(), seed, ctx), ctx
-    if not isinstance(keys, tcf.RabinKeyPair):
+    if keys.family != "rabin":
         raise UsageError("circuit-backed provers need a rabin key")
     circ = circuits.build_modsquare(keys.N, lift_m=spec["m"], method=spec["circuit"])
-    base_gates = circuits.count_resources(
+    base_gates = circuits.gate_count(
         circ if spec["m"] == 0 else
-        circuits.build_modsquare(keys.N, lift_m=0, method=spec["circuit"])).total_gates
+        circuits.build_modsquare(keys.N, lift_m=0, method=spec["circuit"]))
     noise = provers.NoiseModel(circuit_fidelity=spec["F"], n_gates=base_gates)
     ctx = protocol.ProtocolContext.for_circuit(keys, circ)
     return provers.NoisyCircuitProver(keys, circ, noise, seed), ctx
@@ -159,11 +159,9 @@ def cmd_prove(args):
 
     def make_prover_with_key(key_json, seed):
         keys = _load_keys(args.key)
-        pub = tcf.key_from_json(key_json)
-        if isinstance(keys, tcf.RabinKeyPair) and keys.N != pub.N:
+        if keys.public() != tcf.key_from_json(key_json):
             raise wire.TransportError("key file does not match the session key")
-        prover, _ = build_prover(spec, keys, seed)
-        return prover
+        return build_prover(spec, keys, seed)[0]
 
     factory = make_prover_with_key if args.key else make_prover
     if args.transport == "stdio":

@@ -43,7 +43,7 @@ def lift_key(keys: tcf.RabinKeyPair, m: int, method: str = "karatsuba",
     circ = circuits.build_modsquare(keys.N, lift_m=m, method=method, cutoff=cutoff)
     k = 3 ** m
     return LiftedKey(base=keys, m=m, k=k, n_lifted=k * k * keys.N, circuit=circ,
-                     gate_count=circuits.count_resources(circ).total_gates)
+                     gate_count=circuits.gate_count(circ))
 
 
 def rejection_power(k: int) -> Fraction:

@@ -35,14 +35,20 @@ def parity(x: int) -> int:
     return x.bit_count() & 1
 
 
+def json_ints(value):
+    """`value` for transcripts and wire frames: every int beyond +/-2^53 (the
+    exact range of a double) as a decimal string, at any depth."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value) if abs(value) > 2 ** 53 else value
+    if isinstance(value, dict):
+        return {k: json_ints(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_ints(v) for v in value]
+    return value
+
+
 # ---------------------------------------------------------------------------
 # messages
-
-@dataclass(frozen=True)
-class KeyMsg:
-    tag = "key"
-    key_json: str
-
 
 @dataclass(frozen=True)
 class ImageMsg:
@@ -115,11 +121,7 @@ class Transcript:
     outcome: Outcome | None = None
 
     def to_json(self) -> str:
-        body = []
-        for m in self.msgs:
-            payload = {k: (str(v) if isinstance(v, int) and abs(v) > 2 ** 53 else v)
-                       for k, v in m.__dict__.items()}
-            body.append({"tag": m.tag, "payload": payload})
+        body = [{"tag": m.tag, "payload": json_ints(m.__dict__)} for m in self.msgs]
         return json.dumps({"iter": self.iteration, "msgs": body,
                            "outcome": self.outcome.value if self.outcome else None},
                           sort_keys=True)
@@ -195,8 +197,7 @@ def verifier_check_image(keys, y):
     """("claw", Claw) | ("single", x) | ("invalid", None) via trapdoor inversion."""
     preimages = tcf.invert(keys, y)
     if len(preimages) == 2:
-        x0, x1 = sorted(preimages) if all(isinstance(p, int) for p in preimages) \
-            else sorted(preimages, key=repr)
+        x0, x1 = sorted(preimages)
         return ("claw", tcf.Claw(x0=x0, x1=x1, y=y))
     if len(preimages) == 1:
         return ("single", next(iter(preimages)))
@@ -227,18 +228,13 @@ class ProtocolContext:
     keys: object
     reg_width: int
     lift_k: int = 1
-    modulus: int | None = None  # k^2 N for circuit-backed runs
-    r_undo: int | None = None   # multiplicative undo of the Montgomery factor
+    modulus: int | None = None  # images lie in [0, modulus): N, or k^2 N with a circuit
+    r_undo: int = 1             # multiplicative undo of the Montgomery factor
     circuit: object | None = None
 
     @classmethod
     def plain(cls, keys):
-        if isinstance(keys, tcf.RabinKeyPair):
-            width = keys.N.bit_length()
-        else:
-            per = (keys.m - 1).bit_length()
-            width = 1 + keys.k * per
-        return cls(keys=keys, reg_width=width)
+        return cls(keys=keys, reg_width=keys.width, modulus=keys.image_modulus)
 
     @classmethod
     def for_circuit(cls, keys, circuit):
@@ -254,56 +250,35 @@ class ProtocolContext:
 
     # --- wire value <-> base value
 
-    def base_image(self, y_wire: int):
-        """Undo Montgomery factor and lift; None if structurally invalid."""
-        if self.circuit is None:
+    def base_image(self, y_wire):
+        """Undo Montgomery factor and lift; None if structurally invalid.
+        A family without an image modulus (DDH) sends the image itself."""
+        if self.modulus is None:
             return y_wire
-        k2 = self.lift_k * self.lift_k
         if not 0 <= y_wire < self.modulus:
             return None
+        k2 = self.lift_k * self.lift_k
         y = y_wire * self.r_undo % self.modulus
         if y % k2:
             return None
         return y // k2
 
-    def register_value(self, x_base: int) -> int:
-        return x_base * self.lift_k
-
     def encode_domain(self, x) -> int:
         """Domain element -> little-endian register string."""
-        if isinstance(self.keys, tcf.RabinKeyPair):
-            return self.register_value(x)
-        b, vec = x
-        per = (self.keys.m - 1).bit_length()
-        out = b
-        for i, v in enumerate(vec):
-            out |= v << (1 + i * per)
-        return out
+        return self.keys.encode(x) * self.lift_k
 
-    def check_image_wire(self, y_wire: int):
+    def check_image_wire(self, y_wire):
         """verifier_check_image on the base image of a wire value;
         ("invalid", None) when it has none."""
         y = self.base_image(y_wire)
         return ("invalid", None) if y is None else verifier_check_image(self.keys, y)
 
-    def check_preimage_wire(self, x_wire: int, y_wire: int) -> bool:
+    def check_preimage_wire(self, x_wire: int, y_wire) -> bool:
         """Verify a round-1 preimage answer as sent on the wire."""
-        if isinstance(self.keys, tcf.RabinKeyPair):
-            y = self.base_image(y_wire)
-            if y is None:
-                return False
-            k = self.lift_k
-            if x_wire % k:
-                return False
-            return check_preimage(self.keys, x_wire // k, y)
-        return check_preimage(self.keys, _decode_ddh(self.keys, x_wire), y_wire)
-
-
-def _decode_ddh(keys, x_wire: int):
-    per = (keys.m - 1).bit_length()
-    b = x_wire & 1
-    vec = tuple((x_wire >> (1 + i * per)) & ((1 << per) - 1) for i in range(keys.k))
-    return (b, vec)
+        y = self.base_image(y_wire)
+        if y is None or x_wire % self.lift_k or not 0 <= x_wire < 1 << self.reg_width:
+            return False
+        return check_preimage(self.keys, self.keys.decode(x_wire // self.lift_k), y)
 
 
 # ---------------------------------------------------------------------------

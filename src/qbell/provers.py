@@ -132,25 +132,12 @@ def optimal_theta(f_par: float, f_perp: float) -> float:
 def sample_claw(keys, rng):
     """Uniform x0 over the domain, partner via trapdoor inversion; resamples
     until the image has a genuine colliding pair."""
-    if isinstance(keys, tcf.RabinKeyPair):
-        bound = tcf.rabin_domain_size(keys.N)
-        while True:
-            x0 = rng.randrange(bound)
-            y = tcf.rabin_eval(keys.N, x0)
-            roots = tcf.rabin_invert(keys, y)
-            if len(roots) == 2:
-                x1 = next(iter(roots - {x0}))
-                return x0, x1, y
-    else:
-        while True:
-            b = rng.randrange(2)
-            vec = tuple(rng.randrange(keys.m) for _ in range(keys.k))
-            y = tcf.ddh_eval(keys, b, vec)
-            pre = tcf.invert(keys, y)
-            if len(pre) == 2:
-                x0 = (b, vec)
-                x1 = next(iter(pre - {x0}))
-                return x0, x1, y
+    while True:
+        x0 = keys.sample(rng)
+        y = tcf.evaluate(keys, x0)
+        preimages = tcf.invert(keys, y)
+        if len(preimages) == 2:
+            return x0, next(iter(preimages - {x0})), y
 
 
 def ideal_round1(keys, rng, ctx: ProtocolContext | None = None):
@@ -292,14 +279,8 @@ class CheaterProver(ProverBase):
         self._x0_wire = None
 
     def _round1_impl(self):
-        rng = self._rng("round1")
-        if isinstance(self.keys, tcf.RabinKeyPair):
-            self._x0 = rng.randrange(tcf.rabin_domain_size(self.keys.N))
-            y = tcf.rabin_eval(self.keys.N, self._x0)
-        else:
-            self._x0 = (rng.randrange(2), tuple(rng.randrange(self.keys.m)
-                                                for _ in range(self.keys.k)))
-            y = tcf.evaluate(self.keys, self._x0)
+        self._x0 = self.keys.sample(self._rng("round1"))
+        y = tcf.evaluate(self.keys, self._x0)
         self._x0_wire = self.ctx.encode_domain(self._x0)
         return y, 0, 0
 

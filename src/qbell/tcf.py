@@ -151,6 +151,27 @@ class RabinKeyPair:
     def public(self) -> "RabinKeyPair":
         return RabinKeyPair(N=self.N)
 
+    # Domain members.  A domain element x in [0, ceil(N/2)) is its own
+    # register string, N.bit_length() bits wide; an image is one integer
+    # in [0, N).
+    image_len = None
+
+    @property
+    def image_modulus(self) -> int:
+        return self.N
+
+    @property
+    def width(self) -> int:
+        return self.N.bit_length()
+
+    def sample(self, rng) -> int:
+        return rng.randrange(rabin_domain_size(self.N))
+
+    def encode(self, x: int) -> int:
+        return x
+
+    decode = encode
+
 
 @dataclass(frozen=True)
 class DdhKeyPair:
@@ -180,6 +201,32 @@ class DdhKeyPair:
 
     def public(self) -> "DdhKeyPair":
         return replace(self, M=None, s=None)
+
+    # Domain members.  A domain element (b, vec) of {0,1} x Z_m^k is the
+    # register string b | vec[i] << (1 + i*per), per = bitlen(m - 1); an
+    # image is a vector of k group elements, checked by inversion alone.
+    image_modulus = None
+
+    @property
+    def image_len(self) -> int:
+        return self.k
+
+    @property
+    def width(self) -> int:
+        return 1 + self.k * (self.m - 1).bit_length()
+
+    def sample(self, rng) -> tuple:
+        return (rng.randrange(2), tuple(rng.randrange(self.m) for _ in range(self.k)))
+
+    def encode(self, x) -> int:
+        b, vec = x
+        per = (self.m - 1).bit_length()
+        return b | sum(v << (1 + i * per) for i, v in enumerate(vec))
+
+    def decode(self, bits: int) -> tuple:
+        per = (self.m - 1).bit_length()
+        return (bits & 1, tuple(bits >> (1 + i * per) & ((1 << per) - 1)
+                                for i in range(self.k)))
 
 
 @dataclass(frozen=True)

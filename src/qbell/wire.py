@@ -1,10 +1,12 @@
 """Line-delimited wire protocol separating verifier and prover processes.
 
 One JSON frame per newline-terminated line: {"v": 1, "session": ..,
-"seq": .., "msg": {"tag": .., ...payload}} with big integers as decimal
-strings.  The verifier drives: it sends the public key, then for each
-iteration the message sequence of the protocol; the prover answers
-synchronously.  A final {"tag": "end"} frame closes the session.
+"seq": .., "msg": {"tag": .., ...payload}}.  Payload integers follow the
+transcripts' rule (protocol.json_ints): a JSON number up to 2^53 in
+magnitude, a decimal string beyond; readers accept either form.  The
+verifier drives: it sends the public key, then for each iteration the
+message sequence of the protocol; the prover answers synchronously.  A
+final {"tag": "end"} frame closes the session.
 """
 
 from __future__ import annotations
@@ -36,25 +38,9 @@ class WireFrame:
     version: int = WIRE_VERSION
 
 
-def _encode_payload(msg) -> dict:
-    body = {"tag": msg["tag"]}
-    for k, v in msg.items():
-        if k == "tag":
-            continue
-        if isinstance(v, bool):
-            body[k] = v
-        elif isinstance(v, int):
-            body[k] = str(v)
-        elif isinstance(v, (list, tuple)):
-            body[k] = [str(x) for x in v]
-        else:
-            body[k] = v
-    return body
-
-
 def encode_frame(frame: WireFrame) -> bytes:
     doc = {"v": frame.version, "session": frame.session, "seq": frame.seq,
-           "msg": _encode_payload(frame.msg)}
+           "msg": protocol.json_ints(frame.msg)}
     return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
@@ -136,7 +122,7 @@ def channel_from_socket(sock: socket.socket, session: str, timeout: float = 30.0
 # verifier / prover drivers
 
 def _int(value, field: str) -> int:
-    """A payload integer, sent as a decimal string (or a JSON integer);
+    """A payload integer, sent as a JSON integer or a decimal string;
     ParseError for anything else, a missing field (None) included."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
@@ -166,13 +152,13 @@ class RemoteProver:
 
     def round1(self):
         msg = self._exchange({"tag": "round1"}, "image")
-        y = msg.get("y")
-        if isinstance(self.keys, tcf.RabinKeyPair):
+        y, n = msg.get("y"), self.keys.image_len
+        if n is None:
             y = _int(y, "y")
-        elif isinstance(y, list) and len(y) == self.keys.k:
+        elif isinstance(y, list) and len(y) == n:
             y = tuple(_int(v, "y") for v in y)
         else:
-            raise ParseError(f"image is not a list of {self.keys.k} integers: {y!r:.40}")
+            raise ParseError(f"image is not a list of {n} integers: {y!r:.40}")
         return y, _int(msg.get("h", 0), "h"), _int(msg.get("h_len", 0), "h_len")
 
     def answer_preimage(self):

@@ -166,6 +166,7 @@ class TestResources:
                           registers={"x": (0,)}, metadata={})
         rep = cc.count_resources(circ)
         assert (rep.total_gates, rep.toffoli_count, rep.depth) == (0, 0, 0)
+        assert cc.gate_count(circ) == 0
 
     def test_disjoint_gates_depth_one(self):
         gates = [(cc.ALLOC, q) for q in range(4)]
@@ -179,7 +180,7 @@ class TestResources:
         gates.append((cc.MEASURE_Y, (1,)))
         circ = cc.Circuit(n_qubits=2, gates=gates, registers={"x": ()}, metadata={})
         rep = cc.count_resources(circ)
-        assert rep.depth == 10 and rep.total_gates == 10
+        assert rep.depth == 10 and rep.total_gates == 10 == cc.gate_count(circ)
 
     def test_monotone_in_n(self):
         prev = {"schoolbook": 0, "karatsuba": 0}
@@ -187,8 +188,10 @@ class TestResources:
             keys = gen_exact_bits(n)
             for name, build in (("schoolbook", cc.build_schoolbook),
                                 ("karatsuba", lambda n, N: cc.build_karatsuba(n, N))):
-                got = cc.count_resources(build(n, keys.N)).total_gates
+                circ = build(n, keys.N)
+                got = cc.count_resources(circ).total_gates
                 assert got > prev[name], (name, n)
+                assert cc.gate_count(circ) == got
                 prev[name] = got
 
     def test_karatsuba_beats_schoolbook_from_96_bits(self):

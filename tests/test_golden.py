@@ -1,0 +1,98 @@
+"""Byte identity of seeded CLI output.
+
+Each case runs one `qbell` subcommand in process at a fixed seed and pins
+the sha256 digest of every file it writes.  A change that moves any of
+these bytes must say which random stream or format moved and why, and
+update the digest with it.
+"""
+
+import hashlib
+import os
+
+import pytest
+
+from qbell.cli import main
+
+# (name, argv, output files); "{d}" is the output directory, and later cases
+# read the key files the keygen cases wrote
+CASES = (
+    ("keygen-rabin16", ["keygen", "--bits", "16", "--seed", "3", "--out", "{d}/rabin16.json"],
+     ("rabin16.json",)),
+    ("keygen-rabin32", ["keygen", "--bits", "32", "--seed", "5", "--out", "{d}/rabin32.json",
+                        "--public-out", "{d}/rabin32.pub.json"],
+     ("rabin32.json", "rabin32.pub.json")),
+    ("keygen-ddh24", ["keygen", "--family", "ddh", "--bits", "24", "--k", "2", "--seed", "7",
+                      "--out", "{d}/ddh24.json", "--public-out", "{d}/ddh24.pub.json"],
+     ("ddh24.json", "ddh24.pub.json")),
+) + tuple(
+    (f"run-{prover}-{key}",
+     ["run", "--key", f"{{d}}/{key}.json", "--prover", prover, "--trials", "300",
+      "--seed", "11", "--out", f"{{d}}/{prover}-{key}.json",
+      "--transcripts", f"{{d}}/{prover}-{key}.jsonl"],
+     (f"{prover}-{key}.json", f"{prover}-{key}.jsonl"))
+    for key in ("rabin32", "ddh24") for prover in ("ideal", "cheater")
+) + (
+    ("run-noisy-rabin16",
+     ["run", "--key", "{d}/rabin16.json", "--prover", "noisy:F=0.5,circuit=schoolbook,m=1",
+      "--postselect", "--trials", "40", "--seed", "13", "--out", "{d}/noisy.json",
+      "--transcripts", "{d}/noisy.jsonl"],
+     ("noisy.json", "noisy.jsonl")),
+    ("extract-rabin32",
+     ["extract", "--key", "{d}/rabin32.json", "--prover", "ideal", "--seed", "17",
+      "--out", "{d}/extract.json"],
+     ("extract.json",)),
+    ("sweep-rabin16",
+     ["sweep", "--key", "{d}/rabin16.json", "--builder", "schoolbook", "--m-values", "0,1",
+      "--fidelities", "0.2,0.6,1.0", "--trials", "300", "--seed", "19",
+      "--out", "{d}/sweep.csv"],
+     ("sweep.csv",)),
+    ("resources-phase2",
+     ["resources", "--builder", "phase2", "--n", "32", "--out", "{d}/phase2.json"],
+     ("phase2.json",)),
+)
+
+DIGESTS = {
+    "cheater-ddh24.json": "21cf9b9d706dbd9cfb97478e36217b91fb8e7bdd16e80b0243060f322599bae1",
+    "cheater-ddh24.jsonl": "284b6413561fe1d0bc3fdf400c5e5e58b7373ee28fe61b7cd3b00f04807fd139",
+    "cheater-rabin32.json": "d5ff9cd1cdd0361e24909afd6b75ac9b5082377e68ab3b3a51c0867e5fed4392",
+    "cheater-rabin32.jsonl": "411bd82fa7f3bff4f087e3c0b7bb2c84b37f9178fb56dc79ab3bcfcd90b15bf3",
+    "ddh24.json": "0cbeaa9235fd1096d0a6429fb7f08a3f524ac0506565aebce41da411b35e51f8",
+    "ddh24.pub.json": "6400dc687d228b2ed9a935755f7c2f84cc5490a59e6a1015196828715a532879",
+    "extract.json": "876de0cc885bc4901658dc47a12f5a537c4c2d65093c41eff0c741c69dfc2049",
+    "ideal-ddh24.json": "fc3484f68778be2f5d238eaf58c4abb1e4001a2c282fc7cb50f4027e091d467a",
+    "ideal-ddh24.jsonl": "3bf9b7d6e7609377ed01af54e5190c60d3648f7221219563c2105692a630256b",
+    "ideal-rabin32.json": "d14de658b9a20062d29919cae3cd70361b10eb94e6df4c41883cc70673761752",
+    "ideal-rabin32.jsonl": "739236bdfb7839d626a4d161668431298975c16920191781693cd7168479aac5",
+    "noisy.json": "2f1b5312fbdb82c3c7cca2db5fe8795d9e06979c0c6df451062c97a009360018",
+    "noisy.jsonl": "e6bf2241e570e95771da05d357237bd3debb4721f9d39a224d83d8f62c4cf586",
+    "phase2.json": "bedee618276c6af518bd0b189a45c9ab2dfe392bd6dfe021f9bf0b06f20f215d",
+    "rabin16.json": "bb34be37e268f078751d4d2e705dcf80f0653fcd8317d260057ad29bd154c37a",
+    "rabin32.json": "e54588ec6f08d000cb738350105cfcc0960ae4b32c24326e9a49d5a36b54d4fd",
+    "rabin32.pub.json": "8de828468261c1a65b57cf39c416f2bf345c8b36f762a62d936fdec0d231e3ff",
+    "sweep.csv": "8d22b3fc1bb9fdab1663d92bad8f5a7f854197d61b060457c9d3d91b897ec238",
+}
+
+
+def write_outputs(directory) -> dict:
+    """Run every case into `directory`; {file name: sha256 hex digest}."""
+    out = {}
+    for name, argv, files in CASES:
+        assert main([a.replace("{d}", str(directory)) for a in argv]) == 0, name
+        for f in files:
+            with open(os.path.join(directory, f), "rb") as fh:
+                out[f] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    return write_outputs(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_output_is_byte_identical(digests, name):
+    assert digests[name] == DIGESTS[name]
+
+
+def test_every_output_is_pinned(digests):
+    assert sorted(digests) == sorted(DIGESTS)

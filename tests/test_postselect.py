@@ -25,6 +25,7 @@ class TestLiftKey:
         keys = tcf.RabinKeyPair(N=77, p=11, q=7)
         lifted = ps.lift_key(keys, 1, method="schoolbook")
         assert lifted.k == 3 and lifted.n_lifted == 693
+        assert lifted.gate_count == cc.count_resources(lifted.circuit).total_gates
 
     def test_double_lift(self):
         keys = tcf.RabinKeyPair(N=77, p=11, q=7)

@@ -210,6 +210,30 @@ class TestRunIteration:
         with pytest.raises(proto.InsufficientData):
             proto.score(ts)
 
+    @pytest.mark.parametrize("y", [77, -1])
+    @pytest.mark.parametrize("postselect", [False, True])
+    def test_image_outside_rabin_range_is_invalid(self, y, postselect):
+        # a plain context scores an image outside [0, N) as a circuit
+        # context scores one outside [0, k^2 N), without inverting it
+        class OutOfRangeProver(provers.CheaterProver):
+            def _round1_impl(self):
+                super()._round1_impl()
+                return y, 0, 0
+
+        ctx = proto.ProtocolContext.plain(KEY77)
+        prover = OutOfRangeProver(KEY77.public(), seed=3, ctx=ctx)
+        rng = derive_rng(3, "v")
+        cfg = proto.IterationConfig(postselect=postselect)
+        outcomes = {proto.run_iteration(ctx, prover, rng, cfg, i).outcome for i in range(20)}
+        assert outcomes == ({proto.Outcome.DISCARDED_INVALID_Y} if postselect else
+                            {proto.Outcome.REJECTED_PREIMAGE,
+                             proto.Outcome.REJECTED_MEASUREMENT})
+
+    def test_public_key_context_cannot_invert(self):
+        ctx = proto.ProtocolContext.plain(KEY77.public())
+        with pytest.raises(tcf.DomainError):
+            ctx.check_image_wire(4)
+
     def test_single_preimage_iterations_counted_normally(self):
         # a cheater that picks x0 = 0 commits to the single-preimage image 0
         class ZeroProver(provers.CheaterProver):
@@ -245,6 +269,23 @@ class TestTranscripts:
             assert doc["msgs"][0]["tag"] == "image"
             assert doc["outcome"] in {o.value for o in proto.Outcome}
 
+    def test_big_ddh_image_components_are_strings(self):
+        # a 60-bit group puts image components beyond 2^53 into tuples
+        key = tcf.ddh_gen(2, 60, seed=3)
+        ctx = proto.ProtocolContext.plain(key)
+        prover = provers.IdealProver(key, seed=5)
+        rng = derive_rng(4, "v")
+        ts = [proto.run_iteration(ctx, prover, rng, proto.IterationConfig(), i)
+              for i in range(10)]
+        big = 0
+        for t, line in zip(ts, proto.transcripts_to_jsonl(ts).splitlines()):
+            y = json.loads(line)["msgs"][0]["payload"]["y"]
+            assert all(isinstance(v, str) == (v_int > 2 ** 53)
+                       for v, v_int in zip(y, t.msgs[0].y))
+            assert tuple(int(v) for v in y) == t.msgs[0].y
+            big += sum(isinstance(v, str) for v in y)
+        assert big > 0
+
     def test_message_order_matches_rounds(self):
         keys = tcf.rabin_gen(tcf.SecurityParams(n_bits=16, rng_seed=2))
         ctx = proto.ProtocolContext.plain(keys)
@@ -257,6 +298,17 @@ class TestTranscripts:
 
 
 class TestDdhProtocol:
+    def test_preimage_string_beyond_register_rejected(self):
+        # decoding reads only the register's bits; the check must not
+        # accept other strings that decode to the same preimage
+        key = tcf.ddh_gen(2, 10, seed=3)
+        ctx = proto.ProtocolContext.plain(key)
+        x0, _, y = provers.sample_claw(key, random.Random(1))
+        x_wire = key.encode(x0)
+        assert ctx.check_preimage_wire(x_wire, y)
+        for bad in (x_wire + (1 << ctx.reg_width), x_wire - (1 << 40)):
+            assert not ctx.check_preimage_wire(bad, y)
+
     def test_ideal_prover_over_ddh(self):
         key = tcf.ddh_gen(2, 10, seed=3)
         ctx = proto.ProtocolContext.plain(key)

@@ -233,6 +233,37 @@ class TestUnpairedFraction:
             assert got == 1 - Fraction(3, 4) ** hw
 
 
+class TestDomain:
+    """Each key class owns its domain: sampling, register width and the
+    register-string encoding."""
+
+    KEYS = (KEY77, tcf.ddh_gen(2, 10, seed=3), tcf.ddh_gen(3, 12, seed=2))
+
+    def test_sample_draws_in_family_order(self):
+        ddh = self.KEYS[1]
+        for seed in range(20):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert KEY77.sample(rng) == ref.randrange(39)
+            assert ddh.sample(rng) == (ref.randrange(2), (ref.randrange(ddh.m),
+                                                          ref.randrange(ddh.m)))
+            assert rng.random() == ref.random()
+
+    def test_ddh_register_layout(self):
+        ddh = self.KEYS[1]  # k = 2, m = 4: two bits per entry
+        assert ddh.width == 5
+        assert ddh.encode((1, (3, 2))) == 1 | 3 << 1 | 2 << 3
+        assert ddh.decode(1 | 3 << 1 | 2 << 3) == (1, (3, 2))
+
+    @pytest.mark.parametrize("keys", KEYS, ids=("rabin", "ddh2", "ddh3"))
+    def test_register_round_trip(self, keys):
+        rng = random.Random(1)
+        for _ in range(200):
+            x = keys.sample(rng)
+            bits = keys.encode(x)
+            assert 0 <= bits < 1 << keys.width
+            assert keys.decode(bits) == x
+
+
 class TestSerialization:
     def test_rabin_round_trip(self):
         keys = tcf.rabin_gen(tcf.SecurityParams(n_bits=40, rng_seed=3))

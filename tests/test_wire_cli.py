@@ -119,6 +119,25 @@ class TestFrames:
             proto.run_iteration(proto.ProtocolContext.plain(keys), remote,
                                 random.Random(0), proto.IterationConfig())
 
+    @given(st.integers(-2 ** 128, 2 ** 128),
+           st.lists(st.integers(-2 ** 128, 2 ** 128), max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_no_json_number_beyond_2_53(self, scalar, vector):
+        # frames and transcripts share one rule: a JSON number up to 2^53,
+        # a decimal string beyond, and _int reads both forms back
+        frame = wire.encode_frame(wire.WireFrame(
+            "s", 0, {"tag": "image", "y": vector, "h": scalar, "h_len": 3}))
+        msg = json.loads(frame)["msg"]
+        t = proto.Transcript(0, [proto.ImageMsg(y=tuple(vector), h=scalar, h_len=3),
+                                 proto.VectorMsg(r=scalar, n=3)])
+        payloads = [m["payload"] for m in json.loads(t.to_json())["msgs"]]
+        for doc in (msg, payloads[0]):
+            assert wire._int(doc["h"], "h") == scalar
+            assert [wire._int(v, "y") for v in doc["y"]] == vector
+        assert wire._int(payloads[1]["r"], "r") == scalar
+        for v in [msg["h"], payloads[0]["h"], payloads[1]["r"]] + msg["y"] + payloads[0]["y"]:
+            assert isinstance(v, str) == (abs(wire._int(v, "v")) > 2 ** 53)
+
     def test_big_ints_as_decimal_strings(self):
         frame = wire.WireFrame(session="s", seq=0, msg={"tag": "image", "y": 2 ** 90})
         doc = json.loads(wire.encode_frame(frame))
@@ -256,6 +275,30 @@ class TestCli:
         assert proc.returncode == 4, proc.stderr
         assert b"Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("session, key_file, rc", [
+        ("ddh", "ddh", 0),  # the key file of the session key
+        ("ddh", "ddh-other", 3),
+        ("rabin", "ddh", 3),
+        ("ddh", "rabin", 3),
+        ("rabin", "rabin-other", 3),
+    ])
+    def test_prove_key_must_match_session_key(self, tmp_path, session, key_file, rc):
+        keys = {"ddh": tcf.ddh_gen(2, 10, seed=3), "ddh-other": tcf.ddh_gen(2, 10, seed=4),
+                "rabin": gen_exact_bits(16), "rabin-other": gen_exact_bits(16, seed0=40)}
+        path = tmp_path / "key.json"
+        path.write_text(tcf.key_to_json(keys[key_file]))
+        frames = [{"tag": "key", "key_json": tcf.key_to_json(keys[session],
+                                                             include_secret=False)},
+                  {"tag": "round1"}, {"tag": "end"}]
+        stdin = b"".join(wire.encode_frame(wire.WireFrame("v", i, m))
+                         for i, m in enumerate(frames))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qbell.cli", "prove", "--transport", "stdio",
+             "--prover", "ideal", "--key", str(path)],
+            input=stdin, capture_output=True, timeout=120, env=cli_env())
+        assert proc.returncode == rc, proc.stderr
+        assert b"Traceback" not in proc.stderr
+
     def test_wrong_key_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -307,6 +350,19 @@ class TestStdioPair:
         assert rc_v == 0 and rc_p == 0, (err_v, err_p)
         rep = json.loads(rep_path.read_text())
         assert 0.3 < rep["score_float"] < 0.5
+
+    def test_lifted_prover_against_plain_verifier(self, tmp_path):
+        # `verify` builds a plain context, where the lifted prover's images
+        # of [0, 9N) beyond N are invalid: scored, not a session abort
+        key = tmp_path / "key.json"
+        key.write_text(tcf.key_to_json(gen_exact_bits(16)))
+        rc_v, rc_p, err_v, err_p = self._pipe_pair(
+            ["verify", "--key", str(key), "--transport", "stdio", "--trials", "60",
+             "--seed", "9", "--out", str(tmp_path / "rep.json")],
+            ["prove", "--prover", "noisy:F=0.5,circuit=schoolbook,m=1", "--key", str(key),
+             "--transport", "stdio"])
+        assert rc_v == 0, err_v
+        assert rc_p == 0, err_p
 
     def test_prover_side_never_sees_trapdoor(self, tmp_path):
         # capture every byte the verifier emits; no secret may appear
