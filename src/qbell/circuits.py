@@ -504,6 +504,8 @@ def build_modsquare(N, lift_m=0, method="schoolbook", cutoff=32):
         raise CircuitError(f"unknown multiplier {method!r}")
     if method == "karatsuba" and cutoff < 8:
         raise CircuitError("karatsuba cutoff must be >= 8")
+    if lift_m < 0:
+        raise CircuitError("lift exponent m must be >= 0")
     n = N.bit_length()
     k = 3 ** lift_m
     modulus = k * k * N
@@ -526,7 +528,7 @@ def build_modsquare(N, lift_m=0, method="schoolbook", cutoff=32):
     gates.append((MEASURE_Y, y_reg))
 
     R = 1 << nm
-    circuit = Circuit(
+    return Circuit(
         n_qubits=pool.peak,
         gates=gates,
         registers={"x": x_reg, "y": y_reg},
@@ -543,111 +545,6 @@ def build_modsquare(N, lift_m=0, method="schoolbook", cutoff=32):
             "comparator_excluded": True,
         },
     )
-    return circuit
-
-
-def build_schoolbook(n, N):
-    """Shift-and-add squaring plus Montgomery reduction for an n-bit modulus."""
-    if not (1 << (n - 1)) <= N < (1 << n):
-        raise CircuitError(f"N={N} is not an {n}-bit modulus")
-    return build_modsquare(N, lift_m=0, method="schoolbook")
-
-
-def build_karatsuba(n, N, cutoff=32):
-    """Recursive Karatsuba squaring plus Montgomery reduction."""
-    if not (1 << (n - 1)) <= N < (1 << n):
-        raise CircuitError(f"N={N} is not an {n}-bit modulus")
-    return build_modsquare(N, lift_m=0, method="karatsuba", cutoff=cutoff)
-
-
-def montgomery_stage(n, N, method="schoolbook", cutoff=32):
-    """Standalone reduction fragment: input register T (2n bits) -> T*R' mod N."""
-    if N.bit_length() != n:
-        raise CircuitError("N must be an n-bit modulus")
-    if math.gcd(1 << n, N) != 1:
-        raise CircuitError("modulus must be odd")
-    gates = []
-    pool = QubitPool(gates)
-    T = pool.new_register(2 * n + 1)
-    y_reg = montgomery_reduce(gates, pool, T, N, method, cutoff)
-    gates.append((MEASURE_Y, y_reg))
-    R = 1 << n
-    return Circuit(
-        n_qubits=pool.peak,
-        gates=gates,
-        registers={"x": T[:2 * n], "y": y_reg},
-        metadata={
-            "builder": f"montgomery-{method}",
-            "n": n,
-            "N": N,
-            "rprime": pow(R, -1, N),
-            "r_undo": R % N,
-        },
-    )
-
-
-def build_mul3_inplace(n):
-    """Fragment mapping x -> 3x in place on an (n+2)-wide register."""
-    gates = []
-    pool = QubitPool(gates)
-    x_reg = pool.new_register(n + 2)
-    mul3_inplace(gates, pool, x_reg, n)
-    gates.append((MEASURE_Y, x_reg))
-    return Circuit(
-        n_qubits=pool.peak,
-        gates=gates,
-        registers={"x": x_reg, "y": x_reg},
-        metadata={"builder": "mul3", "n": n},
-    )
-
-
-# ---------------------------------------------------------------------------
-# validation
-
-def validate_circuit(circuit: Circuit) -> None:
-    """Check index bounds, control/target distinctness, single MEASURE_Y,
-    and that discarded qubits are never touched again before a re-ALLOC."""
-    live = set()
-    measured = 0
-    for gate in circuit.gates:
-        tag = gate[0]
-        if tag == ALLOC:
-            q = gate[1]
-            if not 0 <= q:
-                raise MalformedCircuit(f"bad qubit index {q}")
-            live.add(q)
-            continue
-        if tag == DISCARD:
-            for q in gate[1]:
-                if q not in live:
-                    raise MalformedCircuit(f"discard of dead qubit {q}")
-                live.discard(q)
-            continue
-        if tag == MEASURE_Y:
-            measured += 1
-            qs = gate[1]
-        elif tag == X:
-            qs = (gate[1],)
-        elif tag == CNOT:
-            qs = (gate[1], gate[2])
-            if gate[1] == gate[2]:
-                raise MalformedCircuit("CNOT control equals target")
-        elif tag == TOFFOLI:
-            qs = (gate[1], gate[2], gate[3])
-            if len(set(qs)) != 3:
-                raise MalformedCircuit("Toffoli qubits not distinct")
-        elif tag == CPHASE:
-            qs = tuple(gate[1]) + (gate[2],)
-            if len(set(qs)) != len(qs):
-                raise MalformedCircuit("CPHASE controls overlap target")
-        else:
-            raise MalformedCircuit(f"unknown gate tag {tag!r}")
-        for q in qs:
-            if q in live:
-                continue
-            raise MalformedCircuit(f"use of dead or unallocated qubit {q} in {gate}")
-    if measured != 1:
-        raise MalformedCircuit(f"expected exactly one MEASURE_Y, found {measured}")
 
 
 # ---------------------------------------------------------------------------
@@ -881,31 +778,19 @@ def run_two_branch_block(circuit: Circuit, x0s, x1s, draws) -> list:
             for j in range(R)]
 
 
-def run_two_branch(circuit: Circuit, x0: int, x1: int, error_prob: float = 0.0, rng=None,
-                   error_plan=None):
-    """Evaluate the circuit on both branch bitstrings with a shared error
-    realization, tracking the relative phase exactly.
+def run_two_branch(circuit: Circuit, x0: int, x1: int, error_prob: float, rng):
+    """One two-branch run on the claw (x0, x1), with the draws replay_draws
+    makes from rng: run_two_branch_block on a single run.
 
     Each X/CNOT/Toffoli gate independently errs with probability
     error_prob: a Pauli error (uniform over X, Y, Z) on one of its qubits.
     X flips the struck bit in both branches; Z multiplies the relative
     phase by (-1)^(b0 xor b1) of the struck qubit; Y does both.  Discards
-    draw a uniform h and apply the (-1)^(h . (g0 xor g1)) rule; without an
-    rng, h = 0 and error_prob is ignored.  The draws are replay_draws'.
-
-    error_plan, when given, pins the realization: a dict mapping the index
-    of a unitary gate (counting only X/CNOT/Toffoli) to a (qubit, pauli)
-    pair applied right after that gate to one of its qubits.
+    draw a uniform h and apply the (-1)^(h . (g0 xor g1)) rule.  The
+    package itself runs blocks; bench/layers.py traces this name.
     """
-    if rng is None:
-        h, errors = bytes(circuit.schedule.h_len), []
-    else:
-        h, errors = replay_draws(circuit.schedule,
-                                 0.0 if error_plan is not None else error_prob, rng)
-    if error_plan is not None:
-        unitary = [gate[1:] for gate in circuit.gates if gate[0] in (X, CNOT, TOFFOLI)]
-        errors = [(u, 0, unitary[u].index(q), pauli) for u, (q, pauli) in error_plan.items()]
-    return run_two_branch_block(circuit, [x0], [x1], [(h, errors)])[0]
+    return run_two_branch_block(circuit, [x0], [x1],
+                                [replay_draws(circuit.schedule, error_prob, rng)])[0]
 
 
 def run_two_branch_batch(circuit: Circuit, x0s, x1s, error_prob, rng):
@@ -1135,71 +1020,3 @@ def phase_circuit_resources(variant, n, extra_bits=3) -> ResourceReport:
     total, toffoli, depth = _tally(ops())
     return ResourceReport(qubits=qubits, total_gates=total,
                           toffoli_count=toffoli, depth=depth)
-
-
-# ---------------------------------------------------------------------------
-# serialization: one gate per line
-
-def circuit_to_text(circuit: Circuit) -> str:
-    lines = []
-    meta = circuit.metadata
-    header_keys = [k for k in ("n", "N", "builder", "rprime", "lift_m", "modulus") if meta.get(k) is not None]
-    for k in header_keys:
-        lines.append(f"# {k}={meta[k]}")
-    lines.append(f"# qubits={circuit.n_qubits}")
-    for name, reg in sorted(circuit.registers.items()):
-        lines.append(f"# reg {name}=" + ",".join(str(q) for q in reg))
-    for gate in circuit.gates:
-        tag = gate[0]
-        if tag == CPHASE:
-            ctrl = ",".join(str(q) for q in gate[1])
-            lines.append(f"CPHASE {gate[3]!r} ctrl={ctrl} tgt={gate[2]}")
-        elif tag in (DISCARD, MEASURE_Y):
-            lines.append(tag + " " + " ".join(str(q) for q in gate[1]))
-        else:
-            lines.append(tag + " " + " ".join(str(q) for q in gate[1:]))
-    return "\n".join(lines) + "\n"
-
-
-def circuit_from_text(text: str) -> Circuit:
-    gates = []
-    registers = {}
-    metadata = {}
-    n_qubits = 0
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("reg "):
-                name, _, vals = body[4:].partition("=")
-                registers[name] = tuple(int(v) for v in vals.split(",") if v)
-            elif "=" in body:
-                key, _, val = body.partition("=")
-                if key == "qubits":
-                    n_qubits = int(val)
-                else:
-                    try:
-                        metadata[key] = int(val)
-                    except ValueError:
-                        metadata[key] = val
-            continue
-        parts = line.split()
-        tag = parts[0]
-        if tag == CPHASE:
-            angle = float(parts[1])
-            kv = dict(p.split("=", 1) for p in parts[2:])
-            controls = tuple(int(v) for v in kv["ctrl"].split(",") if v)
-            gates.append((CPHASE, controls, int(kv["tgt"]), angle))
-        elif tag in (DISCARD, MEASURE_Y):
-            gates.append((tag, tuple(int(v) for v in parts[1:])))
-        elif tag in (X, ALLOC):
-            gates.append((tag, int(parts[1])))
-        elif tag == CNOT:
-            gates.append((CNOT, int(parts[1]), int(parts[2])))
-        elif tag == TOFFOLI:
-            gates.append((TOFFOLI, int(parts[1]), int(parts[2]), int(parts[3])))
-        else:
-            raise MalformedCircuit(f"unknown line {line!r}")
-    return Circuit(n_qubits=n_qubits, gates=gates, registers=registers, metadata=metadata)

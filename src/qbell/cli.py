@@ -28,6 +28,20 @@ class UsageError(ValueError):
     pass
 
 
+def _number(kind, text: str, what: str):
+    """kind(text), or a UsageError naming the malformed argument."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise UsageError(f"{what} must be a number, got {text!r}") from None
+
+
+def _rabin_only(keys, what: str):
+    """The circuits, the sweep and the extractor square modulo N."""
+    if keys.family != "rabin":
+        raise UsageError(f"{what} needs a rabin key")
+
+
 def parse_prover_spec(spec: str):
     """'ideal' | 'cheater' | 'noisy:F=<float>,circuit=<name>,m=<int>'."""
     if spec == "ideal":
@@ -39,13 +53,13 @@ def parse_prover_spec(spec: str):
         for part in spec[len("noisy:"):].split(","):
             key, _, val = part.partition("=")
             if key == "F":
-                out["F"] = float(val)
+                out["F"] = _number(float, val, "noisy option F")
             elif key == "circuit":
                 if val not in ("schoolbook", "karatsuba"):
                     raise UsageError(f"unknown circuit {val!r}")
                 out["circuit"] = val
             elif key == "m":
-                out["m"] = int(val)
+                out["m"] = _number(int, val, "noisy option m")
             else:
                 raise UsageError(f"unknown noisy option {key!r}")
         return out
@@ -60,8 +74,7 @@ def build_prover(spec: dict, keys, seed: int):
     if spec["kind"] == "cheater":
         ctx = protocol.ProtocolContext.plain(keys)
         return provers.CheaterProver(keys.public(), seed, ctx), ctx
-    if keys.family != "rabin":
-        raise UsageError("circuit-backed provers need a rabin key")
+    _rabin_only(keys, "a circuit-backed prover")
     circ = circuits.build_modsquare(keys.N, lift_m=spec["m"], method=spec["circuit"])
     base_gates = circuits.gate_count(
         circ if spec["m"] == 0 else
@@ -175,9 +188,11 @@ def cmd_prove(args):
 
 def cmd_sweep(args):
     keys = _load_keys(args.key)
+    _rabin_only(keys, "sweep")
     config = postselect.SweepConfig(
-        m_values=tuple(int(v) for v in args.m_values.split(",")),
-        fidelity_grid=tuple(float(v) for v in args.fidelities.split(",")),
+        m_values=tuple(_number(int, v, "--m-values") for v in args.m_values.split(",")),
+        fidelity_grid=tuple(_number(float, v, "--fidelities")
+                            for v in args.fidelities.split(",")),
         trials_per_point=args.trials,
         seed=args.seed,
         method=args.builder,
@@ -193,7 +208,9 @@ def cmd_resources(args):
     builder = args.builder
     if builder in ("schoolbook", "karatsuba"):
         if args.modulus:
-            N = int(args.modulus)
+            N = _number(int, args.modulus, "--modulus")
+            if N.bit_length() != args.n:
+                raise UsageError(f"--modulus {N} is not an {args.n}-bit modulus")
         else:
             rng_seed = 0
             while True:
@@ -202,9 +219,8 @@ def cmd_resources(args):
                     N = keys.N
                     break
                 rng_seed += 1
-        circ = (circuits.build_schoolbook(args.n, N) if builder == "schoolbook"
-                else circuits.build_karatsuba(args.n, N, cutoff=args.cutoff))
-        rep = circuits.count_resources(circ)
+        rep = circuits.count_resources(
+            circuits.build_modsquare(N, method=builder, cutoff=args.cutoff))
     elif builder in ("phase1", "phase2"):
         rep = circuits.phase_circuit_resources(int(builder[-1]), args.n)
     else:
@@ -218,6 +234,7 @@ def cmd_resources(args):
 
 def cmd_extract(args):
     keys = _load_keys(args.key)
+    _rabin_only(keys, "extract")
     spec = parse_prover_spec(args.prover)
     prover, _ = build_prover(spec, keys, derive_seed(args.seed, "prover"))
     params = extractor.GlParams(t=args.probes, mu=args.mu)
@@ -321,7 +338,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, json.JSONDecodeError, KeyError) as e:
+    except (UsageError, circuits.CircuitError, json.JSONDecodeError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except wire.TransportError as e:

@@ -357,14 +357,12 @@ class NoisyCircuitProver(IdealProver):
     """
 
     def __init__(self, keys, circuit, noise: NoiseModel, seed: int,
-                 theta: float = math.pi / 4, retry_invalid: bool = True,
-                 max_attempts: int = 1000):
+                 retry_invalid: bool = True, max_attempts: int = 1000):
         super().__init__(keys, seed, ProtocolContext.for_circuit(keys, circuit))
         if max_attempts < 1:
             raise tcf.DomainError("max_attempts must be positive")
         self.circuit = circuit
         self.noise = noise
-        self.theta = theta
         self.retry_invalid = retry_invalid
         self.max_attempts = max_attempts
         self.attempts = 0

@@ -52,6 +52,8 @@ def decode_frame(line: bytes) -> WireFrame:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"bad JSON: {e.msg}", offset=e.pos) from None
+    except ValueError as e:  # an integer literal beyond int's digit limit
+        raise ParseError(f"bad JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ParseError("frame is not a JSON object")
     if doc.get("v") != WIRE_VERSION:

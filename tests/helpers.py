@@ -1,5 +1,7 @@
-"""Shared test utilities: independent simulation oracles and key helpers."""
+"""Shared test utilities: independent simulation oracles, reference
+checkers and circuit fragments, and key helpers."""
 
+import math
 import os
 
 import numpy as np
@@ -195,6 +197,94 @@ def sequential_two_branch(circuit, x0, x1, error_prob, rng):
     return cc.TwoBranchRun(y0=ys[0], y1=ys[1], reg0=regs[0], reg1=regs[1],
                            rel_phase=-1 if phase else 1, h=h, h_len=h_len,
                            n_errors=n_errors)
+
+
+def planted_run(circuit, x0, x1, plan=None, h=0):
+    """One two-branch run with its errors pinned instead of drawn: plan
+    maps the index of a unitary gate (counting only X/CNOT/Toffoli) to a
+    (qubit, pauli) pair struck right after that gate; every discarded
+    qubit's Hadamard outcome is h.  Runs through cc.run_two_branch_block,
+    the engine call the noisy prover makes."""
+    unitary = [gate[1:] for gate in circuit.gates if gate[0] in (cc.X, cc.CNOT, cc.TOFFOLI)]
+    errors = [(u, 0, unitary[u].index(q), pauli) for u, (q, pauli) in (plan or {}).items()]
+    draws = (bytes([h]) * circuit.schedule.h_len, errors)
+    return cc.run_two_branch_block(circuit, [x0], [x1], [draws])[0]
+
+
+def validate_circuit(circuit):
+    """Check index bounds, control/target distinctness, single MEASURE_Y,
+    and that discarded qubits are never touched again before a re-ALLOC;
+    raises cc.MalformedCircuit."""
+    live = set()
+    measured = 0
+    for gate in circuit.gates:
+        tag = gate[0]
+        if tag == cc.ALLOC:
+            q = gate[1]
+            if not 0 <= q:
+                raise cc.MalformedCircuit(f"bad qubit index {q}")
+            live.add(q)
+            continue
+        if tag == cc.DISCARD:
+            for q in gate[1]:
+                if q not in live:
+                    raise cc.MalformedCircuit(f"discard of dead qubit {q}")
+                live.discard(q)
+            continue
+        if tag == cc.MEASURE_Y:
+            measured += 1
+            qs = gate[1]
+        elif tag == cc.X:
+            qs = (gate[1],)
+        elif tag == cc.CNOT:
+            qs = (gate[1], gate[2])
+            if gate[1] == gate[2]:
+                raise cc.MalformedCircuit("CNOT control equals target")
+        elif tag == cc.TOFFOLI:
+            qs = (gate[1], gate[2], gate[3])
+            if len(set(qs)) != 3:
+                raise cc.MalformedCircuit("Toffoli qubits not distinct")
+        elif tag == cc.CPHASE:
+            qs = tuple(gate[1]) + (gate[2],)
+            if len(set(qs)) != len(qs):
+                raise cc.MalformedCircuit("CPHASE controls overlap target")
+        else:
+            raise cc.MalformedCircuit(f"unknown gate tag {tag!r}")
+        for q in qs:
+            if q not in live:
+                raise cc.MalformedCircuit(f"use of dead or unallocated qubit {q} in {gate}")
+    if measured != 1:
+        raise cc.MalformedCircuit(f"expected exactly one MEASURE_Y, found {measured}")
+
+
+def montgomery_stage(n, N, method="schoolbook", cutoff=32):
+    """Standalone reduction fragment: input register T (2n bits) -> T*R' mod N."""
+    if N.bit_length() != n:
+        raise cc.CircuitError("N must be an n-bit modulus")
+    if math.gcd(1 << n, N) != 1:
+        raise cc.CircuitError("modulus must be odd")
+    gates = []
+    pool = cc.QubitPool(gates)
+    T = pool.new_register(2 * n + 1)
+    y_reg = cc.montgomery_reduce(gates, pool, T, N, method, cutoff)
+    gates.append((cc.MEASURE_Y, y_reg))
+    R = 1 << n
+    return cc.Circuit(n_qubits=pool.peak, gates=gates,
+                      registers={"x": T[:2 * n], "y": y_reg},
+                      metadata={"builder": f"montgomery-{method}", "n": n, "N": N,
+                                "rprime": pow(R, -1, N), "r_undo": R % N})
+
+
+def build_mul3_inplace(n):
+    """Fragment mapping x -> 3x in place on an (n+2)-wide register."""
+    gates = []
+    pool = cc.QubitPool(gates)
+    x_reg = pool.new_register(n + 2)
+    cc.mul3_inplace(gates, pool, x_reg, n)
+    gates.append((cc.MEASURE_Y, x_reg))
+    return cc.Circuit(n_qubits=pool.peak, gates=gates,
+                      registers={"x": x_reg, "y": x_reg},
+                      metadata={"builder": "mul3", "n": n})
 
 
 def noisy_round1(keys, circuit, noise, rng, ctx=None):

@@ -136,9 +136,9 @@ def test_c4_list_decoding_lemma():
 def test_c5_circuit_semantics():
     checked = 0
     for N, p, q in blum_semiprimes(1000):
-        n = N.bit_length()
         bound = (N + 1) // 2
-        for circ in (cc.build_schoolbook(n, N), cc.build_karatsuba(n, N, cutoff=8)):
+        for circ in (cc.build_modsquare(N),
+                     cc.build_modsquare(N, method="karatsuba", cutoff=8)):
             rp = circ.metadata["rprime"]
             ys, _ = cc.evaluate_classical(circ, range(bound))
             for x in range(bound):
@@ -184,11 +184,11 @@ def test_c6_resource_counts():
     N = keys.N
     targets = []
 
-    sb = cc.count_resources(cc.build_schoolbook(128, N))
+    sb = cc.count_resources(cc.build_modsquare(N))
     targets.append(("schoolbook qubits", sb.qubits, 515))
     targets.append(("schoolbook gates (Clifford+T)", sb.gates_clifford_t, 9.1e5))
 
-    ka = cc.count_resources(cc.build_karatsuba(128, N))
+    ka = cc.count_resources(cc.build_modsquare(N, method="karatsuba"))
     targets.append(("karatsuba qubits", ka.qubits, 942))
     targets.append(("karatsuba gates (Clifford+T)", ka.gates_clifford_t, 7.7e5))
 

@@ -1,4 +1,4 @@
-"""Gate-level builders, evaluators, resource accounting, serialization."""
+"""Gate-level builders, evaluators and resource accounting."""
 
 import math
 import random
@@ -11,26 +11,27 @@ from qbell import circuits as cc
 from qbell import protocol as proto
 from qbell import tcf
 
-from helpers import blum_semiprimes, gen_exact_bits, sequential_two_branch
+from helpers import (blum_semiprimes, build_mul3_inplace, gen_exact_bits, montgomery_stage,
+                     planted_run, sequential_two_branch, validate_circuit)
 
 
 class TestMul3:
     @pytest.mark.parametrize("n", [1, 2, 5, 10])
     def test_exhaustive(self, n):
-        frag = cc.build_mul3_inplace(n)
-        cc.validate_circuit(frag)
+        frag = build_mul3_inplace(n)
+        validate_circuit(frag)
         ys, _ = cc.evaluate_classical(frag, range(1 << n))
         assert ys == [3 * x for x in range(1 << n)]
 
     def test_worked_values(self):
-        frag = cc.build_mul3_inplace(4)
+        frag = build_mul3_inplace(4)
         assert cc.evaluate_classical(frag, [5, 0])[0] == [15, 0]
 
 
 class TestBuilders:
     def test_schoolbook_full_domain_77(self):
-        circ = cc.build_schoolbook(7, 77)
-        cc.validate_circuit(circ)
+        circ = cc.build_modsquare(77)
+        validate_circuit(circ)
         rp = circ.metadata["rprime"]
         ys, _ = cc.evaluate_classical(circ, range(39))
         for x, y in enumerate(ys):
@@ -38,16 +39,15 @@ class TestBuilders:
             assert y == x * x * rp % 77
 
     def test_wrong_bit_length_rejected(self):
+        # the modulus' bit length is checked by `qbell resources` (TestCli)
         with pytest.raises(cc.CircuitError):
-            cc.build_schoolbook(8, 77)
-        with pytest.raises(cc.CircuitError):
-            cc.build_karatsuba(7, 77, cutoff=4)
+            cc.build_modsquare(77, method="karatsuba", cutoff=4)
 
     def test_semantics_all_blum_semiprimes_below_1000(self):
         # exhaustive: every input of every builder matches integer arithmetic
         for N, p, q in blum_semiprimes(1000):
-            n = N.bit_length()
-            for circ in (cc.build_schoolbook(n, N), cc.build_karatsuba(n, N, cutoff=8)):
+            for circ in (cc.build_modsquare(N),
+                         cc.build_modsquare(N, method="karatsuba", cutoff=8)):
                 rp = circ.metadata["rprime"]
                 bound = (N + 1) // 2
                 ys, _ = cc.evaluate_classical(circ, range(bound))
@@ -56,8 +56,8 @@ class TestBuilders:
 
     def test_karatsuba_recursion_matches_schoolbook(self):
         keys = gen_exact_bits(24)
-        sb = cc.build_schoolbook(24, keys.N)
-        ka = cc.build_karatsuba(24, keys.N, cutoff=8)
+        sb = cc.build_modsquare(keys.N)
+        ka = cc.build_modsquare(keys.N, method="karatsuba", cutoff=8)
         rng = random.Random(0)
         xs = [rng.randrange((keys.N + 1) // 2) for _ in range(30)]
         ys_sb, _ = cc.evaluate_classical(sb, xs)
@@ -68,7 +68,7 @@ class TestBuilders:
         N = 77
         for m in (1, 2):
             circ = cc.build_modsquare(N, lift_m=m, method="schoolbook")
-            cc.validate_circuit(circ)
+            validate_circuit(circ)
             k = 3 ** m
             modulus = k * k * N
             rp = circ.metadata["rprime"]
@@ -80,7 +80,7 @@ class TestBuilders:
 
     def test_batch_matches_scalar(self):
         # one call over many inputs equals one call per input
-        circ = cc.build_karatsuba(10, 583, cutoff=8)  # 11 * 53
+        circ = cc.build_modsquare(583, method="karatsuba", cutoff=8)  # 11 * 53
         xs = list(range(0, 292, 3))
         ys, garb = cc.evaluate_classical(circ, xs)
         for i, x in enumerate(xs):
@@ -89,8 +89,8 @@ class TestBuilders:
 
 class TestMontgomeryStage:
     def test_composed_with_classical_square(self):
-        stage = cc.montgomery_stage(7, 77)
-        cc.validate_circuit(stage)
+        stage = montgomery_stage(7, 77)
+        validate_circuit(stage)
         rp = stage.metadata["rprime"]
         undo = pow(rp, -1, 77)
         ys, _ = cc.evaluate_classical(stage, [x * x for x in range(39)])
@@ -99,16 +99,16 @@ class TestMontgomeryStage:
             assert y * undo % 77 == x * x % 77
 
     def test_zero(self):
-        stage = cc.montgomery_stage(7, 77)
+        stage = montgomery_stage(7, 77)
         assert cc.evaluate_classical(stage, [0])[0] == [0]
 
     def test_rprime_invertible(self):
-        stage = cc.montgomery_stage(9, 341)  # 11 * 31
+        stage = montgomery_stage(9, 341)  # 11 * 31
         assert math.gcd(stage.metadata["rprime"], 341) == 1
 
     def test_even_modulus_rejected(self):
         with pytest.raises(cc.CircuitError):
-            cc.montgomery_stage(6, 34)
+            montgomery_stage(6, 34)
 
 
 class TestDiscardPhase:
@@ -131,33 +131,33 @@ class TestDiscardPhase:
 class TestValidation:
     def test_builders_validate(self):
         for N, _, _ in blum_semiprimes(120)[:4]:
-            cc.validate_circuit(cc.build_schoolbook(N.bit_length(), N))
+            validate_circuit(cc.build_modsquare(N))
 
     def test_use_after_discard_detected(self):
         gates = [(cc.ALLOC, 0), (cc.ALLOC, 1), (cc.CNOT, 0, 1),
                  (cc.DISCARD, (1,)), (cc.X, 1), (cc.MEASURE_Y, (0,))]
         circ = cc.Circuit(n_qubits=2, gates=gates, registers={"x": (0,)}, metadata={})
         with pytest.raises(cc.MalformedCircuit):
-            cc.validate_circuit(circ)
+            validate_circuit(circ)
 
     def test_realloc_after_discard_allowed(self):
         gates = [(cc.ALLOC, 0), (cc.ALLOC, 1), (cc.CNOT, 0, 1),
                  (cc.DISCARD, (1,)), (cc.ALLOC, 1), (cc.X, 1), (cc.MEASURE_Y, (1,))]
         circ = cc.Circuit(n_qubits=2, gates=gates, registers={"x": (0,)}, metadata={})
-        cc.validate_circuit(circ)
+        validate_circuit(circ)
 
     def test_double_measure_rejected(self):
         gates = [(cc.ALLOC, 0), (cc.MEASURE_Y, (0,)), (cc.MEASURE_Y, (0,))]
         circ = cc.Circuit(n_qubits=1, gates=gates, registers={"x": (0,)}, metadata={})
         with pytest.raises(cc.MalformedCircuit):
-            cc.validate_circuit(circ)
+            validate_circuit(circ)
 
     def test_overlapping_toffoli_rejected(self):
         gates = [(cc.ALLOC, 0), (cc.ALLOC, 1), (cc.TOFFOLI, 0, 0, 1),
                  (cc.MEASURE_Y, (1,))]
         circ = cc.Circuit(n_qubits=2, gates=gates, registers={"x": (0,)}, metadata={})
         with pytest.raises(cc.MalformedCircuit):
-            cc.validate_circuit(circ)
+            validate_circuit(circ)
 
 
 class TestResources:
@@ -186,9 +186,8 @@ class TestResources:
         prev = {"schoolbook": 0, "karatsuba": 0}
         for n in (32, 64, 128, 256):
             keys = gen_exact_bits(n)
-            for name, build in (("schoolbook", cc.build_schoolbook),
-                                ("karatsuba", lambda n, N: cc.build_karatsuba(n, N))):
-                circ = build(n, keys.N)
+            for name in ("schoolbook", "karatsuba"):
+                circ = cc.build_modsquare(keys.N, method=name)
                 got = cc.count_resources(circ).total_gates
                 assert got > prev[name], (name, n)
                 assert cc.gate_count(circ) == got
@@ -197,13 +196,13 @@ class TestResources:
     def test_karatsuba_beats_schoolbook_from_96_bits(self):
         for n in (96, 128, 160):
             keys = gen_exact_bits(n)
-            sb = cc.count_resources(cc.build_schoolbook(n, keys.N))
-            ka = cc.count_resources(cc.build_karatsuba(n, keys.N))
+            sb = cc.count_resources(cc.build_modsquare(keys.N))
+            ka = cc.count_resources(cc.build_modsquare(keys.N, method="karatsuba"))
             assert ka.total_gates < sb.total_gates
             assert ka.gates_clifford_t < sb.gates_clifford_t
 
     def test_sanity_ceiling_small(self):
-        circ = cc.build_schoolbook(7, 77)
+        circ = cc.build_modsquare(77)
         assert cc.count_resources(circ).qubits <= 60
 
 
@@ -276,9 +275,8 @@ class TestTwoBranchRuns:
         out = cc.run_two_branch_batch(circ, [a for a, _ in pairs], [b for _, b in pairs],
                                       0.5, _AllOnes())
         for i, (a, b) in enumerate(pairs):
-            run = cc.run_two_branch(circ, a, b, rng=_AllOnes(),
-                                    error_plan=plan if i == hit else None)
-            clean = cc.run_two_branch(circ, a, b, rng=_AllOnes())
+            run = planted_run(circ, a, b, plan if i == hit else None, h=1)
+            clean = planted_run(circ, a, b, h=1)
             assert (out["y0"][i], out["y1"][i]) == (run.y0, run.y1), i
             assert (out["reg0"][i], out["reg1"][i]) == (run.reg0, run.reg1), i
             assert out["phase_prover"][i] == (run.rel_phase == -1), i
@@ -335,37 +333,6 @@ class TestTwoBranchRuns:
         out = cc.run_two_branch_batch(circ, [2] * 600, [5] * 600, p, random.Random(4))
         mean = sum(out["n_errors"]) / 600
         assert abs(mean - 2.0) < 0.35
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        circ = cc.build_schoolbook(7, 77)
-        text = cc.circuit_to_text(circ)
-        back = cc.circuit_from_text(text)
-        assert back.gates == circ.gates
-        assert back.registers["x"] == circ.registers["x"]
-        assert back.metadata["rprime"] == circ.metadata["rprime"]
-        assert back.n_qubits == circ.n_qubits
-
-    def test_line_format(self):
-        circ = cc.build_schoolbook(7, 77)
-        text = cc.circuit_to_text(circ)
-        assert any(line.startswith("TOFFOLI ") for line in text.splitlines())
-        assert any(line.startswith("DISCARD ") for line in text.splitlines())
-        assert "# n=7" in text and "# N=77" in text
-
-    def test_cphase_line(self):
-        gates = [(cc.ALLOC, 0), (cc.ALLOC, 1), (cc.ALLOC, 2),
-                 (cc.CPHASE, (0, 1), 2, 0.04081), (cc.MEASURE_Y, (2,))]
-        circ = cc.Circuit(n_qubits=3, gates=gates,
-                          registers={"x": (0, 1), "y": (2,)}, metadata={})
-        text = cc.circuit_to_text(circ)
-        assert "CPHASE 0.04081 ctrl=0,1 tgt=2" in text
-        assert cc.circuit_from_text(text).gates == gates
-
-    def test_unknown_line_rejected(self):
-        with pytest.raises(cc.MalformedCircuit):
-            cc.circuit_from_text("HADAMARD 3\n")
 
 
 @settings(max_examples=300, deadline=None)

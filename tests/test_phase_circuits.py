@@ -7,7 +7,7 @@ import pytest
 
 from qbell import circuits as cc
 
-from helpers import hybrid_phase_run
+from helpers import hybrid_phase_run, validate_circuit
 
 
 def readout(amps, N, M):
@@ -39,7 +39,7 @@ class TestPhaseSemantics:
     def test_schedule_computes_square_in_the_phase(self, N, variant):
         n = N.bit_length()
         circ = cc.phase_schedule(variant, n, N)
-        cc.validate_circuit(circ)
+        validate_circuit(circ)
         m_out = circ.metadata["m_out"]
         M = 1 << m_out
         for x in range(1 << n):

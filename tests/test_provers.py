@@ -11,7 +11,7 @@ from qbell import protocol as proto
 from qbell import provers, tcf
 from qbell.seeds import derive_rng, derive_seed
 
-from helpers import StateVector, gen_exact_bits, noisy_round1
+from helpers import StateVector, gen_exact_bits, noisy_round1, planted_run
 
 
 class TestIdealRound1:
@@ -183,7 +183,7 @@ class TestNoiseModel:
         circ = cc.Circuit(n_qubits=pool.peak, gates=gates,
                           registers={"x": xr, "y": (anc,)}, metadata={})
         # branches 1 and 2 disagree on x bits but agree on anc after gate 2
-        run = cc.run_two_branch(circ, 1, 2, error_plan={2: (anc, "Z")})
+        run = planted_run(circ, 1, 2, {2: (anc, "Z")})
         assert run.rel_phase == 1
 
     def test_z_error_on_differing_qubit_flips_phase(self):
@@ -197,7 +197,7 @@ class TestNoiseModel:
         gates.append((cc.MEASURE_Y, (anc,)))
         circ = cc.Circuit(n_qubits=pool.peak, gates=gates,
                           registers={"x": xr, "y": (anc,)}, metadata={})
-        run = cc.run_two_branch(circ, 1, 2, error_plan={0: (anc, "Z")})
+        run = planted_run(circ, 1, 2, {0: (anc, "Z")})
         assert run.rel_phase == -1
 
     def test_divergent_y_collapses_uniformly(self):
@@ -249,7 +249,7 @@ class TestTwoBranchAgainstStateVector:
                     g = unitary[gi]
                     touched = g[1:] if g[0] != cc.X else (g[1],)
                     plan[gi] = (rng.choice(touched), rng.choice("XYZ"))
-            run = cc.run_two_branch(circ, x0, x1, error_plan=plan)
+            run = planted_run(circ, x0, x1, plan)
 
             sv = StateVector.two_branch(nq, x0, x1)
             for gi, g in enumerate(unitary):

@@ -138,6 +138,16 @@ class TestFrames:
         for v in [msg["h"], payloads[0]["h"], payloads[1]["r"]] + msg["y"] + payloads[0]["y"]:
             assert isinstance(v, str) == (abs(wire._int(v, "v")) > 2 ** 53)
 
+    @pytest.mark.parametrize("field", ["seq", "y"])
+    def test_oversized_integer_literal_is_a_parse_error(self, field):
+        # json.loads refuses an integer literal longer than the interpreter's
+        # digit limit (4,300 by default) with a plain ValueError
+        values = {"seq": "0", "y": "1", field: "9" * 5000}
+        line = f'{{"v": 1, "session": "s", "seq": {values["seq"]}, ' \
+               f'"msg": {{"tag": "image", "y": {values["y"]}}}}}'.encode()
+        with pytest.raises(wire.ParseError):
+            wire.decode_frame(line)
+
     def test_big_ints_as_decimal_strings(self):
         frame = wire.WireFrame(session="s", seq=0, msg={"tag": "image", "y": 2 ** 90})
         doc = json.loads(wire.encode_frame(frame))
@@ -298,6 +308,31 @@ class TestCli:
             input=stdin, capture_output=True, timeout=120, env=cli_env())
         assert proc.returncode == rc, proc.stderr
         assert b"Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        # a modulus of the wrong bit length, one that is not a number, and
+        # builder parameters build_modsquare rejects
+        ("resources", "--builder", "schoolbook", "--n", "8", "--modulus", "77"),
+        ("resources", "--builder", "schoolbook", "--n", "8", "--modulus", "abc"),
+        ("resources", "--builder", "phase1", "--n", "4"),
+        ("resources", "--builder", "karatsuba", "--n", "7", "--modulus", "77",
+         "--cutoff", "4"),
+        # malformed prover specs and sweep grids
+        ("run", "--key", "{rabin}", "--prover", "noisy:F=abc"),
+        ("run", "--key", "{rabin}", "--prover", "noisy:m=x"),
+        ("run", "--key", "{rabin}", "--prover", "noisy:m=-1", "--trials", "1"),
+        ("sweep", "--key", "{rabin}", "--m-values", "x"),
+        # the circuits, the sweep and the extractor need a Rabin key
+        ("extract", "--key", "{ddh}"),
+        ("sweep", "--key", "{ddh}", "--m-values", "0", "--fidelities", "1.0",
+         "--trials", "100"),
+    ])
+    def test_bad_arguments_exit_usage_error(self, tmp_path, capsys, argv):
+        paths = {"rabin": tmp_path / "rabin.json", "ddh": tmp_path / "ddh.json"}
+        paths["rabin"].write_text(tcf.key_to_json(gen_exact_bits(16)))
+        paths["ddh"].write_text(tcf.key_to_json(tcf.ddh_gen(2, 10, seed=3)))
+        assert run_cli(*(a.format(**paths) for a in argv)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_wrong_key_file(self, tmp_path):
         bad = tmp_path / "bad.json"
