@@ -36,6 +36,24 @@ def _number(kind, text: str, what: str):
         raise UsageError(f"{what} must be a number, got {text!r}") from None
 
 
+def _fidelity(text: str, what: str) -> float:
+    """A circuit fidelity: a number in (0, 1]."""
+    F = _number(float, text, what)
+    if not 0.0 < F <= 1.0:
+        raise UsageError(f"{what} must lie in (0, 1], got {text!r}")
+    return F
+
+
+def _iteration_config(args):
+    """The verifier's --trials, --ratio and --postselect, range-checked."""
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
+    if not 0.0 < args.ratio <= 1.0:
+        raise UsageError(f"--ratio must lie in (0, 1], got {args.ratio}")
+    return protocol.IterationConfig(challenge_ratio=args.ratio,
+                                    postselect=args.postselect)
+
+
 def _rabin_only(keys, what: str):
     """The circuits, the sweep and the extractor square modulo N."""
     if keys.family != "rabin":
@@ -53,7 +71,7 @@ def parse_prover_spec(spec: str):
         for part in spec[len("noisy:"):].split(","):
             key, _, val = part.partition("=")
             if key == "F":
-                out["F"] = _number(float, val, "noisy option F")
+                out["F"] = _fidelity(val, "noisy option F")
             elif key == "circuit":
                 if val not in ("schoolbook", "karatsuba"):
                     raise UsageError(f"unknown circuit {val!r}")
@@ -68,6 +86,9 @@ def parse_prover_spec(spec: str):
 
 def build_prover(spec: dict, keys, seed: int):
     """Prover plus the protocol context the verifier should use for it."""
+    if spec["kind"] != "cheater" and not keys.has_trapdoor:
+        raise UsageError(f"the {spec['kind']} prover simulation needs the trapdoor; "
+                         "pass the full key file")
     if spec["kind"] == "ideal":
         ctx = protocol.ProtocolContext.plain(keys)
         return provers.IdealProver(keys, seed, ctx), ctx
@@ -118,8 +139,7 @@ def cmd_run(args):
     spec = parse_prover_spec(args.prover)
     prover, ctx = build_prover(spec, keys, derive_seed(args.seed, "prover"))
     rng = derive_rng(args.seed, "verifier")
-    config = protocol.IterationConfig(challenge_ratio=args.ratio,
-                                      postselect=args.postselect)
+    config = _iteration_config(args)
     transcripts = [protocol.run_iteration(ctx, prover, rng, config, i)
                    for i in range(args.trials)]
     report = protocol.score(transcripts)
@@ -134,8 +154,7 @@ def cmd_verify(args):
     if not keys.has_trapdoor:
         raise UsageError("the verifier role needs the secret key file")
     ctx = protocol.ProtocolContext.plain(keys)
-    config = protocol.IterationConfig(challenge_ratio=args.ratio,
-                                      postselect=args.postselect)
+    config = _iteration_config(args)
     if args.transport == "stdio":
         ch = wire.Channel(sys.stdin.buffer, sys.stdout.buffer, session=f"s{args.seed}")
         report_stream = sys.stderr
@@ -189,10 +208,12 @@ def cmd_prove(args):
 def cmd_sweep(args):
     keys = _load_keys(args.key)
     _rabin_only(keys, "sweep")
+    if args.trials < postselect.MIN_TRIALS_PER_POINT:
+        raise UsageError(f"--trials must be at least {postselect.MIN_TRIALS_PER_POINT}, "
+                         f"got {args.trials}")
     config = postselect.SweepConfig(
         m_values=tuple(_number(int, v, "--m-values") for v in args.m_values.split(",")),
-        fidelity_grid=tuple(_number(float, v, "--fidelities")
-                            for v in args.fidelities.split(",")),
+        fidelity_grid=tuple(_fidelity(v, "--fidelities") for v in args.fidelities.split(",")),
         trials_per_point=args.trials,
         seed=args.seed,
         method=args.builder,
@@ -235,6 +256,10 @@ def cmd_resources(args):
 def cmd_extract(args):
     keys = _load_keys(args.key)
     _rabin_only(keys, "extract")
+    if args.probes < 1:
+        raise UsageError(f"--probes must be at least 1, got {args.probes}")
+    if not 0.0 < args.mu < 0.5:
+        raise UsageError(f"--mu must lie in (0, 1/2), got {args.mu}")
     spec = parse_prover_spec(args.prover)
     prover, _ = build_prover(spec, keys, derive_seed(args.seed, "prover"))
     params = extractor.GlParams(t=args.probes, mu=args.mu)

@@ -53,6 +53,9 @@ def rejection_power(k: int) -> Fraction:
     return Fraction(k * k - 1, k * k)
 
 
+MIN_TRIALS_PER_POINT = 100
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     m_values: tuple
@@ -65,8 +68,8 @@ class SweepConfig:
     def __post_init__(self):
         if not self.m_values or not self.fidelity_grid:
             raise tcf.DomainError("sweep grids must be nonempty")
-        if self.trials_per_point < 100:
-            raise tcf.DomainError("need at least 100 trials per point")
+        if self.trials_per_point < MIN_TRIALS_PER_POINT:
+            raise tcf.DomainError(f"need at least {MIN_TRIALS_PER_POINT} trials per point")
 
 
 @dataclass(frozen=True)

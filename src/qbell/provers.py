@@ -3,9 +3,10 @@
 The ideal prover simulates the honest quantum device exactly: the
 post-round-1 state is supported on just two basis strings, so it is
 represented as the pair plus a relative sign.  The trapdoor is used
-internally to materialize the partner branch -- the simulator is playing
-the physics, not the prover's knowledge; a real device gets the partner
-from the superposition.
+internally to materialize the partner branch, in closed form
+(keys.partner) rather than by inverting the image -- the simulator is
+playing the physics, not the prover's knowledge; a real device gets the
+partner from the superposition.
 
 The cheater is the optimal classical strategy: commit to one preimage,
 answer the preimage challenge perfectly, and in round 3 pretend the qubit
@@ -130,14 +131,14 @@ def optimal_theta(f_par: float, f_perp: float) -> float:
 # functional core of the honest simulation
 
 def sample_claw(keys, rng):
-    """Uniform x0 over the domain, partner via trapdoor inversion; resamples
-    until the image has a genuine colliding pair."""
+    """Uniform x0 over the domain, its claw partner x1 = keys.partner(x0)
+    in closed form, and y = f(x0); resamples while x0 has no partner.
+    Only keys.sample draws from rng."""
     while True:
         x0 = keys.sample(rng)
-        y = tcf.evaluate(keys, x0)
-        preimages = tcf.invert(keys, y)
-        if len(preimages) == 2:
-            return x0, next(iter(preimages - {x0})), y
+        x1 = keys.partner(x0)
+        if x1 is not None:
+            return x0, x1, tcf.evaluate(keys, x0)
 
 
 def ideal_round1(keys, rng, ctx: ProtocolContext | None = None):

@@ -18,6 +18,7 @@ import json
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import gcd
 
@@ -172,6 +173,27 @@ class RabinKeyPair:
 
     decode = encode
 
+    # Trapdoor members.  The roots of x^2 in the domain are x and x*u mod N
+    # folded into it, where u = cp - cq is the nontrivial square root of 1
+    # from the CRT basis (u = 1 mod p, -1 mod q).
+    @cached_property
+    def crt(self) -> tuple:
+        """CRT basis (cp, cq): cp = 1 mod p, 0 mod q; cq = 0 mod p, 1 mod q."""
+        N, p, q = self.N, self.p, self.q
+        return q * pow(q, -1, p) % N, p * pow(p, -1, q) % N
+
+    def partner(self, x: int):
+        """The other preimage of x^2 in the domain, or None when x is 0 or
+        shares a factor with N (then x^2 has x as its only root there)."""
+        if not self.has_trapdoor:
+            raise DomainError("the claw partner requires the trapdoor (p, q)")
+        if not (0 <= x < rabin_domain_size(self.N)):
+            raise DomainError(f"x={x} outside [0, {rabin_domain_size(self.N)}) for N={self.N}")
+        cp, cq = self.crt
+        z = x * (cp - cq) % self.N
+        z = min(z, self.N - z)
+        return None if z == x else z
+
 
 @dataclass(frozen=True)
 class DdhKeyPair:
@@ -227,6 +249,27 @@ class DdhKeyPair:
         per = (self.m - 1).bit_length()
         return (bits & 1, tuple(bits >> (1 + i * per) & ((1 << per) - 1)
                                 for i in range(self.k)))
+
+    # Trapdoor members.  f_0(v) = f_1(v - s), so (0, v) and (1, v - s) are
+    # partners whenever both lie in the box.
+    @cached_property
+    def M_inv(self) -> tuple:
+        """M^-1 over Z_q; ddh_gen samples M invertible."""
+        return matrix_inv_mod(self.M, self.q)
+
+    def partner(self, x):
+        """(0, v) -> (1, v - s) and (1, v) -> (0, v + s), or None when that
+        leaves Z_m^k."""
+        if not self.has_trapdoor:
+            raise DomainError("the claw partner requires the trapdoor (M, s)")
+        b, vec = x
+        if b not in (0, 1) or len(vec) != self.k or any(not (0 <= v < self.m) for v in vec):
+            raise DomainError(f"x={x} outside {{0,1}} x Z_{self.m}^{self.k}")
+        sign = 1 if b else -1
+        other = tuple(v + sign * si for v, si in zip(vec, self.s))
+        if all(0 <= v < self.m for v in other):
+            return (1 - b, other)
+        return None
 
 
 @dataclass(frozen=True)
@@ -299,9 +342,7 @@ def rabin_invert(keys: RabinKeyPair, y: int) -> set:
     b = sqrt_mod_blum_prime(y, q)
     if a is None or b is None:
         return set()
-    # CRT basis: cp = 1 mod p, 0 mod q; cq = 0 mod p, 1 mod q
-    cp = q * pow(q, -1, p) % N
-    cq = p * pow(p, -1, q) % N
+    cp, cq = keys.crt
     bound = rabin_domain_size(N)
     roots = set()
     for sa in (a, p - a):
@@ -408,7 +449,7 @@ def ddh_invert(key: DdhKeyPair, y):
         raise DomainError("inversion requires the trapdoor (M, s)")
     if len(y) != key.k:
         raise DomainError(f"image vector must have length {key.k}")
-    Minv = matrix_inv_mod(key.M, key.q)
+    Minv = key.M_inv
     v = []
     for i in range(key.k):
         z = 1

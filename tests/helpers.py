@@ -287,6 +287,18 @@ def build_mul3_inplace(n):
                       metadata={"builder": "mul3", "n": n})
 
 
+def sample_claw_by_inversion(keys, rng):
+    """Uniform x0 over the domain, partner by trapdoor inversion of its
+    image; resamples until the image has two preimages.  The reference
+    oracle for provers.sample_claw's closed-form partner."""
+    while True:
+        x0 = keys.sample(rng)
+        y = tcf.evaluate(keys, x0)
+        preimages = tcf.invert(keys, y)
+        if len(preimages) == 2:
+            return x0, next(iter(preimages - {x0})), y
+
+
 def noisy_round1(keys, circuit, noise, rng, ctx=None):
     """One round-1 attempt of the noisy circuit prover, one run at a time:
     the claw, one cc.run_two_branch call and the y measurement, all drawn

@@ -24,6 +24,15 @@ CASES = (
     ("keygen-ddh24", ["keygen", "--family", "ddh", "--bits", "24", "--k", "2", "--seed", "7",
                       "--out", "{d}/ddh24.json", "--public-out", "{d}/ddh24.pub.json"],
      ("ddh24.json", "ddh24.pub.json")),
+    # k = 3 with s = (1, 1, 1): about 18% of claw samples have no partner
+    ("keygen-ddh24k3", ["keygen", "--family", "ddh", "--bits", "24", "--k", "3", "--seed", "24",
+                        "--out", "{d}/ddh24k3.json"],
+     ("ddh24k3.json",)),
+    ("run-ideal-ddh24k3",
+     ["run", "--key", "{d}/ddh24k3.json", "--prover", "ideal", "--trials", "300",
+      "--seed", "29", "--out", "{d}/ideal-ddh24k3.json",
+      "--transcripts", "{d}/ideal-ddh24k3.jsonl"],
+     ("ideal-ddh24k3.json", "ideal-ddh24k3.jsonl")),
 ) + tuple(
     (f"run-{prover}-{key}",
      ["run", "--key", f"{{d}}/{key}.json", "--prover", prover, "--trials", "300",
@@ -58,9 +67,12 @@ DIGESTS = {
     "cheater-rabin32.jsonl": "411bd82fa7f3bff4f087e3c0b7bb2c84b37f9178fb56dc79ab3bcfcd90b15bf3",
     "ddh24.json": "0cbeaa9235fd1096d0a6429fb7f08a3f524ac0506565aebce41da411b35e51f8",
     "ddh24.pub.json": "6400dc687d228b2ed9a935755f7c2f84cc5490a59e6a1015196828715a532879",
+    "ddh24k3.json": "e16094af820a545d3fa64429fd5f0e88a4660412a8c42e86fc5d53d68e4ad13c",
     "extract.json": "876de0cc885bc4901658dc47a12f5a537c4c2d65093c41eff0c741c69dfc2049",
     "ideal-ddh24.json": "fc3484f68778be2f5d238eaf58c4abb1e4001a2c282fc7cb50f4027e091d467a",
     "ideal-ddh24.jsonl": "3bf9b7d6e7609377ed01af54e5190c60d3648f7221219563c2105692a630256b",
+    "ideal-ddh24k3.json": "76a891f60a1f5d98b0e740c377490ea0f5503b6490a5272ad26b70104bf1d67e",
+    "ideal-ddh24k3.jsonl": "f3f72d8bb30127a98ca6635142f82c30f3fea688f62f5e03346d6351165b8b58",
     "ideal-rabin32.json": "d14de658b9a20062d29919cae3cd70361b10eb94e6df4c41883cc70673761752",
     "ideal-rabin32.jsonl": "739236bdfb7839d626a4d161668431298975c16920191781693cd7168479aac5",
     "noisy.json": "2f1b5312fbdb82c3c7cca2db5fe8795d9e06979c0c6df451062c97a009360018",

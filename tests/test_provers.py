@@ -11,7 +11,22 @@ from qbell import protocol as proto
 from qbell import provers, tcf
 from qbell.seeds import derive_rng, derive_seed
 
-from helpers import StateVector, gen_exact_bits, noisy_round1, planted_run
+from helpers import (StateVector, gen_exact_bits, noisy_round1, planted_run,
+                     sample_claw_by_inversion)
+
+
+class TestSampleClaw:
+    @pytest.mark.parametrize("keys", [
+        gen_exact_bits(16), gen_exact_bits(32), gen_exact_bits(64),
+        tcf.ddh_gen(2, 10, seed=9), tcf.ddh_gen(3, 12, seed=24),
+    ], ids=["rabin16", "rabin32", "rabin64", "ddh-k2", "ddh-k3"])
+    def test_matches_inversion_oracle(self, keys):
+        # same claw, same image and the same draws as partnering by inversion
+        for seed in range(60):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(10):
+                assert provers.sample_claw(keys, rng) == sample_claw_by_inversion(keys, ref)
+            assert rng.getstate() == ref.getstate()
 
 
 class TestIdealRound1:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -262,6 +263,86 @@ class TestDomain:
             bits = keys.encode(x)
             assert 0 <= bits < 1 << keys.width
             assert keys.decode(bits) == x
+
+
+def inverted_partner(keys, x):
+    """The other element of tcf.invert's preimages of f(x), or None."""
+    preimages = tcf.invert(keys, tcf.evaluate(keys, x))
+    assert x in preimages
+    return next(iter(preimages - {x})) if len(preimages) == 2 else None
+
+
+RABIN_KEYS = (KEY77,) + tuple(tcf.rabin_gen(tcf.SecurityParams(n_bits=n, rng_seed=n))
+                              for n in (16, 32, 64))
+DDH_KEYS = (DDH_KEY, tcf.ddh_gen(2, 10, seed=9), tcf.ddh_gen(3, 12, seed=24))
+
+
+class TestPartner:
+    """keys.partner(x) is the closed-form claw partner: the other preimage
+    trapdoor inversion finds for f(x), or None where it finds only x."""
+
+    @given(st.sampled_from(RABIN_KEYS), st.sampled_from(("any", "p", "q")),
+           st.integers(min_value=0, max_value=2 ** 80))
+    @settings(max_examples=300, deadline=None)
+    def test_rabin_matches_invert(self, keys, kind, raw):
+        size = tcf.rabin_domain_size(keys.N)
+        # x = 0 and multiples of p or q have x as the only root of x^2
+        step = {"any": 1, "p": keys.p, "q": keys.q}[kind]
+        x = step * (raw % ((size - 1) // step + 1))
+        assert keys.partner(x) == inverted_partner(keys, x)
+        if kind != "any":
+            assert keys.partner(x) is None
+
+    def test_rabin_exhaustive_on_small_moduli(self):
+        for N, p, q in blum_semiprimes(600):
+            keys = tcf.RabinKeyPair(N=N, p=p, q=q)
+            for x in range(tcf.rabin_domain_size(N)):
+                assert keys.partner(x) == inverted_partner(keys, x), (N, x)
+
+    @given(st.sampled_from(DDH_KEYS), st.integers(0, 1),
+           st.lists(st.integers(min_value=0, max_value=2 ** 16), min_size=3, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_ddh_matches_invert(self, key, b, raw):
+        x = (b, tuple(r % key.m for r in raw[:key.k]))
+        assert key.partner(x) == inverted_partner(key, x)
+
+    @pytest.mark.parametrize("key", DDH_KEYS[1:], ids=("k2", "k3"))
+    def test_ddh_unpaired_samples(self, key):
+        # (0, v) with v_i = 0 where s_i = 1, and (1, v) with v_i = m - 1
+        for i in (i for i, si in enumerate(key.s) if si):
+            for b, edge in ((0, 0), (1, key.m - 1)):
+                x = (b, tuple(edge if j == i else 1 for j in range(key.k)))
+                assert key.partner(x) is None
+                assert inverted_partner(key, x) is None
+        unpaired = sum(key.partner((b, v)) is None
+                       for b in (0, 1) for v in product(range(key.m), repeat=key.k))
+        assert Fraction(unpaired, 2 * key.m ** key.k) == \
+            tcf.unpaired_fraction(key.k, key.m, key.s)
+
+    @pytest.mark.parametrize("keys, x", [(KEY77, 2), (DDH_KEY, (0, (1, 1)))],
+                             ids=("rabin", "ddh"))
+    def test_public_key_has_no_partner(self, keys, x):
+        assert keys.partner(x) is not None
+        with pytest.raises(tcf.DomainError):
+            keys.public().partner(x)
+
+    @pytest.mark.parametrize("keys, x", [(KEY77, 39), (KEY77, -1), (DDH_KEY, (0, (4, 0))),
+                                         (DDH_KEY, (2, (1, 1)))])
+    def test_outside_domain(self, keys, x):
+        with pytest.raises(tcf.DomainError):
+            keys.partner(x)
+
+    def test_cached_constants_leave_the_key_as_it_was(self):
+        for keys in (tcf.rabin_gen(tcf.SecurityParams(n_bits=40, rng_seed=3)),
+                     tcf.ddh_gen(3, 12, seed=24)):
+            text = tcf.key_to_json(keys)
+            fresh = tcf.key_from_json(text)
+            x = keys.sample(random.Random(0))
+            keys.partner(x)
+            tcf.invert(keys, tcf.evaluate(keys, x))
+            assert keys == fresh and hash(keys) == hash(fresh)
+            assert keys.public() == fresh.public()
+            assert tcf.key_to_json(keys) == text
 
 
 class TestSerialization:

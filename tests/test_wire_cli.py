@@ -326,10 +326,28 @@ class TestCli:
         ("extract", "--key", "{ddh}"),
         ("sweep", "--key", "{ddh}", "--m-values", "0", "--fidelities", "1.0",
          "--trials", "100"),
+        # argument values outside their range
+        ("run", "--key", "{rabin}", "--trials", "0"),
+        ("run", "--key", "{rabin}", "--ratio", "0", "--trials", "5"),
+        ("run", "--key", "{rabin}", "--ratio", "1.5", "--trials", "5"),
+        ("verify", "--key", "{rabin}", "--ratio", "0"),
+        ("extract", "--key", "{rabin}", "--probes", "0"),
+        ("extract", "--key", "{rabin}", "--mu", "0.5"),
+        ("sweep", "--key", "{rabin}", "--trials", "10"),
+        ("sweep", "--key", "{rabin}", "--m-values", "0", "--fidelities", "0",
+         "--trials", "100"),
+        ("run", "--key", "{rabin}", "--prover", "noisy:F=0", "--trials", "1"),
+        ("run", "--key", "{rabin}", "--prover", "noisy:F=2", "--trials", "1"),
+        # the simulated provers need the trapdoor
+        ("extract", "--key", "{rabin_pub}", "--prover", "ideal"),
+        ("extract", "--key", "{rabin_pub}", "--prover", "noisy:F=1.0"),
     ])
     def test_bad_arguments_exit_usage_error(self, tmp_path, capsys, argv):
-        paths = {"rabin": tmp_path / "rabin.json", "ddh": tmp_path / "ddh.json"}
-        paths["rabin"].write_text(tcf.key_to_json(gen_exact_bits(16)))
+        paths = {"rabin": tmp_path / "rabin.json", "ddh": tmp_path / "ddh.json",
+                 "rabin_pub": tmp_path / "rabin.pub.json"}
+        rabin = gen_exact_bits(16)
+        paths["rabin"].write_text(tcf.key_to_json(rabin))
+        paths["rabin_pub"].write_text(tcf.key_to_json(rabin, include_secret=False))
         paths["ddh"].write_text(tcf.key_to_json(tcf.ddh_gen(2, 10, seed=3)))
         assert run_cli(*(a.format(**paths) for a in argv)) == 2
         assert capsys.readouterr().err.startswith("error: ")
