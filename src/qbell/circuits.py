@@ -555,26 +555,28 @@ def build_modsquare(N, lift_m=0, method="schoolbook", cutoff=32):
 # to every lane.  A lane is one input (classical evaluation) or one branch
 # of one run (two-branch evaluation).
 
-# lane j of the narrow transpose path: each byte read as "1" where its bit j is set
+# _LANE_DIGITS[j] reads a byte as the binary digit "1" where its bit j is set
 _LANE_DIGITS = tuple(bytes(b"01"[(b >> j) & 1] for b in range(256)) for j in range(8))
 
 
 def _transpose(rows, width) -> list:
     """Bit-matrix transpose: bit j of rows[i] becomes bit i of out[j], for
     rows below 2**width.  Packs per-lane values into qubit rows, and
-    unpacks rows into per-lane values."""
+    unpacks rows into per-lane values.
+
+    Each row becomes nb = ceil(width / 8) little-endian bytes, last row
+    first; lane j is then byte j >> 3 of every row, one slice of the
+    packed data, translated into binary digits by its bit j & 7."""
     if not width:
         return []
     if not rows:
         return [0] * width
-    if width <= 8:
-        # one byte per row, most significant first; each lane is then one
-        # translate of those bytes into binary digits
+    nb = (width + 7) >> 3
+    if nb == 1:
         data = bytes(reversed(rows))
-        return [int(data.translate(digits), 2) for digits in _LANE_DIGITS[:width]]
-    fmt = f"0{width}b"
-    columns = zip(*(format(row, fmt) for row in reversed(rows)))
-    return [int("".join(col), 2) for col in columns][::-1]
+    else:
+        data = b"".join([row.to_bytes(nb, "little") for row in reversed(rows)])
+    return [int(data[j >> 3::nb].translate(_LANE_DIGITS[j & 7]), 2) for j in range(width)]
 
 
 def _bit_rows(seqs, n) -> list:

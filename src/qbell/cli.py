@@ -48,8 +48,9 @@ def _iteration_config(args):
     """The verifier's --trials, --ratio and --postselect, range-checked."""
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
-    if not 0.0 < args.ratio <= 1.0:
-        raise UsageError(f"--ratio must lie in (0, 1], got {args.ratio}")
+    if not 0.0 < args.ratio < 1.0:
+        # ratio 1 would leave no measurement round to score
+        raise UsageError(f"--ratio must lie in (0, 1), got {args.ratio}")
     return protocol.IterationConfig(challenge_ratio=args.ratio,
                                     postselect=args.postselect)
 
@@ -140,8 +141,7 @@ def cmd_run(args):
     prover, ctx = build_prover(spec, keys, derive_seed(args.seed, "prover"))
     rng = derive_rng(args.seed, "verifier")
     config = _iteration_config(args)
-    transcripts = [protocol.run_iteration(ctx, prover, rng, config, i)
-                   for i in range(args.trials)]
+    transcripts = protocol.run_session(ctx, prover, rng, config, args.trials)
     report = protocol.score(transcripts)
     _write_out(args.out, report.to_json() + "\n")
     if args.transcripts:

@@ -183,10 +183,8 @@ def serve_session(channel: Channel, ctx, trials: int, seed: int, config=None):
     channel.send({"tag": "key", "key_json": tcf.key_to_json(ctx.keys, include_secret=False),
                   "trials": trials, "prover_seed": seed})
     remote = RemoteProver(channel, ctx.keys)
-    rng = derive_rng(seed, "verifier")
-    transcripts = []
-    for i in range(trials):
-        transcripts.append(protocol.run_iteration(ctx, remote, rng, config, i))
+    transcripts = protocol.run_session(ctx, remote, derive_rng(seed, "verifier"), config,
+                                       trials)
     channel.send({"tag": "end"})
     return protocol.score(transcripts), transcripts
 

@@ -117,6 +117,7 @@ class TestDiscardPhase:
         circ = cc.build_modsquare(keys.N, lift_m=0, method="schoolbook")
         ctx = proto.ProtocolContext.for_circuit(keys, circ)
         rng = random.Random(5)
+        claws, phases = [], []
         for _ in range(30):
             x0 = rng.randrange((keys.N + 1) // 2)
             roots = tcf.rabin_invert(keys, x0 * x0 % keys.N)
@@ -124,8 +125,13 @@ class TestDiscardPhase:
                 continue
             x0, x1 = sorted(roots)
             run = cc.run_two_branch(circ, x0, x1, 0.0, rng)
-            pv = proto._verifier_phase_bit(ctx, x0, x1, run.h, run.h_len)
+            # the settle step on this claw alone
+            [pv] = proto.discard_phases(ctx, [(x0, x1, run.h)])
             assert run.rel_phase == (-1 if pv else 1)
+            claws.append((x0, x1, run.h))
+            phases.append(pv)
+        # the same claws settled as one block
+        assert proto.discard_phases(ctx, claws) == phases
 
 
 class TestValidation:
@@ -336,13 +342,10 @@ class TestTwoBranchRuns:
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 8).flatmap(lambda w: st.tuples(
+@given(st.integers(0, 130).flatmap(lambda w: st.tuples(
     st.just(w), st.lists(st.integers(0, (1 << w) - 1), max_size=70))))
-def test_narrow_transpose_matches_general_path(case):
-    # rows of at most 8 bits take the bytes path; padding the width to 9
-    # sends the same rows through the general path
+def test_transpose_matches_bitwise_oracle(case):
+    # widths 0-130 cover one byte per row, several, and a partial last byte
     width, rows = case
-    out = cc._transpose(rows, width)
-    assert out == cc._transpose(rows, 9)[:width]
-    assert out == [sum(((row >> j) & 1) << i for i, row in enumerate(rows))
-                   for j in range(width)]
+    assert cc._transpose(rows, width) == [
+        sum(((row >> j) & 1) << i for i, row in enumerate(rows)) for j in range(width)]

@@ -46,6 +46,12 @@ CASES = (
       "--postselect", "--trials", "40", "--seed", "13", "--out", "{d}/noisy.json",
       "--transcripts", "{d}/noisy.jsonl"],
      ("noisy.json", "noisy.jsonl")),
+    # 56 deferred measurement rounds: a full settle block, then a partial one
+    ("run-noisy-blocks-rabin16",
+     ["run", "--key", "{d}/rabin16.json", "--prover", "noisy:F=0.7,circuit=schoolbook,m=0",
+      "--trials", "120", "--seed", "23", "--out", "{d}/noisy-blocks.json",
+      "--transcripts", "{d}/noisy-blocks.jsonl"],
+     ("noisy-blocks.json", "noisy-blocks.jsonl")),
     ("extract-rabin32",
      ["extract", "--key", "{d}/rabin32.json", "--prover", "ideal", "--seed", "17",
       "--out", "{d}/extract.json"],
@@ -77,6 +83,8 @@ DIGESTS = {
     "ideal-rabin32.jsonl": "739236bdfb7839d626a4d161668431298975c16920191781693cd7168479aac5",
     "noisy.json": "2f1b5312fbdb82c3c7cca2db5fe8795d9e06979c0c6df451062c97a009360018",
     "noisy.jsonl": "e6bf2241e570e95771da05d357237bd3debb4721f9d39a224d83d8f62c4cf586",
+    "noisy-blocks.json": "0600aeecea843d06b6833ce74716fa165ceabeefb671ceb3d86b2cf4e97ef144",
+    "noisy-blocks.jsonl": "9fd05441f5199183c54a489378f27ce4fd911b4760ffaa914fc8b5fd0196fa57",
     "phase2.json": "bedee618276c6af518bd0b189a45c9ab2dfe392bd6dfe021f9bf0b06f20f215d",
     "rabin16.json": "bb34be37e268f078751d4d2e705dcf80f0653fcd8317d260057ad29bd154c37a",
     "rabin32.json": "e54588ec6f08d000cb738350105cfcc0960ae4b32c24326e9a49d5a36b54d4fd",

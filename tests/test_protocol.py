@@ -8,9 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qbell import circuits as cc
 from qbell import protocol as proto
 from qbell import provers, tcf
 from qbell.seeds import derive_rng
+
+from helpers import gen_exact_bits
 
 KEY77 = tcf.RabinKeyPair(N=77, p=11, q=7)
 STATES = {
@@ -319,3 +322,87 @@ class TestDdhProtocol:
         rep = proto.score(ts)
         assert rep.p_x == 1
         assert abs(float(rep.p_m) - proto.COS2_PI_8) < 0.06
+
+
+class TestSettleBlocks:
+    """run_session, which settles deferred claw rounds SETTLE_BLOCK at a time
+    and once more at the end, gives the transcripts of a plain run_iteration
+    loop, which settles each round at once."""
+
+    B = proto.SETTLE_BLOCK
+    # verifier seed 1 opens with a preimage challenge, so one iteration
+    # leaves no round pending
+    SEED = 1
+
+    @pytest.fixture(scope="class")
+    def keys(self):
+        return gen_exact_bits(16)
+
+    @staticmethod
+    def _calls(monkeypatch):
+        """Wrap circuits.evaluate_classical; returns its list of call widths."""
+        calls = []
+        inner = cc.evaluate_classical
+
+        def counted(circuit, xs):
+            calls.append(len(xs))
+            return inner(circuit, xs)
+
+        monkeypatch.setattr(cc, "evaluate_classical", counted)
+        return calls
+
+    @staticmethod
+    def _noisy(keys, method, m, F):
+        # cutoff 8 makes the 16-bit karatsuba multiplier recurse
+        circ = cc.build_modsquare(keys.N, lift_m=m, method=method, cutoff=8)
+        base = cc.gate_count(cc.build_modsquare(keys.N, lift_m=0, method=method, cutoff=8))
+        noise = provers.NoiseModel(circuit_fidelity=F, n_gates=base)
+        ctx = proto.ProtocolContext.for_circuit(keys, circ)
+        return provers.NoisyCircuitProver(keys, circ, noise, seed=7), ctx
+
+    @pytest.mark.parametrize("postselect", [False, True])
+    @pytest.mark.parametrize("method", ["schoolbook", "karatsuba"])
+    @pytest.mark.parametrize("m", [0, 1])
+    @pytest.mark.parametrize("F", [1.0, 0.5, 0.05])
+    def test_noisy_session_equals_settling_at_once(self, keys, monkeypatch,
+                                                   F, m, method, postselect):
+        calls = self._calls(monkeypatch)
+        cfg = proto.IterationConfig(postselect=postselect)
+        # the plain loop makes one 2-lane call per deferred round; deferred[t]
+        # counts those among the first t iterations
+        prover, ctx = self._noisy(keys, method, m, F)
+        rng = derive_rng(self.SEED, "verifier")
+        plain, deferred = [], [0]
+        while deferred[-1] < 2 * self.B + 5:
+            plain.append(proto.run_iteration(ctx, prover, rng, cfg, len(plain)).to_json())
+            deferred.append(len(calls))
+        assert set(calls) == {2}
+
+        for n_pending in (0, 1, self.B - 1, self.B, self.B + 1, 2 * self.B + 5):
+            trials = max(t for t in range(1, len(deferred)) if deferred[t] == n_pending)
+            prover, ctx = self._noisy(keys, method, m, F)
+            calls.clear()
+            ts = proto.run_session(ctx, prover, derive_rng(self.SEED, "verifier"), cfg,
+                                   trials)
+            assert all(t.outcome is not None for t in ts)
+            assert [t.to_json() for t in ts] == plain[:trials], n_pending
+            assert len(calls) == -(-n_pending // self.B), n_pending
+
+    @pytest.mark.parametrize("kind", ["ideal", "cheater", "ddh"])
+    def test_plain_session_makes_no_engine_call(self, keys, monkeypatch, kind):
+        calls = self._calls(monkeypatch)
+        key = tcf.ddh_gen(2, 10, seed=3) if kind == "ddh" else keys
+        ctx = proto.ProtocolContext.plain(key)
+
+        def prover():
+            if kind == "cheater":
+                return provers.CheaterProver(key.public(), seed=5, ctx=ctx)
+            return provers.IdealProver(key, seed=5, ctx=ctx)
+
+        cfg = proto.IterationConfig()
+        rng = derive_rng(self.SEED, "verifier")
+        p = prover()
+        plain = [proto.run_iteration(ctx, p, rng, cfg, i).to_json() for i in range(150)]
+        ts = proto.run_session(ctx, prover(), derive_rng(self.SEED, "verifier"), cfg, 150)
+        assert [t.to_json() for t in ts] == plain
+        assert calls == []

@@ -331,6 +331,8 @@ class TestCli:
         ("run", "--key", "{rabin}", "--ratio", "0", "--trials", "5"),
         ("run", "--key", "{rabin}", "--ratio", "1.5", "--trials", "5"),
         ("verify", "--key", "{rabin}", "--ratio", "0"),
+        ("run", "--key", "{rabin}", "--ratio", "1", "--trials", "5"),
+        ("verify", "--key", "{rabin}", "--ratio", "1"),
         ("extract", "--key", "{rabin}", "--probes", "0"),
         ("extract", "--key", "{rabin}", "--mu", "0.5"),
         ("sweep", "--key", "{rabin}", "--trials", "10"),
