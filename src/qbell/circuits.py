@@ -829,18 +829,50 @@ def run_two_branch_batch(circuit: Circuit, x0s, x1s, error_prob, rng):
 # ---------------------------------------------------------------------------
 # resource accounting
 
-def _tally(ops) -> tuple:
-    """(gates, Toffolis, depth) of a stream of (tag, qubits) pairs, the
-    depth by greedy qubit-disjoint layering."""
+def _tally(gates, n_qubits) -> tuple:
+    """(gates, Toffolis, depth) of gate tuples in the Circuit.gates shape over
+    qubits 0..n_qubits-1, the depth by greedy qubit-disjoint layering.
+
+    ALLOC/DISCARD/MEASURE_Y are bookkeeping, not gates; they do not count
+    toward totals or depth.  A CPHASE's last field is not read.
+    """
     total = toffoli = depth = 0
-    layer = {}
-    for tag, qs in ops:
-        total += 1
+    layer = [0] * n_qubits
+    for g in gates:
+        tag = g[0]
         if tag == TOFFOLI:
+            _, a, b, t = g
             toffoli += 1
-        lv = 1 + max(layer.get(q, 0) for q in qs)
-        for q in qs:
-            layer[q] = lv
+            lv = layer[a]
+            if layer[b] > lv:
+                lv = layer[b]
+            if layer[t] > lv:
+                lv = layer[t]
+            lv += 1
+            layer[a] = layer[b] = layer[t] = lv
+        elif tag == CNOT:
+            _, a, t = g
+            lv = layer[a]
+            if layer[t] > lv:
+                lv = layer[t]
+            lv += 1
+            layer[a] = layer[t] = lv
+        elif tag == CPHASE:
+            _, controls, t, _ = g
+            lv = layer[t]
+            for c in controls:
+                if layer[c] > lv:
+                    lv = layer[c]
+            lv += 1
+            layer[t] = lv
+            for c in controls:
+                layer[c] = lv
+        elif tag == X:
+            t = g[1]
+            lv = layer[t] = layer[t] + 1
+        else:
+            continue
+        total += 1
         if lv > depth:
             depth = lv
     return total, toffoli, depth
@@ -857,9 +889,7 @@ def count_resources(circuit: Circuit) -> ResourceReport:
     ALLOC/DISCARD/MEASURE_Y are bookkeeping, not gates; they do not count
     toward totals or depth.
     """
-    total, toffoli, depth = _tally(
-        (g[0], tuple(g[1]) + (g[2],) if g[0] == CPHASE else g[1:])
-        for g in circuit.gates if g[0] in UNITARY_TAGS)
+    total, toffoli, depth = _tally(circuit.gates, circuit.n_qubits)
     return ResourceReport(qubits=circuit.n_qubits, total_gates=total,
                           toffoli_count=toffoli, depth=depth)
 
@@ -878,8 +908,17 @@ def phase_angle(exponent_sum: int, N: int) -> float:
     return 2.0 * math.pi * pow(2, exponent_sum, N) / N
 
 
-def _phase_gate_stream(variant, n, m_out):
-    """Yield the controlled-phase schedule; targets index the y register 0..m_out-1.
+def _counter_width(n):
+    """Bits of variant 2's pair counter: a control sum has at most n // 2
+    coincident pairs."""
+    return (n // 2 + 1).bit_length()
+
+
+def _phase_gate_stream(variant, n, y):
+    """Yield the controlled-phase schedule as gate tuples over integer qubits.
+
+    x_i is qubit i and output bit k is qubit y[k]; each CPHASE carries the
+    exponent s of its angle 2*pi*2^s/N in place of the angle.
 
     Variant 1 visits output bits one at a time (n^3/2-type count); the
     cross terms (i < j) appear once with the doubled angle, which is again
@@ -887,81 +926,69 @@ def _phase_gate_stream(variant, n, m_out):
 
     Variant 2 tallies, for each control-sum s, the number of coincident
     pairs into a small counter register and phases off the counter bits,
-    then uncomputes.  Ancilla indices are returned via the special target
-    tags ("counter", b), ("t",), ("carry", i).
+    then uncomputes.  Its ancillas follow the y register: the pair flag t,
+    then the counter, then the carries.
     """
     if variant == 1:
-        for k in range(m_out):
-            for i in range(n):
-                yield (CPHASE, (("x", i),), ("y", k), 2 * i + k)
-                for j in range(i + 1, n):
-                    yield (CPHASE, (("x", i), ("x", j)), ("y", k), i + j + k + 1)
+        terms = []
+        for i in range(n):
+            terms.append(((i,), 2 * i))
+            terms.extend(((i, j), i + j + 1) for j in range(i + 1, n))
+        for k, yk in enumerate(y):
+            for controls, e in terms:
+                yield (CPHASE, controls, yk, e + k)
     elif variant == 2:
+        t = n + len(y)
+        counter = range(t + 1, t + 1 + _counter_width(n))
+        carry = range(counter.stop, counter.stop + len(counter))
+        increments = {}
         for s in range(2 * n - 1):
             pairs = [(i, s - i) for i in range(max(0, s - n + 1), (s + 1) // 2)]
             L = len(pairs).bit_length()
+            if L not in increments:
+                increments[L] = _increment_ops(L, t, counter, carry)
             compute = []
             for (i, j) in pairs:
-                compute.append((TOFFOLI, ("x", i), ("x", j), ("t",)))
-                compute.extend(_increment_ops(L))
-                compute.append((TOFFOLI, ("x", i), ("x", j), ("t",)))
-            for op in compute:
-                yield op
+                compute.append((TOFFOLI, i, j, t))
+                compute.extend(increments[L])
+                compute.append((TOFFOLI, i, j, t))
+            yield from compute
             for b in range(L):
-                for k in range(m_out):
-                    yield (CPHASE, (("counter", b),), ("y", k), s + 1 + b + k)
+                for k, yk in enumerate(y):
+                    yield (CPHASE, (counter[b],), yk, s + 1 + b + k)
             if s % 2 == 0 and s // 2 < n:
-                for k in range(m_out):
-                    yield (CPHASE, (("x", s // 2),), ("y", k), s + k)
-            for op in reversed(compute):
-                yield op
+                for k, yk in enumerate(y):
+                    yield (CPHASE, (s // 2,), yk, s + k)
+            yield from reversed(compute)
     else:
         raise CircuitError(f"unknown phase circuit variant {variant}")
 
 
-def _increment_ops(L):
-    """Counter += t as (gate, ...) ops over symbolic ancilla labels.
+def _increment_ops(L, t, counter, carry):
+    """counter += t over the low L counter bits, as gate tuples.
 
     Forward carries from the original counter bits, CNOT updates, then the
     carry chain is uncomputed against the updated bits, leaving the carry
     ancillas clean for reuse.
     """
     ops = []
-    prev = ("t",)
+    prev = t
     for b in range(L - 1):
-        ops.append((TOFFOLI, prev, ("counter", b), ("carry", b)))
-        prev = ("carry", b)
+        ops.append((TOFFOLI, prev, counter[b], carry[b]))
+        prev = carry[b]
     for b in range(L - 1, -1, -1):
-        src = ("t",) if b == 0 else ("carry", b - 1)
-        ops.append((CNOT, src, ("counter", b)))
+        src = t if b == 0 else carry[b - 1]
+        ops.append((CNOT, src, counter[b]))
     for b in range(L - 2, -1, -1):
-        src = ("t",) if b == 0 else ("carry", b - 1)
-        ops.append((TOFFOLI, src, ("counter", b), ("carry", b)))
-        ops.append((CNOT, src, ("carry", b)))
+        src = t if b == 0 else carry[b - 1]
+        ops.append((TOFFOLI, src, counter[b], carry[b]))
+        ops.append((CNOT, src, carry[b]))
     return ops
 
 
-def _phase_qubit_map(variant, n, m_out):
-    """Assign concrete indices to the symbolic labels of the phase stream."""
-    mapping = {}
-    idx = 0
-    for i in range(n):
-        mapping[("x", i)] = idx
-        idx += 1
-    for k in range(m_out):
-        mapping[("y", k)] = idx
-        idx += 1
-    if variant == 2:
-        L_max = (n // 2 + 1).bit_length()
-        mapping[("t",)] = idx
-        idx += 1
-        for b in range(L_max):
-            mapping[("counter", b)] = idx
-            idx += 1
-        for b in range(L_max):
-            mapping[("carry", b)] = idx
-            idx += 1
-    return mapping, idx
+def _phase_ancillas(variant, n):
+    """Qubits variant 2 adds after the y register: t, counter and carries."""
+    return 1 + 2 * _counter_width(n) if variant == 2 else 0
 
 
 def phase_schedule(variant, n, N, extra_bits=3) -> Circuit:
@@ -974,51 +1001,42 @@ def phase_schedule(variant, n, N, extra_bits=3) -> Circuit:
     if not (1 << (n - 1)) <= N < (1 << n):
         raise CircuitError(f"N={N} is not an {n}-bit modulus")
     m_out = n + extra_bits
-    mapping, total = _phase_qubit_map(variant, n, m_out)
+    y_reg = tuple(range(n, n + m_out))
+    total = n + m_out + _phase_ancillas(variant, n)
     gates = [(ALLOC, q) for q in range(total)]
-    for op in _phase_gate_stream(variant, n, m_out):
-        if op[0] == CPHASE:
-            _, controls, target, s = op
-            gates.append((CPHASE, tuple(mapping[c] for c in controls),
-                          mapping[target], phase_angle(s, N)))
-        else:
-            gates.append((op[0],) + tuple(mapping[lbl] for lbl in op[1:]))
-    x_reg = tuple(mapping[("x", i)] for i in range(n))
-    y_reg = tuple(mapping[("y", k)] for k in range(m_out))
+    for g in _phase_gate_stream(variant, n, y_reg):
+        if g[0] == CPHASE:
+            g = (CPHASE, g[1], g[2], phase_angle(g[3], N))
+        gates.append(g)
     gates.append((MEASURE_Y, y_reg))
     return Circuit(
         n_qubits=total,
         gates=gates,
-        registers={"x": x_reg, "y": y_reg},
+        registers={"x": tuple(range(n)), "y": y_reg},
         metadata={"builder": f"phase{variant}", "n": n, "N": N, "m_out": m_out,
                   "readout": "uniform y register in, inverse QFT out"},
     )
 
 
 def phase_circuit_resources(variant, n, extra_bits=3) -> ResourceReport:
-    """Resource count of the phase circuits without materializing gate lists.
+    """Resource count of the phase circuits, tallied from the gate stream
+    without materializing a gate list.
 
-    Variant 1 reuses a single output qubit, measured and reset once per
-    output bit, so its qubit count is n + 1; the per-bit Hadamards and the
-    classically conditioned readout rotations fall outside the counted gate
-    set.  Variant 2 keeps the full output register plus the pair counter.
+    Variant 1 reuses a single output qubit (qubit n), measured and reset
+    once per output bit, so its qubit count is n + 1 and, since every gate
+    touches that qubit, its depth equals its gate count; the per-bit
+    Hadamards and the classically conditioned readout rotations fall
+    outside the counted gate set.  Variant 2 keeps the full output register
+    plus the pair counter, laid out as in phase_schedule.
     """
     if n < 8:
         raise CircuitError("resource estimates are defined for n >= 8")
     m_out = n + extra_bits
     if variant == 1:
-        qubits = n + 1
+        y, qubits = (n,) * m_out, n + 1
     else:
-        L_max = (n // 2 + 1).bit_length()
-        qubits = n + m_out + 1 + 2 * L_max
-
-    def ops():
-        for op in _phase_gate_stream(variant, n, m_out):
-            if op[0] == CPHASE:
-                yield CPHASE, op[1] + (("y", 0) if variant == 1 else op[2],)
-            else:
-                yield op[0], op[1:]
-
-    total, toffoli, depth = _tally(ops())
+        y = tuple(range(n, n + m_out))
+        qubits = n + m_out + _phase_ancillas(variant, n)
+    total, toffoli, depth = _tally(_phase_gate_stream(variant, n, y), qubits)
     return ResourceReport(qubits=qubits, total_gates=total,
                           toffoli_count=toffoli, depth=depth)

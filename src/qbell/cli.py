@@ -119,8 +119,16 @@ def _write_out(path, text):
 
 def cmd_keygen(args):
     if args.family == "rabin":
+        if args.bits < tcf.MIN_MODULUS_BITS:
+            raise UsageError(f"--bits must be at least {tcf.MIN_MODULUS_BITS}, got {args.bits}")
         keys = tcf.rabin_gen(tcf.SecurityParams(n_bits=args.bits, rng_seed=args.seed))
     else:
+        if args.k < 1:
+            raise UsageError(f"--k must be at least 1, got {args.k}")
+        least = tcf.ddh_min_group_bits(args.k)
+        if args.bits < least:
+            raise UsageError(f"--bits must be at least {least} for --k {args.k}, "
+                             f"got {args.bits}")
         keys = tcf.ddh_gen(args.k, args.bits, args.seed)
     _write_out(args.out, tcf.key_to_json(keys) + "\n")
     if args.public_out:
@@ -225,6 +233,22 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
+# seeds tried for an exact n-bit modulus: every n from 7 to 512 finds one by
+# seed 5; n = 6 never does, since 7 is the only 3-bit prime = 3 mod 4
+MODULUS_SEEDS = 100
+
+
+def _exact_modulus(n: int) -> int:
+    """The modulus of the first rabin_gen seed whose N has exactly n bits."""
+    if n < tcf.MIN_MODULUS_BITS:
+        raise UsageError(f"--n must be at least {tcf.MIN_MODULUS_BITS}, got {n}")
+    for rng_seed in range(MODULUS_SEEDS):
+        keys = tcf.rabin_gen(tcf.SecurityParams(n, rng_seed))
+        if keys.N.bit_length() == n:
+            return keys.N
+    raise UsageError(f"no {n}-bit Blum modulus in {MODULUS_SEEDS} seeds; pass --modulus")
+
+
 def cmd_resources(args):
     builder = args.builder
     if builder in ("schoolbook", "karatsuba"):
@@ -233,19 +257,14 @@ def cmd_resources(args):
             if N.bit_length() != args.n:
                 raise UsageError(f"--modulus {N} is not an {args.n}-bit modulus")
         else:
-            rng_seed = 0
-            while True:
-                keys = tcf.rabin_gen(tcf.SecurityParams(args.n, rng_seed))
-                if keys.N.bit_length() == args.n:
-                    N = keys.N
-                    break
-                rng_seed += 1
+            N = _exact_modulus(args.n)
         rep = circuits.count_resources(
             circuits.build_modsquare(N, method=builder, cutoff=args.cutoff))
-    elif builder in ("phase1", "phase2"):
-        rep = circuits.phase_circuit_resources(int(builder[-1]), args.n)
     else:
-        raise UsageError(f"unknown builder {builder!r}")
+        if args.modulus:
+            # the phase circuits' counts depend on n alone
+            raise UsageError(f"--modulus does not apply to --builder {builder}")
+        rep = circuits.phase_circuit_resources(int(builder[-1]), args.n)
     doc = {"builder": builder, "n": args.n, "qubits": rep.qubits,
            "gates": rep.total_gates, "toffoli": rep.toffoli_count,
            "depth": rep.depth, "gates_clifford_t": rep.gates_clifford_t}

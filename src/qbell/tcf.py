@@ -388,12 +388,17 @@ def ddh_m_for_dimension(k: int) -> int:
     return m
 
 
+def ddh_min_group_bits(k: int) -> int:
+    """The smallest group_bits ddh_gen accepts for dimension k."""
+    return ddh_m_for_dimension(k).bit_length() + 1
+
+
 def ddh_gen(k: int, group_bits: int, seed: int) -> DdhKeyPair:
     """Sample a DDH key: subgroup, invertible M in Z_q^{k x k}, secret bits s."""
     if k < 1:
         raise DomainError(f"dimension k must be >= 1, got {k}")
     m = ddh_m_for_dimension(k)
-    if group_bits < m.bit_length() + 1:
+    if group_bits < ddh_min_group_bits(k):
         raise DomainError(f"group_bits={group_bits} too small for m={m}")
     rng = random.Random(seed)
     P, q, g = _find_subgroup(group_bits, rng)

@@ -257,6 +257,25 @@ def validate_circuit(circuit):
         raise cc.MalformedCircuit(f"expected exactly one MEASURE_Y, found {measured}")
 
 
+def reference_tally(gates):
+    """(gates, Toffolis, depth) of a Circuit.gates list by the original
+    dict-keyed greedy layering, the oracle for cc.count_resources."""
+    total = toffoli = depth = 0
+    layer = {}
+    for g in gates:
+        if g[0] not in cc.UNITARY_TAGS:
+            continue
+        qs = tuple(g[1]) + (g[2],) if g[0] == cc.CPHASE else g[1:]
+        total += 1
+        if g[0] == cc.TOFFOLI:
+            toffoli += 1
+        lv = 1 + max(layer.get(q, 0) for q in qs)
+        for q in qs:
+            layer[q] = lv
+        depth = max(depth, lv)
+    return total, toffoli, depth
+
+
 def montgomery_stage(n, N, method="schoolbook", cutoff=32):
     """Standalone reduction fragment: input register T (2n bits) -> T*R' mod N."""
     if N.bit_length() != n:

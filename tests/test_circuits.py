@@ -12,7 +12,7 @@ from qbell import protocol as proto
 from qbell import tcf
 
 from helpers import (blum_semiprimes, build_mul3_inplace, gen_exact_bits, montgomery_stage,
-                     planted_run, sequential_two_branch, validate_circuit)
+                     planted_run, reference_tally, sequential_two_branch, validate_circuit)
 
 
 class TestMul3:
@@ -210,6 +210,31 @@ class TestResources:
     def test_sanity_ceiling_small(self):
         circ = cc.build_modsquare(77)
         assert cc.count_resources(circ).qubits <= 60
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_reference_tally(self, data):
+        n_qubits = data.draw(st.integers(3, 8))
+
+        def distinct(k):
+            return st.permutations(range(n_qubits)).map(lambda p: tuple(p[:k]))
+
+        qubit = st.integers(0, n_qubits - 1)
+        register = st.lists(qubit, min_size=1, max_size=3, unique=True).map(tuple)
+        gate = st.one_of(
+            qubit.map(lambda q: (cc.X, q)),
+            distinct(2).map(lambda p: (cc.CNOT, *p)),
+            distinct(3).map(lambda p: (cc.TOFFOLI, *p)),
+            distinct(2).map(lambda p: (cc.CPHASE, p[:1], p[1], 0.5)),
+            distinct(3).map(lambda p: (cc.CPHASE, p[:2], p[2], 0.25)),
+            qubit.map(lambda q: (cc.ALLOC, q)),
+            register.map(lambda r: (cc.DISCARD, r)),
+            register.map(lambda r: (cc.MEASURE_Y, r)))
+        gates = data.draw(st.lists(gate, max_size=60))
+        circ = cc.Circuit(n_qubits=n_qubits, gates=gates, registers={}, metadata={})
+        rep = cc.count_resources(circ)
+        assert (rep.total_gates, rep.toffoli_count, rep.depth) == reference_tally(gates)
+        assert rep.qubits == n_qubits
 
 
 class _AllOnes(random.Random):

@@ -64,6 +64,17 @@ CASES = (
     ("resources-phase2",
      ["resources", "--builder", "phase2", "--n", "32", "--out", "{d}/phase2.json"],
      ("phase2.json",)),
+    ("resources-phase1",
+     ["resources", "--builder", "phase1", "--n", "16", "--out", "{d}/phase1.json"],
+     ("phase1.json",)),
+    ("resources-schoolbook",
+     ["resources", "--builder", "schoolbook", "--n", "16", "--out", "{d}/schoolbook.json"],
+     ("schoolbook.json",)),
+    # cutoff 8 below n = 40, so the Karatsuba recursion runs
+    ("resources-karatsuba",
+     ["resources", "--builder", "karatsuba", "--n", "40", "--cutoff", "8",
+      "--out", "{d}/karatsuba.json"],
+     ("karatsuba.json",)),
 )
 
 DIGESTS = {
@@ -81,14 +92,17 @@ DIGESTS = {
     "ideal-ddh24k3.jsonl": "f3f72d8bb30127a98ca6635142f82c30f3fea688f62f5e03346d6351165b8b58",
     "ideal-rabin32.json": "d14de658b9a20062d29919cae3cd70361b10eb94e6df4c41883cc70673761752",
     "ideal-rabin32.jsonl": "739236bdfb7839d626a4d161668431298975c16920191781693cd7168479aac5",
+    "karatsuba.json": "56de21d43bf89ec6be2036b1d8b1d083ac6399bd938effdd3b1e3600fe5b12be",
     "noisy.json": "2f1b5312fbdb82c3c7cca2db5fe8795d9e06979c0c6df451062c97a009360018",
     "noisy.jsonl": "e6bf2241e570e95771da05d357237bd3debb4721f9d39a224d83d8f62c4cf586",
     "noisy-blocks.json": "0600aeecea843d06b6833ce74716fa165ceabeefb671ceb3d86b2cf4e97ef144",
     "noisy-blocks.jsonl": "9fd05441f5199183c54a489378f27ce4fd911b4760ffaa914fc8b5fd0196fa57",
+    "phase1.json": "858fb06c5797dca52aeb9e4fcd4e40150b86398c44dd330db7c46a3b4de151ff",
     "phase2.json": "bedee618276c6af518bd0b189a45c9ab2dfe392bd6dfe021f9bf0b06f20f215d",
     "rabin16.json": "bb34be37e268f078751d4d2e705dcf80f0653fcd8317d260057ad29bd154c37a",
     "rabin32.json": "e54588ec6f08d000cb738350105cfcc0960ae4b32c24326e9a49d5a36b54d4fd",
     "rabin32.pub.json": "8de828468261c1a65b57cf39c416f2bf345c8b36f762a62d936fdec0d231e3ff",
+    "schoolbook.json": "d3fa75aea5930a85b88133beb1062aba9cc874d5b13509cf6f99331554af90d7",
     "sweep.csv": "8d22b3fc1bb9fdab1663d92bad8f5a7f854197d61b060457c9d3d91b897ec238",
 }
 

@@ -66,6 +66,8 @@ class TestPhaseResources:
             assert rep.total_gates == built.total_gates
             assert rep.toffoli_count == built.toffoli_count == 0
             assert rep.qubits == n + 1
+            # every gate touches the one reused output qubit
+            assert rep.depth == rep.total_gates
 
     def test_variant2_counts_match_schedule(self):
         for n in (8, 10):
@@ -75,6 +77,8 @@ class TestPhaseResources:
             built = cc.count_resources(sched)
             assert rep.total_gates == built.total_gates
             assert rep.toffoli_count == built.toffoli_count
+            assert rep.depth == built.depth
+            assert rep.qubits == built.qubits
 
     def test_variant1_serial_depth(self):
         # every gate shares the one work qubit

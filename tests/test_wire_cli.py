@@ -343,6 +343,13 @@ class TestCli:
         # the simulated provers need the trapdoor
         ("extract", "--key", "{rabin_pub}", "--prover", "ideal"),
         ("extract", "--key", "{rabin_pub}", "--prover", "noisy:F=1.0"),
+        # sizes the key generators reject, and a modulus the phase circuits
+        # would ignore
+        ("keygen", "--bits", "4"),
+        ("keygen", "--family", "ddh", "--k", "0", "--bits", "24"),
+        ("keygen", "--family", "ddh", "--bits", "2"),
+        ("resources", "--builder", "schoolbook", "--n", "4"),
+        ("resources", "--builder", "phase1", "--n", "8", "--modulus", "129"),
     ])
     def test_bad_arguments_exit_usage_error(self, tmp_path, capsys, argv):
         paths = {"rabin": tmp_path / "rabin.json", "ddh": tmp_path / "ddh.json",
@@ -353,6 +360,14 @@ class TestCli:
         paths["ddh"].write_text(tcf.key_to_json(tcf.ddh_gen(2, 10, seed=3)))
         assert run_cli(*(a.format(**paths) for a in argv)) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_resources_without_exact_modulus_exits_usage_error(self):
+        # no rabin_gen seed gives a 6-bit modulus; the search must end
+        proc = subprocess.run(
+            [sys.executable, "-m", "qbell.cli", "resources", "--builder", "karatsuba",
+             "--n", "6"], capture_output=True, timeout=60, env=cli_env())
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"error: ")
 
     def test_wrong_key_file(self, tmp_path):
         bad = tmp_path / "bad.json"
