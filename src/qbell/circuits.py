@@ -438,7 +438,12 @@ def mul3_inplace(g, pool, X_reg, width):
 # ---------------------------------------------------------------------------
 # Montgomery reduction and the y canonicalization
 
-def montgomery_reduce(g, pool, T, modulus, method="schoolbook", cutoff=32):
+# operand width at or below which the Karatsuba recursion multiplies by
+# schoolbook
+KARATSUBA_CUTOFF = 32
+
+
+def montgomery_reduce(g, pool, T, modulus, method="schoolbook", cutoff=KARATSUBA_CUTOFF):
     """Reduce the product register T to T * R^-1 mod modulus, R = 2^bitlen(modulus).
 
     Standard REDC: m = (T mod R) * N' mod R with N' = -modulus^-1 mod R,
@@ -488,7 +493,7 @@ def montgomery_reduce(g, pool, T, modulus, method="schoolbook", cutoff=32):
 # ---------------------------------------------------------------------------
 # top-level builders
 
-def build_modsquare(N, lift_m=0, method="schoolbook", cutoff=32):
+def build_modsquare(N, lift_m=0, method="schoolbook", cutoff=KARATSUBA_CUTOFF):
     """Circuit computing (k x)^2 * R' mod k^2 N on the x register, k = 3^lift_m.
 
     The x register is lifted in place (a chain of x3 stages), squared into a
@@ -619,7 +624,6 @@ class _Lanes:
     garbage: list  # discarded rows in discard order (classical lanes only)
     phase: int  # noisy-pair phase bits, bit j for run j
     clean_phase: int  # the same h against the clean pair
-    n_errors: list  # per run
 
 
 def _run_lanes(circuit: Circuit, inputs, runs=0, errors=(), h_rows=None,
@@ -647,7 +651,6 @@ def _run_lanes(circuit: Circuit, inputs, runs=0, errors=(), h_rows=None,
     k = 0  # next discarded qubit
     run_mask = (1 << runs) - 1
     phase = clean = 0
-    n_errors = [0] * runs
     errors = iter(errors)
     err_u, err_run, err_pick, pauli = next(errors, _NO_ERROR)
     u = -1  # index among X/CNOT/Toffoli gates
@@ -695,12 +698,11 @@ def _run_lanes(circuit: Circuit, inputs, runs=0, errors=(), h_rows=None,
                 phase ^= (((row >> lo) ^ (row >> hi)) & 1) << lo
             if pauli != "Z":  # X or Y: bit flip in both branches
                 rows[q] = row ^ (1 << lo) ^ (1 << hi)
-            n_errors[err_run] += 1
             err_u, err_run, err_pick, pauli = next(errors, _NO_ERROR)
     if y_rows is None:
         raise MalformedCircuit("circuit has no MEASURE_Y")
     return _Lanes(rows=rows, y_rows=y_rows, garbage=garbage, phase=phase,
-                  clean_phase=clean, n_errors=n_errors)
+                  clean_phase=clean)
 
 
 def evaluate_classical(circuit: Circuit, xs):
@@ -729,7 +731,6 @@ class TwoBranchRun:
     rel_phase: int  # +1 / -1
     h: int  # Hadamard outcomes, bit i for the i-th discarded qubit
     h_len: int
-    n_errors: int
 
 
 def replay_draws(schedule: Schedule, error_prob: float, rng):
@@ -775,8 +776,7 @@ def run_two_branch_block(circuit: Circuit, x0s, x1s, draws) -> list:
     regs = _transpose([lanes.rows[q] for q in circuit.registers["x"]], 2 * R)
     return [TwoBranchRun(y0=ys[j], y1=ys[R + j], reg0=regs[j], reg1=regs[R + j],
                          rel_phase=-1 if lanes.phase >> j & 1 else 1,
-                         h=_transpose(draws[j][0], 1)[0], h_len=h_len,
-                         n_errors=lanes.n_errors[j])
+                         h=_transpose(draws[j][0], 1)[0], h_len=h_len)
             for j in range(R)]
 
 
@@ -802,27 +802,24 @@ def run_two_branch_batch(circuit: Circuit, x0s, x1s, error_prob, rng):
     and the errors of all runs from rng as it goes.  The shadow pair
     evolves the same inputs without errors and meets the same Hadamard
     outcomes h at each discard, producing the phase the verifier would
-    reconstruct from the true claw.  Returns a dict of per-run lists:
-    noisy/clean y values and x-register values, the prover and verifier
-    (shadow) phase bits, and error counts.
+    reconstruct from the true claw.  Returns a dict of per-run lists: the
+    noisy pair's y values and x-register values, and the prover and
+    verifier (shadow) phase bits.
     """
     R = len(x0s)
     errors = _sampled_errors(error_prob, rng, R) if error_prob > 0 else ()
     lanes = _run_lanes(circuit, [*x0s, *x1s, *x0s, *x1s], R, errors,
                        draw_h=rng.getrandbits)
-    ys = _transpose(lanes.y_rows, 4 * R)
-    regs = _transpose([lanes.rows[q] for q in circuit.registers["x"]], 4 * R)
+    noisy = (1 << 2 * R) - 1  # the first 2R lanes are the noisy pair
+    ys = _transpose([row & noisy for row in lanes.y_rows], 2 * R)
+    regs = _transpose([lanes.rows[q] & noisy for q in circuit.registers["x"]], 2 * R)
     return {
         "y0": ys[:R],
-        "y1": ys[R:2 * R],
-        "y_clean": ys[2 * R:3 * R],
+        "y1": ys[R:],
         "reg0": regs[:R],
-        "reg1": regs[R:2 * R],
-        "creg0": regs[2 * R:3 * R],
-        "creg1": regs[3 * R:],
+        "reg1": regs[R:],
         "phase_prover": _transpose([lanes.phase], R),
         "phase_verifier": _transpose([lanes.clean_phase], R),
-        "n_errors": lanes.n_errors,
     }
 
 
@@ -902,6 +899,10 @@ def count_resources(circuit: Circuit) -> ResourceReport:
 # for control pair (x_i, x_j) and output qubit k, then an inverse Fourier
 # transform reads out x^2 mod N.  The rotation angle depends only on the
 # exponent sum, the basis of the gate-merging in variant 2.
+
+# output bits beyond n the phase circuits read out
+PHASE_EXTRA_BITS = 3
+
 
 def phase_angle(exponent_sum: int, N: int) -> float:
     """2*pi*2^s/N mod 2*pi, reduced exactly in integer arithmetic first."""
@@ -991,7 +992,7 @@ def _phase_ancillas(variant, n):
     return 1 + 2 * _counter_width(n) if variant == 2 else 0
 
 
-def phase_schedule(variant, n, N, extra_bits=3) -> Circuit:
+def phase_schedule(variant, n, N) -> Circuit:
     """Explicit phase circuit over a full y register, for small-n verification.
 
     The y register is assumed prepared in the uniform superposition and read
@@ -1000,7 +1001,7 @@ def phase_schedule(variant, n, N, extra_bits=3) -> Circuit:
     """
     if not (1 << (n - 1)) <= N < (1 << n):
         raise CircuitError(f"N={N} is not an {n}-bit modulus")
-    m_out = n + extra_bits
+    m_out = n + PHASE_EXTRA_BITS
     y_reg = tuple(range(n, n + m_out))
     total = n + m_out + _phase_ancillas(variant, n)
     gates = [(ALLOC, q) for q in range(total)]
@@ -1018,7 +1019,7 @@ def phase_schedule(variant, n, N, extra_bits=3) -> Circuit:
     )
 
 
-def phase_circuit_resources(variant, n, extra_bits=3) -> ResourceReport:
+def phase_circuit_resources(variant, n) -> ResourceReport:
     """Resource count of the phase circuits, tallied from the gate stream
     without materializing a gate list.
 
@@ -1031,7 +1032,7 @@ def phase_circuit_resources(variant, n, extra_bits=3) -> ResourceReport:
     """
     if n < 8:
         raise CircuitError("resource estimates are defined for n >= 8")
-    m_out = n + extra_bits
+    m_out = n + PHASE_EXTRA_BITS
     if variant == 1:
         y, qubits = (n,) * m_out, n + 1
     else:

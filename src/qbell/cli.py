@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import circuits, extractor, postselect, protocol, provers, tcf, wire
@@ -187,29 +186,24 @@ def cmd_prove(args):
     spec = parse_prover_spec(args.prover)
 
     def make_prover(key_json, seed):
+        """The prover for the session key; with --key, for the full key in
+        that file, which must be the session key."""
         keys = tcf.key_from_json(key_json)
         if keys.has_trapdoor:
             raise wire.TransportError("verifier leaked trapdoor data")
-        if spec["kind"] == "cheater":
-            return provers.CheaterProver(keys, seed)
-        if spec["kind"] == "ideal":
-            raise UsageError("the ideal prover simulation needs the trapdoor; "
-                             "use --key to supply the full key file")
-        raise UsageError("noisy prover over the wire needs --key")
-
-    def make_prover_with_key(key_json, seed):
-        keys = _load_keys(args.key)
-        if keys.public() != tcf.key_from_json(key_json):
-            raise wire.TransportError("key file does not match the session key")
+        if args.key:
+            full = _load_keys(args.key)
+            if full.public() != keys:
+                raise wire.TransportError("key file does not match the session key")
+            keys = full
         return build_prover(spec, keys, seed)[0]
 
-    factory = make_prover_with_key if args.key else make_prover
     if args.transport == "stdio":
         ch = wire.Channel(sys.stdin.buffer, sys.stdout.buffer, session="prover")
     else:
         sock = wire.socket.create_connection((args.host, args.port), timeout=args.timeout)
         ch = wire.channel_from_socket(sock, session="prover", timeout=args.timeout)
-    wire.prover_loop(ch, factory)
+    wire.prover_loop(ch, make_prover)
     return EXIT_OK
 
 
@@ -251,6 +245,8 @@ def _exact_modulus(n: int) -> int:
 
 def cmd_resources(args):
     builder = args.builder
+    if args.cutoff is not None and builder != "karatsuba":
+        raise UsageError(f"--cutoff applies only to --builder karatsuba, not {builder}")
     if builder in ("schoolbook", "karatsuba"):
         if args.modulus:
             N = _number(int, args.modulus, "--modulus")
@@ -258,8 +254,9 @@ def cmd_resources(args):
                 raise UsageError(f"--modulus {N} is not an {args.n}-bit modulus")
         else:
             N = _exact_modulus(args.n)
+        cutoff = circuits.KARATSUBA_CUTOFF if args.cutoff is None else args.cutoff
         rep = circuits.count_resources(
-            circuits.build_modsquare(N, method=builder, cutoff=args.cutoff))
+            circuits.build_modsquare(N, method=builder, cutoff=cutoff))
     else:
         if args.modulus:
             # the phase circuits' counts depend on n alone
@@ -359,7 +356,9 @@ def make_parser() -> argparse.ArgumentParser:
                     choices=("schoolbook", "karatsuba", "phase1", "phase2"))
     rs.add_argument("--n", type=int, required=True)
     rs.add_argument("--modulus", default=None)
-    rs.add_argument("--cutoff", type=int, default=32)
+    rs.add_argument("--cutoff", type=int, default=None,
+                    help="Karatsuba recursion cutoff (karatsuba only; default "
+                         f"{circuits.KARATSUBA_CUTOFF})")
     rs.add_argument("--out", default="-")
     rs.set_defaults(func=cmd_resources)
 

@@ -31,14 +31,18 @@ class ExtractionFailed(RuntimeError):
         self.queries_used = queries_used
 
 
+# list decoding stops at this many distinct candidates, and refuses a probe
+# count whose queries would exceed MAX_QUERIES
+MAX_CANDIDATES = 4096
+MAX_QUERIES = 2_000_000
+
+
 @dataclass(frozen=True)
 class GlParams:
     """t probes give 2^t sign assignments and 2^t - 1 majority samples per bit."""
 
     t: int
     mu: float = 0.05
-    max_candidates: int = 4096
-    max_queries: int = 2_000_000
 
     def __post_init__(self):
         if self.t < 1:
@@ -47,7 +51,7 @@ class GlParams:
             raise tcf.DomainError("mu must lie in (0, 1/2)")
 
 
-def default_probe_count(n: int, mu: float = 0.05) -> int:
+def default_probe_count(n: int, mu: float) -> int:
     """Probes so the per-bit majority has ceil(8 ln(4n) / mu^2) samples."""
     samples = math.ceil(8.0 * math.log(4.0 * n) / (mu * mu))
     return max(1, (samples + 1).bit_length())
@@ -123,8 +127,8 @@ def gl_list_decode(oracle, n: int, params: GlParams, rng) -> list:
     """
     t = params.t
     n_subsets = (1 << t) - 1
-    if n_subsets * n > params.max_queries:
-        raise BudgetExceeded(f"{n_subsets * n} queries exceed {params.max_queries}")
+    if n_subsets * n > MAX_QUERIES:
+        raise BudgetExceeded(f"{n_subsets * n} queries exceed {MAX_QUERIES}")
     probes = [rng.getrandbits(n) for _ in range(t)]
     subset_r = {}
     for mask in range(1, 1 << t):
@@ -150,7 +154,7 @@ def gl_list_decode(oracle, n: int, params: GlParams, rng) -> list:
         if cand not in seen:
             seen.add(cand)
             candidates.append(cand)
-        if len(candidates) >= params.max_candidates:
+        if len(candidates) >= MAX_CANDIDATES:
             break
     return candidates
 

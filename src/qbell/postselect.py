@@ -30,19 +30,16 @@ class LiftedKey:
     base: tcf.RabinKeyPair
     m: int
     k: int
-    n_lifted: int
     circuit: circuits.Circuit
     gate_count: int
 
 
-def lift_key(keys: tcf.RabinKeyPair, m: int, method: str = "karatsuba",
-             cutoff: int = 32) -> LiftedKey:
+def lift_key(keys: tcf.RabinKeyPair, m: int, method: str = "karatsuba") -> LiftedKey:
     """Build the lifted circuit (x3 chain, square, reduce) for k = 3^m."""
     if m < 0:
         raise tcf.DomainError("lift exponent must be nonnegative")
-    circ = circuits.build_modsquare(keys.N, lift_m=m, method=method, cutoff=cutoff)
-    k = 3 ** m
-    return LiftedKey(base=keys, m=m, k=k, n_lifted=k * k * keys.N, circuit=circ,
+    circ = circuits.build_modsquare(keys.N, lift_m=m, method=method)
+    return LiftedKey(base=keys, m=m, k=3 ** m, circuit=circ,
                      gate_count=circuits.gate_count(circ))
 
 
@@ -63,7 +60,6 @@ class SweepConfig:
     trials_per_point: int
     seed: int
     method: str = "karatsuba"
-    cutoff: int = 32
 
     def __post_init__(self):
         if not self.m_values or not self.fidelity_grid:
@@ -92,10 +88,10 @@ def run_sweep(config: SweepConfig, keys: tcf.RabinKeyPair) -> list:
     until a valid y appears, is the runtime overhead
     (size ratio / keep rate).
     """
-    base = lift_key(keys, 0, config.method, config.cutoff)
+    base = lift_key(keys, 0, config.method)
     rows = []
     for m in config.m_values:
-        lifted = base if m == 0 else lift_key(keys, m, config.method, config.cutoff)
+        lifted = base if m == 0 else lift_key(keys, m, config.method)
         for F in config.fidelity_grid:
             noise = NoiseModel(circuit_fidelity=F, n_gates=base.gate_count)
             rows.append(_sweep_point(config, lifted, base, noise))
@@ -134,10 +130,12 @@ def _sweep_point(config: SweepConfig, lifted: LiftedKey, base: LiftedKey,
                 discarded += 1  # prover-side: re-run the circuit
                 continue
             # device characterization against the intended (error-free)
-            # computation, over the runs the prover itself can keep
+            # computation, over the runs the prover itself can keep: the
+            # clean registers hold the encoded claw
             cal_total += 1
             if state.collapsed is None and \
-                    {state.x0, state.x1} == {out["creg0"][i], out["creg1"][i]}:
+                    {state.x0, state.x1} == {ctx.encode_domain(x0s[i]),
+                                             ctx.encode_domain(x1s[i])}:
                 cal_bits += 1
                 if phase_p == phase_v:
                     cal_state += 1

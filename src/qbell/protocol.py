@@ -104,10 +104,6 @@ class BasisMsg:
     tag = "basis"
     sign: int
 
-    @property
-    def angle(self) -> float:
-        return self.sign * math.pi / 4
-
 
 @dataclass(frozen=True)
 class ResultMsg:
@@ -202,25 +198,6 @@ def choose_challenge(rng, ratio: float = 0.5) -> str:
     return "preimage" if rng.random() < ratio else "continue"
 
 
-def verifier_check_image(keys, y):
-    """("claw", Claw) | ("single", x) | ("invalid", None) via trapdoor inversion."""
-    preimages = tcf.invert(keys, y)
-    if len(preimages) == 2:
-        x0, x1 = sorted(preimages)
-        return ("claw", tcf.Claw(x0=x0, x1=x1, y=y))
-    if len(preimages) == 1:
-        return ("single", next(iter(preimages)))
-    return ("invalid", None)
-
-
-def check_preimage(keys, x, y) -> bool:
-    """True iff x is in the domain and f(x) = y."""
-    try:
-        return tcf.evaluate(keys, x) == y
-    except tcf.DomainError:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # protocol context: how a key plus (optionally) a circuit defines the wire values
 
@@ -277,17 +254,28 @@ class ProtocolContext:
         return self.keys.encode(x) * self.lift_k
 
     def check_image_wire(self, y_wire):
-        """verifier_check_image on the base image of a wire value;
-        ("invalid", None) when it has none."""
+        """("claw", Claw) | ("single", x) | ("invalid", None): trapdoor
+        inversion of the base image of a wire value; invalid when it has
+        no base image or no preimage."""
         y = self.base_image(y_wire)
-        return ("invalid", None) if y is None else verifier_check_image(self.keys, y)
+        preimages = set() if y is None else tcf.invert(self.keys, y)
+        if len(preimages) == 2:
+            x0, x1 = sorted(preimages)
+            return ("claw", tcf.Claw(x0=x0, x1=x1, y=y))
+        if len(preimages) == 1:
+            return ("single", next(iter(preimages)))
+        return ("invalid", None)
 
     def check_preimage_wire(self, x_wire: int, y_wire) -> bool:
-        """Verify a round-1 preimage answer as sent on the wire."""
+        """Verify a round-1 preimage answer as sent on the wire: x_wire
+        decodes to a domain element x with f(x) = y."""
         y = self.base_image(y_wire)
         if y is None or x_wire % self.lift_k or not 0 <= x_wire < 1 << self.reg_width:
             return False
-        return check_preimage(self.keys, self.keys.decode(x_wire // self.lift_k), y)
+        try:
+            return tcf.evaluate(self.keys, self.keys.decode(x_wire // self.lift_k)) == y
+        except tcf.DomainError:
+            return False
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +314,7 @@ class MeasurementRound:
     """A played measurement round: what the verifier needs to judge it."""
 
     transcript: Transcript
-    kind: str  # "single" | "claw", as verifier_check_image returned it
+    kind: str  # "single" | "claw", as ProtocolContext.check_image_wire returned it
     inverted: object
     h: int
     r: int
@@ -443,9 +431,11 @@ class ScoreReport:
     score: Fraction
     ci_halfwidth: float
 
+    # confidence level of ci_halfwidth
+    confidence = 0.95
+
     @classmethod
-    def from_counts(cls, trials_x, accepts_x, trials_m, accepts_m,
-                    confidence: float = 0.95) -> "ScoreReport":
+    def from_counts(cls, trials_x, accepts_x, trials_m, accepts_m) -> "ScoreReport":
         if trials_x == 0 or trials_m == 0:
             raise InsufficientData("need at least one trial of each branch")
         p_x = Fraction(accepts_x, trials_x)
@@ -453,7 +443,7 @@ class ScoreReport:
         score = p_x + 4 * p_m - 4
         # two-sided Hoeffding on each rate, alpha split between them,
         # combined through the linear form's coefficients 1 and 4
-        alpha = (1.0 - confidence) / 2.0
+        alpha = (1.0 - cls.confidence) / 2.0
         hw_x = math.sqrt(math.log(2.0 / alpha) / (2.0 * trials_x))
         hw_m = math.sqrt(math.log(2.0 / alpha) / (2.0 * trials_m))
         return cls(trials_x, accepts_x, trials_m, accepts_m,

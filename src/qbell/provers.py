@@ -345,9 +345,10 @@ class AttemptsExhausted(RuntimeError):
 
 
 class NoisyCircuitProver(IdealProver):
-    """Circuit-level prover with per-gate Pauli noise and optional
-    prover-side post-selection (retry until the measured y is a multiple
-    of k^2, which is all the prover can check without the trapdoor).
+    """Circuit-level prover with per-gate Pauli noise and prover-side
+    post-selection: it re-runs the circuit until the measured y is a
+    multiple of k^2, which is all the prover can check without the
+    trapdoor, up to max_attempts runs per iteration.
 
     Round 1 of iteration i draws everything from its own stream
     derive_rng(derive_seed(seed, "iter", i), "round1"): per attempt the
@@ -357,15 +358,12 @@ class NoisyCircuitProver(IdealProver):
     AttemptsExhausted is raised for it, only when it is played.
     """
 
-    def __init__(self, keys, circuit, noise: NoiseModel, seed: int,
-                 retry_invalid: bool = True, max_attempts: int = 1000):
+    max_attempts = 1000
+
+    def __init__(self, keys, circuit, noise: NoiseModel, seed: int):
         super().__init__(keys, seed, ProtocolContext.for_circuit(keys, circuit))
-        if max_attempts < 1:
-            raise tcf.DomainError("max_attempts must be positive")
         self.circuit = circuit
         self.noise = noise
-        self.retry_invalid = retry_invalid
-        self.max_attempts = max_attempts
         self.attempts = 0
         self.valid_attempts = 0
         self._ahead = {}  # iteration -> (attempts, (y, state, h) or None)
@@ -402,7 +400,7 @@ class NoisyCircuitProver(IdealProver):
                 state = measure_y(run.y0, run.y1, run.reg0, run.reg1, run.rel_phase,
                                   self.ctx.reg_width, rngs[i])
                 tries[i] += 1
-                if not self.retry_invalid or is_valid_y(state.y, self.ctx.lift_k):
+                if is_valid_y(state.y, self.ctx.lift_k):
                     done[i] = (tries[i], (state.y, state, run.h))
                 elif tries[i] == self.max_attempts:
                     done[i] = (tries[i], None)

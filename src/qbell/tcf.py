@@ -31,10 +31,6 @@ class NotAClaw(ValueError):
     """Alleged claw yields no nontrivial factor."""
 
 
-class NotInImage(ValueError):
-    """Value has no preimage under the keyed function."""
-
-
 class TooLarge(ValueError):
     """Exact enumeration would exceed the budget."""
 
@@ -50,8 +46,8 @@ MIN_MODULUS_BITS = 6
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def is_probable_prime(n: int, rng: random.Random, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
-    """Miller-Rabin with `rounds` random bases."""
+def is_probable_prime(n: int, rng: random.Random) -> bool:
+    """Miller-Rabin with MILLER_RABIN_ROUNDS random bases."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -64,7 +60,7 @@ def is_probable_prime(n: int, rng: random.Random, rounds: int = MILLER_RABIN_ROU
     while d % 2 == 0:
         d //= 2
         r += 1
-    for _ in range(rounds):
+    for _ in range(MILLER_RABIN_ROUNDS):
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -444,11 +440,12 @@ def _dlog_small(key: DdhKeyPair, z: int):
     return None
 
 
-def ddh_invert(key: DdhKeyPair, y):
-    """Trapdoor inversion: combine M^-1 rows in the exponent, brute-force logs.
+def ddh_invert(key: DdhKeyPair, y) -> set:
+    """All preimages of y: combine M^-1 rows in the exponent, brute-force logs.
 
-    Returns a Claw of ((0, x0), (1, x1)) when both branches invert, a single
-    (b, x) when only one does, and raises NotInImage otherwise.
+    Size 2, {(0, x0), (1, x1)}, when both branches invert (a claw), size 1
+    when only one does, empty when y is not an image.  Every preimage is
+    verified by evaluation before it is returned.
     """
     if not key.has_trapdoor:
         raise DomainError("inversion requires the trapdoor (M, s)")
@@ -462,23 +459,13 @@ def ddh_invert(key: DdhKeyPair, y):
             z = z * pow(y[j], Minv[i][j], key.P) % key.P
         e = _dlog_small(key, z)
         if e is None:
-            raise NotInImage(f"component {i} has no discrete log in [0, {key.m}]")
+            return set()
         v.append(e)
-    x0 = tuple(v)
-    x1 = tuple(vi - si for vi, si in zip(v, key.s))
-    x0_ok = all(0 <= xi < key.m for xi in x0)
-    x1_ok = all(0 <= xi < key.m for xi in x1)
-    if x0_ok and ddh_eval(key, 0, x0) != tuple(y):
-        x0_ok = False
-    if x1_ok and ddh_eval(key, 1, x1) != tuple(y):
-        x1_ok = False
-    if x0_ok and x1_ok:
-        return Claw(x0=(0, x0), x1=(1, x1), y=tuple(y))
-    if x0_ok:
-        return (0, x0)
-    if x1_ok:
-        return (1, x1)
-    raise NotInImage("no branch yields a valid preimage")
+    preimages = set()
+    for b, x in ((0, tuple(v)), (1, tuple(vi - si for vi, si in zip(v, key.s)))):
+        if all(0 <= xi < key.m for xi in x) and ddh_eval(key, b, x) == tuple(y):
+            preimages.add((b, x))
+    return preimages
 
 
 def ddh_secret_from_claw(claw: Claw) -> tuple:
@@ -526,17 +513,11 @@ def evaluate(keys, x):
     return ddh_eval(keys, b, vec)
 
 
-def invert(keys, y):
-    """Trapdoor inversion normalized to a set of preimages (possibly empty)."""
+def invert(keys, y) -> set:
+    """Trapdoor inversion for either family: the set of preimages of y."""
     if isinstance(keys, RabinKeyPair):
         return rabin_invert(keys, y)
-    try:
-        result = ddh_invert(keys, y)
-    except NotInImage:
-        return set()
-    if isinstance(result, Claw):
-        return {result.x0, result.x1}
-    return {result}
+    return ddh_invert(keys, y)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,7 @@ WIRE_VERSION = 1
 
 
 class ParseError(ValueError):
-    def __init__(self, message, offset=0):
-        super().__init__(message)
-        self.offset = offset
+    pass
 
 
 class TransportError(RuntimeError):
@@ -35,11 +33,10 @@ class WireFrame:
     session: str
     seq: int
     msg: dict
-    version: int = WIRE_VERSION
 
 
 def encode_frame(frame: WireFrame) -> bytes:
-    doc = {"v": frame.version, "session": frame.session, "seq": frame.seq,
+    doc = {"v": WIRE_VERSION, "session": frame.session, "seq": frame.seq,
            "msg": protocol.json_ints(frame.msg)}
     return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
@@ -51,7 +48,7 @@ def decode_frame(line: bytes) -> WireFrame:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
-        raise ParseError(f"bad JSON: {e.msg}", offset=e.pos) from None
+        raise ParseError(f"bad JSON: {e.msg}") from None
     except ValueError as e:  # an integer literal beyond int's digit limit
         raise ParseError(f"bad JSON: {e}") from None
     if not isinstance(doc, dict):

@@ -155,7 +155,7 @@ def sequential_two_branch(circuit, x0, x1, error_prob, rng):
     errors = cc._sampled_errors(error_prob, rng, 1) if error_prob > 0 else iter(())
     err = next(errors, None)
     u = -1
-    phase = h = h_len = n_errors = 0
+    phase = h = h_len = 0
     ys = None
     for gate in circuit.gates:
         tag = gate[0]
@@ -191,12 +191,10 @@ def sequential_two_branch(circuit, x0, x1, error_prob, rng):
                 if pauli != "Z":
                     bits[0][q] ^= 1
                     bits[1][q] ^= 1
-                n_errors += 1
                 err = next(errors, None)
     regs = [sum(branch[q] << i for q, i in x_reg.items()) for branch in bits]
     return cc.TwoBranchRun(y0=ys[0], y1=ys[1], reg0=regs[0], reg1=regs[1],
-                           rel_phase=-1 if phase else 1, h=h, h_len=h_len,
-                           n_errors=n_errors)
+                           rel_phase=-1 if phase else 1, h=h, h_len=h_len)
 
 
 def planted_run(circuit, x0, x1, plan=None, h=0):

@@ -19,17 +19,17 @@ class TestLiftKey:
     def test_identity_lift(self):
         keys = tcf.RabinKeyPair(N=77, p=11, q=7)
         lifted = ps.lift_key(keys, 0, method="schoolbook")
-        assert lifted.k == 1 and lifted.n_lifted == 77
+        assert lifted.k == 1 and lifted.circuit.metadata["modulus"] == 77
 
     def test_single_lift(self):
         keys = tcf.RabinKeyPair(N=77, p=11, q=7)
         lifted = ps.lift_key(keys, 1, method="schoolbook")
-        assert lifted.k == 3 and lifted.n_lifted == 693
+        assert lifted.k == 3 and lifted.circuit.metadata["modulus"] == 693
         assert lifted.gate_count == cc.count_resources(lifted.circuit).total_gates
 
     def test_double_lift(self):
         keys = tcf.RabinKeyPair(N=77, p=11, q=7)
-        assert ps.lift_key(keys, 2, method="schoolbook").n_lifted == 6237
+        assert ps.lift_key(keys, 2, method="schoolbook").circuit.metadata["modulus"] == 6237
 
     def test_lifted_circuit_semantics(self):
         keys = tcf.RabinKeyPair(N=77, p=11, q=7)
@@ -180,8 +180,7 @@ class TestSweepMatchesMessagePath:
         circ = cc.build_modsquare(keys.N, lift_m=0, method="schoolbook")
         ctx = proto.ProtocolContext.for_circuit(keys, circ)
         noise = provers.NoiseModel(F, cc.count_resources(circ).total_gates)
-        prover = provers.NoisyCircuitProver(keys, circ, noise, seed=14,
-                                            retry_invalid=False)
+        prover = provers.NoisyCircuitProver(keys, circ, noise, seed=14)
         rng = derive_rng(15, "v")
         cfg2 = proto.IterationConfig(postselect=True)
         ts = [proto.run_iteration(ctx, prover, rng, cfg2, i) for i in range(3000)]

@@ -108,20 +108,22 @@ class TestChooseChallenge:
 
 
 class TestVerifierChecks:
+    CTX77 = proto.ProtocolContext.plain(KEY77)
+
     def test_image_claw(self):
-        kind, claw = proto.verifier_check_image(KEY77, 4)
+        kind, claw = self.CTX77.check_image_wire(4)
         assert kind == "claw" and (claw.x0, claw.x1) == (2, 9)
 
     def test_image_invalid(self):
-        assert proto.verifier_check_image(KEY77, 5) == ("invalid", None)
+        assert self.CTX77.check_image_wire(5) == ("invalid", None)
 
     def test_image_single(self):
-        assert proto.verifier_check_image(KEY77, 0) == ("single", 0)
+        assert self.CTX77.check_image_wire(0) == ("single", 0)
 
     def test_check_preimage(self):
-        assert proto.check_preimage(KEY77, 9, 4)
-        assert not proto.check_preimage(KEY77, 3, 4)
-        assert not proto.check_preimage(KEY77, 40, 61)  # out of domain
+        assert self.CTX77.check_preimage_wire(9, 4)
+        assert not self.CTX77.check_preimage_wire(3, 4)
+        assert not self.CTX77.check_preimage_wire(40, 61)  # out of domain
 
 
 class TestScore:

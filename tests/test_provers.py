@@ -142,7 +142,7 @@ class TestCheater:
         pub = gen_exact_bits(24).public()
         prover = provers.CheaterProver(pub, seed=0)
         y, _, _ = prover.round1()
-        assert proto.check_preimage(pub, prover.answer_preimage(), y)
+        assert proto.ProtocolContext.plain(pub).check_preimage_wire(prover.answer_preimage(), y)
 
 
 class TestRewindDeterminism:
@@ -364,27 +364,29 @@ def sequential_round1(prover, seed, i):
     for attempt in range(1, prover.max_attempts + 1):
         y, state, run = noisy_round1(prover.keys, prover.circuit, prover.noise, rng,
                                      prover.ctx)
-        if not prover.retry_invalid or provers.is_valid_y(y, prover.ctx.lift_k):
+        if provers.is_valid_y(y, prover.ctx.lift_k):
             return attempt, (y, state, run.h, run.h_len)
     return prover.max_attempts, None
 
 
 class TestBlockedRound1:
-    @pytest.mark.parametrize("retry", [True, False])
+    @pytest.mark.parametrize("capped", [True, False])
     @pytest.mark.parametrize("method", ["schoolbook", "karatsuba"])
     @pytest.mark.parametrize("m", [0, 1, 2])
     @pytest.mark.parametrize("F", [1.0, 0.5, 0.05])
-    def test_matches_sequential_oracle(self, F, m, method, retry):
+    def test_matches_sequential_oracle(self, F, m, method, capped):
         # iteration by iteration across a block boundary: the same image, h,
         # state and attempt counts as one attempt at a time; an iteration
         # out of attempts raises only when played, and reset() rewinds to
-        # the same state
+        # the same state.  Capped at 5 attempts, some iterations run out; at
+        # the prover's own budget every one retries until its y is valid
         keys = gen_exact_bits(14)
         circ = cc.build_modsquare(keys.N, lift_m=m, method=method, cutoff=8)
         noise = provers.NoiseModel(F, cc.count_resources(circ).total_gates)
         seed = 11 + m
-        prover = provers.NoisyCircuitProver(keys, circ, noise, seed,
-                                            retry_invalid=retry, max_attempts=5)
+        prover = provers.NoisyCircuitProver(keys, circ, noise, seed)
+        if capped:
+            prover.max_attempts = 5
         attempts = valid = 0
         rng = random.Random(seed)
         for i in range(provers.ROUND1_BLOCK + 3):

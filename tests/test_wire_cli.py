@@ -309,6 +309,26 @@ class TestCli:
         assert proc.returncode == rc, proc.stderr
         assert b"Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("prover_args", [
+        ["--prover", "cheater"],
+        ["--prover", "ideal", "--key", "{key}"],
+    ])
+    def test_prove_rejects_leaked_trapdoor(self, tmp_path, prover_args):
+        # a key frame carrying the secret key is refused before any key
+        # file is compared with it
+        keys = gen_exact_bits(16)
+        path = tmp_path / "key.json"
+        path.write_text(tcf.key_to_json(keys))
+        frames = [{"tag": "key", "key_json": tcf.key_to_json(keys)}, {"tag": "end"}]
+        stdin = b"".join(wire.encode_frame(wire.WireFrame("v", i, m))
+                         for i, m in enumerate(frames))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qbell.cli", "prove", "--transport", "stdio"]
+            + [a.format(key=path) for a in prover_args],
+            input=stdin, capture_output=True, timeout=120, env=cli_env())
+        assert proc.returncode == 3, proc.stderr
+        assert b"verifier leaked trapdoor data" in proc.stderr
+
     @pytest.mark.parametrize("argv", [
         # a modulus of the wrong bit length, one that is not a number, and
         # builder parameters build_modsquare rejects
@@ -350,6 +370,9 @@ class TestCli:
         ("keygen", "--family", "ddh", "--bits", "2"),
         ("resources", "--builder", "schoolbook", "--n", "4"),
         ("resources", "--builder", "phase1", "--n", "8", "--modulus", "129"),
+        # only the Karatsuba builder has a cutoff
+        ("resources", "--builder", "schoolbook", "--n", "16", "--cutoff", "4"),
+        ("resources", "--builder", "phase2", "--n", "16", "--cutoff", "4"),
     ])
     def test_bad_arguments_exit_usage_error(self, tmp_path, capsys, argv):
         paths = {"rabin": tmp_path / "rabin.json", "ddh": tmp_path / "ddh.json",
