@@ -26,6 +26,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress, count, groupby, repeat
+from operator import is_, itemgetter, sub
 
 
 class CircuitError(ValueError):
@@ -46,35 +48,54 @@ DISCARD = "DISCARD"
 MEASURE_Y = "MEASURE_Y"
 
 UNITARY_TAGS = (X, CNOT, TOFFOLI, CPHASE)
+_BOOKKEEPING = frozenset((ALLOC, DISCARD, MEASURE_Y))
 
 
 @dataclass
 class Circuit:
+    """A gate list over qubits 0..n_qubits-1.  Its tags are this module's
+    constants, which the engine tells apart by identity.  `program` and
+    `schedule` are computed on first use; the gate list must not change
+    after that."""
+
     n_qubits: int
     gates: list
     registers: dict
     metadata: dict = field(default_factory=dict)
 
     @cached_property
+    def program(self) -> list:
+        """The gate list as the engine runs it: CPHASE gates (diagonal, no
+        effect on basis states) and ALLOC events dropped, except the first
+        ALLOC of each x-register qubit, which loads its input row.  A
+        DISCARD zeroes its rows, so a re-allocated qubit starts at 0."""
+        load = set(self.registers["x"])
+        return [g for g in self.gates
+                if g[0] is not CPHASE
+                and (g[0] is not ALLOC or (g[1] in load and not load.remove(g[1])))]
+
+    @cached_property
     def schedule(self) -> "Schedule":
-        """The static draw order of a two-branch run, computed on first use;
-        the gate list must not change after that."""
-        unitary = 0
-        befores, widths, spans = [], [], []
-        for gate in self.gates:
-            tag = gate[0]
-            if tag in (X, CNOT, TOFFOLI):
-                unitary += 1
-            elif tag == DISCARD:
-                e, width = len(widths), len(gate[1])
-                befores.append(unitary)
-                widths.append(width)
-                if width == 1 and spans and spans[-1][2] == 1 and spans[-1][1] == e:
-                    spans[-1] = (spans[-1][0], e + 1, 1)
-                else:
-                    spans.append((e, e + 1, width))
-        return Schedule(unitary=unitary, befores=befores, widths=widths, spans=spans,
-                        h_len=sum(widths))
+        """The static draw order of a two-branch run."""
+        program = self.program
+        # program indices of the ALLOC/DISCARD/MEASURE_Y entries; the k-th
+        # has index - k unitary gates before it
+        at = list(compress(count(), map(_BOOKKEEPING.__contains__,
+                                         map(itemgetter(0), program))))
+        marks = list(map(sub, at, count()))
+        events = list(map(program.__getitem__, at))
+        is_discard = list(map(is_, map(itemgetter(0), events), repeat(DISCARD)))
+        widths = list(map(len, map(itemgetter(1), compress(events, is_discard))))
+        spans, e = [], 0
+        for one, group in groupby(widths, (1).__eq__):
+            k = len(list(group))
+            if one:
+                spans.append((e, e + k, 1))
+            else:
+                spans.extend((i, i + 1, widths[i]) for i in range(e, e + k))
+            e += k
+        return Schedule(unitary=len(program) - len(at), befores=list(compress(marks, is_discard)),
+                        widths=widths, spans=spans, h_len=sum(widths), marks=marks)
 
 
 @dataclass(frozen=True)
@@ -83,13 +104,16 @@ class Schedule:
     `unitary` X/CNOT/Toffoli gates.  DISCARD event e draws
     getrandbits(widths[e]) after befores[e] unitary gates.  `spans` covers
     the events in order with (first, end, width) triples: a single event
-    wider than one qubit, or a run of one-qubit events."""
+    wider than one qubit, or a run of one-qubit events.  marks[k] counts
+    the unitary gates before the k-th other entry of the program, so
+    unitary gate u stands at program index u + bisect_right(marks, u)."""
 
     unitary: int
     befores: list
     widths: list
     spans: list
     h_len: int
+    marks: list
 
 
 @dataclass(frozen=True)
@@ -112,32 +136,26 @@ class QubitPool:
     def __init__(self, gates: list):
         self.gates = gates
         self._free = []
-        self._next = 0
-        self._live = 0
+        # the next fresh index; one is handed out only when none is free,
+        # so this is also the peak number of live qubits
         self.peak = 0
 
     def new(self) -> int:
-        q = self._free.pop() if self._free else self._bump()
-        self._live += 1
-        self.peak = max(self.peak, self._live)
+        if self._free:
+            q = self._free.pop()
+        else:
+            q = self.peak
+            self.peak += 1
         self.gates.append((ALLOC, q))
-        return q
-
-    def _bump(self) -> int:
-        q = self._next
-        self._next += 1
         return q
 
     def new_register(self, width: int) -> tuple:
         return tuple(self.new() for _ in range(width))
 
     def discard(self, qs) -> None:
-        if isinstance(qs, int):
-            qs = (qs,)
-        qs = tuple(qs)
+        qs = (qs,) if isinstance(qs, int) else tuple(qs)
         self.gates.append((DISCARD, qs))
         self._free.extend(qs)
-        self._live -= len(qs)
 
 
 # ---------------------------------------------------------------------------
@@ -614,12 +632,9 @@ def _sampled_errors(error_prob, rng, runs):
         yield gate, run, rng.randrange(6), "XYZ"[rng.randrange(3)]
 
 
-_NO_ERROR = (-1, 0, 0, "")
-
-
 @dataclass
 class _Lanes:
-    rows: list  # final row of every qubit
+    rows: list  # final row of every qubit; a discarded qubit's row is 0
     y_rows: list  # rows of the y register at MEASURE_Y
     garbage: list  # discarded rows in discard order (classical lanes only)
     phase: int  # noisy-pair phase bits, bit j for run j
@@ -628,77 +643,91 @@ class _Lanes:
 
 def _run_lanes(circuit: Circuit, inputs, runs=0, errors=(), h_rows=None,
                draw_h=None) -> _Lanes:
-    """Run the gate list once over one lane per input (x register = input).
+    """Run the circuit's program once over one lane per input (x register
+    = input).
 
     With runs = R > 0 the lanes are blocks of R: noisy branch 0, noisy
     branch 1 and, when given, clean branch 0 and clean branch 1.  errors,
     (unitary gate, run, pick, pauli) in gate-major order as _sampled_errors
-    yields them, strike the noisy pair of their run right after the gate.
-    The i-th discarded qubit takes the R Hadamard outcomes h_rows[i], bit j
-    for run j, or, with draw_h, one draw_h(R * width) per discard event
-    whose qubit i takes bits [i R, (i + 1) R).  It folds h & (b0 xor b1)
-    into the noisy pair's phase and, with the same h, into the clean
-    pair's: the phase the verifier recomputes from the claw.
+    yields them, strike the noisy pair of their run right after the gate;
+    the program runs in error-free slices between them, each next error
+    taken once the previous one has struck.  The i-th discarded qubit takes
+    the R Hadamard outcomes h_rows[i], bit j for run j, or, with draw_h,
+    one draw_h(R * width) per discard event whose qubit i takes bits
+    [i R, (i + 1) R).  It folds h & (b0 xor b1) into the noisy pair's phase
+    and, with the same h, into the clean pair's: the phase the verifier
+    recomputes from the claw.
     """
     x_reg = circuit.registers["x"]
     if any(x < 0 or x.bit_length() > len(x_reg) for x in inputs):
         raise MalformedCircuit("input does not fit the x register")
+    program = circuit.program
     full = (1 << len(inputs)) - 1
-    # input rows are loaded when the x register's qubits are first allocated
-    pending = dict(zip(x_reg, _transpose(inputs, len(x_reg))))
+    loads = dict(zip(x_reg, _transpose(inputs, len(x_reg))))
     rows = [0] * circuit.n_qubits
     garbage = []
-    k = 0  # next discarded qubit
+    next_h = None if h_rows is None else iter(h_rows).__next__
     run_mask = (1 << runs) - 1
     phase = clean = 0
-    errors = iter(errors)
-    err_u, err_run, err_pick, pauli = next(errors, _NO_ERROR)
-    u = -1  # index among X/CNOT/Toffoli gates
     y_rows = None
-    for gate in circuit.gates:
-        tag = gate[0]
-        if tag == TOFFOLI:
-            _, a, b, t = gate
-            rows[t] ^= rows[a] & rows[b]
-        elif tag == CNOT:
-            _, c, t = gate
-            rows[t] ^= rows[c]
-        elif tag == ALLOC:
-            rows[gate[1]] = pending.pop(gate[1], 0)
-            continue
-        elif tag == DISCARD:
-            if not runs:
-                garbage.extend([rows[q] for q in gate[1]])
-                continue
-            hs = draw_h(runs * len(gate[1])) if draw_h else None
-            for q in gate[1]:
-                if hs is None:
-                    h = h_rows[k]
-                    k += 1
+    errors = iter(errors)
+    err = next(errors, None)
+    if err is not None:
+        unitary, marks = circuit.schedule.unitary, circuit.schedule.marks
+    start = 0
+    while True:
+        if err is not None and err[0] < unitary:
+            u = err[0]
+            stop = u + bisect_right(marks, u) + 1  # just past gate u
+            segment = program[start:stop]
+        else:
+            err = None
+            segment = program[start:] if start else program
+        for gate in segment:
+            tag = gate[0]
+            if tag is TOFFOLI:
+                rows[gate[3]] ^= rows[gate[1]] & rows[gate[2]]
+            elif tag is CNOT:
+                rows[gate[2]] ^= rows[gate[1]]
+            elif tag is DISCARD:
+                if next_h is not None:
+                    for q in gate[1]:
+                        row = rows[q]
+                        rows[q] = 0
+                        phase ^= next_h() & (row ^ (row >> runs))
+                elif draw_h is not None:
+                    hs = draw_h(runs * len(gate[1]))
+                    for q in gate[1]:
+                        row = rows[q]
+                        rows[q] = 0
+                        h = hs & run_mask
+                        hs >>= runs
+                        row ^= row >> runs  # b0 xor b1, and 2R lanes up c0 xor c1
+                        phase ^= h & row
+                        clean ^= h & (row >> 2 * runs)
                 else:
-                    h = hs & run_mask
-                    hs >>= runs
-                row = rows[q]
-                phase ^= h & (row ^ (row >> runs))
-                clean ^= h & ((row >> 2 * runs) ^ (row >> 3 * runs))
-            continue
-        elif tag == X:
-            rows[gate[1]] ^= full
-        elif tag == MEASURE_Y:
-            y_rows = [rows[q] for q in gate[1]]
-            continue
-        else:  # CPHASE is diagonal: no effect on basis states
-            continue
-        u += 1
-        while u == err_u:
-            q = gate[1 + err_pick % (len(gate) - 1)]
-            lo, hi = err_run, err_run + runs
-            row = rows[q]
-            if pauli != "X":  # Z or Y: sign flip where the two branches differ
-                phase ^= (((row >> lo) ^ (row >> hi)) & 1) << lo
-            if pauli != "Z":  # X or Y: bit flip in both branches
-                rows[q] = row ^ (1 << lo) ^ (1 << hi)
-            err_u, err_run, err_pick, pauli = next(errors, _NO_ERROR)
+                    for q in gate[1]:
+                        garbage.append(rows[q])
+                        rows[q] = 0
+            elif tag is X:
+                rows[gate[1]] ^= full
+            elif tag is ALLOC:
+                rows[gate[1]] = loads[gate[1]]
+            elif tag is MEASURE_Y:
+                y_rows = [rows[q] for q in gate[1]]
+        if err is None:
+            break
+        _, lo, pick, pauli = err
+        gate = program[stop - 1]
+        q = gate[1 + pick % (len(gate) - 1)]
+        hi = lo + runs
+        row = rows[q]
+        if pauli != "X":  # Z or Y: sign flip where the two branches differ
+            phase ^= (((row >> lo) ^ (row >> hi)) & 1) << lo
+        if pauli != "Z":  # X or Y: bit flip in both branches
+            rows[q] = row ^ (1 << lo) ^ (1 << hi)
+        start = stop
+        err = next(errors, None)
     if y_rows is None:
         raise MalformedCircuit("circuit has no MEASURE_Y")
     return _Lanes(rows=rows, y_rows=y_rows, garbage=garbage, phase=phase,
@@ -733,6 +762,10 @@ class TwoBranchRun:
     h_len: int
 
 
+# _TOP_BIT reads a byte as its top bit
+_TOP_BIT = bytes(b >> 7 for b in range(256))
+
+
 def replay_draws(schedule: Schedule, error_prob: float, rng):
     """The draws one two-branch run makes from rng, without evaluating a
     gate: returns (h, errors), h its Hadamard outcomes as one 0/1 byte per
@@ -743,23 +776,37 @@ def replay_draws(schedule: Schedule, error_prob: float, rng):
     getrandbits(width), and each error, once applied after its gate, draws
     the next one.  Where discards fall among the unitary gates is static
     (the schedule), so the order of the draws follows from the error
-    positions alone, and the discards between two errors are one map over
-    their widths.
+    positions alone.  Between two errors, a run of k one-qubit discards is
+    one getrandbits(32 k): the Mersenne Twister fills it with the 32-bit
+    words k getrandbits(1) calls would take, lowest first, and
+    getrandbits(1) is a word's top bit, so byte 4 i + 3 of the draw holds
+    the i-th discard's outcome in its top bit.
     """
-    draw, widths = rng.getrandbits, schedule.widths
-    values, errors = [], []
-    if error_prob > 0:
-        for err in _sampled_errors(error_prob, rng, 1):
-            if err[0] >= schedule.unitary:  # drawn, but past the last gate
-                break
+    draw, spans = rng.getrandbits, schedule.spans
+    pieces, errors = [], []
+    e = s = 0  # the next discard event, and the span holding it
+    sampled = _sampled_errors(error_prob, rng, 1) if error_prob > 0 else iter(())
+    while True:
+        err = next(sampled, None)
+        if err is not None and err[0] < schedule.unitary:
             stop = bisect_right(schedule.befores, err[0])
-            values.extend(map(draw, widths[len(values):stop]))
-            errors.append(err)
-    values.extend(map(draw, widths[len(values):]))
-    h = b"".join(bytes(values[a:b]) if width == 1 else
-                 bytes((values[a] >> i) & 1 for i in range(width))
-                 for a, b, width in schedule.spans)
-    return h, errors
+        else:  # drawn, but past the last gate
+            err, stop = None, len(schedule.widths)
+        while e < stop:
+            _, end, width = spans[s]
+            if width == 1:
+                k = min(end, stop) - e
+                pieces.append(draw(32 * k).to_bytes(4 * k, "little")[3::4].translate(_TOP_BIT))
+                e += k
+            else:
+                value = draw(width)
+                pieces.append(bytes((value >> i) & 1 for i in range(width)))
+                e += 1
+            if e == end:
+                s += 1
+        if err is None:
+            return b"".join(pieces), errors
+        errors.append(err)
 
 
 def run_two_branch_block(circuit: Circuit, x0s, x1s, draws) -> list:
@@ -774,9 +821,11 @@ def run_two_branch_block(circuit: Circuit, x0s, x1s, draws) -> list:
                        _bit_rows([h for h, _ in draws], h_len))
     ys = _transpose(lanes.y_rows, 2 * R)
     regs = _transpose([lanes.rows[q] for q in circuit.registers["x"]], 2 * R)
+    # h as an int: its 0/1 bytes, last first, read as binary digits
     return [TwoBranchRun(y0=ys[j], y1=ys[R + j], reg0=regs[j], reg1=regs[R + j],
                          rel_phase=-1 if lanes.phase >> j & 1 else 1,
-                         h=_transpose(draws[j][0], 1)[0], h_len=h_len)
+                         h=int(b"0" + draws[j][0][::-1].translate(_LANE_DIGITS[0]), 2),
+                         h_len=h_len)
             for j in range(R)]
 
 

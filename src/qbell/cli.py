@@ -274,11 +274,9 @@ def cmd_extract(args):
     _rabin_only(keys, "extract")
     if args.probes < 1:
         raise UsageError(f"--probes must be at least 1, got {args.probes}")
-    if not 0.0 < args.mu < 0.5:
-        raise UsageError(f"--mu must lie in (0, 1/2), got {args.mu}")
     spec = parse_prover_spec(args.prover)
     prover, _ = build_prover(spec, keys, derive_seed(args.seed, "prover"))
-    params = extractor.GlParams(t=args.probes, mu=args.mu)
+    params = extractor.GlParams(t=args.probes)
     rng = derive_rng(args.seed, "extract")
     try:
         report = extractor.extract_and_factor(prover, keys.N, params, rng)
@@ -366,7 +364,6 @@ def make_parser() -> argparse.ArgumentParser:
     ex.add_argument("--key", required=True)
     ex.add_argument("--prover", default="ideal")
     ex.add_argument("--probes", type=int, default=6)
-    ex.add_argument("--mu", type=float, default=0.05)
     ex.add_argument("--seed", type=int, default=0)
     ex.add_argument("--out", default="-")
     ex.set_defaults(func=cmd_extract)

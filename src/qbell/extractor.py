@@ -42,13 +42,10 @@ class GlParams:
     """t probes give 2^t sign assignments and 2^t - 1 majority samples per bit."""
 
     t: int
-    mu: float = 0.05
 
     def __post_init__(self):
         if self.t < 1:
             raise tcf.DomainError("need at least one probe")
-        if not 0.0 < self.mu < 0.5:
-            raise tcf.DomainError("mu must lie in (0, 1/2)")
 
 
 def default_probe_count(n: int, mu: float) -> int:

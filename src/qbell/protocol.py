@@ -301,10 +301,12 @@ def predicted_state(ctx: ProtocolContext, kind: str, inverted, r: int, d: int,
 
 # A session settles its pending claw rounds this many at a time, in one
 # evaluate_classical call over twice as many lanes.  Measured on the 64-bit
-# karatsuba circuit at m = 0 (2-vCPU Xeon VM): one call costs about 12 ms on
-# 2 lanes, 16 ms on 32, 17 ms on 64 and 21 ms on 128, so a round's share
-# falls to about 0.5 ms at 32 claws and only 0.2 ms further at 64.  The bound
-# keeps a block's lanes, and the wait for its verdicts, independent of the
+# karatsuba circuit at m = 0 (2-vCPU Xeon VM, Python 3.11): one call costs
+# about 6 ms on 2 lanes, 9.5 ms on 32, 12 ms on 64 and 15 ms on 128, so a
+# round's share falls to about 0.37 ms at 32 claws and 0.24 ms at 64.  A
+# block of 64 made a 600-trial noisy session about 5% faster but changes
+# nothing in sessions with fewer than 33 pending rounds.  The bound keeps a
+# block's lanes, and the wait for its verdicts, independent of the
 # session's length.
 SETTLE_BLOCK = 32
 

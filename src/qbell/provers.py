@@ -332,11 +332,12 @@ def is_valid_y(y: int, k: int) -> bool:
 
 
 # Round 1 of the noisy circuit prover runs for this many upcoming iterations
-# at a time.  Measured on the 64-bit karatsuba circuit (2-vCPU Xeon VM): one
-# engine call costs about 8 ms for anywhere from 1 to 32 runs, so a run's
-# share falls to about 0.6 ms at 16 runs and only 0.2 ms further at 32,
-# while every iteration run ahead costs about 1 ms of claw sampling and
-# replay whether it is played or not.
+# at a time.  Measured on the 64-bit karatsuba circuit at m = 0 (2-vCPU Xeon
+# VM, Python 3.11): one run_two_branch_block call costs about 7 ms for 1 to
+# 8 runs, 11 ms for 16 and 15 ms for 32, so a run's share falls to about
+# 0.7 ms at 16 runs and only 0.2 ms further at 32, while every iteration
+# run ahead costs about 0.3 ms of replayed draws plus its share of the call
+# whether it is played or not.
 ROUND1_BLOCK = 16
 
 

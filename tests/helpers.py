@@ -3,6 +3,7 @@ checkers and circuit fragments, and key helpers."""
 
 import math
 import os
+from bisect import bisect_right
 
 import numpy as np
 
@@ -195,6 +196,106 @@ def sequential_two_branch(circuit, x0, x1, error_prob, rng):
     regs = [sum(branch[q] << i for q, i in x_reg.items()) for branch in bits]
     return cc.TwoBranchRun(y0=ys[0], y1=ys[1], reg0=regs[0], reg1=regs[1],
                            rel_phase=-1 if phase else 1, h=h, h_len=h_len)
+
+
+def reference_run_lanes(circuit, inputs, runs=0, errors=(), h_rows=None, draw_h=None):
+    """cc._run_lanes as it walked Circuit.gates before the engine ran the
+    lowered program: every ALLOC zeroes its row (the x register's first
+    ones load the inputs), a discarded row keeps its value, and each
+    unitary gate bumps an error counter.  The oracle for the engine; same
+    arguments, and a cc._Lanes."""
+    x_reg = circuit.registers["x"]
+    if any(x < 0 or x.bit_length() > len(x_reg) for x in inputs):
+        raise cc.MalformedCircuit("input does not fit the x register")
+    full = (1 << len(inputs)) - 1
+    pending = dict(zip(x_reg, cc._transpose(inputs, len(x_reg))))
+    rows = [0] * circuit.n_qubits
+    garbage = []
+    k = 0  # next discarded qubit
+    run_mask = (1 << runs) - 1
+    phase = clean = 0
+    errors = iter(errors)
+    no_error = (-1, 0, 0, "")
+    err_u, err_run, err_pick, pauli = next(errors, no_error)
+    u = -1  # index among X/CNOT/Toffoli gates
+    y_rows = None
+    for gate in circuit.gates:
+        tag = gate[0]
+        if tag == cc.TOFFOLI:
+            _, a, b, t = gate
+            rows[t] ^= rows[a] & rows[b]
+        elif tag == cc.CNOT:
+            _, c, t = gate
+            rows[t] ^= rows[c]
+        elif tag == cc.ALLOC:
+            rows[gate[1]] = pending.pop(gate[1], 0)
+            continue
+        elif tag == cc.DISCARD:
+            if not runs:
+                garbage.extend([rows[q] for q in gate[1]])
+                continue
+            hs = draw_h(runs * len(gate[1])) if draw_h else None
+            for q in gate[1]:
+                if hs is None:
+                    h = h_rows[k]
+                    k += 1
+                else:
+                    h = hs & run_mask
+                    hs >>= runs
+                row = rows[q]
+                phase ^= h & (row ^ (row >> runs))
+                clean ^= h & ((row >> 2 * runs) ^ (row >> 3 * runs))
+            continue
+        elif tag == cc.X:
+            rows[gate[1]] ^= full
+        elif tag == cc.MEASURE_Y:
+            y_rows = [rows[q] for q in gate[1]]
+            continue
+        else:  # CPHASE is diagonal: no effect on basis states
+            continue
+        u += 1
+        while u == err_u:
+            q = gate[1 + err_pick % (len(gate) - 1)]
+            lo, hi = err_run, err_run + runs
+            row = rows[q]
+            if pauli != "X":  # Z or Y: sign flip where the two branches differ
+                phase ^= (((row >> lo) ^ (row >> hi)) & 1) << lo
+            if pauli != "Z":  # X or Y: bit flip in both branches
+                rows[q] = row ^ (1 << lo) ^ (1 << hi)
+            err_u, err_run, err_pick, pauli = next(errors, no_error)
+    if y_rows is None:
+        raise cc.MalformedCircuit("circuit has no MEASURE_Y")
+    return cc._Lanes(rows=rows, y_rows=y_rows, garbage=garbage, phase=phase,
+                     clean_phase=clean)
+
+
+def reference_replay_draws(schedule, error_prob, rng):
+    """cc.replay_draws with one getrandbits(width) per discard event, as
+    the gate loop draws them: the oracle for its span-at-a-time draws."""
+    draw, widths = rng.getrandbits, schedule.widths
+    values, errors = [], []
+    if error_prob > 0:
+        for err in cc._sampled_errors(error_prob, rng, 1):
+            if err[0] >= schedule.unitary:
+                break
+            stop = bisect_right(schedule.befores, err[0])
+            values.extend(map(draw, widths[len(values):stop]))
+            errors.append(err)
+    values.extend(map(draw, widths[len(values):]))
+    h = bytes((value >> i) & 1 for value, width in zip(values, widths) for i in range(width))
+    return h, errors
+
+
+def discarded_at_end(circuit):
+    """Qubits whose last event is a DISCARD: the engine zeroes their rows
+    where reference_run_lanes keeps the value they were discarded with."""
+    dead = set()
+    for gate in circuit.gates:
+        if gate[0] == cc.ALLOC:
+            dead.discard(gate[1])
+        elif gate[0] == cc.DISCARD:
+            dead.update(gate[1])
+    return dead
 
 
 def planted_run(circuit, x0, x1, plan=None, h=0):

@@ -1,7 +1,9 @@
 """Gate-level builders, evaluators and resource accounting."""
 
+import dataclasses
 import math
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,10 @@ from qbell import circuits as cc
 from qbell import protocol as proto
 from qbell import tcf
 
-from helpers import (blum_semiprimes, build_mul3_inplace, gen_exact_bits, montgomery_stage,
-                     planted_run, reference_tally, sequential_two_branch, validate_circuit)
+from helpers import (blum_semiprimes, build_mul3_inplace, discarded_at_end, gen_exact_bits,
+                     montgomery_stage, planted_run, reference_replay_draws,
+                     reference_run_lanes, reference_tally, sequential_two_branch,
+                     validate_circuit)
 
 
 class TestMul3:
@@ -380,3 +384,234 @@ def test_transpose_matches_bitwise_oracle(case):
     width, rows = case
     assert cc._transpose(rows, width) == [
         sum(((row >> j) & 1) << i for i, row in enumerate(rows)) for j in range(width)]
+
+
+# ---------------------------------------------------------------------------
+# the engine against the reference interpreter of the gate list
+
+def _random_circuit(data):
+    """A valid circuit drawn gate by gate through a QubitPool: an x
+    register, then allocations, discards (of x-register qubits too, which
+    the pool hands out again), X/CNOT/Toffoli/CPHASE gates on live qubits
+    and one MEASURE_Y at a random place."""
+    gates = []
+    pool = cc.QubitPool(gates)
+    x_reg = pool.new_register(data.draw(st.integers(1, 5)))
+    live = list(x_reg)
+    n_ops = data.draw(st.integers(0, 50))
+    measure_at = data.draw(st.integers(0, n_ops))
+    kinds = st.sampled_from(("alloc", "discard", cc.X, cc.CNOT, cc.TOFFOLI, cc.TOFFOLI,
+                             cc.CNOT, cc.CPHASE))
+    arity = {cc.X: 1, cc.CNOT: 2, cc.TOFFOLI: 3, cc.CPHASE: 2}
+    for i in range(n_ops + 1):
+        if i == measure_at:
+            ys = data.draw(st.lists(st.sampled_from(live), max_size=4, unique=True)) \
+                if live else []
+            gates.append((cc.MEASURE_Y, tuple(ys)))
+        if i == n_ops:
+            break
+        kind = data.draw(kinds)
+        if kind == "discard" and live:
+            qs = data.draw(st.lists(st.sampled_from(live), min_size=1, max_size=3,
+                                    unique=True))
+            pool.discard(qs)
+            live = [q for q in live if q not in qs]
+        elif kind in arity and len(live) >= arity[kind]:
+            qs = data.draw(st.permutations(live))[:arity[kind]]
+            gates.append((cc.CPHASE, qs[:1], qs[1], 0.5) if kind == cc.CPHASE
+                         else (kind, *qs))
+        else:
+            live.append(pool.new())
+    return cc.Circuit(n_qubits=pool.peak, gates=gates, registers={"x": x_reg}, metadata={})
+
+
+def _assert_lanes_equal(circuit, got, want):
+    assert (got.y_rows, got.garbage, got.phase, got.clean_phase) == \
+        (want.y_rows, want.garbage, want.phase, want.clean_phase)
+    dead = discarded_at_end(circuit)
+    for q, (a, b) in enumerate(zip(got.rows, want.rows)):
+        assert a == (0 if q in dead else b), q
+
+
+def _live_x(circuit):
+    """Bits of the x-register value the engine must agree on: a Montgomery
+    stage discards the low half of its x register, whose rows the engine
+    zeroes and reference_run_lanes keeps."""
+    dead = discarded_at_end(circuit)
+    return sum(1 << i for i, q in enumerate(circuit.registers["x"]) if q not in dead)
+
+
+def _masked_runs(runs, live):
+    return [dataclasses.replace(run, reg0=run.reg0 & live, reg1=run.reg1 & live)
+            for run in runs]
+
+
+@pytest.fixture(scope="module")
+def real_circuits():
+    """Squaring circuits with every builder part, and Montgomery stages,
+    whose x register T[:2n] loses qubits to a discard that the pool
+    allocates again."""
+    keys12, keys16 = gen_exact_bits(12), gen_exact_bits(16)
+    circs = [cc.build_modsquare(keys12.N),
+             cc.build_modsquare(keys12.N, lift_m=1),
+             cc.build_modsquare(keys16.N, lift_m=1, method="karatsuba", cutoff=8),
+             montgomery_stage(9, 341),
+             montgomery_stage(16, keys16.N, "karatsuba", cutoff=8)]
+    for stage in circs[3:]:
+        x_reg, seen, reused = set(stage.registers["x"]), set(), False
+        for gate in stage.gates:
+            if gate[0] == cc.ALLOC:
+                reused |= gate[1] in x_reg and gate[1] in seen
+                seen.add(gate[1])
+        assert reused
+    return circs
+
+
+class TestEngineMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_circuits_every_mode(self, data):
+        circ = _random_circuit(data)
+        validate_circuit(circ)
+        width = len(circ.registers["x"])
+        runs = data.draw(st.integers(1, 4))
+        xs = data.draw(st.lists(st.integers(0, (1 << width) - 1),
+                                min_size=2 * runs, max_size=2 * runs))
+        _assert_lanes_equal(circ, cc._run_lanes(circ, xs),
+                            reference_run_lanes(circ, xs))
+        # planted errors, several on one gate and some past the last one
+        unitary = circ.schedule.unitary
+        errors = sorted(data.draw(st.lists(st.tuples(
+            st.integers(0, unitary + 1), st.integers(0, runs - 1), st.integers(0, 5),
+            st.sampled_from("XYZ")), max_size=3 * unitary + 2)))
+        h_rows = data.draw(st.lists(st.integers(0, (1 << runs) - 1),
+                                    min_size=circ.schedule.h_len,
+                                    max_size=circ.schedule.h_len))
+        _assert_lanes_equal(circ, cc._run_lanes(circ, xs, runs, errors, h_rows),
+                            reference_run_lanes(circ, xs, runs, errors, h_rows))
+        # sampled errors and in-loop Hadamard draws, beside a clean pair
+        p = data.draw(st.sampled_from((0.0, 0.05, 0.3, 1.0)))
+        seed = data.draw(st.integers(0, 2 ** 32))
+        a, b = random.Random(seed), random.Random(seed)
+        got = cc._run_lanes(circ, xs + xs, runs, cc._sampled_errors(p, a, runs) if p else (),
+                            draw_h=a.getrandbits)
+        want = reference_run_lanes(circ, xs + xs, runs,
+                                   cc._sampled_errors(p, b, runs) if p else (),
+                                   draw_h=b.getrandbits)
+        _assert_lanes_equal(circ, got, want)
+        assert a.random() == b.random()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_classical_lanes(self, real_circuits, data):
+        circ = data.draw(st.sampled_from(real_circuits))
+        width = len(circ.registers["x"])
+        xs = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=70))
+        got = cc.evaluate_classical(circ, xs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cc, "_run_lanes", reference_run_lanes)
+            assert got == cc.evaluate_classical(circ, xs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_two_branch_block(self, real_circuits, data):
+        circ = data.draw(st.sampled_from(real_circuits))
+        width, sched = len(circ.registers["x"]), circ.schedule
+        runs = data.draw(st.integers(1, 17))
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        x0s = [rng.getrandbits(width) for _ in range(runs)]
+        x1s = [rng.getrandbits(width) for _ in range(runs)]
+        # from no errors up to one every 2 gates, in some runs
+        rate = data.draw(st.sampled_from((0.0, 0.001, 0.02, 0.1, 0.5)))
+        draws = []
+        for _ in range(runs):
+            us = sorted(rng.sample(range(sched.unitary), int(rate * sched.unitary)))
+            errors = [(u, 0, rng.randrange(6), rng.choice("XYZ")) for u in us]
+            draws.append((bytes(rng.choices((0, 1), k=sched.h_len)), errors))
+        got = cc.run_two_branch_block(circ, x0s, x1s, draws)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cc, "_run_lanes", reference_run_lanes)
+            want = cc.run_two_branch_block(circ, x0s, x1s, draws)
+        live = _live_x(circ)
+        assert got == _masked_runs(got, live) and got == _masked_runs(want, live)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_two_branch_batch(self, real_circuits, data):
+        circ = data.draw(st.sampled_from(real_circuits))
+        width = len(circ.registers["x"])
+        runs = data.draw(st.integers(1, 12))
+        seed = data.draw(st.integers(0, 2 ** 32))
+        pick = random.Random(seed)
+        x0s = [pick.getrandbits(width) for _ in range(runs)]
+        x1s = [pick.getrandbits(width) for _ in range(runs)]
+        # up to every gate erring in every run: dense errors, several per gate
+        p = data.draw(st.sampled_from((0.0, 1e-4, 0.01, 0.1, 0.4, 1.0)))
+        a, b = random.Random(seed), random.Random(seed)
+        got = cc.run_two_branch_batch(circ, x0s, x1s, p, a)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cc, "_run_lanes", reference_run_lanes)
+            want = cc.run_two_branch_batch(circ, x0s, x1s, p, b)
+        assert a.random() == b.random()
+        live = _live_x(circ)
+        for reg in ("reg0", "reg1"):
+            assert [r & live for r in want[reg]] == got[reg] == [r & live for r in got[reg]]
+            del got[reg], want[reg]
+        assert got == want
+
+    def test_dense_batch_errors(self, real_circuits):
+        # at p = 0.1 over 8 runs a gate errs 0.8 times on average, and many
+        # gates take several errors in one call
+        circ = real_circuits[2]
+        drawn = []
+
+        def recorded(*args):
+            for err in cc._sampled_errors(*args):
+                drawn.append(err)
+                yield err
+
+        x0s, x1s = list(range(3, 11)), list(range(40, 48))
+        a, b = random.Random(8), random.Random(8)
+        errors = recorded(0.1, a, 8)
+        got = cc._run_lanes(circ, [*x0s, *x1s, *x0s, *x1s], 8, errors, draw_h=a.getrandbits)
+        want = reference_run_lanes(circ, [*x0s, *x1s, *x0s, *x1s], 8,
+                                   cc._sampled_errors(0.1, b, 8), draw_h=b.getrandbits)
+        _assert_lanes_equal(circ, got, want)
+        per_gate = {}
+        for u, *_ in drawn[:-1]:
+            per_gate[u] = per_gate.get(u, 0) + 1
+        assert len(drawn) > circ.schedule.unitary / 10
+        assert max(per_gate.values()) >= 3
+
+
+def test_schedule_positions_unitary_gates():
+    # marks put unitary gate u at program index u + bisect_right(marks, u)
+    keys = gen_exact_bits(12)
+    circ = cc.build_modsquare(keys.N, lift_m=1)
+    sched = circ.schedule
+    unitary = [i for i, g in enumerate(circ.program) if g[0] in (cc.X, cc.CNOT, cc.TOFFOLI)]
+    assert len(unitary) == sched.unitary
+    assert all(i == u + bisect_right(sched.marks, u) for u, i in enumerate(unitary))
+    assert sched.h_len == sum(len(g[1]) for g in circ.gates if g[0] == cc.DISCARD)
+
+
+def test_replay_draws_match_per_event_draws():
+    # replay_draws packs each run of one-qubit discards into one wide draw;
+    # its h, its errors and the stream after it equal one getrandbits(width)
+    # per discard event, on a circuit with 34-66-qubit events, at error
+    # rates where errors split runs of one-qubit discards
+    keys = gen_exact_bits(64)
+    circ = cc.build_modsquare(keys.N, lift_m=1, method="karatsuba")
+    sched = circ.schedule
+    assert max(sched.widths) >= 34
+    widths, split = sched.widths, 0
+    for rate in (0.0, 1.0, 10.0, 300.0):
+        for seed in range(3):
+            a, b = random.Random(seed), random.Random(seed)
+            got = cc.replay_draws(sched, rate / sched.unitary, a)
+            assert got == reference_replay_draws(sched, rate / sched.unitary, b), (rate, seed)
+            assert a.random() == b.random()
+            for u, *_ in got[1]:
+                stop = bisect_right(sched.befores, u)
+                split += 0 < stop < len(widths) and widths[stop - 1] == 1 == widths[stop]
+    assert split

@@ -354,7 +354,6 @@ class TestCli:
         ("run", "--key", "{rabin}", "--ratio", "1", "--trials", "5"),
         ("verify", "--key", "{rabin}", "--ratio", "1"),
         ("extract", "--key", "{rabin}", "--probes", "0"),
-        ("extract", "--key", "{rabin}", "--mu", "0.5"),
         ("sweep", "--key", "{rabin}", "--trials", "10"),
         ("sweep", "--key", "{rabin}", "--m-values", "0", "--fidelities", "0",
          "--trials", "100"),
@@ -383,6 +382,13 @@ class TestCli:
         paths["ddh"].write_text(tcf.key_to_json(tcf.ddh_gen(2, 10, seed=3)))
         assert run_cli(*(a.format(**paths) for a in argv)) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_extract_rejects_mu(self, tmp_path, capsys):
+        # extract has no --mu: the probe count alone sets the decoder's work
+        key = tmp_path / "rabin.json"
+        key.write_text(tcf.key_to_json(gen_exact_bits(16)))
+        assert run_cli("extract", "--key", str(key), "--mu", "0.05") == 2
+        assert "unrecognized arguments: --mu 0.05" in capsys.readouterr().err
 
     def test_resources_without_exact_modulus_exits_usage_error(self):
         # no rabin_gen seed gives a 6-bit modulus; the search must end
