@@ -1069,24 +1069,40 @@ def phase_schedule(variant, n, N) -> Circuit:
 
 
 def phase_circuit_resources(variant, n) -> ResourceReport:
-    """Resource count of the phase circuits, tallied from the gate stream
-    without materializing a gate list.
+    """Resource count of the phase circuits, in closed form from n.
 
     Variant 1 reuses a single output qubit (qubit n), measured and reset
     once per output bit, so its qubit count is n + 1 and, since every gate
-    touches that qubit, its depth equals its gate count; the per-bit
-    Hadamards and the classically conditioned readout rotations fall
-    outside the counted gate set.  Variant 2 keeps the full output register
-    plus the pair counter, laid out as in phase_schedule.
+    touches that qubit, its depth equals its gate count: one CPHASE per
+    output bit and term.  The per-bit Hadamards and the classically
+    conditioned readout rotations fall outside the counted gate set.
+    Variant 2 keeps the full output register plus the pair counter, laid
+    out as in phase_schedule, and is counted one control sum at a time.
     """
     if n < 8:
         raise CircuitError("resource estimates are defined for n >= 8")
-    m_out = n + PHASE_EXTRA_BITS
+    m = n + PHASE_EXTRA_BITS
     if variant == 1:
-        y, qubits = (n,) * m_out, n + 1
-    else:
-        y = tuple(range(n, n + m_out))
-        qubits = n + m_out + _phase_ancillas(variant, n)
-    total, toffoli, depth = _tally(_phase_gate_stream(variant, n, y), qubits)
-    return ResourceReport(qubits=qubits, total_gates=total,
+        gates = depth = m * n * (n + 1) // 2
+        return ResourceReport(qubits=n + 1, total_gates=gates, toffoli_count=0, depth=depth)
+    if variant != 2:
+        raise CircuitError(f"unknown phase circuit variant {variant}")
+    # The block of control sum s has P pairs.  Each pair is two Toffolis
+    # onto the pair flag t around an L-bit increment of 4L - 3 gates
+    # (2L - 2 Toffolis), in compute and in uncompute; between them run L
+    # counter rows of m CPHASEs and, for even s, the x_{s/2} row.
+    # Depth: each block with pairs begins and ends with a Toffoli on t, and
+    # the pairless first and last blocks share x_0 and x_{n-1} with their
+    # neighbours, so the blocks run one after another and the depth is a
+    # sum over blocks.  Within a block, each pair advances t by 3L layers in
+    # compute and 3L in uncompute; the counter rows add m - 4 to that
+    # (m - 2 when L = 1).  The x_{s/2} row is never on the critical path.
+    gates = toffoli = depth = 0
+    for s in range(2 * n - 1):
+        P = (s + 1) // 2 - max(0, s - n + 1)
+        L = P.bit_length()
+        gates += 2 * P * (4 * L - 1) + L * m + (0 if s % 2 else m)
+        toffoli += 4 * P * L
+        depth += m + (6 * L * P - 4 if L >= 2 else 4 if P == 1 else 0)
+    return ResourceReport(qubits=n + m + _phase_ancillas(2, n), total_gates=gates,
                           toffoli_count=toffoli, depth=depth)

@@ -213,8 +213,11 @@ def cmd_sweep(args):
     if args.trials < postselect.MIN_TRIALS_PER_POINT:
         raise UsageError(f"--trials must be at least {postselect.MIN_TRIALS_PER_POINT}, "
                          f"got {args.trials}")
+    m_values = tuple(_number(int, v, "--m-values") for v in args.m_values.split(","))
+    if min(m_values) < 0:
+        raise UsageError(f"--m-values must be nonnegative, got {args.m_values!r}")
     config = postselect.SweepConfig(
-        m_values=tuple(_number(int, v, "--m-values") for v in args.m_values.split(",")),
+        m_values=m_values,
         fidelity_grid=tuple(_fidelity(v, "--fidelities") for v in args.fidelities.split(",")),
         trials_per_point=args.trials,
         seed=args.seed,
@@ -283,6 +286,8 @@ def cmd_extract(args):
         doc = dict(report.to_json_dict(), success=True)
     except extractor.ExtractionFailed as e:
         doc = {"success": False, "queries_used": e.queries_used, "error": str(e)}
+    except extractor.BudgetExceeded as e:
+        raise UsageError(f"--probes {args.probes} is too many: {e}") from None
     _write_out(args.out, json.dumps(doc, sort_keys=True) + "\n")
     return EXIT_OK
 

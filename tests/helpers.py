@@ -375,6 +375,23 @@ def reference_tally(gates):
     return total, toffoli, depth
 
 
+def reference_phase_resources(variant, n):
+    """Resource count of the phase circuits tallied gate by gate from
+    their gate stream, the oracle for cc.phase_circuit_resources."""
+    if n < 8:
+        raise cc.CircuitError("resource estimates are defined for n >= 8")
+    m_out = n + cc.PHASE_EXTRA_BITS
+    if variant == 1:
+        # one reused output qubit, qubit n
+        y, qubits = (n,) * m_out, n + 1
+    else:
+        y = tuple(range(n, n + m_out))
+        qubits = n + m_out + cc._phase_ancillas(variant, n)
+    total, toffoli, depth = cc._tally(cc._phase_gate_stream(variant, n, y), qubits)
+    return cc.ResourceReport(qubits=qubits, total_gates=total,
+                             toffoli_count=toffoli, depth=depth)
+
+
 def montgomery_stage(n, N, method="schoolbook", cutoff=32):
     """Standalone reduction fragment: input register T (2n bits) -> T*R' mod N."""
     if N.bit_length() != n:

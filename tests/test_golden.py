@@ -67,6 +67,13 @@ CASES = (
     ("resources-phase1",
      ["resources", "--builder", "phase1", "--n", "16", "--out", "{d}/phase1.json"],
      ("phase1.json",)),
+    # the bench's size: n = 128, the largest counts the CLI prints
+    ("resources-phase2-128",
+     ["resources", "--builder", "phase2", "--n", "128", "--out", "{d}/phase2-128.json"],
+     ("phase2-128.json",)),
+    ("resources-phase1-128",
+     ["resources", "--builder", "phase1", "--n", "128", "--out", "{d}/phase1-128.json"],
+     ("phase1-128.json",)),
     ("resources-schoolbook",
      ["resources", "--builder", "schoolbook", "--n", "16", "--out", "{d}/schoolbook.json"],
      ("schoolbook.json",)),
@@ -98,7 +105,9 @@ DIGESTS = {
     "noisy-blocks.json": "0600aeecea843d06b6833ce74716fa165ceabeefb671ceb3d86b2cf4e97ef144",
     "noisy-blocks.jsonl": "9fd05441f5199183c54a489378f27ce4fd911b4760ffaa914fc8b5fd0196fa57",
     "phase1.json": "858fb06c5797dca52aeb9e4fcd4e40150b86398c44dd330db7c46a3b4de151ff",
+    "phase1-128.json": "0fb9533c35ff51e477a23e993d0238d1ced1617f73fb6bcda5c1261904adc97f",
     "phase2.json": "bedee618276c6af518bd0b189a45c9ab2dfe392bd6dfe021f9bf0b06f20f215d",
+    "phase2-128.json": "51e5388f29a70a56f5815b9e5182460b6af1490959a33c8179ddbd620b939463",
     "rabin16.json": "bb34be37e268f078751d4d2e705dcf80f0653fcd8317d260057ad29bd154c37a",
     "rabin32.json": "e54588ec6f08d000cb738350105cfcc0960ae4b32c24326e9a49d5a36b54d4fd",
     "rabin32.pub.json": "8de828468261c1a65b57cf39c416f2bf345c8b36f762a62d936fdec0d231e3ff",

@@ -7,7 +7,7 @@ import pytest
 
 from qbell import circuits as cc
 
-from helpers import hybrid_phase_run, validate_circuit
+from helpers import hybrid_phase_run, reference_phase_resources, validate_circuit
 
 
 def readout(amps, N, M):
@@ -98,3 +98,24 @@ class TestPhaseResources:
     def test_small_n_rejected(self):
         with pytest.raises(cc.CircuitError):
             cc.phase_circuit_resources(1, 6)
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(cc.CircuitError):
+            cc.phase_circuit_resources(3, 16)
+
+    # every n in 8..48, then the boundaries where the counter width
+    # (n // 2 + 1).bit_length() and the largest pair count's bit length change
+    @pytest.mark.parametrize("n", list(range(8, 49)) + [62, 63, 64, 126, 127, 128, 129, 130])
+    @pytest.mark.parametrize("variant", [1, 2])
+    def test_closed_form_matches_streamed_tally(self, variant, n):
+        assert cc.phase_circuit_resources(variant, n) == reference_phase_resources(variant, n)
+
+    @pytest.mark.parametrize("variant, expect", [
+        (1, (129, 1_081_536, 0, 1_081_536)),
+        (2, (274, 539_457, 184_912, 309_769)),
+    ])
+    def test_bench_size_counts(self, variant, expect):
+        # (qubits, gates, Toffolis, depth) at n = 128, as qbell resources
+        # reports them
+        rep = cc.phase_circuit_resources(variant, 128)
+        assert (rep.qubits, rep.total_gates, rep.toffoli_count, rep.depth) == expect

@@ -372,6 +372,10 @@ class TestCli:
         # only the Karatsuba builder has a cutoff
         ("resources", "--builder", "schoolbook", "--n", "16", "--cutoff", "4"),
         ("resources", "--builder", "phase2", "--n", "16", "--cutoff", "4"),
+        # more probes than the extractor's query budget allows, and a
+        # negative lift exponent in a sweep grid
+        ("extract", "--key", "{rabin}", "--prover", "ideal", "--probes", "17"),
+        ("sweep", "--key", "{rabin}", "--m-values", "-1"),
     ])
     def test_bad_arguments_exit_usage_error(self, tmp_path, capsys, argv):
         paths = {"rabin": tmp_path / "rabin.json", "ddh": tmp_path / "ddh.json",
