@@ -163,8 +163,8 @@ class QubitPool:
 #
 # half_adder:  (a, b, cout) -> (a, a+b, cout + carry)
 # full_adder:  (a, b, cin, cout) -> (a, a+b+cin, cin, cout + carry)
-# callers discard the stale carry (and the a input where it is a scratch
-# partial product) immediately after each step.
+# _add_bit and _ripple discard the stale carry after each step; callers
+# discard the a input where it is a scratch partial product.
 
 def _half_adder(g, a, b, cout):
     g.append((TOFFOLI, a, b, cout))
@@ -178,25 +178,35 @@ def _full_adder(g, a, b, cin, cout):
     g.append((CNOT, cin, b))
 
 
+def _add_bit(g, pool, a, b, cin):
+    """One ripple step: b += a + cin into a fresh carry-out, which is
+    returned; the spent carry-in is discarded."""
+    cout = pool.new()
+    _full_adder(g, a, b, cin, cout)
+    pool.discard(cin)
+    return cout
+
+
+def _ripple(g, pool, cin, C):
+    """Propagate the carry cin through C by half adders, then discard the
+    last carry."""
+    for c in C:
+        cout = pool.new()
+        _half_adder(g, cin, c, cout)
+        pool.discard(cin)
+        cin = cout
+    pool.discard(cin)
+
+
 def add_registers(g, pool, A, B):
     """B += A (mod 2^len(B)) for quantum registers, len(A) <= len(B)."""
     if len(A) > len(B):
         raise CircuitError("register A too long to add into B")
-    cin = None
-    for i, a in enumerate(A):
-        cout = pool.new()
-        if i == 0:
-            _half_adder(g, a, B[i], cout)
-        else:
-            _full_adder(g, a, B[i], cin, cout)
-            pool.discard(cin)
-        cin = cout
-    for b in B[len(A):]:
-        cout = pool.new()
-        _half_adder(g, cin, b, cout)
-        pool.discard(cin)
-        cin = cout
-    pool.discard(cin)
+    cin = pool.new()
+    _half_adder(g, A[0], B[0], cin)
+    for a, b in zip(A[1:], B[1:]):
+        cin = _add_bit(g, pool, a, b, cin)
+    _ripple(g, pool, cin, B[len(A):])
 
 
 def add_constant(g, pool, value, A):
@@ -237,17 +247,9 @@ def schoolbook_mult(g, pool, A, B, C):
         for j, b in enumerate(B):
             d = pool.new()
             g.append((TOFFOLI, a, b, d))
-            cout = pool.new()
-            _full_adder(g, d, C[i + j], cin, cout)
-            pool.discard(cin)
-            cin = cout
+            cin = _add_bit(g, pool, d, C[i + j], cin)
             pool.discard(d)
-        for c in C[i + len(B):]:
-            cout = pool.new()
-            _half_adder(g, cin, c, cout)
-            pool.discard(cin)
-            cin = cout
-        pool.discard(cin)
+        _ripple(g, pool, cin, C[i + len(B):])
 
 
 def schoolbook_square(g, pool, A, C):
@@ -256,33 +258,18 @@ def schoolbook_square(g, pool, A, C):
         raise CircuitError("square register too short")
     n = len(A)
     for i in range(n):
-        cin = pool.new()
-        b_idx = 2 * i
-        for j in range(i, n):
-            if i == j:
-                a = A[i]
-            else:
-                a = pool.new()
-                g.append((TOFFOLI, A[i], A[j], a))
-            b_idx = i + j + (i != j)
-            cout = pool.new()
-            _full_adder(g, a, C[b_idx], cin, cout)
-            pool.discard(cin)
-            cin = cout
-            if i == j:
-                b_idx += 1
-                cout = pool.new()
-                _half_adder(g, cin, C[b_idx], cout)
-                pool.discard(cin)
-                cin = cout
-            else:
-                pool.discard(a)
-        for c in C[b_idx + 1:]:
-            cout = pool.new()
-            _half_adder(g, cin, c, cout)
-            pool.discard(cin)
-            cin = cout
+        # the diagonal term A[i] at weight 2i, then its carry into 2i + 1
+        cin = _add_bit(g, pool, A[i], C[2 * i], pool.new())
+        cout = pool.new()
+        _half_adder(g, cin, C[2 * i + 1], cout)
         pool.discard(cin)
+        cin = cout
+        for j in range(i + 1, n):
+            a = pool.new()
+            g.append((TOFFOLI, A[i], A[j], a))
+            cin = _add_bit(g, pool, a, C[i + j + 1], cin)
+            pool.discard(a)
+        _ripple(g, pool, cin, C[i + n + 1:])
 
 
 def schoolbook_mult_classical(g, pool, a, B, C, trunc=None):
@@ -294,21 +281,9 @@ def schoolbook_mult_classical(g, pool, a, B, C, trunc=None):
     while a and i < limit:
         if a & 1:
             cin = pool.new()
-            top = 0
-            for j, b in enumerate(B):
-                if i + j >= limit:
-                    break
-                cout = pool.new()
-                _full_adder(g, b, C[i + j], cin, cout)
-                pool.discard(cin)
-                cin = cout
-                top = i + j + 1
-            for c in C[top:limit]:
-                cout = pool.new()
-                _half_adder(g, cin, c, cout)
-                pool.discard(cin)
-                cin = cout
-            pool.discard(cin)
+            for b, c in zip(B, C[i:limit]):
+                cin = _add_bit(g, pool, b, c, cin)
+            _ripple(g, pool, cin, C[i + len(B):limit])
         a >>= 1
         i += 1
 
@@ -516,10 +491,10 @@ def build_modsquare(N, lift_m=0, method="schoolbook", cutoff=KARATSUBA_CUTOFF):
 
     The x register is lifted in place (a chain of x3 stages), squared into a
     product register, and Montgomery-reduced.  The measured value is
-    (k x)^2 * R' mod k^2 N with R' = R^-1 recorded in the metadata; the
+    (k x)^2 * R' mod k^2 N.  The metadata records the builder, k, the
+    modulus k^2 N, R' = R^-1 ("rprime") and its undo R ("r_undo").  The
     domain-restriction comparator for x < ceil(N/2) is not part of the gate
-    list (noted in metadata) since the simulated prover samples the domain
-    directly.
+    list, since the simulated prover samples the domain directly.
     """
     if N % 2 == 0 or N < 15:
         raise CircuitError("modulus must be an odd composite >= 15")
@@ -557,15 +532,10 @@ def build_modsquare(N, lift_m=0, method="schoolbook", cutoff=KARATSUBA_CUTOFF):
         registers={"x": x_reg, "y": y_reg},
         metadata={
             "builder": method,
-            "n": n,
-            "N": N,
-            "lift_m": lift_m,
             "k": k,
             "modulus": modulus,
             "rprime": pow(R, -1, modulus),
             "r_undo": R % modulus,
-            "cutoff": cutoff if method == "karatsuba" else None,
-            "comparator_excluded": True,
         },
     )
 
@@ -757,9 +727,8 @@ class TwoBranchRun:
     y1: int
     reg0: int  # x-register value, branch 0
     reg1: int
-    rel_phase: int  # +1 / -1
+    phase: int  # relative phase bit: the branches carry (-1)^phase
     h: int  # Hadamard outcomes, bit i for the i-th discarded qubit
-    h_len: int
 
 
 # _TOP_BIT reads a byte as its top bit
@@ -814,18 +783,16 @@ def run_two_branch_block(circuit: Circuit, x0s, x1s, draws) -> list:
     (x0s[j], x1s[j]) with the draws draws[j] = (h, errors) of replay_draws.
     Returns one TwoBranchRun per run."""
     R = len(x0s)
-    h_len = circuit.schedule.h_len
     errors = sorted((u, j, pick, pauli) for j, (_, errs) in enumerate(draws)
                     for u, _, pick, pauli in errs)
     lanes = _run_lanes(circuit, [*x0s, *x1s], R, errors,
-                       _bit_rows([h for h, _ in draws], h_len))
+                       _bit_rows([h for h, _ in draws], circuit.schedule.h_len))
     ys = _transpose(lanes.y_rows, 2 * R)
     regs = _transpose([lanes.rows[q] for q in circuit.registers["x"]], 2 * R)
     # h as an int: its 0/1 bytes, last first, read as binary digits
     return [TwoBranchRun(y0=ys[j], y1=ys[R + j], reg0=regs[j], reg1=regs[R + j],
-                         rel_phase=-1 if lanes.phase >> j & 1 else 1,
-                         h=int(b"0" + draws[j][0][::-1].translate(_LANE_DIGITS[0]), 2),
-                         h_len=h_len)
+                         phase=lanes.phase >> j & 1,
+                         h=int(b"0" + draws[j][0][::-1].translate(_LANE_DIGITS[0]), 2))
             for j in range(R)]
 
 

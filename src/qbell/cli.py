@@ -85,24 +85,25 @@ def parse_prover_spec(spec: str):
 
 
 def build_prover(spec: dict, keys, seed: int):
-    """Prover plus the protocol context the verifier should use for it."""
-    if spec["kind"] != "cheater" and not keys.has_trapdoor:
+    """Prover plus the protocol context the verifier should use for it.
+
+    The cheater holds only the public key, so the verifier's context is a
+    second one over the full key.  The noisy prover's per-gate noise is
+    calibrated on the unlifted (m = 0) circuit, built a second time for
+    m >= 1 to count its gates."""
+    if spec["kind"] == "cheater":
+        return provers.CheaterProver(keys.public(), seed), protocol.ProtocolContext.plain(keys)
+    if not keys.has_trapdoor:
         raise UsageError(f"the {spec['kind']} prover simulation needs the trapdoor; "
                          "pass the full key file")
     if spec["kind"] == "ideal":
-        ctx = protocol.ProtocolContext.plain(keys)
-        return provers.IdealProver(keys, seed, ctx), ctx
-    if spec["kind"] == "cheater":
-        ctx = protocol.ProtocolContext.plain(keys)
-        return provers.CheaterProver(keys.public(), seed, ctx), ctx
+        prover = provers.IdealProver(keys, seed)
+        return prover, prover.ctx
     _rabin_only(keys, "a circuit-backed prover")
-    circ = circuits.build_modsquare(keys.N, lift_m=spec["m"], method=spec["circuit"])
-    base_gates = circuits.gate_count(
-        circ if spec["m"] == 0 else
-        circuits.build_modsquare(keys.N, lift_m=0, method=spec["circuit"]))
-    noise = provers.NoiseModel(circuit_fidelity=spec["F"], n_gates=base_gates)
-    ctx = protocol.ProtocolContext.for_circuit(keys, circ)
-    return provers.NoisyCircuitProver(keys, circ, noise, seed), ctx
+    lifted = postselect.lift_key(keys, spec["m"], spec["circuit"])
+    base = lifted if spec["m"] == 0 else postselect.lift_key(keys, 0, spec["circuit"])
+    noise = provers.NoiseModel(circuit_fidelity=spec["F"], n_gates=base.gate_count)
+    return provers.NoisyCircuitProver(lifted.ctx, noise, seed), lifted.ctx
 
 
 def _write_out(path, text):
@@ -298,6 +299,18 @@ def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="qbell",
                                 description="Interactive quantumness-test laboratory")
     sub = p.add_subparsers(dest="command", required=True)
+    # the verifier's session options (run, verify) and the wire's (verify, prove)
+    session = argparse.ArgumentParser(add_help=False)
+    session.add_argument("--trials", type=int, default=1000)
+    session.add_argument("--seed", type=int, default=0)
+    session.add_argument("--ratio", type=float, default=0.5)
+    session.add_argument("--postselect", action="store_true")
+    session.add_argument("--transcripts", default=None)
+    transport = argparse.ArgumentParser(add_help=False)
+    transport.add_argument("--transport", choices=("stdio", "tcp"), default="stdio")
+    transport.add_argument("--host", default="127.0.0.1")
+    transport.add_argument("--port", type=int, default=9177)
+    transport.add_argument("--timeout", type=float, default=30.0)
 
     kg = sub.add_parser("keygen", help="generate a key pair")
     kg.add_argument("--family", choices=("rabin", "ddh"), default="rabin")
@@ -308,39 +321,22 @@ def make_parser() -> argparse.ArgumentParser:
     kg.add_argument("--public-out", default=None)
     kg.set_defaults(func=cmd_keygen)
 
-    rn = sub.add_parser("run", help="run verifier and prover in process")
+    rn = sub.add_parser("run", parents=[session], help="run verifier and prover in process")
     rn.add_argument("--key", required=True)
     rn.add_argument("--prover", default="ideal")
-    rn.add_argument("--trials", type=int, default=1000)
-    rn.add_argument("--seed", type=int, default=0)
-    rn.add_argument("--ratio", type=float, default=0.5)
-    rn.add_argument("--postselect", action="store_true")
     rn.add_argument("--out", default="-")
-    rn.add_argument("--transcripts", default=None)
     rn.set_defaults(func=cmd_run)
 
-    vf = sub.add_parser("verify", help="serve the verifier role")
+    vf = sub.add_parser("verify", parents=[session, transport],
+                        help="serve the verifier role")
     vf.add_argument("--key", required=True)
-    vf.add_argument("--transport", choices=("stdio", "tcp"), default="stdio")
-    vf.add_argument("--host", default="127.0.0.1")
-    vf.add_argument("--port", type=int, default=9177)
-    vf.add_argument("--trials", type=int, default=1000)
-    vf.add_argument("--seed", type=int, default=0)
-    vf.add_argument("--ratio", type=float, default=0.5)
-    vf.add_argument("--postselect", action="store_true")
-    vf.add_argument("--timeout", type=float, default=30.0)
     vf.add_argument("--out", default=None)
-    vf.add_argument("--transcripts", default=None)
     vf.set_defaults(func=cmd_verify)
 
-    pv = sub.add_parser("prove", help="run the prover role")
+    pv = sub.add_parser("prove", parents=[transport], help="run the prover role")
     pv.add_argument("--prover", default="cheater")
     pv.add_argument("--key", default=None,
                     help="full key file (simulated quantum provers only)")
-    pv.add_argument("--transport", choices=("stdio", "tcp"), default="stdio")
-    pv.add_argument("--host", default="127.0.0.1")
-    pv.add_argument("--port", type=int, default=9177)
-    pv.add_argument("--timeout", type=float, default=30.0)
     pv.set_defaults(func=cmd_prove)
 
     sw = sub.add_parser("sweep", help="post-selection fidelity sweep")

@@ -120,34 +120,35 @@ def gl_list_decode(oracle, n: int, params: GlParams, rng) -> list:
 
     Draws t probes; for every subset-sum r_T and every bit i queries the
     oracle at r_T xor e_i, then reconstructs a candidate for each of the
-    2^t assignments of the probes' true parities, taking per-bit majorities.
+    2^t assignments sigma of the probes' true parities, taking per-bit
+    majorities.  Bit i's vote under sigma is the sum over masks T of
+    (2 answer - 1) (-1)^(sigma . T), so one in-place Walsh-Hadamard
+    transform over the masks gives every sigma's votes: O(n t 2^t).
     """
     t = params.t
     n_subsets = (1 << t) - 1
     if n_subsets * n > MAX_QUERIES:
         raise BudgetExceeded(f"{n_subsets * n} queries exceed {MAX_QUERIES}")
     probes = [rng.getrandbits(n) for _ in range(t)]
-    subset_r = {}
+    subset_r = [0]
     for mask in range(1, 1 << t):
         low = mask & -mask
-        rest = mask ^ low
-        subset_r[mask] = probes[low.bit_length() - 1] ^ subset_r.get(rest, 0)
-    answers = {}
-    for mask, r_t in subset_r.items():
-        answers[mask] = [oracle.query(r_t ^ (1 << i)) for i in range(n)]
+        subset_r.append(probes[low.bit_length() - 1] ^ subset_r[mask ^ low])
+    votes = [[0] * n]
+    for r_t in subset_r[1:]:
+        votes.append([2 * oracle.query(r_t ^ (1 << i)) - 1 for i in range(n)])
+    half = 1
+    while half < len(votes):
+        for lo in range(0, len(votes), 2 * half):
+            for j in range(lo, lo + half):
+                a, b = votes[j], votes[j + half]
+                votes[j] = [u + v for u, v in zip(a, b)]
+                votes[j + half] = [u - v for u, v in zip(a, b)]
+        half *= 2
     candidates = []
     seen = set()
-    for sigma in range(1 << t):
-        votes = [0] * n
-        for mask in subset_r:
-            base = parity(sigma & mask)
-            row = answers[mask]
-            for i in range(n):
-                votes[i] += 1 if row[i] ^ base else -1
-        cand = 0
-        for i in range(n):
-            if votes[i] > 0:
-                cand |= 1 << i
+    for row in votes:
+        cand = sum(1 << i for i, v in enumerate(row) if v > 0)
         if cand not in seen:
             seen.add(cand)
             candidates.append(cand)

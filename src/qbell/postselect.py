@@ -27,19 +27,18 @@ class NoCrossing(ValueError):
 
 @dataclass(frozen=True)
 class LiftedKey:
-    base: tcf.RabinKeyPair
-    m: int
-    k: int
-    circuit: circuits.Circuit
+    """A key's lifted circuit in the context that reads its wire values:
+    ctx.circuit, ctx.keys and ctx.lift_k = 3^m, plus its unitary gate count."""
+
+    ctx: protocol.ProtocolContext
     gate_count: int
 
 
 def lift_key(keys: tcf.RabinKeyPair, m: int, method: str = "karatsuba") -> LiftedKey:
-    """Build the lifted circuit (x3 chain, square, reduce) for k = 3^m."""
-    if m < 0:
-        raise tcf.DomainError("lift exponent must be nonnegative")
+    """Build the lifted circuit (x3 chain, square, reduce) for k = 3^m: the
+    one setup of every circuit-backed run."""
     circ = circuits.build_modsquare(keys.N, lift_m=m, method=method)
-    return LiftedKey(base=keys, m=m, k=3 ** m, circuit=circ,
+    return LiftedKey(ctx=protocol.ProtocolContext.for_circuit(keys, circ),
                      gate_count=circuits.gate_count(circ))
 
 
@@ -94,17 +93,17 @@ def run_sweep(config: SweepConfig, keys: tcf.RabinKeyPair) -> list:
         lifted = base if m == 0 else lift_key(keys, m, config.method)
         for F in config.fidelity_grid:
             noise = NoiseModel(circuit_fidelity=F, n_gates=base.gate_count)
-            rows.append(_sweep_point(config, lifted, base, noise))
+            rows.append(_sweep_point(config, m, lifted, base.gate_count, noise))
     return rows
 
 
-def _sweep_point(config: SweepConfig, lifted: LiftedKey, base: LiftedKey,
+def _sweep_point(config: SweepConfig, m: int, lifted: LiftedKey, base_gates: int,
                  noise: NoiseModel) -> SweepRow:
-    keys = lifted.base
-    ctx = protocol.ProtocolContext.for_circuit(keys, lifted.circuit)
+    ctx = lifted.ctx
+    keys = ctx.keys
     trials = config.trials_per_point
 
-    seed = derive_seed(config.seed, "point", lifted.m, repr(noise.circuit_fidelity))
+    seed = derive_seed(config.seed, "point", m, repr(noise.circuit_fidelity))
     rng = derive_rng(seed, "rounds")
     engine_rng = derive_rng(seed, "engine")
 
@@ -120,13 +119,13 @@ def _sweep_point(config: SweepConfig, lifted: LiftedKey, base: LiftedKey,
         claws = [sample_claw(keys, rng) for _ in range(R)]
         x0s = [c[0] for c in claws]
         x1s = [c[1] for c in claws]
-        out = circuits.run_two_branch_batch(lifted.circuit, x0s, x1s, noise.error_prob,
+        out = circuits.run_two_branch_batch(ctx.circuit, x0s, x1s, noise.error_prob,
                                             engine_rng)
         for i in range(R):
             phase_p, phase_v = out["phase_prover"][i], out["phase_verifier"][i]
             state = measure_y(out["y0"][i], out["y1"][i], out["reg0"][i], out["reg1"][i],
-                              -1 if phase_p else 1, ctx.reg_width, rng)
-            if not is_valid_y(state.y, lifted.k):
+                              phase_p, ctx.reg_width, rng)
+            if not is_valid_y(state.y, ctx.lift_k):
                 discarded += 1  # prover-side: re-run the circuit
                 continue
             # device characterization against the intended (error-free)
@@ -175,11 +174,11 @@ def _sweep_point(config: SweepConfig, lifted: LiftedKey, base: LiftedKey,
 
     kept = tx + tm
     discard_rate = discarded / trials
-    size_ratio = lifted.gate_count / base.gate_count
+    size_ratio = lifted.gate_count / base_gates
     overhead = size_ratio / (1.0 - discard_rate) if discard_rate < 1.0 else math.inf
     p_x = ax / tx if tx else 0.0
     p_m = am / tm if tm else 0.0
-    return SweepRow(m=lifted.m, F=noise.circuit_fidelity, p_x=p_x, p_m=p_m,
+    return SweepRow(m=m, F=noise.circuit_fidelity, p_x=p_x, p_m=p_m,
                     score=p_x + 4.0 * p_m - 4.0, discard_rate=discard_rate,
                     runtime_overhead=overhead, kept=kept)
 

@@ -225,14 +225,8 @@ class ProtocolContext:
     @classmethod
     def for_circuit(cls, keys, circuit):
         meta = circuit.metadata
-        return cls(
-            keys=keys,
-            reg_width=len(circuit.registers["x"]),
-            lift_k=meta.get("k", 1),
-            modulus=meta.get("modulus"),
-            r_undo=meta.get("r_undo"),
-            circuit=circuit,
-        )
+        return cls(keys=keys, reg_width=len(circuit.registers["x"]), lift_k=meta["k"],
+                   modulus=meta["modulus"], r_undo=meta["r_undo"], circuit=circuit)
 
     # --- wire value <-> base value
 

@@ -39,11 +39,11 @@ class DegenerateModel(ValueError):
 
 @dataclass
 class TwoBranchState:
-    """(|x0> + rel_phase |x1>) |y>, or a single collapsed branch."""
+    """(|x0> + (-1)^phase |x1>) |y>, or a single collapsed branch."""
 
     x0: int
     x1: int
-    rel_phase: int
+    phase: int
     y: int
     width: int
     collapsed: int | None = None  # branch index if the superposition is gone
@@ -51,10 +51,6 @@ class TwoBranchState:
     @property
     def merged(self) -> bool:
         return self.collapsed is not None or self.x0 == self.x1
-
-    @property
-    def phase_bit(self) -> int:
-        return 0 if self.rel_phase == 1 else 1
 
     def preimage(self, rng) -> int:
         """Standard-basis measurement of the input register: the surviving
@@ -67,7 +63,7 @@ class TwoBranchState:
         if self.collapsed is not None:
             branch = (self.x0, self.x1)[self.collapsed]
             return compute_qubit_state(branch, branch, r, d)
-        return compute_qubit_state(self.x0, self.x1, r, d, rel_phase_bit=self.phase_bit)
+        return compute_qubit_state(self.x0, self.x1, r, d, rel_phase_bit=self.phase)
 
 
 @dataclass(frozen=True)
@@ -147,7 +143,7 @@ def ideal_round1(keys, rng, ctx: ProtocolContext | None = None):
     x0, x1, y = sample_claw(keys, rng)
     state = TwoBranchState(
         x0=ctx.encode_domain(x0), x1=ctx.encode_domain(x1),
-        rel_phase=1, y=y, width=ctx.reg_width,
+        phase=0, y=y, width=ctx.reg_width,
     )
     return y, state
 
@@ -157,12 +153,12 @@ def ideal_round2(state: TwoBranchState, r: int, rng) -> int:
 
     If the register is merged or r.x0 != r.x1 every d is equally likely
     (the first draw of rng).  Otherwise the branches interfere and d is
-    uniform over the affine class {d : d.(x0 xor x1) = rel_phase_bit}.
+    uniform over the affine class {d : d.(x0 xor x1) = phase}.
     """
     d = rng.getrandbits(state.width)
     if not state.merged and parity(r & state.x0) == parity(r & state.x1):
         diff = state.x0 ^ state.x1
-        if parity(d & diff) != state.phase_bit:
+        if parity(d & diff) != state.phase:
             # flip d at the lowest set bit of the branch difference
             d ^= diff & -diff
     return d
@@ -272,10 +268,10 @@ class CheaterProver(ProverBase):
     answers round 3 as if the qubit were |r.x0>.
     """
 
-    def __init__(self, public_keys, seed: int, ctx: ProtocolContext | None = None):
+    def __init__(self, public_keys, seed: int):
         super().__init__(seed)
         self.keys = public_keys
-        self.ctx = ctx or ProtocolContext.plain(public_keys)
+        self.ctx = ProtocolContext.plain(public_keys)
         self._x0 = None
         self._x0_wire = None
 
@@ -309,11 +305,11 @@ class PhaseNoisyProver(IdealProver):
         rng = self._rng("round1")
         y, self.state = ideal_round1(self.keys, rng, self.ctx)
         if rng.random() >= 0.5 + self.delta:
-            self.state.rel_phase = -1
+            self.state.phase = 1
         return y, 0, 0
 
 
-def measure_y(y0, y1, reg0, reg1, rel_phase, width, rng) -> TwoBranchState:
+def measure_y(y0, y1, reg0, reg1, phase, width, rng) -> TwoBranchState:
     """The y measurement after a two-branch circuit run.  If the branches'
     outputs disagree it collapses the state onto one branch chosen
     uniformly (one rng draw); equal registers leave a single branch too."""
@@ -322,7 +318,7 @@ def measure_y(y0, y1, reg0, reg1, rel_phase, width, rng) -> TwoBranchState:
         collapsed = rng.randrange(2)
     elif reg0 == reg1:
         collapsed = 0
-    return TwoBranchState(x0=reg0, x1=reg1, rel_phase=rel_phase,
+    return TwoBranchState(x0=reg0, x1=reg1, phase=phase,
                           y=(y0, y1)[collapsed or 0], width=width, collapsed=collapsed)
 
 
@@ -361,9 +357,8 @@ class NoisyCircuitProver(IdealProver):
 
     max_attempts = 1000
 
-    def __init__(self, keys, circuit, noise: NoiseModel, seed: int):
-        super().__init__(keys, seed, ProtocolContext.for_circuit(keys, circuit))
-        self.circuit = circuit
+    def __init__(self, ctx: ProtocolContext, noise: NoiseModel, seed: int):
+        super().__init__(ctx.keys, seed, ctx)
         self.noise = noise
         self.attempts = 0
         self.valid_attempts = 0
@@ -378,12 +373,13 @@ class NoisyCircuitProver(IdealProver):
             raise AttemptsExhausted(f"no valid y within {self.max_attempts} attempts")
         self.valid_attempts += 1
         y, self.state, h = found
-        return y, h, self.circuit.schedule.h_len
+        return y, h, self.ctx.circuit.schedule.h_len
 
     def _round1_block(self, first: int) -> dict:
         """Round 1 of iterations first .. first + ROUND1_BLOCK - 1, in waves:
         each wave runs one attempt of every iteration still pending in one
         engine call, and an iteration stays pending while it must retry."""
+        circuit = self.ctx.circuit
         rngs = {i: derive_rng(derive_seed(self._seed, "iter", i), "round1")
                 for i in range(first, first + ROUND1_BLOCK)}
         tries = dict.fromkeys(rngs, 0)
@@ -393,12 +389,12 @@ class NoisyCircuitProver(IdealProver):
             claws, draws = [], []
             for i in pending:
                 claws.append(sample_claw(self.keys, rngs[i]))
-                draws.append(circuits.replay_draws(self.circuit.schedule,
+                draws.append(circuits.replay_draws(circuit.schedule,
                                                    self.noise.error_prob, rngs[i]))
-            runs = circuits.run_two_branch_block(self.circuit, [c[0] for c in claws],
+            runs = circuits.run_two_branch_block(circuit, [c[0] for c in claws],
                                                  [c[1] for c in claws], draws)
             for i, run in zip(pending, runs):
-                state = measure_y(run.y0, run.y1, run.reg0, run.reg1, run.rel_phase,
+                state = measure_y(run.y0, run.y1, run.reg0, run.reg1, run.phase,
                                   self.ctx.reg_width, rngs[i])
                 tries[i] += 1
                 if is_valid_y(state.y, self.ctx.lift_k):

@@ -195,7 +195,7 @@ def sequential_two_branch(circuit, x0, x1, error_prob, rng):
                 err = next(errors, None)
     regs = [sum(branch[q] << i for q, i in x_reg.items()) for branch in bits]
     return cc.TwoBranchRun(y0=ys[0], y1=ys[1], reg0=regs[0], reg1=regs[1],
-                           rel_phase=-1 if phase else 1, h=h, h_len=h_len)
+                           phase=phase, h=h)
 
 
 def reference_run_lanes(circuit, inputs, runs=0, errors=(), h_rows=None, draw_h=None):
@@ -442,6 +442,47 @@ def noisy_round1(keys, circuit, noise, rng, ctx=None):
     ctx = ctx or protocol.ProtocolContext.for_circuit(keys, circuit)
     x0, x1, _ = provers.sample_claw(keys, rng)
     run = cc.run_two_branch(circuit, x0, x1, noise.error_prob, rng)
-    state = provers.measure_y(run.y0, run.y1, run.reg0, run.reg1, run.rel_phase,
+    state = provers.measure_y(run.y0, run.y1, run.reg0, run.reg1, run.phase,
                               ctx.reg_width, rng)
     return state.y, state, run
+
+
+def reference_gl_list_decode(oracle, n, params, rng):
+    """extractor.gl_list_decode as a direct vote loop: for each of the 2^t
+    sign assignments sigma, every subset row votes on every bit, 4^t n
+    steps in all.  The oracle for the Walsh-Hadamard decoder; same
+    arguments, same queries in the same order, same candidate list."""
+    from qbell import extractor
+    t = params.t
+    n_subsets = (1 << t) - 1
+    if n_subsets * n > extractor.MAX_QUERIES:
+        raise extractor.BudgetExceeded(f"{n_subsets * n} queries exceed "
+                                       f"{extractor.MAX_QUERIES}")
+    probes = [rng.getrandbits(n) for _ in range(t)]
+    subset_r = {}
+    for mask in range(1, 1 << t):
+        low = mask & -mask
+        rest = mask ^ low
+        subset_r[mask] = probes[low.bit_length() - 1] ^ subset_r.get(rest, 0)
+    answers = {}
+    for mask, r_t in subset_r.items():
+        answers[mask] = [oracle.query(r_t ^ (1 << i)) for i in range(n)]
+    candidates = []
+    seen = set()
+    for sigma in range(1 << t):
+        votes = [0] * n
+        for mask in subset_r:
+            base = protocol.parity(sigma & mask)
+            row = answers[mask]
+            for i in range(n):
+                votes[i] += 1 if row[i] ^ base else -1
+        cand = 0
+        for i in range(n):
+            if votes[i] > 0:
+                cand |= 1 << i
+        if cand not in seen:
+            seen.add(cand)
+            candidates.append(cand)
+        if len(candidates) >= extractor.MAX_CANDIDATES:
+            break
+    return candidates

@@ -1,6 +1,7 @@
 """Gate-level builders, evaluators and resource accounting."""
 
 import dataclasses
+import hashlib
 import math
 import random
 from bisect import bisect_right
@@ -131,7 +132,7 @@ class TestDiscardPhase:
             run = cc.run_two_branch(circ, x0, x1, 0.0, rng)
             # the settle step on this claw alone
             [pv] = proto.discard_phases(ctx, [(x0, x1, run.h)])
-            assert run.rel_phase == (-1 if pv else 1)
+            assert run.phase == pv
             claws.append((x0, x1, run.h))
             phases.append(pv)
         # the same claws settled as one block
@@ -313,8 +314,8 @@ class TestTwoBranchRuns:
             clean = planted_run(circ, a, b, h=1)
             assert (out["y0"][i], out["y1"][i]) == (run.y0, run.y1), i
             assert (out["reg0"][i], out["reg1"][i]) == (run.reg0, run.reg1), i
-            assert out["phase_prover"][i] == (run.rel_phase == -1), i
-            assert out["phase_verifier"][i] == (clean.rel_phase == -1), i
+            assert out["phase_prover"][i] == run.phase, i
+            assert out["phase_verifier"][i] == clean.phase, i
         clean = planted_run(circ, *pairs[hit], h=1)
         assert (out["y0"][hit], out["reg0"][hit]) != (clean.y0, clean.reg0)
 
@@ -615,3 +616,25 @@ def test_replay_draws_match_per_event_draws():
                 stop = bisect_right(sched.befores, u)
                 split += 0 < stop < len(widths) and widths[stop - 1] == 1 == widths[stop]
     assert split
+
+
+# sha256 of repr(circuit.gates) for (N, method, cutoff, lift_m): the gate
+# order the builders emit, which the noisy prover's draw order follows
+GATE_DIGESTS = (
+    (2063, "schoolbook", 32, 2,
+     "01a7c362d250b54f3630670da307a9982216f96e664480463ffe33851fd17bb6"),
+    (32783, "schoolbook", 32, 1,
+     "ee79603d9ae9f1840f7fe16381d9d10dbd7911a81a927a718c4cef7324abc098"),
+    (8388623, "karatsuba", 8, 0,
+     "83d29f8bbfe51bcc7a55ceda55dac6b1baf9fdbe5bcaa6baebc197a4637259e4"),
+    (4294967311, "karatsuba", 32, 1,
+     "800731a11fd6579d423a995b5bb1c3415618f2230d835c87aec967e0e4723d6e"),
+    (549755813903, "karatsuba", 8, 2,
+     "2136c0e997438d18590cb7272f1f3cf1e86064b658caba1af6f9cace6d3874aa"),
+)
+
+
+@pytest.mark.parametrize("N,method,cutoff,m,digest", GATE_DIGESTS)
+def test_builder_gate_order_pinned(N, method, cutoff, m, digest):
+    circ = cc.build_modsquare(N, lift_m=m, method=method, cutoff=cutoff)
+    assert hashlib.sha256(repr(circ.gates).encode()).hexdigest() == digest

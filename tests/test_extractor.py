@@ -4,13 +4,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbell import extractor as ex
 from qbell import protocol as proto
 from qbell import provers, tcf
 from qbell.seeds import derive_rng
 
-from helpers import gen_exact_bits
+from helpers import gen_exact_bits, reference_gl_list_decode
 
 
 class TruthfulOracleProver(provers.ProverBase):
@@ -120,6 +122,21 @@ class NoisyOracleProver(TruthfulOracleProver):
         return bit
 
 
+class PlantedOracle:
+    """r -> parity(r . secret), flipped with probability flip_p per query,
+    recording the queries asked."""
+
+    def __init__(self, secret, flip_p, seed):
+        self.secret = secret
+        self.flip_p = flip_p
+        self.rng = random.Random(seed)
+        self.asked = []
+
+    def query(self, r):
+        self.asked.append(r)
+        return proto.parity(r & self.secret) ^ (self.rng.random() < self.flip_p)
+
+
 class TestListDecode:
     def test_noise_free_contains_partner(self):
         keys = gen_exact_bits(16)
@@ -167,6 +184,26 @@ class TestListDecode:
         oracle = None
         with pytest.raises(ex.BudgetExceeded):
             ex.gl_list_decode(oracle, 64, ex.GlParams(t=20), random.Random(0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(t=st.integers(1, 8), n=st.integers(1, 20), secret=st.integers(0, 2 ** 20 - 1),
+           flip_p=st.sampled_from((0.0, 0.05, 0.2, 0.5)), seed=st.integers(0, 2 ** 16))
+    def test_transform_matches_vote_loop(self, t, n, secret, flip_p, seed):
+        # the Walsh-Hadamard decoder against the direct 4^t n vote loop on
+        # a planted parity oracle: the same queries in the same order, the
+        # same candidates in the same sigma order
+        oracles = [PlantedOracle(secret % (1 << n), flip_p, seed) for _ in range(2)]
+        got = ex.gl_list_decode(oracles[0], n, ex.GlParams(t), random.Random(seed))
+        want = reference_gl_list_decode(oracles[1], n, ex.GlParams(t), random.Random(seed))
+        assert got == want
+        assert oracles[0].asked == oracles[1].asked
+
+    def test_candidate_cap_matches_vote_loop(self, monkeypatch):
+        monkeypatch.setattr(ex, "MAX_CANDIDATES", 5)
+        oracles = [PlantedOracle(0b1011001, 0.3, 4) for _ in range(2)]
+        got = ex.gl_list_decode(oracles[0], 7, ex.GlParams(6), random.Random(1))
+        want = reference_gl_list_decode(oracles[1], 7, ex.GlParams(6), random.Random(1))
+        assert got == want and len(got) == 5
 
     def test_default_probe_count(self):
         t = ex.default_probe_count(32, mu=0.05)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from qbell import cli
 from qbell import postselect as ps
 from qbell import protocol as proto
 from qbell import circuits as cc
@@ -19,27 +20,80 @@ class TestLiftKey:
     def test_identity_lift(self):
         keys = tcf.RabinKeyPair(N=77, p=11, q=7)
         lifted = ps.lift_key(keys, 0, method="schoolbook")
-        assert lifted.k == 1 and lifted.circuit.metadata["modulus"] == 77
+        assert lifted.ctx.lift_k == 1 and lifted.ctx.circuit.metadata["modulus"] == 77
 
     def test_single_lift(self):
         keys = tcf.RabinKeyPair(N=77, p=11, q=7)
         lifted = ps.lift_key(keys, 1, method="schoolbook")
-        assert lifted.k == 3 and lifted.circuit.metadata["modulus"] == 693
-        assert lifted.gate_count == cc.count_resources(lifted.circuit).total_gates
+        assert lifted.ctx.lift_k == 3 and lifted.ctx.circuit.metadata["modulus"] == 693
+        assert lifted.gate_count == cc.count_resources(lifted.ctx.circuit).total_gates
 
     def test_double_lift(self):
         keys = tcf.RabinKeyPair(N=77, p=11, q=7)
-        assert ps.lift_key(keys, 2, method="schoolbook").circuit.metadata["modulus"] == 6237
+        assert ps.lift_key(keys, 2, method="schoolbook").ctx.circuit.metadata["modulus"] == 6237
 
     def test_lifted_circuit_semantics(self):
         keys = tcf.RabinKeyPair(N=77, p=11, q=7)
         lifted = ps.lift_key(keys, 1, method="schoolbook")
-        rp = lifted.circuit.metadata["rprime"]
-        (y,), _ = cc.evaluate_classical(lifted.circuit, [15])
+        rp = lifted.ctx.circuit.metadata["rprime"]
+        (y,), _ = cc.evaluate_classical(lifted.ctx.circuit, [15])
         assert y == (3 * 15) ** 2 * rp % 693
         # 15^2 mod 77 = 71, so the unscaled lifted image is 9 * 71 = 639
-        undo = lifted.circuit.metadata["r_undo"]
+        undo = lifted.ctx.circuit.metadata["r_undo"]
         assert y * undo % 693 == 639
+
+
+class TestSingleSetup:
+    """Every circuit-backed run sets up through lift_key, and each prover
+    and its verifier share one context."""
+
+    @staticmethod
+    def _builds(monkeypatch):
+        calls = []
+        inner = cc.build_modsquare
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("lift_m", 0))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(cc, "build_modsquare", counted)
+        return calls
+
+    @pytest.mark.parametrize("spec", ["ideal", "noisy:F=0.5,circuit=schoolbook,m=0",
+                                      "noisy:F=0.5,circuit=schoolbook,m=1"])
+    def test_verifier_context_is_the_provers(self, spec):
+        keys = gen_exact_bits(14)
+        prover, ctx = cli.build_prover(cli.parse_prover_spec(spec), keys, 3)
+        assert ctx is prover.ctx
+        assert ctx.keys is keys
+
+    def test_cheater_holds_only_the_public_key(self):
+        keys = gen_exact_bits(14)
+        prover, ctx = cli.build_prover(cli.parse_prover_spec("cheater"), keys, 3)
+        assert not prover.ctx.keys.has_trapdoor
+        assert ctx.keys.has_trapdoor and ctx.keys.public() == prover.ctx.keys
+
+    @pytest.mark.parametrize("m,builds", [(0, [0]), (1, [1, 0]), (2, [2, 0])])
+    def test_noisy_prover_builds(self, monkeypatch, m, builds):
+        # m >= 1 builds the unlifted circuit a second time: the noise model
+        # is calibrated on its gate count
+        calls = self._builds(monkeypatch)
+        keys = gen_exact_bits(14)
+        prover, ctx = cli.build_prover(
+            cli.parse_prover_spec(f"noisy:F=0.5,circuit=schoolbook,m={m}"), keys, 3)
+        assert calls == builds
+        assert ctx.lift_k == 3 ** m
+        assert prover.noise.n_gates == cc.gate_count(
+            cc.build_modsquare(keys.N, method="schoolbook"))
+
+    @pytest.mark.parametrize("m_values,builds", [((0, 1, 3), [0, 1, 3]),
+                                                 ((1, 3), [0, 1, 3])])
+    def test_sweep_builds_once_per_m(self, monkeypatch, m_values, builds):
+        calls = self._builds(monkeypatch)
+        cfg = ps.SweepConfig(m_values=m_values, fidelity_grid=(0.5, 1.0),
+                             trials_per_point=100, seed=2, method="schoolbook")
+        ps.run_sweep(cfg, gen_exact_bits(12))
+        assert calls == builds
 
 
 class TestValidity:
@@ -180,7 +234,7 @@ class TestSweepMatchesMessagePath:
         circ = cc.build_modsquare(keys.N, lift_m=0, method="schoolbook")
         ctx = proto.ProtocolContext.for_circuit(keys, circ)
         noise = provers.NoiseModel(F, cc.count_resources(circ).total_gates)
-        prover = provers.NoisyCircuitProver(keys, circ, noise, seed=14)
+        prover = provers.NoisyCircuitProver(ctx, noise, seed=14)
         rng = derive_rng(15, "v")
         cfg2 = proto.IterationConfig(postselect=True)
         ts = [proto.run_iteration(ctx, prover, rng, cfg2, i) for i in range(3000)]
@@ -203,7 +257,7 @@ class TestSilentDiscardUnbiased:
             noise = provers.NoiseModel(1.0, 100)
             reports = []
             for postselect in (False, True):
-                prover = provers.NoisyCircuitProver(keys, circ, noise, seed=30 + m)
+                prover = provers.NoisyCircuitProver(ctx, noise, seed=30 + m)
                 rng = derive_rng(31, "v", m, postselect)
                 cfg = proto.IterationConfig(postselect=postselect)
                 ts = [proto.run_iteration(ctx, prover, rng, cfg, i)

@@ -206,7 +206,7 @@ class TestRunIteration:
 
         keys = KEY77
         ctx = proto.ProtocolContext.plain(keys)
-        prover = InvalidYProver(keys.public(), seed=3, ctx=ctx)
+        prover = InvalidYProver(keys.public(), seed=3)
         rng = derive_rng(3, "v")
         cfg = proto.IterationConfig(postselect=True)
         ts = [proto.run_iteration(ctx, prover, rng, cfg, i) for i in range(20)]
@@ -226,7 +226,7 @@ class TestRunIteration:
                 return y, 0, 0
 
         ctx = proto.ProtocolContext.plain(KEY77)
-        prover = OutOfRangeProver(KEY77.public(), seed=3, ctx=ctx)
+        prover = OutOfRangeProver(KEY77.public(), seed=3)
         rng = derive_rng(3, "v")
         cfg = proto.IterationConfig(postselect=postselect)
         outcomes = {proto.run_iteration(ctx, prover, rng, cfg, i).outcome for i in range(20)}
@@ -249,7 +249,7 @@ class TestRunIteration:
                 return 0, 0, 0
 
         ctx = proto.ProtocolContext.plain(KEY77)
-        prover = ZeroProver(KEY77.public(), seed=4, ctx=ctx)
+        prover = ZeroProver(KEY77.public(), seed=4)
         rng = derive_rng(9, "v")
         ts = [proto.run_iteration(ctx, prover, rng, proto.IterationConfig(), i)
               for i in range(300)]
@@ -360,7 +360,7 @@ class TestSettleBlocks:
         base = cc.gate_count(cc.build_modsquare(keys.N, lift_m=0, method=method, cutoff=8))
         noise = provers.NoiseModel(circuit_fidelity=F, n_gates=base)
         ctx = proto.ProtocolContext.for_circuit(keys, circ)
-        return provers.NoisyCircuitProver(keys, circ, noise, seed=7), ctx
+        return provers.NoisyCircuitProver(ctx, noise, seed=7), ctx
 
     @pytest.mark.parametrize("postselect", [False, True])
     @pytest.mark.parametrize("method", ["schoolbook", "karatsuba"])
@@ -398,7 +398,7 @@ class TestSettleBlocks:
 
         def prover():
             if kind == "cheater":
-                return provers.CheaterProver(key.public(), seed=5, ctx=ctx)
+                return provers.CheaterProver(key.public(), seed=5)
             return provers.IdealProver(key, seed=5, ctx=ctx)
 
         cfg = proto.IterationConfig()

@@ -35,7 +35,7 @@ class TestIdealRound1:
         rng = random.Random(3)
         for _ in range(20):
             y, state = provers.ideal_round1(keys, rng)
-            assert state.rel_phase == 1
+            assert state.phase == 0
             assert {state.x0, state.x1} == set(tcf.rabin_invert(keys, y))
             assert len({state.x0, state.x1}) == 2
 
@@ -67,8 +67,8 @@ class TestIdealRound2:
     def test_merged_state_returns_first_draw(self):
         # a merged register (equal branches, or collapsed by the y
         # measurement) gives d as the rng's first uniform draw, for any r
-        for st in (provers.TwoBranchState(x0=3, x1=3, rel_phase=1, y=9, width=4),
-                   provers.TwoBranchState(x0=0b01001, x1=0b00010, rel_phase=-1,
+        for st in (provers.TwoBranchState(x0=3, x1=3, phase=0, y=9, width=4),
+                   provers.TwoBranchState(x0=0b01001, x1=0b00010, phase=1,
                                           y=0, width=5, collapsed=1)):
             for seed in range(20):
                 expect = random.Random(seed).getrandbits(st.width)
@@ -76,7 +76,7 @@ class TestIdealRound2:
                     assert provers.ideal_round2(st, r, random.Random(seed)) == expect
 
     def test_equal_case_parity_class_plus(self):
-        st = provers.TwoBranchState(x0=0b01001, x1=0b00010, rel_phase=1, y=0, width=5)
+        st = provers.TwoBranchState(x0=0b01001, x1=0b00010, phase=0, y=0, width=5)
         rng = random.Random(1)
         diff = st.x0 ^ st.x1
         for _ in range(500):
@@ -85,7 +85,7 @@ class TestIdealRound2:
                 assert proto.parity(provers.ideal_round2(st, r, rng) & diff) == 0
 
     def test_equal_case_parity_class_minus(self):
-        st = provers.TwoBranchState(x0=0b01001, x1=0b00010, rel_phase=-1, y=0, width=5)
+        st = provers.TwoBranchState(x0=0b01001, x1=0b00010, phase=1, y=0, width=5)
         rng = random.Random(2)
         diff = st.x0 ^ st.x1
         for _ in range(500):
@@ -95,7 +95,7 @@ class TestIdealRound2:
 
     def test_unequal_case_d_uniform(self):
         # chi-square against uniform over 32 strings at n=5
-        st = provers.TwoBranchState(x0=0b01001, x1=0b00010, rel_phase=1, y=0, width=5)
+        st = provers.TwoBranchState(x0=0b01001, x1=0b00010, phase=0, y=0, width=5)
         rng = random.Random(3)
         r = 0b01000  # r.x0 = 1, r.x1 = 0
         counts = [0] * 32
@@ -179,7 +179,7 @@ class TestNoiseModel:
         rp = circ.metadata["rprime"]
         for _ in range(40):
             y, state, _ = noisy_round1(keys, circ, noise, rng, ctx)
-            assert state.rel_phase in (-1, 1)
+            assert state.phase in (0, 1)
             assert state.collapsed is None
             y_base = y * circ.metadata["r_undo"] % keys.N
             assert {state.x0, state.x1} == set(tcf.rabin_invert(keys, y_base))
@@ -199,7 +199,7 @@ class TestNoiseModel:
                           registers={"x": xr, "y": (anc,)}, metadata={})
         # branches 1 and 2 disagree on x bits but agree on anc after gate 2
         run = planted_run(circ, 1, 2, {2: (anc, "Z")})
-        assert run.rel_phase == 1
+        assert run.phase == 0
 
     def test_z_error_on_differing_qubit_flips_phase(self):
         gates = []
@@ -213,7 +213,7 @@ class TestNoiseModel:
         circ = cc.Circuit(n_qubits=pool.peak, gates=gates,
                           registers={"x": xr, "y": (anc,)}, metadata={})
         run = planted_run(circ, 1, 2, {0: (anc, "Z")})
-        assert run.rel_phase == -1
+        assert run.phase == 1
 
     def test_divergent_y_collapses_uniformly(self):
         keys = gen_exact_bits(12)
@@ -273,7 +273,7 @@ class TestTwoBranchAgainstStateVector:
                     sv.pauli(plan[gi][1], plan[gi][0])
             expect = np.zeros(sv.dim, complex)
             expect[run.reg0] += 1 / math.sqrt(2)
-            expect[run.reg1] += run.rel_phase / math.sqrt(2)
+            expect[run.reg1] += (-1) ** run.phase / math.sqrt(2)
             assert sv.equal_up_to_global_phase(expect), (trial, plan)
 
 
@@ -347,7 +347,7 @@ class TestNoisyProverProtocol:
         circ = cc.build_modsquare(keys.N, lift_m=0, method="schoolbook")
         ctx = proto.ProtocolContext.for_circuit(keys, circ)
         noise = provers.NoiseModel(1.0, cc.count_resources(circ).total_gates)
-        prover = provers.NoisyCircuitProver(keys, circ, noise, seed=20)
+        prover = provers.NoisyCircuitProver(ctx, noise, seed=20)
         rng = derive_rng(21, "v")
         ts = [proto.run_iteration(ctx, prover, rng, proto.IterationConfig(), i)
               for i in range(2500)]
@@ -362,10 +362,10 @@ def sequential_round1(prover, seed, i):
     iteration's own stream."""
     rng = derive_rng(derive_seed(seed, "iter", i), "round1")
     for attempt in range(1, prover.max_attempts + 1):
-        y, state, run = noisy_round1(prover.keys, prover.circuit, prover.noise, rng,
+        y, state, run = noisy_round1(prover.keys, prover.ctx.circuit, prover.noise, rng,
                                      prover.ctx)
         if provers.is_valid_y(y, prover.ctx.lift_k):
-            return attempt, (y, state, run.h, run.h_len)
+            return attempt, (y, state, run.h, prover.ctx.circuit.schedule.h_len)
     return prover.max_attempts, None
 
 
@@ -384,7 +384,8 @@ class TestBlockedRound1:
         circ = cc.build_modsquare(keys.N, lift_m=m, method=method, cutoff=8)
         noise = provers.NoiseModel(F, cc.count_resources(circ).total_gates)
         seed = 11 + m
-        prover = provers.NoisyCircuitProver(keys, circ, noise, seed)
+        prover = provers.NoisyCircuitProver(proto.ProtocolContext.for_circuit(keys, circ),
+                                            noise, seed)
         if capped:
             prover.max_attempts = 5
         attempts = valid = 0
