@@ -47,7 +47,7 @@ ALLOC = "ALLOC"
 DISCARD = "DISCARD"
 MEASURE_Y = "MEASURE_Y"
 
-UNITARY_TAGS = (X, CNOT, TOFFOLI, CPHASE)
+UNITARY_TAGS = frozenset((X, CNOT, TOFFOLI, CPHASE))
 _BOOKKEEPING = frozenset((ALLOC, DISCARD, MEASURE_Y))
 
 
@@ -893,7 +893,7 @@ def _tally(gates, n_qubits) -> tuple:
 
 def gate_count(circuit: Circuit) -> int:
     """count_resources(circuit).total_gates without the depth layering."""
-    return sum(g[0] in UNITARY_TAGS for g in circuit.gates)
+    return sum(map(UNITARY_TAGS.__contains__, map(itemgetter(0), circuit.gates)))
 
 
 def count_resources(circuit: Circuit) -> ResourceReport:

@@ -84,13 +84,14 @@ def parse_prover_spec(spec: str):
     raise UsageError(f"unknown prover spec {spec!r}")
 
 
-def build_prover(spec: dict, keys, seed: int):
+def build_prover(spec: dict, keys, seed: int, trials: int | None = None):
     """Prover plus the protocol context the verifier should use for it.
 
     The cheater holds only the public key, so the verifier's context is a
     second one over the full key.  The noisy prover's per-gate noise is
     calibrated on the unlifted (m = 0) circuit, built a second time for
-    m >= 1 to count its gates."""
+    m >= 1 to count its gates; it runs round 1 ahead only for iterations
+    below the session length `trials` (None: unknown)."""
     if spec["kind"] == "cheater":
         return provers.CheaterProver(keys.public(), seed), protocol.ProtocolContext.plain(keys)
     if not keys.has_trapdoor:
@@ -103,7 +104,7 @@ def build_prover(spec: dict, keys, seed: int):
     lifted = postselect.lift_key(keys, spec["m"], spec["circuit"])
     base = lifted if spec["m"] == 0 else postselect.lift_key(keys, 0, spec["circuit"])
     noise = provers.NoiseModel(circuit_fidelity=spec["F"], n_gates=base.gate_count)
-    return provers.NoisyCircuitProver(lifted.ctx, noise, seed), lifted.ctx
+    return provers.NoisyCircuitProver(lifted.ctx, noise, seed, trials), lifted.ctx
 
 
 def _write_out(path, text):
@@ -146,7 +147,7 @@ def cmd_run(args):
     if not keys.has_trapdoor:
         raise UsageError("the verifier role needs the secret key file")
     spec = parse_prover_spec(args.prover)
-    prover, ctx = build_prover(spec, keys, derive_seed(args.seed, "prover"))
+    prover, ctx = build_prover(spec, keys, derive_seed(args.seed, "prover"), args.trials)
     rng = derive_rng(args.seed, "verifier")
     config = _iteration_config(args)
     transcripts = protocol.run_session(ctx, prover, rng, config, args.trials)
@@ -186,9 +187,9 @@ def cmd_verify(args):
 def cmd_prove(args):
     spec = parse_prover_spec(args.prover)
 
-    def make_prover(key_json, seed):
-        """The prover for the session key; with --key, for the full key in
-        that file, which must be the session key."""
+    def make_prover(key_json, seed, trials):
+        """The prover for the session key and length; with --key, for the
+        full key in that file, which must be the session key."""
         keys = tcf.key_from_json(key_json)
         if keys.has_trapdoor:
             raise wire.TransportError("verifier leaked trapdoor data")
@@ -197,7 +198,7 @@ def cmd_prove(args):
             if full.public() != keys:
                 raise wire.TransportError("key file does not match the session key")
             keys = full
-        return build_prover(spec, keys, seed)[0]
+        return build_prover(spec, keys, seed, trials)[0]
 
     if args.transport == "stdio":
         ch = wire.Channel(sys.stdin.buffer, sys.stdout.buffer, session="prover")
@@ -279,7 +280,8 @@ def cmd_extract(args):
     if args.probes < 1:
         raise UsageError(f"--probes must be at least 1, got {args.probes}")
     spec = parse_prover_spec(args.prover)
-    prover, _ = build_prover(spec, keys, derive_seed(args.seed, "prover"))
+    # the extractor plays round 1 once, then rewinds
+    prover, _ = build_prover(spec, keys, derive_seed(args.seed, "prover"), 1)
     params = extractor.GlParams(t=args.probes)
     rng = derive_rng(args.seed, "extract")
     try:

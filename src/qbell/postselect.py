@@ -93,11 +93,11 @@ def run_sweep(config: SweepConfig, keys: tcf.RabinKeyPair) -> list:
         lifted = base if m == 0 else lift_key(keys, m, config.method)
         for F in config.fidelity_grid:
             noise = NoiseModel(circuit_fidelity=F, n_gates=base.gate_count)
-            rows.append(_sweep_point(config, m, lifted, base.gate_count, noise))
+            rows.append(_sweep_point(config, m, lifted, noise))
     return rows
 
 
-def _sweep_point(config: SweepConfig, m: int, lifted: LiftedKey, base_gates: int,
+def _sweep_point(config: SweepConfig, m: int, lifted: LiftedKey,
                  noise: NoiseModel) -> SweepRow:
     ctx = lifted.ctx
     keys = ctx.keys
@@ -174,7 +174,7 @@ def _sweep_point(config: SweepConfig, m: int, lifted: LiftedKey, base_gates: int
 
     kept = tx + tm
     discard_rate = discarded / trials
-    size_ratio = lifted.gate_count / base_gates
+    size_ratio = lifted.gate_count / noise.n_gates
     overhead = size_ratio / (1.0 - discard_rate) if discard_rate < 1.0 else math.inf
     p_x = ax / tx if tx else 0.0
     p_m = am / tm if tm else 0.0

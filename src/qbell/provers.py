@@ -242,12 +242,11 @@ class IdealProver(ProverBase):
         if not keys.has_trapdoor:
             raise tcf.DomainError("the simulated prover materializes the claw "
                                   "with the trapdoor; pass the full key")
-        self.keys = keys
         self.ctx = ctx or ProtocolContext.plain(keys)
         self.state = None
 
     def _round1_impl(self):
-        y, self.state = ideal_round1(self.keys, self._rng("round1"), self.ctx)
+        y, self.state = ideal_round1(self.ctx.keys, self._rng("round1"), self.ctx)
         return y, 0, 0
 
     def answer_preimage(self) -> int:
@@ -270,14 +269,13 @@ class CheaterProver(ProverBase):
 
     def __init__(self, public_keys, seed: int):
         super().__init__(seed)
-        self.keys = public_keys
         self.ctx = ProtocolContext.plain(public_keys)
         self._x0 = None
         self._x0_wire = None
 
     def _round1_impl(self):
-        self._x0 = self.keys.sample(self._rng("round1"))
-        y = tcf.evaluate(self.keys, self._x0)
+        self._x0 = self.ctx.keys.sample(self._rng("round1"))
+        y = tcf.evaluate(self.ctx.keys, self._x0)
         self._x0_wire = self.ctx.encode_domain(self._x0)
         return y, 0, 0
 
@@ -303,7 +301,7 @@ class PhaseNoisyProver(IdealProver):
 
     def _round1_impl(self):
         rng = self._rng("round1")
-        y, self.state = ideal_round1(self.keys, rng, self.ctx)
+        y, self.state = ideal_round1(self.ctx.keys, rng, self.ctx)
         if rng.random() >= 0.5 + self.delta:
             self.state.phase = 1
         return y, 0, 0
@@ -327,14 +325,16 @@ def is_valid_y(y: int, k: int) -> bool:
     return y % (k * k) == 0
 
 
-# Round 1 of the noisy circuit prover runs for this many upcoming iterations
-# at a time.  Measured on the 64-bit karatsuba circuit at m = 0 (2-vCPU Xeon
-# VM, Python 3.11): one run_two_branch_block call costs about 7 ms for 1 to
-# 8 runs, 11 ms for 16 and 15 ms for 32, so a run's share falls to about
-# 0.7 ms at 16 runs and only 0.2 ms further at 32, while every iteration
-# run ahead costs about 0.3 ms of replayed draws plus its share of the call
-# whether it is played or not.
-ROUND1_BLOCK = 16
+# Round 1 of the noisy circuit prover keeps up to this many iterations
+# pending, and each run_two_branch_block call runs one attempt of every
+# pending one.  Measured on the 64-bit karatsuba circuit at m = 0 (2-vCPU
+# Xeon VM, Python 3.11): a call costs about 17 ms for 25 runs, 18 ms for 32,
+# 28 ms for 64 and 47 ms for 128, so a run's share falls from 0.67 ms at 25
+# runs to 0.44 ms at 64 and only 0.08 ms further at 128, beside about
+# 0.35 ms of replayed draws per attempt.  A 1,000-iteration session at
+# F = 0.5, m = 1 with --postselect took 2.26 s with a pool of 32, 2.11 s
+# with 64 and 2.21 s with 128.
+ROUND1_POOL = 64
 
 
 class AttemptsExhausted(RuntimeError):
@@ -350,24 +350,30 @@ class NoisyCircuitProver(IdealProver):
     Round 1 of iteration i draws everything from its own stream
     derive_rng(derive_seed(seed, "iter", i), "round1"): per attempt the
     claw, the circuit run's errors and Hadamard outcomes (replay_draws),
-    then the y measurement.  Round 1 runs ahead for ROUND1_BLOCK iterations
-    at a time; `attempts` and `valid_attempts` count an iteration, and
+    then the y measurement.  Round 1 runs ahead in a pool of up to
+    ROUND1_POOL pending iterations, refilled from the upcoming ones below
+    the session length `trials` (None: unknown, so no bound but the pool's);
+    `attempts` and `valid_attempts` count an iteration, and
     AttemptsExhausted is raised for it, only when it is played.
     """
 
     max_attempts = 1000
 
-    def __init__(self, ctx: ProtocolContext, noise: NoiseModel, seed: int):
+    def __init__(self, ctx: ProtocolContext, noise: NoiseModel, seed: int,
+                 trials: int | None = None):
         super().__init__(ctx.keys, seed, ctx)
         self.noise = noise
+        self.trials = trials
         self.attempts = 0
         self.valid_attempts = 0
-        self._ahead = {}  # iteration -> (attempts, (y, state, h) or None)
+        self._pool = {}  # pending iteration -> [its round-1 rng, attempts so far]
+        self._joined = 0  # the next iteration to join the pool
+        self._done = {}  # iteration -> (attempts, (y, state, h) or None)
 
     def _round1_impl(self):
-        if self._iteration not in self._ahead:
-            self._ahead = self._round1_block(self._iteration)
-        attempts, found = self._ahead.pop(self._iteration)
+        while self._iteration not in self._done:
+            self._round1_wave()
+        attempts, found = self._done.pop(self._iteration)
         self.attempts += attempts
         if found is None:
             raise AttemptsExhausted(f"no valid y within {self.max_attempts} attempts")
@@ -375,33 +381,35 @@ class NoisyCircuitProver(IdealProver):
         y, self.state, h = found
         return y, h, self.ctx.circuit.schedule.h_len
 
-    def _round1_block(self, first: int) -> dict:
-        """Round 1 of iterations first .. first + ROUND1_BLOCK - 1, in waves:
-        each wave runs one attempt of every iteration still pending in one
-        engine call, and an iteration stays pending while it must retry."""
-        circuit = self.ctx.circuit
-        rngs = {i: derive_rng(derive_seed(self._seed, "iter", i), "round1")
-                for i in range(first, first + ROUND1_BLOCK)}
-        tries = dict.fromkeys(rngs, 0)
-        done = {}
-        while rngs:
-            pending = list(rngs)
-            claws, draws = [], []
-            for i in pending:
-                claws.append(sample_claw(self.keys, rngs[i]))
-                draws.append(circuits.replay_draws(circuit.schedule,
-                                                   self.noise.error_prob, rngs[i]))
-            runs = circuits.run_two_branch_block(circuit, [c[0] for c in claws],
-                                                 [c[1] for c in claws], draws)
-            for i, run in zip(pending, runs):
-                state = measure_y(run.y0, run.y1, run.reg0, run.reg1, run.phase,
-                                  self.ctx.reg_width, rngs[i])
-                tries[i] += 1
-                if is_valid_y(state.y, self.ctx.lift_k):
-                    done[i] = (tries[i], (state.y, state, run.h))
-                elif tries[i] == self.max_attempts:
-                    done[i] = (tries[i], None)
-                else:
-                    continue
-                del rngs[i]
-        return done
+    def _round1_wave(self):
+        """Tops the pool up, then runs one attempt of every pending
+        iteration in one engine call.  An iteration joins only below the
+        session length, unless it is the one being played, and leaves once
+        its y is valid or its attempts are spent."""
+        ctx, pool = self.ctx, self._pool
+        stop = math.inf if self.trials is None else max(self.trials, self._iteration + 1)
+        while len(pool) < ROUND1_POOL and self._joined < stop:
+            pool[self._joined] = [derive_rng(derive_seed(self._seed, "iter", self._joined),
+                                             "round1"), 0]
+            self._joined += 1
+        pending = list(pool)
+        claws, draws = [], []
+        for i in pending:
+            rng = pool[i][0]
+            claws.append(sample_claw(ctx.keys, rng))
+            draws.append(circuits.replay_draws(ctx.circuit.schedule, self.noise.error_prob,
+                                               rng))
+        runs = circuits.run_two_branch_block(ctx.circuit, [c[0] for c in claws],
+                                             [c[1] for c in claws], draws)
+        for i, run in zip(pending, runs):
+            entry = pool[i]
+            state = measure_y(run.y0, run.y1, run.reg0, run.reg1, run.phase,
+                              ctx.reg_width, entry[0])
+            entry[1] += 1
+            if is_valid_y(state.y, ctx.lift_k):
+                self._done[i] = (entry[1], (state.y, state, run.h))
+            elif entry[1] == self.max_attempts:
+                self._done[i] = (entry[1], None)
+            else:
+                continue
+            del pool[i]

@@ -4,9 +4,9 @@ One JSON frame per newline-terminated line: {"v": 1, "session": ..,
 "seq": .., "msg": {"tag": .., ...payload}}.  Payload integers follow the
 transcripts' rule (protocol.json_ints): a JSON number up to 2^53 in
 magnitude, a decimal string beyond; readers accept either form.  The
-verifier drives: it sends the public key, then for each iteration the
-message sequence of the protocol; the prover answers synchronously.  A
-final {"tag": "end"} frame closes the session.
+verifier drives: it sends the public key and the session length, then
+for each iteration the message sequence of the protocol; the prover
+answers synchronously.  A final {"tag": "end"} frame closes the session.
 """
 
 from __future__ import annotations
@@ -197,15 +197,23 @@ _NEXT = {
 
 
 def prover_loop(channel: Channel, make_prover):
-    """Prover-side session loop: builds the prover from the received public
-    key and answers until the end frame.  A frame out of protocol order or
-    a missing or non-integer field raises ParseError."""
+    """Prover-side session loop: builds the prover as make_prover(key_json,
+    seed, trials) from the key frame and answers until the end frame.  The
+    session length `trials` is None when the key frame omits it.  A frame
+    out of protocol order or a missing or non-integer field raises
+    ParseError, and so does a negative length."""
     hello = channel.recv()
     if hello["tag"] != "key":
         raise TransportError("expected key frame first")
     if not isinstance(hello.get("key_json"), str):
         raise ParseError("key frame lacks the key_json string")
-    prover = make_prover(hello["key_json"], _int(hello.get("prover_seed", 0), "prover_seed"))
+    trials = hello.get("trials")
+    if trials is not None:
+        trials = _int(trials, "trials")
+        if trials < 0:
+            raise ParseError(f"session length must be nonnegative, got {trials!r:.40}")
+    prover = make_prover(hello["key_json"], _int(hello.get("prover_seed", 0), "prover_seed"),
+                         trials)
     last = None
     while True:
         msg = channel.recv()

@@ -204,6 +204,13 @@ class TestResources:
                 assert cc.gate_count(circ) == got
                 prev[name] = got
 
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("method", ["schoolbook", "karatsuba"])
+    def test_gate_count_of_lifted_builds(self, method, m):
+        # the lifted circuits postselect.lift_key counts, x3 chain included
+        circ = cc.build_modsquare(gen_exact_bits(24).N, lift_m=m, method=method, cutoff=8)
+        assert cc.gate_count(circ) == cc.count_resources(circ).total_gates
+
     def test_karatsuba_beats_schoolbook_from_96_bits(self):
         for n in (96, 128, 160):
             keys = gen_exact_bits(n)

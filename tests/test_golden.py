@@ -1,17 +1,22 @@
 """Byte identity of seeded CLI output.
 
-Each case runs one `qbell` subcommand in process at a fixed seed and pins
-the sha256 digest of every file it writes.  A change that moves any of
+Each case runs one `qbell` subcommand in process, and each stdio case a
+`verify`/`prove` pair of processes, at a fixed seed and pins the sha256
+digest of every file it writes.  A change that moves any of
 these bytes must say which random stream or format moved and why, and
 update the digest with it.
 """
 
 import hashlib
 import os
+import subprocess
+import sys
 
 import pytest
 
 from qbell.cli import main
+
+from helpers import cli_env
 
 # (name, argv, output files); "{d}" is the output directory, and later cases
 # read the key files the keygen cases wrote
@@ -52,6 +57,16 @@ CASES = (
       "--trials", "120", "--seed", "23", "--out", "{d}/noisy-blocks.json",
       "--transcripts", "{d}/noisy-blocks.jsonl"],
      ("noisy-blocks.json", "noisy-blocks.jsonl")),
+    # 300 iterations, several round-1 pools of retries
+    ("run-noisy-300-rabin16",
+     ["run", "--key", "{d}/rabin16.json", "--prover", "noisy:F=0.5,circuit=schoolbook,m=1",
+      "--postselect", "--trials", "300", "--seed", "31", "--out", "{d}/noisy300.json",
+      "--transcripts", "{d}/noisy300.jsonl"],
+     ("noisy300.json", "noisy300.jsonl")),
+    ("extract-noisy-rabin16",
+     ["extract", "--key", "{d}/rabin16.json", "--prover", "noisy:F=1.0,circuit=schoolbook,m=0",
+      "--seed", "41", "--out", "{d}/extract-noisy.json"],
+     ("extract-noisy.json",)),
     ("extract-rabin32",
      ["extract", "--key", "{d}/rabin32.json", "--prover", "ideal", "--seed", "17",
       "--out", "{d}/extract.json"],
@@ -84,6 +99,18 @@ CASES = (
      ("karatsuba.json",)),
 )
 
+# (name, verifier argv, prover argv, output files): `verify` and `prove` as
+# two processes joined by stdio pipes, after every case above
+STDIO_CASES = (
+    ("stdio-noisy-rabin16",
+     ["verify", "--key", "{d}/rabin16.json", "--transport", "stdio", "--trials", "100",
+      "--seed", "37", "--out", "{d}/stdio-noisy.json",
+      "--transcripts", "{d}/stdio-noisy.jsonl"],
+     ["prove", "--prover", "noisy:F=0.5,circuit=schoolbook,m=1", "--key", "{d}/rabin16.json",
+      "--transport", "stdio"],
+     ("stdio-noisy.json", "stdio-noisy.jsonl")),
+)
+
 DIGESTS = {
     "cheater-ddh24.json": "21cf9b9d706dbd9cfb97478e36217b91fb8e7bdd16e80b0243060f322599bae1",
     "cheater-ddh24.jsonl": "284b6413561fe1d0bc3fdf400c5e5e58b7373ee28fe61b7cd3b00f04807fd139",
@@ -93,6 +120,7 @@ DIGESTS = {
     "ddh24.pub.json": "6400dc687d228b2ed9a935755f7c2f84cc5490a59e6a1015196828715a532879",
     "ddh24k3.json": "e16094af820a545d3fa64429fd5f0e88a4660412a8c42e86fc5d53d68e4ad13c",
     "extract.json": "876de0cc885bc4901658dc47a12f5a537c4c2d65093c41eff0c741c69dfc2049",
+    "extract-noisy.json": "0ba5c3ae25f8f39a27244485113dd60516accefc2c22af2c67703998170b34a9",
     "ideal-ddh24.json": "fc3484f68778be2f5d238eaf58c4abb1e4001a2c282fc7cb50f4027e091d467a",
     "ideal-ddh24.jsonl": "3bf9b7d6e7609377ed01af54e5190c60d3648f7221219563c2105692a630256b",
     "ideal-ddh24k3.json": "76a891f60a1f5d98b0e740c377490ea0f5503b6490a5272ad26b70104bf1d67e",
@@ -104,6 +132,8 @@ DIGESTS = {
     "noisy.jsonl": "e6bf2241e570e95771da05d357237bd3debb4721f9d39a224d83d8f62c4cf586",
     "noisy-blocks.json": "0600aeecea843d06b6833ce74716fa165ceabeefb671ceb3d86b2cf4e97ef144",
     "noisy-blocks.jsonl": "9fd05441f5199183c54a489378f27ce4fd911b4760ffaa914fc8b5fd0196fa57",
+    "noisy300.json": "7758f9f07f0c25d1fa4bd0831a11c644c44aa34d0616d9e862c206d4bfdc43c0",
+    "noisy300.jsonl": "63a65efec3a8a96aa79c3bde98e46b90c2c15571e827c5186ebc61c65f3c6ec7",
     "phase1.json": "858fb06c5797dca52aeb9e4fcd4e40150b86398c44dd330db7c46a3b4de151ff",
     "phase1-128.json": "0fb9533c35ff51e477a23e993d0238d1ced1617f73fb6bcda5c1261904adc97f",
     "phase2.json": "bedee618276c6af518bd0b189a45c9ab2dfe392bd6dfe021f9bf0b06f20f215d",
@@ -112,18 +142,43 @@ DIGESTS = {
     "rabin32.json": "e54588ec6f08d000cb738350105cfcc0960ae4b32c24326e9a49d5a36b54d4fd",
     "rabin32.pub.json": "8de828468261c1a65b57cf39c416f2bf345c8b36f762a62d936fdec0d231e3ff",
     "schoolbook.json": "d3fa75aea5930a85b88133beb1062aba9cc874d5b13509cf6f99331554af90d7",
+    "stdio-noisy.json": "c2454cbedfe4f685904190b77d295d8cb67a897176e8033b2a088aa6e06d7cbd",
+    "stdio-noisy.jsonl": "7ace273ae365fca3777ba14618d52be8a45243fb5fb3fa4d7eec0efd4291ea11",
     "sweep.csv": "8d22b3fc1bb9fdab1663d92bad8f5a7f854197d61b060457c9d3d91b897ec238",
 }
 
 
+def run_stdio_pair(verifier_argv, prover_argv):
+    """Return codes of `qbell` verifier and prover processes whose stdout
+    feeds the other's stdin."""
+    v2p_r, v2p_w = os.pipe()
+    p2v_r, p2v_w = os.pipe()
+    command = [sys.executable, "-m", "qbell.cli"]
+    verifier = subprocess.Popen(command + verifier_argv, stdin=p2v_r, stdout=v2p_w,
+                                env=cli_env())
+    prover = subprocess.Popen(command + prover_argv, stdin=v2p_r, stdout=p2v_w,
+                              env=cli_env())
+    for fd in (v2p_r, v2p_w, p2v_r, p2v_w):
+        os.close(fd)
+    return verifier.wait(timeout=180), prover.wait(timeout=180)
+
+
 def write_outputs(directory) -> dict:
     """Run every case into `directory`; {file name: sha256 hex digest}."""
+    def fill(argv):
+        return [a.replace("{d}", str(directory)) for a in argv]
+
+    files = []
+    for name, argv, outputs in CASES:
+        assert main(fill(argv)) == 0, name
+        files += outputs
+    for name, verifier_argv, prover_argv, outputs in STDIO_CASES:
+        assert run_stdio_pair(fill(verifier_argv), fill(prover_argv)) == (0, 0), name
+        files += outputs
     out = {}
-    for name, argv, files in CASES:
-        assert main([a.replace("{d}", str(directory)) for a in argv]) == 0, name
-        for f in files:
-            with open(os.path.join(directory, f), "rb") as fh:
-                out[f] = hashlib.sha256(fh.read()).hexdigest()
+    for f in files:
+        with open(os.path.join(directory, f), "rb") as fh:
+            out[f] = hashlib.sha256(fh.read()).hexdigest()
     return out
 
 

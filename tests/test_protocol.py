@@ -174,7 +174,7 @@ class TestRunIteration:
     def test_malformed_preimage_rejected(self):
         class BadProver(provers.IdealProver):
             def answer_preimage(self):
-                return self.keys.N * 2  # out of domain
+                return self.ctx.keys.N * 2  # out of domain
 
         prover = BadProver(self.keys, seed=1)
         rng = derive_rng(1, "v")

@@ -362,7 +362,7 @@ def sequential_round1(prover, seed, i):
     iteration's own stream."""
     rng = derive_rng(derive_seed(seed, "iter", i), "round1")
     for attempt in range(1, prover.max_attempts + 1):
-        y, state, run = noisy_round1(prover.keys, prover.ctx.circuit, prover.noise, rng,
+        y, state, run = noisy_round1(prover.ctx.keys, prover.ctx.circuit, prover.noise, rng,
                                      prover.ctx)
         if provers.is_valid_y(y, prover.ctx.lift_k):
             return attempt, (y, state, run.h, prover.ctx.circuit.schedule.h_len)
@@ -370,40 +370,58 @@ def sequential_round1(prover, seed, i):
 
 
 class TestBlockedRound1:
+    """Round 1 run ahead in the pool against one attempt at a time."""
+
+    POOL = 4  # a small pool, so a few played iterations cross many refills
+
     @pytest.mark.parametrize("capped", [True, False])
     @pytest.mark.parametrize("method", ["schoolbook", "karatsuba"])
     @pytest.mark.parametrize("m", [0, 1, 2])
     @pytest.mark.parametrize("F", [1.0, 0.5, 0.05])
-    def test_matches_sequential_oracle(self, F, m, method, capped):
-        # iteration by iteration across a block boundary: the same image, h,
-        # state and attempt counts as one attempt at a time; an iteration
-        # out of attempts raises only when played, and reset() rewinds to
-        # the same state.  Capped at 5 attempts, some iterations run out; at
-        # the prover's own budget every one retries until its y is valid
+    def test_matches_sequential_oracle(self, monkeypatch, F, m, method, capped):
+        # iteration by iteration across pool refills, for sessions shorter
+        # than, as long as and longer than the pool and of unknown length,
+        # and two iterations past a known length: the same image, h, state
+        # and attempt counts as one attempt at a time; an iteration out of
+        # attempts raises only when played, and reset() rewinds to the same
+        # state.  Capped at 5 attempts, some iterations run out; at the
+        # prover's own budget every one retries until its y is valid
+        monkeypatch.setattr(provers, "ROUND1_POOL", self.POOL)
+        sizes = []  # the runs of each engine call
+        block = cc.run_two_branch_block
+
+        def counted(circuit, x0s, x1s, draws):
+            sizes.append(len(x0s))
+            return block(circuit, x0s, x1s, draws)
+
+        monkeypatch.setattr(cc, "run_two_branch_block", counted)
         keys = gen_exact_bits(14)
         circ = cc.build_modsquare(keys.N, lift_m=m, method=method, cutoff=8)
+        ctx = proto.ProtocolContext.for_circuit(keys, circ)
         noise = provers.NoiseModel(F, cc.count_resources(circ).total_gates)
         seed = 11 + m
-        prover = provers.NoisyCircuitProver(proto.ProtocolContext.for_circuit(keys, circ),
-                                            noise, seed)
-        if capped:
-            prover.max_attempts = 5
-        attempts = valid = 0
-        rng = random.Random(seed)
-        for i in range(provers.ROUND1_BLOCK + 3):
-            tries, found = sequential_round1(prover, seed, i)
-            attempts += tries
-            if found is None:
-                with pytest.raises(provers.AttemptsExhausted):
-                    prover.round1()
-            else:
-                valid += 1
-                y, state, h, h_len = found
-                assert prover.round1() == (y, h, h_len), i
-                assert prover.state == state, i
-                r, sign = rng.getrandbits(state.width), rng.choice((1, -1))
-                d, bit = prover.round2(r), prover.round3(sign)
-                prover.reset()
-                assert prover.state == state, i
-                assert (prover.round2(r), prover.round3(sign)) == (d, bit), i
-            assert (prover.attempts, prover.valid_attempts) == (attempts, valid), i
+        for trials in (self.POOL - 1, self.POOL, 2 * self.POOL + 1, None):
+            prover = provers.NoisyCircuitProver(ctx, noise, seed, trials)
+            if capped:
+                prover.max_attempts = 5
+            attempts = valid = 0
+            rng = random.Random(seed)
+            for i in range(10 if trials is None else trials + 2):
+                tries, found = sequential_round1(prover, seed, i)
+                attempts += tries
+                if found is None:
+                    with pytest.raises(provers.AttemptsExhausted):
+                        prover.round1()
+                else:
+                    valid += 1
+                    y, state, h, h_len = found
+                    assert prover.round1() == (y, h, h_len), (trials, i)
+                    assert prover.state == state, (trials, i)
+                    r, sign = rng.getrandbits(state.width), rng.choice((1, -1))
+                    d, bit = prover.round2(r), prover.round3(sign)
+                    prover.reset()
+                    assert prover.state == state, (trials, i)
+                    assert (prover.round2(r), prover.round3(sign)) == (d, bit), (trials, i)
+                assert (prover.attempts, prover.valid_attempts) == (attempts, valid), \
+                    (trials, i)
+        assert max(sizes) <= self.POOL

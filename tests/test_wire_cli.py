@@ -1,5 +1,7 @@
 """Wire frames, process separation, CLI subcommands, determinism."""
 
+import functools
+import io
 import json
 import os
 import random
@@ -8,16 +10,46 @@ import subprocess
 import sys
 import threading
 from io import BytesIO
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbell import circuits as cc
 from qbell import protocol as proto
 from qbell import cli, provers, tcf, wire
 from qbell.cli import main as cli_main
 
 from helpers import cli_env, gen_exact_bits
+
+
+MISSING = object()  # a key frame without the field
+
+
+def session_length(value):
+    """The session length a key frame's `trials` value announces: None
+    when absent or null, else a nonnegative integer sent as a JSON integer
+    or a decimal string; wire.ParseError for anything else."""
+    if value is MISSING or value is None:
+        return None
+    if isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            return wire.ParseError
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        return wire.ParseError
+    return value
+
+
+@functools.lru_cache(maxsize=None)
+def noisy_setup():
+    """A lifted 16-bit circuit context and half-fidelity noise for it."""
+    keys = gen_exact_bits(16)
+    circ = cc.build_modsquare(keys.N, lift_m=1, method="schoolbook")
+    return (proto.ProtocolContext.for_circuit(keys, circ),
+            provers.NoiseModel(0.5, cc.gate_count(circ)))
 
 
 class TestFrames:
@@ -72,25 +104,48 @@ class TestFrames:
         optional={field: st.none() | st.booleans() | st.integers() | st.floats()
                   | st.text(max_size=8) | st.integers().map(str)
                   | st.lists(st.integers(), max_size=2)
-                  for field in ("r", "sign")}), max_size=12), st.booleans())
+                  for field in ("r", "sign")}), max_size=12),
+        st.sampled_from(["ideal", "cheater", "noisy"]),
+        st.one_of(st.just(MISSING), st.none(), st.booleans(), st.integers(-3, 100),
+                  st.integers(), st.integers(10 ** 6, 10 ** 40), st.floats(),
+                  st.text(max_size=8), st.integers().map(str),
+                  st.lists(st.integers(), max_size=2)))
     @settings(max_examples=300, deadline=None)
-    def test_any_message_sequence_is_answered_or_typed_error(self, msgs, ideal):
+    def test_any_message_sequence_is_answered_or_typed_error(self, msgs, kind, trials):
+        # the key frame's session length is optional; a bool, non-integer
+        # or negative one is a ParseError before any prover is built, and
+        # however long the session, no engine call exceeds the pool
         keys = gen_exact_bits(16)
-        frames = [{"tag": "key", "key_json": tcf.key_to_json(keys, include_secret=False)}]
-        frames += msgs
+        key_frame = {"tag": "key", "key_json": tcf.key_to_json(keys, include_secret=False)}
+        if trials is not MISSING:
+            key_frame["trials"] = trials
         lines = b"".join(json.dumps({"v": 1, "session": "v", "seq": i, "msg": m}).encode()
-                         + b"\n" for i, m in enumerate(frames))
+                         + b"\n" for i, m in enumerate([key_frame] + msgs))
         ch = wire.Channel(BytesIO(lines), BytesIO(), "p")
+        built, sizes = [], []
+        block = cc.run_two_branch_block
 
-        def make_prover(key_json, seed):
-            if ideal:
+        def counted(circuit, x0s, x1s, draws):
+            sizes.append(len(x0s))
+            return block(circuit, x0s, x1s, draws)
+
+        def make_prover(key_json, seed, length):
+            built.append(length)
+            if kind == "ideal":
                 return provers.IdealProver(keys, seed)
-            return provers.CheaterProver(tcf.key_from_json(key_json), seed)
+            if kind == "cheater":
+                return provers.CheaterProver(tcf.key_from_json(key_json), seed)
+            ctx, noise = noisy_setup()
+            return provers.NoisyCircuitProver(ctx, noise, seed, length)
 
-        try:
-            wire.prover_loop(ch, make_prover)
-        except (wire.ParseError, wire.TransportError):
-            pass
+        with mock.patch.object(cc, "run_two_branch_block", counted):
+            try:
+                wire.prover_loop(ch, make_prover)
+            except (wire.ParseError, wire.TransportError):
+                pass
+        expected = session_length(trials)
+        assert built == ([] if expected is wire.ParseError else [expected])
+        assert max(sizes, default=0) <= provers.ROUND1_POOL
 
     @pytest.mark.parametrize("call, reply", [
         (lambda rp: rp.round1(), {"tag": "image", "y": "12", "h": "x"}),
@@ -245,8 +300,8 @@ class TestCli:
         key.write_text(tcf.key_to_json(gen_exact_bits(16)))
         build = cli.build_prover
 
-        def small_budget(spec, keys, seed):
-            prover, ctx = build(spec, keys, seed)
+        def small_budget(spec, keys, seed, trials):
+            prover, ctx = build(spec, keys, seed, trials)
             prover.max_attempts = 2  # y is valid with probability ~1/729 here
             return prover, ctx
 
@@ -254,6 +309,55 @@ class TestCli:
         assert run_cli("run", "--key", str(key), "--prover",
                        "noisy:F=0.0001,circuit=schoolbook,m=3", "--trials", "3",
                        "--out", str(tmp_path / "rep.json")) == 4
+
+    @pytest.mark.parametrize("command, prover_spec, trials", [
+        (["run", "--trials", "25"], "noisy:F=1.0,circuit=schoolbook,m=0", 25),
+        (["run", "--trials", str(provers.ROUND1_POOL)], "noisy:F=1.0,circuit=schoolbook,m=0",
+         provers.ROUND1_POOL),
+        (["run", "--trials", str(provers.ROUND1_POOL + 1)],
+         "noisy:F=1.0,circuit=schoolbook,m=0", provers.ROUND1_POOL + 1),
+        (["run", "--trials", "25", "--postselect"], "noisy:F=0.5,circuit=schoolbook,m=1", 25),
+        (["run", "--trials", "150", "--postselect"], "noisy:F=0.5,circuit=schoolbook,m=1",
+         150),
+        (["extract"], "noisy:F=1.0,circuit=schoolbook,m=0", 1),  # round 1 once, then rewinds
+    ], ids=["run-25", "run-pool", "run-pool+1", "run-25-m1", "run-150-m1", "extract"])
+    def test_round1_runs_only_the_session(self, monkeypatch, tmp_path, command, prover_spec,
+                                          trials):
+        # one engine call per wave of at most ROUND1_POOL runs, and one
+        # replay_draws call per attempt of a played iteration: none runs at
+        # or past the session's length.  At F = 1 and m = 0 every attempt
+        # is valid, so the session is full waves and one partial wave: 25
+        # iterations are one call of 25 runs
+        key = tmp_path / "key16.json"
+        key.write_text(tcf.key_to_json(gen_exact_bits(16)))
+        sizes, draws, built = [], [], []
+        block, replay, build = cc.run_two_branch_block, cc.replay_draws, cli.build_prover
+
+        def counted_block(circuit, x0s, x1s, draws):
+            sizes.append(len(x0s))
+            return block(circuit, x0s, x1s, draws)
+
+        def counted_replay(schedule, error_prob, rng):
+            draws.append(1)
+            return replay(schedule, error_prob, rng)
+
+        def kept(spec, keys, seed, trials):
+            prover, ctx = build(spec, keys, seed, trials)
+            built.append(prover)
+            return prover, ctx
+
+        monkeypatch.setattr(cc, "run_two_branch_block", counted_block)
+        monkeypatch.setattr(cc, "replay_draws", counted_replay)
+        monkeypatch.setattr(cli, "build_prover", kept)
+        assert run_cli(*command, "--key", str(key), "--prover", prover_spec,
+                       "--out", str(tmp_path / "out.json")) == 0
+        assert built[0].trials == trials
+        assert len(draws) == built[0].attempts
+        assert max(sizes) <= provers.ROUND1_POOL
+        if prover_spec.startswith("noisy:F=1.0"):
+            full, rest = divmod(trials, provers.ROUND1_POOL)
+            assert sizes == [provers.ROUND1_POOL] * full + [rest] * (rest > 0)
+            assert len(draws) == trials
 
     def test_usage_error_exit_code(self):
         assert run_cli("frobnicate") == 2
@@ -284,6 +388,45 @@ class TestCli:
             input=stdin, capture_output=True, timeout=120, env=cli_env())
         assert proc.returncode == 4, proc.stderr
         assert b"Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("trials", [True, -1, 2.5, "many"])
+    def test_bad_session_length_exits_protocol_error(self, trials):
+        keys = gen_exact_bits(16)
+        key_frame = {"tag": "key", "key_json": tcf.key_to_json(keys, include_secret=False),
+                     "trials": trials}
+        stdin = b"".join(wire.encode_frame(wire.WireFrame("v", i, m))
+                         for i, m in enumerate([key_frame, {"tag": "end"}]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qbell.cli", "prove", "--transport", "stdio",
+             "--prover", "cheater"],
+            input=stdin, capture_output=True, timeout=120, env=cli_env())
+        assert proc.returncode == 4, proc.stderr
+        assert b"Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("field, length", [({"trials": 7}, 7), ({"trials": "300"}, 300),
+                                               ({}, None), ({"trials": None}, None)])
+    def test_prove_builds_for_the_announced_length(self, monkeypatch, tmp_path, field,
+                                                   length):
+        keys = gen_exact_bits(16)
+        key_path = tmp_path / "key.json"
+        key_path.write_text(tcf.key_to_json(keys))
+        key_frame = {"tag": "key", "key_json": tcf.key_to_json(keys, include_secret=False),
+                     **field}
+        stdin = b"".join(wire.encode_frame(wire.WireFrame("v", i, m))
+                         for i, m in enumerate([key_frame, {"tag": "end"}]))
+        built = []
+        build = cli.build_prover
+
+        def kept(spec, keys, seed, trials):
+            built.append(trials)
+            return build(spec, keys, seed, trials)
+
+        monkeypatch.setattr(cli, "build_prover", kept)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(BytesIO(stdin)))
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(BytesIO()))
+        assert run_cli("prove", "--transport", "stdio", "--key", str(key_path),
+                       "--prover", "noisy:F=1.0,circuit=schoolbook,m=0") == 0
+        assert built == [length]
 
     @pytest.mark.parametrize("session, key_file, rc", [
         ("ddh", "ddh", 0),  # the key file of the session key
@@ -524,7 +667,7 @@ class TestTcpTransport:
         th.start()
         sock = socket.create_connection(("127.0.0.1", port), timeout=60)
         ch = wire.channel_from_socket(sock, "t", timeout=60)
-        wire.prover_loop(ch, lambda key_json, seed_:
+        wire.prover_loop(ch, lambda key_json, seed_, trials_:
                          provers.CheaterProver(tcf.key_from_json(key_json), seed_))
         th.join(timeout=60)
         srv.close()
