@@ -85,26 +85,26 @@ def parse_prover_spec(spec: str):
 
 
 def build_prover(spec: dict, keys, seed: int, trials: int | None = None):
-    """Prover plus the protocol context the verifier should use for it.
-
-    The cheater holds only the public key, so the verifier's context is a
-    second one over the full key.  The noisy prover's per-gate noise is
-    calibrated on the unlifted (m = 0) circuit, built a second time for
-    m >= 1 to count its gates; it runs round 1 ahead only for iterations
-    below the session length `trials` (None: unknown)."""
+    """Prover plus the protocol context that reads its answers, for the
+    verifier and the extractor: built first, the prover on it, except for
+    the cheater, who holds only the public key.  The noisy prover's
+    per-gate noise is calibrated on the unlifted (m = 0) circuit, built a
+    second time for m >= 1 to count its gates; it runs round 1 ahead only
+    for iterations below the session length `trials` (None: unknown)."""
     if spec["kind"] == "cheater":
         return provers.CheaterProver(keys.public(), seed), protocol.ProtocolContext.plain(keys)
     if not keys.has_trapdoor:
         raise UsageError(f"the {spec['kind']} prover simulation needs the trapdoor; "
                          "pass the full key file")
     if spec["kind"] == "ideal":
-        prover = provers.IdealProver(keys, seed)
-        return prover, prover.ctx
+        ctx = protocol.ProtocolContext.plain(keys)
+        return provers.IdealProver(ctx, seed), ctx
     _rabin_only(keys, "a circuit-backed prover")
-    lifted = postselect.lift_key(keys, spec["m"], spec["circuit"])
-    base = lifted if spec["m"] == 0 else postselect.lift_key(keys, 0, spec["circuit"])
-    noise = provers.NoiseModel(circuit_fidelity=spec["F"], n_gates=base.gate_count)
-    return provers.NoisyCircuitProver(lifted.ctx, noise, seed, trials), lifted.ctx
+    ctx = postselect.lift_key(keys, spec["m"], spec["circuit"])
+    base = ctx if spec["m"] == 0 else postselect.lift_key(keys, 0, spec["circuit"])
+    noise = provers.NoiseModel(circuit_fidelity=spec["F"],
+                               n_gates=circuits.gate_count(base.circuit))
+    return provers.NoisyCircuitProver(ctx, noise, seed, trials), ctx
 
 
 def _write_out(path, text):
@@ -201,10 +201,10 @@ def cmd_prove(args):
         return build_prover(spec, keys, seed, trials)[0]
 
     if args.transport == "stdio":
-        ch = wire.Channel(sys.stdin.buffer, sys.stdout.buffer, session="prover")
+        ch = wire.Channel(sys.stdin.buffer, sys.stdout.buffer, session=None)
     else:
         sock = wire.socket.create_connection((args.host, args.port), timeout=args.timeout)
-        ch = wire.channel_from_socket(sock, session="prover", timeout=args.timeout)
+        ch = wire.channel_from_socket(sock, session=None, timeout=args.timeout)
     wire.prover_loop(ch, make_prover)
     return EXIT_OK
 
@@ -281,11 +281,11 @@ def cmd_extract(args):
         raise UsageError(f"--probes must be at least 1, got {args.probes}")
     spec = parse_prover_spec(args.prover)
     # the extractor plays round 1 once, then rewinds
-    prover, _ = build_prover(spec, keys, derive_seed(args.seed, "prover"), 1)
+    prover, ctx = build_prover(spec, keys, derive_seed(args.seed, "prover"), 1)
     params = extractor.GlParams(t=args.probes)
     rng = derive_rng(args.seed, "extract")
     try:
-        report = extractor.extract_and_factor(prover, keys.N, params, rng)
+        report = extractor.extract_and_factor(prover, ctx, params, rng)
         doc = dict(report.to_json_dict(), success=True)
     except extractor.ExtractionFailed as e:
         doc = {"success": False, "queries_used": e.queries_used, "error": str(e)}

@@ -12,11 +12,10 @@ completes a claw and factors the modulus.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import tcf
-from .protocol import QubitState, parity
+from .protocol import ProtocolContext, QubitState, parity
 
 
 class BudgetExceeded(RuntimeError):
@@ -46,12 +45,6 @@ class GlParams:
     def __post_init__(self):
         if self.t < 1:
             raise tcf.DomainError("need at least one probe")
-
-
-def default_probe_count(n: int, mu: float) -> int:
-    """Probes so the per-bit majority has ceil(8 ln(4n) / mu^2) samples."""
-    samples = math.ceil(8.0 * math.log(4.0 * n) / (mu * mu))
-    return max(1, (samples + 1).bit_length())
 
 
 def lemma1_bound(epsilon: float, mu: float) -> float:
@@ -159,44 +152,42 @@ def gl_list_decode(oracle, n: int, params: GlParams, rng) -> list:
 
 @dataclass
 class ExtractionReport:
-    x0: int
-    x1: int | None
-    claw: tcf.Claw | None
-    factors: tuple | None
+    """The claw of domain elements that factored the modulus."""
+
+    claw: tcf.Claw
+    factors: tuple
     queries_used: int
 
     def to_json_dict(self):
-        return {
-            "x0": str(self.x0),
-            "x1": None if self.x1 is None else str(self.x1),
-            "factors": None if self.factors is None else [str(f) for f in self.factors],
-            "queries_used": self.queries_used,
-        }
+        return {"x0": str(self.claw.x0), "x1": str(self.claw.x1),
+                "factors": [str(f) for f in self.factors],
+                "queries_used": self.queries_used}
 
 
-def extract_and_factor(prover, N: int, params: GlParams, rng) -> ExtractionReport:
-    """Run the full reduction against a rewindable prover on modulus N.
+def extract_and_factor(prover, ctx: ProtocolContext, params: GlParams,
+                       rng) -> ExtractionReport:
+    """Run the full reduction against a rewindable prover, reading its
+    answers through ctx as the verifier does: any prover `run` can score.
 
     Ask the preimage challenge first (storing x0), rewind, list-decode the
-    round-2/3 oracle for x1, filter candidates by f(x1) = y, and factor.
+    round-2/3 oracle for x1 over ctx.reg_width, keep candidates that also
+    map to y, and factor with the claw of their domain elements.
     """
     y = prover.round1()[0]
     x0 = prover.answer_preimage()
-    bound = tcf.rabin_domain_size(N)
-    if not (0 <= x0 < bound and x0 * x0 % N == y):
+    if not ctx.check_preimage_wire(x0, y):
         raise ExtractionFailed("prover's preimage answer does not match y")
     prover.reset()
     oracle = RewindableOracle(prover, x0)
-    n = N.bit_length()
-    candidates = gl_list_decode(oracle, n, params, rng)
+    candidates = gl_list_decode(oracle, ctx.reg_width, params, rng)
     for cand in candidates:
-        if cand != x0 and 0 <= cand < bound and cand * cand % N == y:
-            claw = tcf.Claw(x0=x0, x1=cand, y=y)
+        if cand != x0 and ctx.check_preimage_wire(cand, y):
+            claw = tcf.Claw(x0=ctx.decode_domain(x0), x1=ctx.decode_domain(cand),
+                            y=ctx.base_image(y))
             try:
-                factors = tcf.factor_from_claw(N, claw)
+                factors = tcf.factor_from_claw(ctx.keys.N, claw)
             except tcf.NotAClaw:
                 continue
-            return ExtractionReport(x0=x0, x1=cand, claw=claw, factors=factors,
-                                    queries_used=oracle.queries_used)
+            return ExtractionReport(claw, factors, oracle.queries_used)
     raise ExtractionFailed("no candidate completed a claw",
                            queries_used=oracle.queries_used)

@@ -25,21 +25,13 @@ class NoCrossing(ValueError):
     """Score rows never change sign."""
 
 
-@dataclass(frozen=True)
-class LiftedKey:
-    """A key's lifted circuit in the context that reads its wire values:
-    ctx.circuit, ctx.keys and ctx.lift_k = 3^m, plus its unitary gate count."""
-
-    ctx: protocol.ProtocolContext
-    gate_count: int
-
-
-def lift_key(keys: tcf.RabinKeyPair, m: int, method: str = "karatsuba") -> LiftedKey:
-    """Build the lifted circuit (x3 chain, square, reduce) for k = 3^m: the
-    one setup of every circuit-backed run."""
+def lift_key(keys: tcf.RabinKeyPair, m: int,
+             method: str = "karatsuba") -> protocol.ProtocolContext:
+    """The context that reads the wire values of the lifted circuit (x3
+    chain, square, reduce) for k = 3^m: the one setup of every
+    circuit-backed run."""
     circ = circuits.build_modsquare(keys.N, lift_m=m, method=method)
-    return LiftedKey(ctx=protocol.ProtocolContext.for_circuit(keys, circ),
-                     gate_count=circuits.gate_count(circ))
+    return protocol.ProtocolContext.for_circuit(keys, circ)
 
 
 def rejection_power(k: int) -> Fraction:
@@ -88,18 +80,19 @@ def run_sweep(config: SweepConfig, keys: tcf.RabinKeyPair) -> list:
     (size ratio / keep rate).
     """
     base = lift_key(keys, 0, config.method)
+    base_gates = circuits.gate_count(base.circuit)
     rows = []
     for m in config.m_values:
-        lifted = base if m == 0 else lift_key(keys, m, config.method)
+        ctx = base if m == 0 else lift_key(keys, m, config.method)
+        gates = base_gates if m == 0 else circuits.gate_count(ctx.circuit)
         for F in config.fidelity_grid:
-            noise = NoiseModel(circuit_fidelity=F, n_gates=base.gate_count)
-            rows.append(_sweep_point(config, m, lifted, noise))
+            noise = NoiseModel(circuit_fidelity=F, n_gates=base_gates)
+            rows.append(_sweep_point(config, m, ctx, gates, noise))
     return rows
 
 
-def _sweep_point(config: SweepConfig, m: int, lifted: LiftedKey,
+def _sweep_point(config: SweepConfig, m: int, ctx: protocol.ProtocolContext, gates: int,
                  noise: NoiseModel) -> SweepRow:
-    ctx = lifted.ctx
     keys = ctx.keys
     trials = config.trials_per_point
 
@@ -174,7 +167,7 @@ def _sweep_point(config: SweepConfig, m: int, lifted: LiftedKey,
 
     kept = tx + tm
     discard_rate = discarded / trials
-    size_ratio = lifted.gate_count / noise.n_gates
+    size_ratio = gates / noise.n_gates
     overhead = size_ratio / (1.0 - discard_rate) if discard_rate < 1.0 else math.inf
     p_x = ax / tx if tx else 0.0
     p_m = am / tm if tm else 0.0

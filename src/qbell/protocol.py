@@ -247,6 +247,10 @@ class ProtocolContext:
         """Domain element -> little-endian register string."""
         return self.keys.encode(x) * self.lift_k
 
+    def decode_domain(self, x_wire: int):
+        """Register string -> domain element: the inverse of encode_domain."""
+        return self.keys.decode(x_wire // self.lift_k)
+
     def check_image_wire(self, y_wire):
         """("claw", Claw) | ("single", x) | ("invalid", None): trapdoor
         inversion of the base image of a wire value; invalid when it has
@@ -267,7 +271,7 @@ class ProtocolContext:
         if y is None or x_wire % self.lift_k or not 0 <= x_wire < 1 << self.reg_width:
             return False
         try:
-            return tcf.evaluate(self.keys, self.keys.decode(x_wire // self.lift_k)) == y
+            return tcf.evaluate(self.keys, self.decode_domain(x_wire)) == y
         except tcf.DomainError:
             return False
 

@@ -137,10 +137,9 @@ def sample_claw(keys, rng):
             return x0, x1, tcf.evaluate(keys, x0)
 
 
-def ideal_round1(keys, rng, ctx: ProtocolContext | None = None):
+def ideal_round1(ctx: ProtocolContext, rng):
     """Honest round 1: collapse onto a claw superposition with +1 phase."""
-    ctx = ctx or ProtocolContext.plain(keys)
-    x0, x1, y = sample_claw(keys, rng)
+    x0, x1, y = sample_claw(ctx.keys, rng)
     state = TwoBranchState(
         x0=ctx.encode_domain(x0), x1=ctx.encode_domain(x1),
         phase=0, y=y, width=ctx.reg_width,
@@ -237,16 +236,16 @@ class IdealProver(ProverBase):
 
     theta = math.pi / 4
 
-    def __init__(self, keys, seed: int, ctx: ProtocolContext | None = None):
+    def __init__(self, ctx: ProtocolContext, seed: int):
         super().__init__(seed)
-        if not keys.has_trapdoor:
+        if not ctx.keys.has_trapdoor:
             raise tcf.DomainError("the simulated prover materializes the claw "
                                   "with the trapdoor; pass the full key")
-        self.ctx = ctx or ProtocolContext.plain(keys)
+        self.ctx = ctx
         self.state = None
 
     def _round1_impl(self):
-        y, self.state = ideal_round1(self.ctx.keys, self._rng("round1"), self.ctx)
+        y, self.state = ideal_round1(self.ctx, self._rng("round1"))
         return y, 0, 0
 
     def answer_preimage(self) -> int:
@@ -294,14 +293,15 @@ class PhaseNoisyProver(IdealProver):
     """Correct branch strings, correct phase only with probability 1/2 + delta;
     measures round 3 at +/- theta (the sign follows the requested basis)."""
 
-    def __init__(self, keys, seed: int, delta: float, theta: float = math.pi / 4):
-        super().__init__(keys, seed)
+    def __init__(self, ctx: ProtocolContext, seed: int, delta: float,
+                 theta: float = math.pi / 4):
+        super().__init__(ctx, seed)
         self.delta = delta
         self.theta = theta
 
     def _round1_impl(self):
         rng = self._rng("round1")
-        y, self.state = ideal_round1(self.ctx.keys, rng, self.ctx)
+        y, self.state = ideal_round1(self.ctx, rng)
         if rng.random() >= 0.5 + self.delta:
             self.state.phase = 1
         return y, 0, 0
@@ -361,7 +361,7 @@ class NoisyCircuitProver(IdealProver):
 
     def __init__(self, ctx: ProtocolContext, noise: NoiseModel, seed: int,
                  trials: int | None = None):
-        super().__init__(ctx.keys, seed, ctx)
+        super().__init__(ctx, seed)
         self.noise = noise
         self.trials = trials
         self.attempts = 0

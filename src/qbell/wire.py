@@ -7,6 +7,8 @@ magnitude, a decimal string beyond; readers accept either form.  The
 verifier drives: it sends the public key and the session length, then
 for each iteration the message sequence of the protocol; the prover
 answers synchronously.  A final {"tag": "end"} frame closes the session.
+The verifier names the session, the prover adopts that name from the key
+frame, and either side rejects a frame from another session.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ def decode_frame(line: bytes) -> WireFrame:
         if field not in doc:
             raise ParseError(f"missing field {field!r}")
     msg, seq = doc["msg"], doc["seq"]
+    if not isinstance(doc["session"], str):
+        raise ParseError(f"session id {doc['session']!r:.40} is not a string")
     if not isinstance(msg, dict):
         raise ParseError("message is not a JSON object")
     if "tag" not in msg:
@@ -72,9 +76,10 @@ def decode_frame(line: bytes) -> WireFrame:
 # transports
 
 class Channel:
-    """Synchronous framed channel over a pair of byte streams."""
+    """Synchronous framed channel over a pair of byte streams.  With session
+    None it adopts the first frame's; a frame from another is a ParseError."""
 
-    def __init__(self, rfile, wfile, session: str):
+    def __init__(self, rfile, wfile, session: str | None):
         self.rfile = rfile
         self.wfile = wfile
         self.session = session
@@ -98,6 +103,11 @@ class Channel:
         if not line:
             raise TransportError("peer closed the stream")
         frame = decode_frame(line)
+        if self.session is None:
+            self.session = frame.session
+        elif frame.session != self.session:
+            raise ParseError(f"frame from session {frame.session!r:.40}, "
+                             f"expected {self.session!r}")
         if frame.seq <= self._seq_in:
             raise ParseError(f"sequence went backwards: {frame.seq}")
         self._seq_in = frame.seq
@@ -112,7 +122,8 @@ def open_tcp_listener(host: str, port: int) -> socket.socket:
     return srv
 
 
-def channel_from_socket(sock: socket.socket, session: str, timeout: float = 30.0) -> Channel:
+def channel_from_socket(sock: socket.socket, session: str | None,
+                        timeout: float = 30.0) -> Channel:
     sock.settimeout(timeout)
     return Channel(sock.makefile("rb"), sock.makefile("wb"), session)
 

@@ -53,7 +53,8 @@ def run_protocol(keys, prover, trials, seed):
 def test_c1_completeness(key32):
     trials = 100_000
     t0 = time.time()
-    rep = run_protocol(key32, provers.IdealProver(key32, seed=1), trials, seed=101)
+    rep = run_protocol(key32, provers.IdealProver(proto.ProtocolContext.plain(key32), seed=1),
+                       trials, seed=101)
     elapsed = time.time() - t0
     pm = float(rep.p_m)
     sig_m = math.sqrt(proto.COS2_PI_8 * (1 - proto.COS2_PI_8) / rep.trials_m)
@@ -89,9 +90,9 @@ def test_c3_extraction():
     for trial in range(100):
         bits = 24 + (trial % 9)  # cycle 24..32
         keys = gen_exact_bits(bits, seed0=2000 + 20 * trial)
-        prover = provers.IdealProver(keys, seed=trial)
+        prover = provers.IdealProver(proto.ProtocolContext.plain(keys), seed=trial)
         try:
-            rep = ex.extract_and_factor(prover, keys.N, params,
+            rep = ex.extract_and_factor(prover, proto.ProtocolContext.plain(keys), params,
                                         derive_rng(103, "gl", trial))
             wins += rep.factors == (keys.p, keys.q)
         except ex.ExtractionFailed:
@@ -101,7 +102,7 @@ def test_c3_extraction():
         keys = gen_exact_bits(24 + (trial % 9), seed0=5000 + 20 * trial)
         cheat = provers.CheaterProver(keys.public(), seed=trial)
         try:
-            ex.extract_and_factor(cheat, keys.N, ex.GlParams(t=5),
+            ex.extract_and_factor(cheat, proto.ProtocolContext.plain(keys), ex.GlParams(t=5),
                                   derive_rng(104, "gl", trial))
             cheat_wins += 1
         except ex.ExtractionFailed:
@@ -284,7 +285,8 @@ def test_c8_angle_adaptation():
     trials = 100_000
 
     def run(theta, seed):
-        prover = provers.PhaseNoisyProver(keys, seed=seed, delta=delta, theta=theta)
+        prover = provers.PhaseNoisyProver(proto.ProtocolContext.plain(keys), seed=seed,
+                                          delta=delta, theta=theta)
         return run_protocol(keys, prover, trials, seed=200 + seed)
 
     rep_opt = run(theta_opt, 1)

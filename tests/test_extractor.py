@@ -26,7 +26,7 @@ class TruthfulOracleProver(provers.ProverBase):
         self.state = None
 
     def _round1_impl(self):
-        y, self.state = provers.ideal_round1(self.keys, self._rng("round1"), self.ctx)
+        y, self.state = provers.ideal_round1(self.ctx, self._rng("round1"))
         return y, 0, 0
 
     def answer_preimage(self):
@@ -66,7 +66,7 @@ class TestParityGuess:
     def test_ideal_prover_accuracy_above_union_bound(self):
         keys = gen_exact_bits(24)
         bound = 1 - 2 * (1 - proto.COS2_PI_8)  # ~0.707
-        prover = provers.IdealProver(keys, seed=3)
+        prover = provers.IdealProver(proto.ProtocolContext.plain(keys), seed=3)
         y = prover.round1()[0]
         x0 = prover.answer_preimage()
         x1 = next(iter(tcf.rabin_invert(keys, y) - {x0}))
@@ -205,11 +205,6 @@ class TestListDecode:
         want = reference_gl_list_decode(oracles[1], 7, ex.GlParams(6), random.Random(1))
         assert got == want and len(got) == 5
 
-    def test_default_probe_count(self):
-        t = ex.default_probe_count(32, mu=0.05)
-        assert 2 ** t - 1 >= 8 * math.log(128) / 0.0025
-        assert ex.default_probe_count(16, mu=0.4) >= 1
-
 
 class TestLemma1:
     def test_arithmetic(self):
@@ -245,10 +240,11 @@ class TestExtractAndFactor:
         wins = 0
         for trial in range(25):
             keys = gen_exact_bits(28, seed0=500 + trial)
-            prover = provers.IdealProver(keys, seed=trial)
+            prover = provers.IdealProver(proto.ProtocolContext.plain(keys), seed=trial)
             rng = derive_rng(900, "x", trial)
             try:
-                rep = ex.extract_and_factor(prover, keys.N, ex.GlParams(t=6), rng)
+                rep = ex.extract_and_factor(prover, proto.ProtocolContext.plain(keys),
+                                            ex.GlParams(t=6), rng)
             except ex.ExtractionFailed:
                 continue
             assert rep.factors == (keys.p, keys.q)
@@ -261,8 +257,8 @@ class TestExtractAndFactor:
             keys = gen_exact_bits(28, seed0=700 + trial)
             cheat = provers.CheaterProver(keys.public(), seed=trial)
             with pytest.raises(ex.ExtractionFailed):
-                ex.extract_and_factor(cheat, keys.N, ex.GlParams(t=5),
-                                      derive_rng(901, "x", trial))
+                ex.extract_and_factor(cheat, proto.ProtocolContext.plain(keys),
+                                      ex.GlParams(t=5), derive_rng(901, "x", trial))
 
     def test_refusing_prover_fails_at_preimage_stage(self):
         class Refuser(provers.CheaterProver):
@@ -272,7 +268,7 @@ class TestExtractAndFactor:
         keys = gen_exact_bits(24)
         prover = Refuser(keys.public(), seed=1)
         with pytest.raises(ex.ExtractionFailed):
-            ex.extract_and_factor(prover, keys.N, ex.GlParams(t=4),
+            ex.extract_and_factor(prover, proto.ProtocolContext.plain(keys), ex.GlParams(t=4),
                                   random.Random(0))
 
     def test_degraded_but_useful_prover(self):
@@ -290,7 +286,7 @@ class TestExtractAndFactor:
         keys0 = gen_exact_bits(24, seed0=799)
         ctx = proto.ProtocolContext.plain(keys0)
         rng = derive_rng(903, "score")
-        ts = [proto.run_iteration(ctx, Blend(keys0, seed=99), rng,
+        ts = [proto.run_iteration(ctx, Blend(proto.ProtocolContext.plain(keys0), seed=99), rng,
                                   proto.IterationConfig(), i) for i in range(4000)]
         rep = proto.score(ts)
         assert float(rep.score) >= 0.2
@@ -299,10 +295,11 @@ class TestExtractAndFactor:
         trials = 40
         for trial in range(trials):
             keys = gen_exact_bits(24, seed0=800 + trial)
-            prover = Blend(keys, seed=trial)
+            prover = Blend(proto.ProtocolContext.plain(keys), seed=trial)
             rng = derive_rng(902, "x", trial)
             try:
-                rep = ex.extract_and_factor(prover, keys.N, ex.GlParams(t=7), rng)
+                rep = ex.extract_and_factor(prover, proto.ProtocolContext.plain(keys),
+                                            ex.GlParams(t=7), rng)
                 wins += rep.factors == (keys.p, keys.q)
             except ex.ExtractionFailed:
                 pass

@@ -8,12 +8,14 @@ update the digest with it.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
 
 import pytest
 
+from qbell import tcf
 from qbell.cli import main
 
 from helpers import cli_env
@@ -120,7 +122,7 @@ DIGESTS = {
     "ddh24.pub.json": "6400dc687d228b2ed9a935755f7c2f84cc5490a59e6a1015196828715a532879",
     "ddh24k3.json": "e16094af820a545d3fa64429fd5f0e88a4660412a8c42e86fc5d53d68e4ad13c",
     "extract.json": "876de0cc885bc4901658dc47a12f5a537c4c2d65093c41eff0c741c69dfc2049",
-    "extract-noisy.json": "0ba5c3ae25f8f39a27244485113dd60516accefc2c22af2c67703998170b34a9",
+    "extract-noisy.json": "964a580abe201b4dffe1c2481e2c2aa72851ccc32e014ef8b10090361dcb2036",
     "ideal-ddh24.json": "fc3484f68778be2f5d238eaf58c4abb1e4001a2c282fc7cb50f4027e091d467a",
     "ideal-ddh24.jsonl": "3bf9b7d6e7609377ed01af54e5190c60d3648f7221219563c2105692a630256b",
     "ideal-ddh24k3.json": "76a891f60a1f5d98b0e740c377490ea0f5503b6490a5272ad26b70104bf1d67e",
@@ -183,8 +185,13 @@ def write_outputs(directory) -> dict:
 
 
 @pytest.fixture(scope="module")
-def digests(tmp_path_factory):
-    return write_outputs(tmp_path_factory.mktemp("golden"))
+def golden_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("golden")
+
+
+@pytest.fixture(scope="module")
+def digests(golden_dir):
+    return write_outputs(golden_dir)
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
@@ -194,3 +201,11 @@ def test_output_is_byte_identical(digests, name):
 
 def test_every_output_is_pinned(digests):
     assert sorted(digests) == sorted(DIGESTS)
+
+
+def test_noisy_extraction_factors(digests, golden_dir):
+    # the digest of extract-noisy.json pins a success with the key's factors
+    doc = json.loads((golden_dir / "extract-noisy.json").read_text())
+    keys = tcf.key_from_json((golden_dir / "rabin16.json").read_text())
+    assert doc["success"] is True
+    assert sorted(int(f) for f in doc["factors"]) == sorted((keys.p, keys.q))

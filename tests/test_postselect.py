@@ -20,26 +20,26 @@ class TestLiftKey:
     def test_identity_lift(self):
         keys = tcf.RabinKeyPair(N=77, p=11, q=7)
         lifted = ps.lift_key(keys, 0, method="schoolbook")
-        assert lifted.ctx.lift_k == 1 and lifted.ctx.circuit.metadata["modulus"] == 77
+        assert lifted.lift_k == 1 and lifted.circuit.metadata["modulus"] == 77
 
     def test_single_lift(self):
         keys = tcf.RabinKeyPair(N=77, p=11, q=7)
         lifted = ps.lift_key(keys, 1, method="schoolbook")
-        assert lifted.ctx.lift_k == 3 and lifted.ctx.circuit.metadata["modulus"] == 693
-        assert lifted.gate_count == cc.count_resources(lifted.ctx.circuit).total_gates
+        assert lifted.lift_k == 3 and lifted.circuit.metadata["modulus"] == 693
+        assert cc.gate_count(lifted.circuit) == cc.count_resources(lifted.circuit).total_gates
 
     def test_double_lift(self):
         keys = tcf.RabinKeyPair(N=77, p=11, q=7)
-        assert ps.lift_key(keys, 2, method="schoolbook").ctx.circuit.metadata["modulus"] == 6237
+        assert ps.lift_key(keys, 2, method="schoolbook").circuit.metadata["modulus"] == 6237
 
     def test_lifted_circuit_semantics(self):
         keys = tcf.RabinKeyPair(N=77, p=11, q=7)
         lifted = ps.lift_key(keys, 1, method="schoolbook")
-        rp = lifted.ctx.circuit.metadata["rprime"]
-        (y,), _ = cc.evaluate_classical(lifted.ctx.circuit, [15])
+        rp = lifted.circuit.metadata["rprime"]
+        (y,), _ = cc.evaluate_classical(lifted.circuit, [15])
         assert y == (3 * 15) ** 2 * rp % 693
         # 15^2 mod 77 = 71, so the unscaled lifted image is 9 * 71 = 639
-        undo = lifted.ctx.circuit.metadata["r_undo"]
+        undo = lifted.circuit.metadata["r_undo"]
         assert y * undo % 693 == 639
 
 

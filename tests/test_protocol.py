@@ -164,7 +164,7 @@ class TestRunIteration:
         self.ctx = proto.ProtocolContext.plain(self.keys)
 
     def test_ideal_preimage_always_accepted(self):
-        prover = provers.IdealProver(self.keys, seed=0)
+        prover = provers.IdealProver(proto.ProtocolContext.plain(self.keys), seed=0)
         rng = derive_rng(0, "v")
         cfg = proto.IterationConfig(challenge_ratio=1.0)
         for i in range(200):
@@ -176,7 +176,7 @@ class TestRunIteration:
             def answer_preimage(self):
                 return self.ctx.keys.N * 2  # out of domain
 
-        prover = BadProver(self.keys, seed=1)
+        prover = BadProver(proto.ProtocolContext.plain(self.keys), seed=1)
         rng = derive_rng(1, "v")
         t = proto.run_iteration(self.ctx, prover, rng,
                                 proto.IterationConfig(challenge_ratio=1.0), 0)
@@ -184,7 +184,7 @@ class TestRunIteration:
 
     def test_honest_d_lands_in_zero_parity_class(self):
         # conditioned on r.x0 = r.x1, every honest d has d.(x0 xor x1) = 0
-        prover = provers.IdealProver(self.keys, seed=2)
+        prover = provers.IdealProver(proto.ProtocolContext.plain(self.keys), seed=2)
         rng = derive_rng(2, "v")
         checked = 0
         for i in range(10_000):
@@ -262,7 +262,7 @@ class TestTranscripts:
     def test_jsonl_export(self):
         keys = tcf.rabin_gen(tcf.SecurityParams(n_bits=16, rng_seed=2))
         ctx = proto.ProtocolContext.plain(keys)
-        prover = provers.IdealProver(keys, seed=5)
+        prover = provers.IdealProver(proto.ProtocolContext.plain(keys), seed=5)
         rng = derive_rng(4, "v")
         ts = [proto.run_iteration(ctx, prover, rng, proto.IterationConfig(), i)
               for i in range(20)]
@@ -278,7 +278,7 @@ class TestTranscripts:
         # a 60-bit group puts image components beyond 2^53 into tuples
         key = tcf.ddh_gen(2, 60, seed=3)
         ctx = proto.ProtocolContext.plain(key)
-        prover = provers.IdealProver(key, seed=5)
+        prover = provers.IdealProver(proto.ProtocolContext.plain(key), seed=5)
         rng = derive_rng(4, "v")
         ts = [proto.run_iteration(ctx, prover, rng, proto.IterationConfig(), i)
               for i in range(10)]
@@ -294,7 +294,7 @@ class TestTranscripts:
     def test_message_order_matches_rounds(self):
         keys = tcf.rabin_gen(tcf.SecurityParams(n_bits=16, rng_seed=2))
         ctx = proto.ProtocolContext.plain(keys)
-        prover = provers.IdealProver(keys, seed=6)
+        prover = provers.IdealProver(proto.ProtocolContext.plain(keys), seed=6)
         rng = derive_rng(5, "v")
         t = proto.run_iteration(ctx, prover, rng,
                                 proto.IterationConfig(challenge_ratio=1e-9), 0)
@@ -317,7 +317,7 @@ class TestDdhProtocol:
     def test_ideal_prover_over_ddh(self):
         key = tcf.ddh_gen(2, 10, seed=3)
         ctx = proto.ProtocolContext.plain(key)
-        prover = provers.IdealProver(key, seed=7)
+        prover = provers.IdealProver(proto.ProtocolContext.plain(key), seed=7)
         rng = derive_rng(6, "v")
         ts = [proto.run_iteration(ctx, prover, rng, proto.IterationConfig(), i)
               for i in range(800)]
@@ -399,7 +399,7 @@ class TestSettleBlocks:
         def prover():
             if kind == "cheater":
                 return provers.CheaterProver(key.public(), seed=5)
-            return provers.IdealProver(key, seed=5, ctx=ctx)
+            return provers.IdealProver(ctx, seed=5)
 
         cfg = proto.IterationConfig()
         rng = derive_rng(self.SEED, "verifier")

@@ -34,7 +34,7 @@ class TestIdealRound1:
         keys = tcf.RabinKeyPair(N=77, p=11, q=7)
         rng = random.Random(3)
         for _ in range(20):
-            y, state = provers.ideal_round1(keys, rng)
+            y, state = provers.ideal_round1(proto.ProtocolContext.plain(keys), rng)
             assert state.phase == 0
             assert {state.x0, state.x1} == set(tcf.rabin_invert(keys, y))
             assert len({state.x0, state.x1}) == 2
@@ -44,7 +44,7 @@ class TestIdealRound1:
         rng = random.Random(4)
         seen = set()
         for _ in range(3000):
-            y, _ = provers.ideal_round1(keys, rng)
+            y, _ = provers.ideal_round1(proto.ProtocolContext.plain(keys), rng)
             seen.add(y)
         # the 8 gcd-degenerate images and 0 never appear
         assert not seen & {0, 49, 42, 56, 14, 70, 44, 22, 11}
@@ -56,7 +56,7 @@ class TestIdealRound1:
         counts = {}
         n = 15_000
         for _ in range(n):
-            y, _ = provers.ideal_round1(keys, rng)
+            y, _ = provers.ideal_round1(proto.ProtocolContext.plain(keys), rng)
             counts[y] = counts.get(y, 0) + 1
         # each claw image carries exactly two domain preimages
         for y, c in counts.items():
@@ -114,7 +114,7 @@ class TestIdealRound3:
         hits = 0
         n = 40_000
         for _ in range(n):
-            y, st = provers.ideal_round1(keys, rng, ctx)
+            y, st = provers.ideal_round1(ctx, rng)
             r = rng.getrandbits(ctx.reg_width)
             d = provers.ideal_round2(st, r, rng)
             sign = 1 if rng.random() < 0.5 else -1
@@ -148,7 +148,7 @@ class TestCheater:
 class TestRewindDeterminism:
     def test_reset_replays_identically(self):
         keys = gen_exact_bits(24)
-        prover = provers.IdealProver(keys, seed=9)
+        prover = provers.IdealProver(proto.ProtocolContext.plain(keys), seed=9)
         prover.round1()
         r = 0b1011011
         d1 = prover.round2(r)
@@ -315,7 +315,8 @@ class TestPhaseNoisyProver:
     def run_score(self, delta, theta, trials=30_000, seed=0):
         keys = gen_exact_bits(24)
         ctx = proto.ProtocolContext.plain(keys)
-        prover = provers.PhaseNoisyProver(keys, seed=seed, delta=delta, theta=theta)
+        prover = provers.PhaseNoisyProver(proto.ProtocolContext.plain(keys), seed=seed,
+                                          delta=delta, theta=theta)
         rng = derive_rng(seed, "v")
         ts = [proto.run_iteration(ctx, prover, rng, proto.IterationConfig(), i)
               for i in range(trials)]

@@ -98,13 +98,16 @@ class TestFrames:
             assert isinstance(frame, wire.WireFrame)
             assert isinstance(frame.seq, int) and isinstance(frame.msg, dict)
 
-    @given(st.lists(st.fixed_dictionaries(
+    @given(st.lists(st.tuples(st.fixed_dictionaries(
         {"tag": st.sampled_from(["round1", "challenge", "vector", "basis", "end",
                                  "image", "key", "bogus"])},
         optional={field: st.none() | st.booleans() | st.integers() | st.floats()
                   | st.text(max_size=8) | st.integers().map(str)
                   | st.lists(st.integers(), max_size=2)
-                  for field in ("r", "sign")}), max_size=12),
+                  for field in ("r", "sign")}),
+        # a frame's session: "v" in two of five draws, else another
+        st.just("v") | st.just("v") | st.text(max_size=2) | st.none() | st.integers()),
+        max_size=12),
         st.sampled_from(["ideal", "cheater", "noisy"]),
         st.one_of(st.just(MISSING), st.none(), st.booleans(), st.integers(-3, 100),
                   st.integers(), st.integers(10 ** 6, 10 ** 40), st.floats(),
@@ -114,14 +117,18 @@ class TestFrames:
     def test_any_message_sequence_is_answered_or_typed_error(self, msgs, kind, trials):
         # the key frame's session length is optional; a bool, non-integer
         # or negative one is a ParseError before any prover is built, and
-        # however long the session, no engine call exceeds the pool
+        # however long the session, no engine call exceeds the pool.  The
+        # prover adopts the key frame's session "v": it answers in that
+        # session and reads no frame past the first from another one, which
+        # is a ParseError
         keys = gen_exact_bits(16)
         key_frame = {"tag": "key", "key_json": tcf.key_to_json(keys, include_secret=False)}
         if trials is not MISSING:
             key_frame["trials"] = trials
-        lines = b"".join(json.dumps({"v": 1, "session": "v", "seq": i, "msg": m}).encode()
-                         + b"\n" for i, m in enumerate([key_frame] + msgs))
-        ch = wire.Channel(BytesIO(lines), BytesIO(), "p")
+        lines = [json.dumps({"v": 1, "session": session, "seq": i, "msg": m}).encode() + b"\n"
+                 for i, (m, session) in enumerate([(key_frame, "v")] + msgs)]
+        rfile, wfile = BytesIO(b"".join(lines)), BytesIO()
+        ch = wire.Channel(rfile, wfile, None)
         built, sizes = [], []
         block = cc.run_two_branch_block
 
@@ -132,20 +139,30 @@ class TestFrames:
         def make_prover(key_json, seed, length):
             built.append(length)
             if kind == "ideal":
-                return provers.IdealProver(keys, seed)
+                return provers.IdealProver(proto.ProtocolContext.plain(keys), seed)
             if kind == "cheater":
                 return provers.CheaterProver(tcf.key_from_json(key_json), seed)
             ctx, noise = noisy_setup()
             return provers.NoisyCircuitProver(ctx, noise, seed, length)
 
+        error = None
         with mock.patch.object(cc, "run_two_branch_block", counted):
             try:
                 wire.prover_loop(ch, make_prover)
-            except (wire.ParseError, wire.TransportError):
-                pass
+            except (wire.ParseError, wire.TransportError) as e:
+                error = e
         expected = session_length(trials)
         assert built == ([] if expected is wire.ParseError else [expected])
         assert max(sizes, default=0) <= provers.ROUND1_POOL
+        assert ch.session == "v"
+        assert all(json.loads(line)["session"] == "v"
+                   for line in wfile.getvalue().splitlines())
+        foreign = next((i for i, (_, session) in enumerate(msgs, 1) if session != "v"), None)
+        if foreign is not None:
+            read_to = sum(map(len, lines[:foreign + 1]))
+            assert rfile.tell() <= read_to
+            if rfile.tell() == read_to:
+                assert isinstance(error, wire.ParseError)
 
     @pytest.mark.parametrize("call, reply", [
         (lambda rp: rp.round1(), {"tag": "image", "y": "12", "h": "x"}),
@@ -154,7 +171,7 @@ class TestFrames:
         (lambda rp: rp.round3(1), {"tag": "image", "y": "1"}),  # wrong reply
     ])
     def test_remote_prover_rejects_bad_replies(self, call, reply):
-        line = json.dumps({"v": 1, "session": "p", "seq": 0, "msg": reply}).encode()
+        line = json.dumps({"v": 1, "session": "v", "seq": 0, "msg": reply}).encode()
         remote = wire.RemoteProver(wire.Channel(BytesIO(line + b"\n"), BytesIO(), "v"),
                                    tcf.RabinKeyPair(N=77, p=11, q=7))
         with pytest.raises(wire.ParseError):
@@ -167,7 +184,7 @@ class TestFrames:
     ])
     def test_image_of_wrong_shape_is_a_parse_error(self, family, y):
         keys = gen_exact_bits(16) if family == "rabin" else tcf.ddh_gen(2, 10, seed=3)
-        line = json.dumps({"v": 1, "session": "p", "seq": 0,
+        line = json.dumps({"v": 1, "session": "v", "seq": 0,
                            "msg": {"tag": "image", "y": y}}).encode()
         remote = wire.RemoteProver(wire.Channel(BytesIO(line + b"\n"), BytesIO(), "v"), keys)
         with pytest.raises(wire.ParseError):
@@ -283,6 +300,20 @@ class TestCli:
         keys = tcf.key_from_json(key.read_text())
         assert sorted(int(f) for f in doc["factors"]) == sorted((keys.p, keys.q))
 
+    @pytest.mark.parametrize("prover", ["ideal", "noisy:F=1.0,circuit=schoolbook,m=0",
+                                        "noisy:F=1.0,circuit=karatsuba,m=1"])
+    def test_extract_factors_with_any_scored_prover(self, tmp_path, prover):
+        # the extractor reads a circuit-backed prover's answers through the
+        # context `run` scores them with, so the noise-free ones factor too
+        key, out = tmp_path / "rabin16.json", tmp_path / "ex.json"
+        assert run_cli("keygen", "--bits", "16", "--seed", "3", "--out", str(key)) == 0
+        assert run_cli("extract", "--key", str(key), "--prover", prover, "--seed", "41",
+                       "--out", str(out)) == 0
+        doc = json.loads(out.read_text())
+        keys = tcf.key_from_json(key.read_text())
+        assert doc["success"] is True
+        assert sorted(int(f) for f in doc["factors"]) == sorted((keys.p, keys.q))
+
     def test_sweep_csv(self, tmp_path):
         key = tmp_path / "k64.json"
         keys = gen_exact_bits(48)
@@ -387,6 +418,34 @@ class TestCli:
              "--prover", "cheater"],
             input=stdin, capture_output=True, timeout=120, env=cli_env())
         assert proc.returncode == 4, proc.stderr
+        assert b"Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("role", ["prove", "verify"])
+    @pytest.mark.parametrize("session, rc", [("own", 3), ("w", 4)])
+    def test_frame_from_another_session_exits_protocol_error(self, tmp_path, role, session,
+                                                              rc):
+        # `prove` adopts the key frame's session "v" and `verify --seed 5`
+        # names its own, "s5".  Each reads one frame and then the end of
+        # its input: from its own session that is a transport error (3),
+        # from another a protocol error (4)
+        keys = gen_exact_bits(16)
+        key = tmp_path / "key.json"
+        key.write_text(tcf.key_to_json(keys))
+        if role == "prove":
+            own, argv = "v", ["--prover", "cheater"]
+            frames = [wire.WireFrame("v", 0, {"tag": "key", "key_json": tcf.key_to_json(
+                keys, include_secret=False)})]
+            reply = {"tag": "round1"}
+        else:
+            own, argv = "s5", ["--key", str(key), "--seed", "5", "--trials", "3"]
+            frames = []
+            reply = {"tag": "image", "y": 4}
+        frames.append(wire.WireFrame(own if session == "own" else session, len(frames), reply))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qbell.cli", role, "--transport", "stdio"] + argv,
+            input=b"".join(map(wire.encode_frame, frames)), capture_output=True,
+            timeout=120, env=cli_env())
+        assert proc.returncode == rc, proc.stderr
         assert b"Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("trials", [True, -1, 2.5, "many"])
