@@ -920,119 +920,15 @@ def count_resources(circuit: Circuit) -> ResourceReport:
 PHASE_EXTRA_BITS = 3
 
 
-def phase_angle(exponent_sum: int, N: int) -> float:
-    """2*pi*2^s/N mod 2*pi, reduced exactly in integer arithmetic first."""
-    return 2.0 * math.pi * pow(2, exponent_sum, N) / N
-
-
 def _counter_width(n):
     """Bits of variant 2's pair counter: a control sum has at most n // 2
     coincident pairs."""
     return (n // 2 + 1).bit_length()
 
 
-def _phase_gate_stream(variant, n, y):
-    """Yield the controlled-phase schedule as gate tuples over integer qubits.
-
-    x_i is qubit i and output bit k is qubit y[k]; each CPHASE carries the
-    exponent s of its angle 2*pi*2^s/N in place of the angle.
-
-    Variant 1 visits output bits one at a time (n^3/2-type count); the
-    cross terms (i < j) appear once with the doubled angle, which is again
-    of the canonical 2^s form with s shifted by one.
-
-    Variant 2 tallies, for each control-sum s, the number of coincident
-    pairs into a small counter register and phases off the counter bits,
-    then uncomputes.  Its ancillas follow the y register: the pair flag t,
-    then the counter, then the carries.
-    """
-    if variant == 1:
-        terms = []
-        for i in range(n):
-            terms.append(((i,), 2 * i))
-            terms.extend(((i, j), i + j + 1) for j in range(i + 1, n))
-        for k, yk in enumerate(y):
-            for controls, e in terms:
-                yield (CPHASE, controls, yk, e + k)
-    elif variant == 2:
-        t = n + len(y)
-        counter = range(t + 1, t + 1 + _counter_width(n))
-        carry = range(counter.stop, counter.stop + len(counter))
-        increments = {}
-        for s in range(2 * n - 1):
-            pairs = [(i, s - i) for i in range(max(0, s - n + 1), (s + 1) // 2)]
-            L = len(pairs).bit_length()
-            if L not in increments:
-                increments[L] = _increment_ops(L, t, counter, carry)
-            compute = []
-            for (i, j) in pairs:
-                compute.append((TOFFOLI, i, j, t))
-                compute.extend(increments[L])
-                compute.append((TOFFOLI, i, j, t))
-            yield from compute
-            for b in range(L):
-                for k, yk in enumerate(y):
-                    yield (CPHASE, (counter[b],), yk, s + 1 + b + k)
-            if s % 2 == 0 and s // 2 < n:
-                for k, yk in enumerate(y):
-                    yield (CPHASE, (s // 2,), yk, s + k)
-            yield from reversed(compute)
-    else:
-        raise CircuitError(f"unknown phase circuit variant {variant}")
-
-
-def _increment_ops(L, t, counter, carry):
-    """counter += t over the low L counter bits, as gate tuples.
-
-    Forward carries from the original counter bits, CNOT updates, then the
-    carry chain is uncomputed against the updated bits, leaving the carry
-    ancillas clean for reuse.
-    """
-    ops = []
-    prev = t
-    for b in range(L - 1):
-        ops.append((TOFFOLI, prev, counter[b], carry[b]))
-        prev = carry[b]
-    for b in range(L - 1, -1, -1):
-        src = t if b == 0 else carry[b - 1]
-        ops.append((CNOT, src, counter[b]))
-    for b in range(L - 2, -1, -1):
-        src = t if b == 0 else carry[b - 1]
-        ops.append((TOFFOLI, src, counter[b], carry[b]))
-        ops.append((CNOT, src, carry[b]))
-    return ops
-
-
 def _phase_ancillas(variant, n):
     """Qubits variant 2 adds after the y register: t, counter and carries."""
     return 1 + 2 * _counter_width(n) if variant == 2 else 0
-
-
-def phase_schedule(variant, n, N) -> Circuit:
-    """Explicit phase circuit over a full y register, for small-n verification.
-
-    The y register is assumed prepared in the uniform superposition and read
-    out through an inverse Fourier transform; both stand outside the gate
-    list (metadata "readout").  Feasible for n up to ~16.
-    """
-    if not (1 << (n - 1)) <= N < (1 << n):
-        raise CircuitError(f"N={N} is not an {n}-bit modulus")
-    m_out = n + PHASE_EXTRA_BITS
-    y_reg = tuple(range(n, n + m_out))
-    total = n + m_out + _phase_ancillas(variant, n)
-    gates = [(ALLOC, q) for q in range(total)]
-    for g in _phase_gate_stream(variant, n, y_reg):
-        if g[0] == CPHASE:
-            g = (CPHASE, g[1], g[2], phase_angle(g[3], N))
-        gates.append(g)
-    gates.append((MEASURE_Y, y_reg))
-    return Circuit(
-        n_qubits=total,
-        gates=gates,
-        registers={"x": tuple(range(n)), "y": y_reg},
-        metadata={"builder": f"phase{variant}", "n": n, "N": N, "m_out": m_out,
-                  "readout": "uniform y register in, inverse QFT out"},
-    )
 
 
 def phase_circuit_resources(variant, n) -> ResourceReport:
@@ -1044,7 +940,8 @@ def phase_circuit_resources(variant, n) -> ResourceReport:
     output bit and term.  The per-bit Hadamards and the classically
     conditioned readout rotations fall outside the counted gate set.
     Variant 2 keeps the full output register plus the pair counter, laid
-    out as in phase_schedule, and is counted one control sum at a time.
+    out as in tests/helpers.py's phase_schedule, and is counted one control
+    sum at a time.
     """
     if n < 8:
         raise CircuitError("resource estimates are defined for n >= 8")

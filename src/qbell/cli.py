@@ -138,8 +138,13 @@ def cmd_keygen(args):
 
 
 def _load_keys(path):
-    with open(path) as f:
-        return tcf.key_from_json(f.read())
+    """The key in the file at path; a file that holds no key is a usage
+    error."""
+    try:
+        with open(path, "rb") as f:
+            return tcf.key_from_json(f.read())
+    except tcf.KeyFormatError as e:
+        raise UsageError(f"{path}: {e}") from None
 
 
 def cmd_run(args):
@@ -381,7 +386,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, circuits.CircuitError, json.JSONDecodeError, KeyError) as e:
+    except (UsageError, circuits.CircuitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except wire.TransportError as e:

@@ -47,22 +47,6 @@ class GlParams:
             raise tcf.DomainError("need at least one probe")
 
 
-def lemma1_bound(epsilon: float, mu: float) -> float:
-    """Lower bound on the fraction of commitments whose conditional noise
-    rate is below 1/2 - mu, given overall oracle noise epsilon."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise tcf.DomainError("epsilon must lie in [0, 1]")
-    if not 0.0 < mu < 0.5:
-        raise tcf.DomainError("mu must lie in (0, 1/2)")
-    return max(0.0, 1.0 - 2.0 * epsilon - 2.0 * mu)
-
-
-def good_fraction(noise_rates, mu: float) -> float:
-    """Fraction of per-commitment noise rates below 1/2 - mu."""
-    rates = list(noise_rates)
-    return sum(1 for e in rates if e < 0.5 - mu) / len(rates)
-
-
 # state inferred from the (+pi/4, -pi/4) answer pair; exact inverse of the
 # accept table: each state has a unique pair of "more likely" outcomes
 _STATE_FROM_BITS = {

@@ -13,16 +13,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import circuits, protocol, tcf
 from .provers import (NoiseModel, ideal_round2, is_valid_y, measure_y, optimal_theta,
                       sample_claw)
 from .seeds import derive_rng, derive_seed
-
-
-class NoCrossing(ValueError):
-    """Score rows never change sign."""
 
 
 def lift_key(keys: tcf.RabinKeyPair, m: int,
@@ -32,13 +27,6 @@ def lift_key(keys: tcf.RabinKeyPair, m: int,
     circuit-backed run."""
     circ = circuits.build_modsquare(keys.N, lift_m=m, method=method)
     return protocol.ProtocolContext.for_circuit(keys, circ)
-
-
-def rejection_power(k: int) -> Fraction:
-    """Fraction 1 - 1/k^2 of uniformly corrupted images the k^2 test rejects."""
-    if k < 1:
-        raise tcf.DomainError("k must be >= 1")
-    return Fraction(k * k - 1, k * k)
 
 
 MIN_TRIALS_PER_POINT = 100
@@ -194,15 +182,6 @@ def _calibrated_theta(total, bits_ok, state_ok) -> float:
     if f_par <= 0.5 + 1e-9:
         return math.pi / 4
     return optimal_theta(f_par, f_perp)
-
-
-def threshold_of(rows) -> float:
-    """Fidelity at which the score crosses zero, by linear interpolation."""
-    pts = sorted(((row.F, row.score) for row in rows))
-    for (f0, s0), (f1, s1) in zip(pts, pts[1:]):
-        if s0 <= 0.0 < s1:
-            return f0 + (0.0 - s0) * (f1 - f0) / (s1 - s0)
-    raise NoCrossing("score never crosses zero on this grid")
 
 
 def sweep_rows_to_csv(rows) -> str:

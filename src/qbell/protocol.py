@@ -37,9 +37,6 @@ class InsufficientData(ValueError):
     """Scoring requires at least one trial of each challenge branch."""
 
 
-COS2_PI_8 = math.cos(math.pi / 8) ** 2  # honest single-round success rate
-
-
 def parity(x: int) -> int:
     return x.bit_count() & 1
 

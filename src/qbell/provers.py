@@ -11,7 +11,7 @@ partner from the superposition.
 The cheater is the optimal classical strategy: commit to one preimage,
 answer the preimage challenge perfectly, and in round 3 pretend the qubit
 is |r.x0>.  The noisy prover runs an actual gate list on both branches
-with Pauli errors and adapts its measurement angle if told to.
+with Pauli errors.
 
 Rewinding: reset() restores the exact post-round-1 state, and all
 post-reset randomness is a deterministic function of the messages received
@@ -89,35 +89,10 @@ class NoiseModel:
         return 1.0 - self.per_gate_fidelity
 
 
-@dataclass(frozen=True)
-class AngleModel:
-    """Correct-state rates for computational (f_par) and diagonal (f_perp)
-    rounds, and the round-3 measurement half-angle theta."""
-
-    f_par: float
-    f_perp: float
-    theta: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.f_par <= 1.0 and 0.0 <= self.f_perp <= 1.0):
-            raise tcf.DomainError("state rates must lie in [0, 1]")
-        if not -math.pi / 2 < self.theta < math.pi / 2:
-            raise tcf.DomainError("theta must lie in (-pi/2, pi/2)")
-
-
-def pm_of_theta(model: AngleModel) -> float:
-    """Round-3 success rate when measuring at +/- theta instead of +/- pi/4."""
-    t2 = model.theta / 2.0
-    return 0.5 * (
-        math.cos(t2) ** 2 * model.f_par
-        + math.cos(t2 - math.pi / 4) ** 2 * model.f_perp
-        + math.sin(t2) ** 2 * (1.0 - model.f_par)
-        + math.sin(t2 - math.pi / 4) ** 2 * (1.0 - model.f_perp)
-    )
-
-
 def optimal_theta(f_par: float, f_perp: float) -> float:
-    """Angle maximizing pm_of_theta: atan((2 f_perp - 1)/(2 f_par - 1))."""
+    """Round-3 half-angle maximizing the success rate for correct-state
+    rates f_par (computational rounds) and f_perp (diagonal rounds):
+    atan((2 f_perp - 1)/(2 f_par - 1))."""
     if f_par <= 0.5:
         raise DegenerateModel("optimal angle undefined for f_par <= 1/2")
     return math.atan((2.0 * f_perp - 1.0) / (2.0 * f_par - 1.0))
@@ -163,11 +138,10 @@ def ideal_round2(state: TwoBranchState, r: int, rng) -> int:
     return d
 
 
-def ideal_round3(state: TwoBranchState, r: int, d: int, basis_sign: int, rng,
-                 theta: float = math.pi / 4) -> int:
+def ideal_round3(state: TwoBranchState, r: int, d: int, basis_sign: int, rng) -> int:
     """Sample the round-3 outcome with exact Born probabilities at the
-    (possibly adapted) angle basis_sign * theta."""
-    p0 = born_probability(state.qubit(r, d), basis_sign * theta, 0)
+    angle basis_sign * pi/4."""
+    p0 = born_probability(state.qubit(r, d), basis_sign * (math.pi / 4), 0)
     return 0 if rng.random() < p0 else 1
 
 
@@ -230,11 +204,9 @@ class IdealProver(ProverBase):
     """Noise-free two-branch simulation of the honest quantum prover.
 
     Rounds 2 and 3 and the preimage answer measure the TwoBranchState that
-    round 1 leaves in `state`, at the round-3 angle `theta`; the noisy
-    provers below differ only in how round 1 prepares that state.
+    round 1 leaves in `state`; the noisy prover below differs only in how
+    round 1 prepares that state.
     """
-
-    theta = math.pi / 4
 
     def __init__(self, ctx: ProtocolContext, seed: int):
         super().__init__(seed)
@@ -255,8 +227,7 @@ class IdealProver(ProverBase):
         return ideal_round2(self.state, r, self._rng("d", r))
 
     def _round3_impl(self, r, d, basis_sign):
-        return ideal_round3(self.state, r, d, basis_sign,
-                            self._rng("m", r, basis_sign), theta=self.theta)
+        return ideal_round3(self.state, r, d, basis_sign, self._rng("m", r, basis_sign))
 
 
 class CheaterProver(ProverBase):
@@ -287,24 +258,6 @@ class CheaterProver(ProverBase):
     def _round3_impl(self, r, d, basis_sign):
         assumed = compute_qubit_state(self._x0_wire, self._x0_wire, r, d)
         return expected_bit(assumed, basis_sign)
-
-
-class PhaseNoisyProver(IdealProver):
-    """Correct branch strings, correct phase only with probability 1/2 + delta;
-    measures round 3 at +/- theta (the sign follows the requested basis)."""
-
-    def __init__(self, ctx: ProtocolContext, seed: int, delta: float,
-                 theta: float = math.pi / 4):
-        super().__init__(ctx, seed)
-        self.delta = delta
-        self.theta = theta
-
-    def _round1_impl(self):
-        rng = self._rng("round1")
-        y, self.state = ideal_round1(self.ctx, rng)
-        if rng.random() >= 0.5 + self.delta:
-            self.state.phase = 1
-        return y, 0, 0
 
 
 def measure_y(y0, y1, reg0, reg1, phase, width, rng) -> TwoBranchState:

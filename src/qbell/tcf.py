@@ -17,9 +17,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from math import gcd
 
 
@@ -31,11 +29,10 @@ class NotAClaw(ValueError):
     """Alleged claw yields no nontrivial factor."""
 
 
-class TooLarge(ValueError):
-    """Exact enumeration would exceed the budget."""
+class KeyFormatError(DomainError):
+    """A key document that key_to_json could not have written."""
 
 
-ENUMERATION_BUDGET = 10 ** 6
 MILLER_RABIN_ROUNDS = 40
 MIN_MODULUS_BITS = 6
 
@@ -468,40 +465,6 @@ def ddh_invert(key: DdhKeyPair, y) -> set:
     return preimages
 
 
-def ddh_secret_from_claw(claw: Claw) -> tuple:
-    """Recover s = x0 - x1 from a claw; entries must come out as bits."""
-    (b0, v0), (b1, v1) = claw.x0, claw.x1
-    if (b0, b1) != (0, 1):
-        raise NotAClaw("claw must pair the b=0 and b=1 branches")
-    s = tuple(a - b for a, b in zip(v0, v1))
-    if any(si not in (0, 1) for si in s):
-        raise NotAClaw(f"difference {s} is not a bit vector")
-    return s
-
-
-def unpaired_fraction(k: int, m: int, s) -> Fraction:
-    """Exact fraction of domain elements with no colliding partner.
-
-    Counted by enumeration over both branches of {0,1} x Z_m^k: a (0, x)
-    input is orphaned when x - s leaves the box, a (1, x) input when x + s
-    does.  The result is tested against measurement, not assumed equal to
-    any closed form.
-    """
-    if m < 2:
-        raise DomainError(f"m must be >= 2, got {m}")
-    if len(s) != k:
-        raise DomainError("secret length must equal k")
-    if m ** k > ENUMERATION_BUDGET:
-        raise TooLarge(f"m^k = {m ** k} exceeds {ENUMERATION_BUDGET}")
-    orphans = 0
-    for x in product(range(m), repeat=k):
-        if any(si == 1 and xi - 1 < 0 for xi, si in zip(x, s)):
-            orphans += 1  # (0, x) has no partner
-        if any(si == 1 and xi + 1 >= m for xi, si in zip(x, s)):
-            orphans += 1  # (1, x) has no partner
-    return Fraction(orphans, 2 * m ** k)
-
-
 # ---------------------------------------------------------------------------
 # family-generic helpers
 
@@ -548,25 +511,81 @@ def key_to_json(keys, include_secret: bool = True) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def key_from_json(text: str):
-    doc = json.loads(text)
+def _decimal(value, field: str, least: int = 0) -> int:
+    """A key integer, written as a JSON integer or a decimal string, that
+    is at least `least`; KeyFormatError for anything else."""
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        try:
+            value = int(value)
+        except ValueError:  # more digits than int() converts
+            pass
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise KeyFormatError(f"key field {field!r} must be an integer >= {least}, "
+                             f"got {value!r:.40}")
+    return value
+
+
+def _vector(value, k: int, field: str) -> tuple:
+    if not isinstance(value, list) or len(value) != k:
+        raise KeyFormatError(f"key field {field!r} must be a list of {k} integers")
+    return tuple(_decimal(v, field) for v in value)
+
+
+def _matrix(value, k: int, field: str) -> tuple:
+    if not isinstance(value, list) or len(value) != k:
+        raise KeyFormatError(f"key field {field!r} must be a {k} x {k} matrix")
+    return tuple(_vector(row, k, field) for row in value)
+
+
+def key_from_json(text: str | bytes):
+    """The key a key_to_json document describes.  Any other text, from a
+    key file or a wire frame, is a KeyFormatError.  Checked: a JSON object
+    of a known family, integers as JSON integers or decimal strings; an
+    odd Rabin modulus N >= 15 and, with the trapdoor, coprime p, q with
+    p q = N; a DDH dimension k >= 1 with m = ddh_m_for_dimension(k), a
+    k x k gM and a k-long gMs and, with the trapdoor, a k x k M invertible
+    modulo q and a k-long bit vector s with gM = g^M and gMs = g^(M s)."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise KeyFormatError(f"key is not JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise KeyFormatError("key is not a JSON object")
     family = doc.get("family")
     if family == "rabin":
-        return RabinKeyPair(
-            N=int(doc["N"]),
-            p=int(doc["p"]) if "p" in doc else None,
-            q=int(doc["q"]) if "q" in doc else None,
-        )
+        N = _decimal(doc.get("N"), "N", 15)
+        if N % 2 == 0:
+            raise KeyFormatError(f"key field 'N' must be odd, got {N}")
+        if "p" not in doc and "q" not in doc:
+            return RabinKeyPair(N=N)
+        p, q = _decimal(doc.get("p"), "p", 3), _decimal(doc.get("q"), "q", 3)
+        if p * q != N or gcd(p, q) != 1:
+            raise KeyFormatError("p and q must be coprime factors of N")
+        return RabinKeyPair(N=N, p=p, q=q)
     if family == "ddh":
-        return DdhKeyPair(
-            P=int(doc["P"]),
-            q=int(doc["q"]),
-            g=int(doc["g"]),
-            k=int(doc["k"]),
-            m=int(doc["m"]),
-            gM=tuple(tuple(int(v) for v in row) for row in doc["gM"]),
-            gMs=tuple(int(v) for v in doc["gMs"]),
-            M=tuple(tuple(int(v) for v in row) for row in doc["M"]) if "M" in doc else None,
-            s=tuple(int(v) for v in doc["s"]) if "s" in doc else None,
-        )
-    raise DomainError(f"unknown key family {family!r}")
+        k = _decimal(doc.get("k"), "k", 1)
+        m = _decimal(doc.get("m"), "m")
+        if m != ddh_m_for_dimension(k):
+            raise KeyFormatError(f"key field 'm' must be {ddh_m_for_dimension(k)} for "
+                                 f"k = {k}, got {m}")
+        key = DdhKeyPair(P=_decimal(doc.get("P"), "P", 2), q=_decimal(doc.get("q"), "q", 2),
+                         g=_decimal(doc.get("g"), "g"), k=k, m=m,
+                         gM=_matrix(doc.get("gM"), k, "gM"),
+                         gMs=_vector(doc.get("gMs"), k, "gMs"))
+        if "M" not in doc and "s" not in doc:
+            return key
+        M, s = _matrix(doc.get("M"), k, "M"), _vector(doc.get("s"), k, "s")
+        if any(si > 1 for si in s):
+            raise KeyFormatError("key field 's' must be a bit vector")
+        try:
+            invertible = matrix_inv_mod(M, key.q) is not None
+        except ValueError:  # a pivot with no inverse: q is not prime
+            invertible = False
+        if not invertible:
+            raise KeyFormatError("key field 'M' must be invertible modulo q")
+        Ms = tuple(sum(a * b for a, b in zip(row, s)) % key.q for row in M)
+        if (key.gM != tuple(tuple(pow(key.g, v, key.P) for v in row) for row in M)
+                or key.gMs != tuple(pow(key.g, v, key.P) for v in Ms)):
+            raise KeyFormatError("the trapdoor (M, s) does not fit gM and gMs")
+        return replace(key, M=M, s=s)
+    raise KeyFormatError(f"unknown key family {family!r:.40}")

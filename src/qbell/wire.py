@@ -211,11 +211,11 @@ def prover_loop(channel: Channel, make_prover):
     """Prover-side session loop: builds the prover as make_prover(key_json,
     seed, trials) from the key frame and answers until the end frame.  The
     session length `trials` is None when the key frame omits it.  A frame
-    out of protocol order or a missing or non-integer field raises
-    ParseError, and so does a negative length."""
+    out of protocol order, of an unknown tag, or with a missing or
+    non-integer field raises ParseError, and so does a negative length."""
     hello = channel.recv()
     if hello["tag"] != "key":
-        raise TransportError("expected key frame first")
+        raise ParseError("expected key frame first")
     if not isinstance(hello.get("key_json"), str):
         raise ParseError("key frame lacks the key_json string")
     trials = hello.get("trials")
@@ -232,7 +232,7 @@ def prover_loop(channel: Channel, make_prover):
         if tag == "end":
             return
         if not isinstance(tag, str) or tag not in _NEXT:
-            raise TransportError(f"unexpected frame {tag!r:.40}")
+            raise ParseError(f"unexpected frame {tag!r:.40}")
         if tag not in _NEXT[last]:
             raise ParseError(f"{tag!r} frame after {last!r}")
         last = tag

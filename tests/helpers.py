@@ -1,9 +1,15 @@
 """Shared test utilities: independent simulation oracles, reference
-checkers and circuit fragments, and key helpers."""
+checkers and circuit fragments, key helpers, and the models and explicit
+circuits that only the tests run: the phase-estimation circuits, the
+phase-noise prover and its angle model, the Lemma 1 bound, threshold
+detection and the DDH claw helpers."""
 
 import math
 import os
 from bisect import bisect_right
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -387,7 +393,7 @@ def reference_phase_resources(variant, n):
     else:
         y = tuple(range(n, n + m_out))
         qubits = n + m_out + cc._phase_ancillas(variant, n)
-    total, toffoli, depth = cc._tally(cc._phase_gate_stream(variant, n, y), qubits)
+    total, toffoli, depth = cc._tally(_phase_gate_stream(variant, n, y), qubits)
     return cc.ResourceReport(qubits=qubits, total_gates=total,
                              toffoli_count=toffoli, depth=depth)
 
@@ -486,3 +492,250 @@ def reference_gl_list_decode(oracle, n, params, rng):
         if len(candidates) >= extractor.MAX_CANDIDATES:
             break
     return candidates
+
+
+# ---------------------------------------------------------------------------
+# phase-estimation circuits for x^2 mod N, gate by gate: the explicit
+# circuits that cc.phase_circuit_resources counts in closed form
+
+def phase_angle(exponent_sum: int, N: int) -> float:
+    """2*pi*2^s/N mod 2*pi, reduced exactly in integer arithmetic first."""
+    return 2.0 * math.pi * pow(2, exponent_sum, N) / N
+
+
+def _phase_gate_stream(variant, n, y):
+    """Yield the controlled-phase schedule as gate tuples over integer qubits.
+
+    x_i is qubit i and output bit k is qubit y[k]; each CPHASE carries the
+    exponent s of its angle 2*pi*2^s/N in place of the angle.
+
+    Variant 1 visits output bits one at a time (n^3/2-type count); the
+    cross terms (i < j) appear once with the doubled angle, which is again
+    of the canonical 2^s form with s shifted by one.
+
+    Variant 2 tallies, for each control-sum s, the number of coincident
+    pairs into a small counter register and phases off the counter bits,
+    then uncomputes.  Its ancillas follow the y register: the pair flag t,
+    then the counter, then the carries.
+    """
+    if variant == 1:
+        terms = []
+        for i in range(n):
+            terms.append(((i,), 2 * i))
+            terms.extend(((i, j), i + j + 1) for j in range(i + 1, n))
+        for k, yk in enumerate(y):
+            for controls, e in terms:
+                yield (cc.CPHASE, controls, yk, e + k)
+    elif variant == 2:
+        t = n + len(y)
+        counter = range(t + 1, t + 1 + cc._counter_width(n))
+        carry = range(counter.stop, counter.stop + len(counter))
+        increments = {}
+        for s in range(2 * n - 1):
+            pairs = [(i, s - i) for i in range(max(0, s - n + 1), (s + 1) // 2)]
+            L = len(pairs).bit_length()
+            if L not in increments:
+                increments[L] = _increment_ops(L, t, counter, carry)
+            compute = []
+            for (i, j) in pairs:
+                compute.append((cc.TOFFOLI, i, j, t))
+                compute.extend(increments[L])
+                compute.append((cc.TOFFOLI, i, j, t))
+            yield from compute
+            for b in range(L):
+                for k, yk in enumerate(y):
+                    yield (cc.CPHASE, (counter[b],), yk, s + 1 + b + k)
+            if s % 2 == 0 and s // 2 < n:
+                for k, yk in enumerate(y):
+                    yield (cc.CPHASE, (s // 2,), yk, s + k)
+            yield from reversed(compute)
+    else:
+        raise cc.CircuitError(f"unknown phase circuit variant {variant}")
+
+
+def _increment_ops(L, t, counter, carry):
+    """counter += t over the low L counter bits, as gate tuples.
+
+    Forward carries from the original counter bits, CNOT updates, then the
+    carry chain is uncomputed against the updated bits, leaving the carry
+    ancillas clean for reuse.
+    """
+    ops = []
+    prev = t
+    for b in range(L - 1):
+        ops.append((cc.TOFFOLI, prev, counter[b], carry[b]))
+        prev = carry[b]
+    for b in range(L - 1, -1, -1):
+        src = t if b == 0 else carry[b - 1]
+        ops.append((cc.CNOT, src, counter[b]))
+    for b in range(L - 2, -1, -1):
+        src = t if b == 0 else carry[b - 1]
+        ops.append((cc.TOFFOLI, src, counter[b], carry[b]))
+        ops.append((cc.CNOT, src, carry[b]))
+    return ops
+
+
+def phase_schedule(variant, n, N) -> cc.Circuit:
+    """Explicit phase circuit over a full y register, for small-n verification.
+
+    The y register is assumed prepared in the uniform superposition and read
+    out through an inverse Fourier transform; both stand outside the gate
+    list (metadata "readout").  Feasible for n up to ~16.
+    """
+    if not (1 << (n - 1)) <= N < (1 << n):
+        raise cc.CircuitError(f"N={N} is not an {n}-bit modulus")
+    m_out = n + cc.PHASE_EXTRA_BITS
+    y_reg = tuple(range(n, n + m_out))
+    total = n + m_out + cc._phase_ancillas(variant, n)
+    gates = [(cc.ALLOC, q) for q in range(total)]
+    for g in _phase_gate_stream(variant, n, y_reg):
+        if g[0] == cc.CPHASE:
+            g = (cc.CPHASE, g[1], g[2], phase_angle(g[3], N))
+        gates.append(g)
+    gates.append((cc.MEASURE_Y, y_reg))
+    return cc.Circuit(
+        n_qubits=total,
+        gates=gates,
+        registers={"x": tuple(range(n)), "y": y_reg},
+        metadata={"builder": f"phase{variant}", "n": n, "N": N, "m_out": m_out,
+                  "readout": "uniform y register in, inverse QFT out"},
+    )
+
+
+# ---------------------------------------------------------------------------
+# the measurement-angle model and the phase-noise prover behind it (C8)
+
+COS2_PI_8 = math.cos(math.pi / 8) ** 2  # honest single-round success rate
+
+
+@dataclass(frozen=True)
+class AngleModel:
+    """Correct-state rates for computational (f_par) and diagonal (f_perp)
+    rounds, and the round-3 measurement half-angle theta."""
+
+    f_par: float
+    f_perp: float
+    theta: float
+
+    def __post_init__(self):
+        if not (0.0 <= self.f_par <= 1.0 and 0.0 <= self.f_perp <= 1.0):
+            raise tcf.DomainError("state rates must lie in [0, 1]")
+        if not -math.pi / 2 < self.theta < math.pi / 2:
+            raise tcf.DomainError("theta must lie in (-pi/2, pi/2)")
+
+
+def pm_of_theta(model: AngleModel) -> float:
+    """Round-3 success rate when measuring at +/- theta instead of +/- pi/4."""
+    t2 = model.theta / 2.0
+    return 0.5 * (
+        math.cos(t2) ** 2 * model.f_par
+        + math.cos(t2 - math.pi / 4) ** 2 * model.f_perp
+        + math.sin(t2) ** 2 * (1.0 - model.f_par)
+        + math.sin(t2 - math.pi / 4) ** 2 * (1.0 - model.f_perp)
+    )
+
+
+class PhaseNoisyProver(provers.IdealProver):
+    """Correct branch strings, correct phase only with probability 1/2 + delta;
+    measures round 3 at +/- theta (the sign follows the requested basis),
+    with the one draw of the ideal prover's round-3 stream."""
+
+    def __init__(self, ctx: protocol.ProtocolContext, seed: int, delta: float,
+                 theta: float = math.pi / 4):
+        super().__init__(ctx, seed)
+        self.delta = delta
+        self.theta = theta
+
+    def _round1_impl(self):
+        rng = self._rng("round1")
+        y, self.state = provers.ideal_round1(self.ctx, rng)
+        if rng.random() >= 0.5 + self.delta:
+            self.state.phase = 1
+        return y, 0, 0
+
+    def _round3_impl(self, r, d, basis_sign):
+        p0 = protocol.born_probability(self.state.qubit(r, d), basis_sign * self.theta, 0)
+        return 0 if self._rng("m", r, basis_sign).random() < p0 else 1
+
+
+# ---------------------------------------------------------------------------
+# soundness and post-selection models (C4, C7)
+
+def lemma1_bound(epsilon: float, mu: float) -> float:
+    """Lower bound on the fraction of commitments whose conditional noise
+    rate is below 1/2 - mu, given overall oracle noise epsilon."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise tcf.DomainError("epsilon must lie in [0, 1]")
+    if not 0.0 < mu < 0.5:
+        raise tcf.DomainError("mu must lie in (0, 1/2)")
+    return max(0.0, 1.0 - 2.0 * epsilon - 2.0 * mu)
+
+
+def good_fraction(noise_rates, mu: float) -> float:
+    """Fraction of per-commitment noise rates below 1/2 - mu."""
+    rates = list(noise_rates)
+    return sum(1 for e in rates if e < 0.5 - mu) / len(rates)
+
+
+class NoCrossing(ValueError):
+    """Score rows never change sign."""
+
+
+def rejection_power(k: int) -> Fraction:
+    """Fraction 1 - 1/k^2 of uniformly corrupted images the k^2 test rejects."""
+    if k < 1:
+        raise tcf.DomainError("k must be >= 1")
+    return Fraction(k * k - 1, k * k)
+
+
+def threshold_of(rows) -> float:
+    """Fidelity at which the score crosses zero, by linear interpolation."""
+    pts = sorted(((row.F, row.score) for row in rows))
+    for (f0, s0), (f1, s1) in zip(pts, pts[1:]):
+        if s0 <= 0.0 < s1:
+            return f0 + (0.0 - s0) * (f1 - f0) / (s1 - s0)
+    raise NoCrossing("score never crosses zero on this grid")
+
+
+# ---------------------------------------------------------------------------
+# DDH claws
+
+class TooLarge(ValueError):
+    """Exact enumeration would exceed the budget."""
+
+
+ENUMERATION_BUDGET = 10 ** 6
+
+
+def ddh_secret_from_claw(claw: tcf.Claw) -> tuple:
+    """Recover s = x0 - x1 from a claw; entries must come out as bits."""
+    (b0, v0), (b1, v1) = claw.x0, claw.x1
+    if (b0, b1) != (0, 1):
+        raise tcf.NotAClaw("claw must pair the b=0 and b=1 branches")
+    s = tuple(a - b for a, b in zip(v0, v1))
+    if any(si not in (0, 1) for si in s):
+        raise tcf.NotAClaw(f"difference {s} is not a bit vector")
+    return s
+
+
+def unpaired_fraction(k: int, m: int, s) -> Fraction:
+    """Exact fraction of domain elements with no colliding partner.
+
+    Counted by enumeration over both branches of {0,1} x Z_m^k: a (0, x)
+    input is orphaned when x - s leaves the box, a (1, x) input when x + s
+    does.  The result is tested against measurement, not assumed equal to
+    any closed form.
+    """
+    if m < 2:
+        raise tcf.DomainError(f"m must be >= 2, got {m}")
+    if len(s) != k:
+        raise tcf.DomainError("secret length must equal k")
+    if m ** k > ENUMERATION_BUDGET:
+        raise TooLarge(f"m^k = {m ** k} exceeds {ENUMERATION_BUDGET}")
+    orphans = 0
+    for x in product(range(m), repeat=k):
+        if any(si == 1 and xi - 1 < 0 for xi, si in zip(x, s)):
+            orphans += 1  # (0, x) has no partner
+        if any(si == 1 and xi + 1 >= m for xi, si in zip(x, s)):
+            orphans += 1  # (1, x) has no partner
+    return Fraction(orphans, 2 * m ** k)

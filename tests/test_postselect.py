@@ -13,7 +13,7 @@ from qbell import circuits as cc
 from qbell import provers, tcf
 from qbell.seeds import derive_rng
 
-from helpers import gen_exact_bits
+from helpers import NoCrossing, gen_exact_bits, rejection_power, threshold_of
 
 
 class TestLiftKey:
@@ -106,10 +106,10 @@ class TestValidity:
         assert all(ps.is_valid_y(rng.getrandbits(40), 1) for _ in range(100))
 
     def test_rejection_power_values(self):
-        assert ps.rejection_power(3) == Fraction(8, 9)
-        assert ps.rejection_power(1) == 0
+        assert rejection_power(3) == Fraction(8, 9)
+        assert rejection_power(1) == 0
         with pytest.raises(tcf.DomainError):
-            ps.rejection_power(0)
+            rejection_power(0)
 
     def test_rejection_power_monte_carlo(self):
         rng = random.Random(1)
@@ -123,7 +123,7 @@ class TestValidity:
         for m in (1, 2, 3):
             k = 3 ** m
             rejected = sum(not ps.is_valid_y(rng.getrandbits(48), k) for _ in range(n))
-            assert abs(rejected / n - float(ps.rejection_power(k))) < 0.02
+            assert abs(rejected / n - float(rejection_power(k))) < 0.02
 
 
 class TestThresholdOf:
@@ -133,17 +133,17 @@ class TestThresholdOf:
 
     def test_interpolation(self):
         rows = [self.row(0.5, -0.1), self.row(0.52, 0.1)]
-        th = ps.threshold_of(rows)
+        th = threshold_of(rows)
         assert 0.5 < th < 0.52
         assert abs(th - 0.51) < 1e-9
 
     def test_no_crossing(self):
-        with pytest.raises(ps.NoCrossing):
-            ps.threshold_of([self.row(0.5, 0.1), self.row(0.9, 0.4)])
+        with pytest.raises(NoCrossing):
+            threshold_of([self.row(0.5, 0.1), self.row(0.9, 0.4)])
 
     def test_unordered_input(self):
         rows = [self.row(0.9, 0.3), self.row(0.3, -0.3), self.row(0.6, 0.0)]
-        assert abs(ps.threshold_of(rows) - 0.6) < 1e-9
+        assert abs(threshold_of(rows) - 0.6) < 1e-9
 
 
 class TestSweepConfig:

@@ -13,7 +13,7 @@ from qbell import protocol as proto
 from qbell import provers, tcf
 from qbell.seeds import derive_rng
 
-from helpers import gen_exact_bits
+from helpers import COS2_PI_8, gen_exact_bits
 
 KEY77 = tcf.RabinKeyPair(N=77, p=11, q=7)
 STATES = {
@@ -44,7 +44,7 @@ class TestExpectedBit:
                 m0, m1 = basis_vectors(sign * math.pi / 4)
                 best = proto.expected_bit(state, sign)
                 p = np.dot((m0, m1)[best], vec) ** 2
-                assert abs(p - proto.COS2_PI_8) < 1e-12
+                assert abs(p - COS2_PI_8) < 1e-12
 
     def test_worked_entries(self):
         assert proto.expected_bit(proto.QubitState.ZERO, 1) == 0
@@ -155,7 +155,7 @@ class TestScore:
 
     def test_ideal_asymptotics(self):
         # score -> 4 cos^2(pi/8) - 3 = sqrt(2) - 1
-        assert abs(4 * proto.COS2_PI_8 - 3 - (math.sqrt(2) - 1)) < 1e-12
+        assert abs(4 * COS2_PI_8 - 3 - (math.sqrt(2) - 1)) < 1e-12
 
 
 class TestRunIteration:
@@ -323,7 +323,7 @@ class TestDdhProtocol:
               for i in range(800)]
         rep = proto.score(ts)
         assert rep.p_x == 1
-        assert abs(float(rep.p_m) - proto.COS2_PI_8) < 0.06
+        assert abs(float(rep.p_m) - COS2_PI_8) < 0.06
 
 
 class TestSettleBlocks:

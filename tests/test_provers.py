@@ -11,8 +11,8 @@ from qbell import protocol as proto
 from qbell import provers, tcf
 from qbell.seeds import derive_rng, derive_seed
 
-from helpers import (StateVector, gen_exact_bits, noisy_round1, planted_run,
-                     sample_claw_by_inversion)
+from helpers import (COS2_PI_8, AngleModel, PhaseNoisyProver, StateVector, gen_exact_bits,
+                     noisy_round1, planted_run, pm_of_theta, sample_claw_by_inversion)
 
 
 class TestSampleClaw:
@@ -122,7 +122,7 @@ class TestIdealRound3:
             state = proto.compute_qubit_state(st.x0, st.x1, r, d)
             hits += bit == proto.expected_bit(state, sign)
         p = hits / n
-        assert abs(p - proto.COS2_PI_8) < 3 * math.sqrt(0.125 / n)
+        assert abs(p - COS2_PI_8) < 3 * math.sqrt(0.125 / n)
 
 
 class TestCheater:
@@ -279,17 +279,17 @@ class TestTwoBranchAgainstStateVector:
 
 class TestAngleModel:
     def test_noise_free_consistency(self):
-        m = provers.AngleModel(1.0, 1.0, math.pi / 4)
-        assert abs(provers.pm_of_theta(m) - proto.COS2_PI_8) < 1e-12
+        m = AngleModel(1.0, 1.0, math.pi / 4)
+        assert abs(pm_of_theta(m) - COS2_PI_8) < 1e-12
 
     def test_half_coherence_at_pi4(self):
-        m = provers.AngleModel(1.0, 0.5, math.pi / 4)
-        assert abs(provers.pm_of_theta(m) - 0.677) < 0.002
+        m = AngleModel(1.0, 0.5, math.pi / 4)
+        assert abs(pm_of_theta(m) - 0.677) < 0.002
 
     def test_small_delta_expansion(self):
         delta = 0.1
-        m = provers.AngleModel(1.0, 0.5 + delta, delta)
-        assert abs(provers.pm_of_theta(m) - (0.75 + 3 * delta ** 2 / 8)) < delta ** 3
+        m = AngleModel(1.0, 0.5 + delta, delta)
+        assert abs(pm_of_theta(m) - (0.75 + 3 * delta ** 2 / 8)) < delta ** 3
 
     def test_optimal_theta_values(self):
         assert abs(provers.optimal_theta(1.0, 1.0) - math.pi / 4) < 1e-12
@@ -305,9 +305,9 @@ class TestAngleModel:
         for f_par in np.linspace(0.55, 1.0, 6):
             for f_perp in np.linspace(0.55, 1.0, 6):
                 best = provers.optimal_theta(f_par, f_perp)
-                p_best = provers.pm_of_theta(provers.AngleModel(f_par, f_perp, best))
+                p_best = pm_of_theta(AngleModel(f_par, f_perp, best))
                 for th in thetas:
-                    p = provers.pm_of_theta(provers.AngleModel(f_par, f_perp, th))
+                    p = pm_of_theta(AngleModel(f_par, f_perp, th))
                     assert p <= p_best + 1e-12
 
 
@@ -315,8 +315,8 @@ class TestPhaseNoisyProver:
     def run_score(self, delta, theta, trials=30_000, seed=0):
         keys = gen_exact_bits(24)
         ctx = proto.ProtocolContext.plain(keys)
-        prover = provers.PhaseNoisyProver(proto.ProtocolContext.plain(keys), seed=seed,
-                                          delta=delta, theta=theta)
+        prover = PhaseNoisyProver(proto.ProtocolContext.plain(keys), seed=seed,
+                                  delta=delta, theta=theta)
         rng = derive_rng(seed, "v")
         ts = [proto.run_iteration(ctx, prover, rng, proto.IterationConfig(), i)
               for i in range(trials)]
@@ -332,9 +332,9 @@ class TestPhaseNoisyProver:
         rep = self.run_score(delta=delta, theta=provers.optimal_theta(1.0, 0.5 + delta))
         assert float(rep.score) > 0
         # measured p_m tracks the model prediction
-        model = provers.AngleModel(1.0, 0.5 + delta,
-                                   provers.optimal_theta(1.0, 0.5 + delta))
-        pred = provers.pm_of_theta(model)
+        model = AngleModel(1.0, 0.5 + delta,
+                           provers.optimal_theta(1.0, 0.5 + delta))
+        pred = pm_of_theta(model)
         assert abs(float(rep.p_m) - pred) < 3 * math.sqrt(0.25 / rep.trials_m)
 
     def test_prescribed_angle_stays_classical(self):

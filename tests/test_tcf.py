@@ -1,5 +1,7 @@
 """Tests for the trapdoor claw-free families."""
 
+import copy
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from qbell import tcf
 
-from helpers import blum_semiprimes
+from helpers import TooLarge, blum_semiprimes, ddh_secret_from_claw, unpaired_fraction
 
 KEY77 = tcf.RabinKeyPair(N=77, p=11, q=7)
 
@@ -159,7 +161,7 @@ class TestDdh:
     def test_secret_from_claw(self):
         x0, x1 = sorted(tcf.ddh_invert(DDH_KEY, (8, 13)))
         claw = tcf.Claw(x0=x0, x1=x1, y=(8, 13))
-        assert tcf.ddh_secret_from_claw(claw) == DDH_KEY.s
+        assert ddh_secret_from_claw(claw) == DDH_KEY.s
 
     def test_gen_invariants(self):
         key = tcf.ddh_gen(2, 10, seed=5)
@@ -207,27 +209,27 @@ class TestDdh:
                     y = tcf.ddh_eval(key, b, (x0, x1))
                     if len(tcf.invert(key, y)) != 2:
                         unpaired += 1
-        assert Fraction(unpaired, total) == tcf.unpaired_fraction(key.k, key.m, key.s)
+        assert Fraction(unpaired, total) == unpaired_fraction(key.k, key.m, key.s)
 
 
 class TestUnpairedFraction:
     def test_single_coordinate(self):
-        assert tcf.unpaired_fraction(1, 4, (1,)) == Fraction(1, 4)
+        assert unpaired_fraction(1, 4, (1,)) == Fraction(1, 4)
 
     def test_zero_secret(self):
-        assert tcf.unpaired_fraction(2, 4, (0, 0)) == 0
+        assert unpaired_fraction(2, 4, (0, 0)) == 0
 
     def test_tiny_range(self):
-        assert tcf.unpaired_fraction(1, 2, (1,)) == Fraction(1, 2)
+        assert unpaired_fraction(1, 2, (1,)) == Fraction(1, 2)
 
     def test_budget(self):
-        with pytest.raises(tcf.TooLarge):
-            tcf.unpaired_fraction(21, 2, (1,) * 21)
+        with pytest.raises(TooLarge):
+            unpaired_fraction(21, 2, (1,) * 21)
 
     def test_closed_form_exponent_is_hamming_weight(self):
         # enumerated truth: the orphan fraction depends on hw(s), not on k
         for k, s in ((3, (1, 0, 0)), (3, (1, 1, 0)), (3, (1, 1, 1))):
-            got = tcf.unpaired_fraction(k, 4, s)
+            got = unpaired_fraction(k, 4, s)
             hw = sum(s)
             assert got == 1 - Fraction(3, 4) ** hw
 
@@ -315,7 +317,7 @@ class TestPartner:
         unpaired = sum(key.partner((b, v)) is None
                        for b in (0, 1) for v in product(range(key.m), repeat=key.k))
         assert Fraction(unpaired, 2 * key.m ** key.k) == \
-            tcf.unpaired_fraction(key.k, key.m, key.s)
+            unpaired_fraction(key.k, key.m, key.s)
 
     @pytest.mark.parametrize("keys, x", [(KEY77, 2), (DDH_KEY, (0, (1, 1)))],
                              ids=("rabin", "ddh"))
@@ -365,6 +367,74 @@ class TestSerialization:
         import json
         doc = json.loads(tcf.key_to_json(keys))
         assert doc["N"] == str(keys.N) and isinstance(doc["N"], str)
+
+    # every size keygen is run at in the tests and the bench
+    @pytest.mark.parametrize("family, size", [("rabin", n) for n in (6, 16, 24, 28, 32, 40, 64,
+                                                                      96, 128)]
+                             + [("ddh", kb) for kb in ((1, 2), (2, 7), (2, 10), (2, 24),
+                                                       (2, 60), (3, 12))])
+    def test_keygen_output_round_trips(self, family, size):
+        for seed in range(5):
+            keys = (tcf.rabin_gen(tcf.SecurityParams(size, seed)) if family == "rabin"
+                    else tcf.ddh_gen(*size, seed))
+            assert tcf.key_from_json(tcf.key_to_json(keys)) == keys
+            pub = tcf.key_to_json(keys, include_secret=False)
+            assert tcf.key_from_json(pub) == keys.public()
+
+
+    @pytest.mark.parametrize("keys, field, value", [
+        (KEY77, "p", "7"),  # p q != N
+        (DDH_KEY, "gMs", ["8", "2"]),  # gMs != g^(M s)
+        (DDH_KEY, "M", [["2", "1"], ["3", "4"]]),  # gM != g^M
+    ])
+    def test_trapdoor_must_fit_the_public_key(self, keys, field, value):
+        doc = dict(json.loads(tcf.key_to_json(keys)), **{field: value})
+        with pytest.raises(tcf.KeyFormatError):
+            tcf.key_from_json(json.dumps(doc))
+
+
+DELETE = object()  # an edit that removes the field
+# JSON values an edit may put in place of a key field or of one entry of it
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats(allow_nan=False)
+    | st.text(max_size=6) | st.integers(-10 ** 6, 10 ** 6).map(str) | st.just("9" * 5000),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=10)
+KEY_DOCS = [json.loads(tcf.key_to_json(keys, include_secret=full))
+            for keys in (KEY77, DDH_KEY, tcf.ddh_gen(3, 12, seed=2)) for full in (True, False)]
+
+
+@st.composite
+def edited_key_documents(draw):
+    """A key_to_json document with up to three fields, or entries of
+    them, replaced or removed."""
+    doc = copy.deepcopy(draw(st.sampled_from(KEY_DOCS)))
+    for field, index, value in draw(st.lists(st.tuples(
+            st.sampled_from(["family", "N", "p", "q", "P", "g", "k", "m", "gM", "gMs", "M",
+                             "s"]),
+            st.none() | st.integers(0, 2), JSON_VALUES | st.just(DELETE)), max_size=3)):
+        if value is DELETE:
+            doc.pop(field, None)
+        elif index is not None and isinstance(doc.get(field), list) and index < len(doc[field]):
+            doc[field][index] = value
+        else:
+            doc[field] = value
+    return doc
+
+
+@given(edited_key_documents() | JSON_VALUES)
+@settings(max_examples=400, deadline=None)
+def test_key_from_json_returns_a_working_key_or_key_format_error(doc):
+    # a document is a key whose sampling, evaluation and trapdoor work, or
+    # a KeyFormatError
+    try:
+        keys = tcf.key_from_json(json.dumps(doc))
+    except tcf.KeyFormatError:
+        return
+    x = keys.sample(random.Random(0))
+    y = tcf.evaluate(keys, x)
+    if keys.has_trapdoor:
+        keys.partner(x)
+        tcf.invert(keys, y)
 
 
 @given(st.integers(min_value=0, max_value=38))

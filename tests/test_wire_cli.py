@@ -26,6 +26,21 @@ from helpers import cli_env, gen_exact_bits
 
 MISSING = object()  # a key frame without the field
 
+DDH_KEY = tcf.ddh_gen(2, 10, seed=3)
+
+# key documents that are no key, as text: not an object, a modulus that
+# is not a decimal, has more digits than int() converts or is negative, and
+# DDH keys whose m or gM does not fit their dimension k = 2; `full` holds
+# the secret key too, as a verifier's key file does
+def malformed_keys(full):
+    ddh = json.loads(tcf.key_to_json(DDH_KEY, include_secret=full))
+    rabin = {"p": "7", "q": "-1"} if full else {}
+    docs = {"list": [1], "N-not-decimal": {"family": "rabin", "N": "abc"},
+            "N-5000-digits": {"family": "rabin", "N": "9" * 5000},
+            "N-negative": {"family": "rabin", "N": "-7", **rabin},
+            "ddh-m-0": dict(ddh, m=0), "ddh-gM-1x1": dict(ddh, gM=[["2"]])}
+    return {name: json.dumps(doc) for name, doc in docs.items()}
+
 
 def session_length(value):
     """The session length a key frame's `trials` value announces: None
@@ -401,12 +416,21 @@ class TestCli:
         assert proc.returncode == 4, proc.stderr
         assert b"Traceback" not in proc.stderr
 
+    def test_first_frame_other_than_key_exits_protocol_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qbell.cli", "prove", "--transport", "stdio"],
+            input=wire.encode_frame(wire.WireFrame("v", 0, {"tag": "round1"})),
+            capture_output=True, timeout=120, env=cli_env())
+        assert proc.returncode == 4, proc.stderr
+        assert b"Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("msgs", [
         [{"tag": "round1"}, {"tag": "basis", "sign": 1}],  # basis before vector
         [{"tag": "vector", "r": 5}],  # vector before round1
         [{"tag": "round1"}, {"tag": "vector", "r": "abc"}],
         [{"tag": "round1"}, {"tag": "vector"}],  # no r
         [{"tag": "round1"}, {"tag": "vector", "r": 5}, {"tag": "basis", "sign": 7}],
+        [{"tag": "bogus"}],  # a tag the protocol does not have
     ])
     def test_prover_payload_and_order_faults_exit_protocol_error(self, msgs):
         keys = gen_exact_bits(16)
@@ -447,6 +471,27 @@ class TestCli:
             timeout=120, env=cli_env())
         assert proc.returncode == rc, proc.stderr
         assert b"Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("key_json", [*malformed_keys(False).values(), "{not json"],
+                             ids=[*malformed_keys(False), "not-json"])
+    def test_malformed_key_frame_exits_protocol_error(self, key_json):
+        frames = [{"tag": "key", "key_json": key_json, "trials": 2}, {"tag": "round1"},
+                  {"tag": "end"}]
+        stdin = b"".join(wire.encode_frame(wire.WireFrame("v", i, m))
+                         for i, m in enumerate(frames))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qbell.cli", "prove", "--transport", "stdio",
+             "--prover", "cheater"],
+            input=stdin, capture_output=True, timeout=120, env=cli_env())
+        assert proc.returncode == 4, proc.stderr
+        assert b"Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("text", malformed_keys(True).values(), ids=malformed_keys(True))
+    def test_malformed_key_file_exits_usage_error(self, tmp_path, capsys, text):
+        key = tmp_path / "key.json"
+        key.write_text(text)
+        assert run_cli("run", "--key", str(key), "--trials", "4") == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("trials", [True, -1, 2.5, "many"])
     def test_bad_session_length_exits_protocol_error(self, trials):
