@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import circuits, extractor, postselect, protocol, provers, tcf, wire
@@ -108,11 +109,23 @@ def build_prover(spec: dict, keys, seed: int, trials: int | None = None):
 
 
 def _write_out(path, text):
+    """text to path, or to stdout for None or "-"; an unwritable path is a usage error."""
     if path in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as f:
             f.write(text)
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e.strerror}") from None
+
+
+def _check_transport(args):
+    """--port and --timeout, range-checked before any socket is made."""
+    if not 0 <= args.port <= 65535:
+        raise UsageError(f"--port must lie in [0, 65535], got {args.port}")
+    if not 0.0 < args.timeout < math.inf:
+        raise UsageError(f"--timeout must be positive and finite, got {args.timeout}")
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +151,15 @@ def cmd_keygen(args):
 
 
 def _load_keys(path):
-    """The key in the file at path; a file that holds no key is a usage
-    error."""
+    """The key in the file at path; a path that cannot be read, or a file
+    that holds no key, is a usage error."""
     try:
         with open(path, "rb") as f:
-            return tcf.key_from_json(f.read())
+            data = f.read()
+    except OSError as e:
+        raise UsageError(f"cannot read {path}: {e.strerror}") from None
+    try:
+        return tcf.key_from_json(data)
     except tcf.KeyFormatError as e:
         raise UsageError(f"{path}: {e}") from None
 
@@ -164,6 +181,7 @@ def cmd_run(args):
 
 
 def cmd_verify(args):
+    _check_transport(args)
     keys = _load_keys(args.key)
     if not keys.has_trapdoor:
         raise UsageError("the verifier role needs the secret key file")
@@ -190,6 +208,7 @@ def cmd_verify(args):
 
 
 def cmd_prove(args):
+    _check_transport(args)
     spec = parse_prover_spec(args.prover)
 
     def make_prover(key_json, seed, trials):
@@ -392,7 +411,7 @@ def main(argv=None) -> int:
     except wire.TransportError as e:
         print(f"transport error: {e}", file=sys.stderr)
         return EXIT_TRANSPORT
-    except OSError as e:
+    except OSError as e:  # from a socket: unusable paths are usage errors
         print(f"transport error: {e}", file=sys.stderr)
         return EXIT_TRANSPORT
     except (wire.ParseError, tcf.DomainError, protocol.InsufficientData,

@@ -119,11 +119,11 @@ def _sweep_point(config: SweepConfig, m: int, ctx: protocol.ProtocolContext, gat
                 cal_bits += 1
                 if phase_p == phase_v:
                     cal_state += 1
-            kind, inverted = ctx.check_image_wire(state.y)
-            if kind == "invalid":
+            preimages = ctx.preimages(state.y)
+            if not preimages:
                 discarded += 1  # verifier-side silent discard
                 continue
-            kept_runs.append((state, phase_v, kind, inverted))
+            kept_runs.append((state, phase_v, preimages))
 
     # stage 2: calibrate the round-3 angle; the prover only sees its own
     # post-selected ensemble, not the verifier's silent discards
@@ -137,7 +137,7 @@ def _sweep_point(config: SweepConfig, m: int, ctx: protocol.ProtocolContext, gat
     # uniform over the prover's d unless w0 xor w1 equals its own branch
     # difference, so the predicted sign is a fair coin under either phase.
     tx = ax = tm = am = 0
-    for state, phase_v, kind, inverted in kept_runs:
+    for state, phase_v, preimages in kept_runs:
         if protocol.choose_challenge(rng) == "preimage":
             tx += 1
             ax += ctx.check_preimage_wire(state.preimage(rng), state.y)
@@ -147,7 +147,7 @@ def _sweep_point(config: SweepConfig, m: int, ctx: protocol.ProtocolContext, gat
             d = ideal_round2(state, r, rng)
             sign = 1 if rng.random() < 0.5 else -1
             expected = protocol.expected_bit(
-                protocol.predicted_state(ctx, kind, inverted, r, d, phase_v), sign)
+                protocol.predicted_state(ctx, preimages, r, d, phase_v), sign)
             # the round is won with the Born probability of the bit the
             # verifier expects; adding it instead of a sampled 0/1 keeps p_m
             # unbiased and removes the measurement's own sampling noise

@@ -54,59 +54,7 @@ def json_ints(value):
 
 
 # ---------------------------------------------------------------------------
-# messages
-
-@dataclass(frozen=True)
-class ImageMsg:
-    """Round-1 commitment.  h carries the Hadamard outcomes of discarded
-    garbage qubits when the prover ran a discarding circuit (empty
-    otherwise); the verifier needs them to reconstruct the discard phase."""
-
-    tag = "image"
-    y: int
-    h: int = 0
-    h_len: int = 0
-
-
-@dataclass(frozen=True)
-class ChallengeMsg:
-    tag = "challenge"
-    kind: str  # "preimage" | "continue"
-
-
-@dataclass(frozen=True)
-class PreimageMsg:
-    tag = "preimage"
-    x: int
-
-
-@dataclass(frozen=True)
-class VectorMsg:
-    tag = "vector"
-    r: int
-    n: int
-
-
-@dataclass(frozen=True)
-class EquationMsg:
-    tag = "equation"
-    d: int
-    n: int
-
-
-@dataclass(frozen=True)
-class BasisMsg:
-    """Measurement basis rotated by sign * pi/4 from Z around Y."""
-
-    tag = "basis"
-    sign: int
-
-
-@dataclass(frozen=True)
-class ResultMsg:
-    tag = "result"
-    bit: int
-
+# transcripts
 
 class Outcome(str, enum.Enum):
     ACCEPTED_PREIMAGE = "AcceptedPreimage"
@@ -118,12 +66,20 @@ class Outcome(str, enum.Enum):
 
 @dataclass
 class Transcript:
+    """One iteration as played: msgs maps each tag, in play order, to its
+    payload: image (y, h, h_len), challenge (kind: preimage | continue),
+    preimage (x), vector (r, n), equation (d, n), basis (sign: rotated
+    sign * pi/4 from Z around Y) and result (bit).  h holds the Hadamard
+    outcomes of the garbage qubits a discarding circuit measured (0, with
+    h_len 0, otherwise); the verifier needs them for the discard phase."""
+
     iteration: int
-    msgs: list = field(default_factory=list)
+    msgs: dict = field(default_factory=dict)
     outcome: Outcome | None = None
 
     def to_json(self) -> str:
-        body = [{"tag": m.tag, "payload": json_ints(m.__dict__)} for m in self.msgs]
+        body = [{"tag": tag, "payload": json_ints(payload)}
+                for tag, payload in self.msgs.items()]
         return json.dumps({"iter": self.iteration, "msgs": body,
                            "outcome": self.outcome.value if self.outcome else None},
                           sort_keys=True)
@@ -248,18 +204,12 @@ class ProtocolContext:
         """Register string -> domain element: the inverse of encode_domain."""
         return self.keys.decode(x_wire // self.lift_k)
 
-    def check_image_wire(self, y_wire):
-        """("claw", Claw) | ("single", x) | ("invalid", None): trapdoor
-        inversion of the base image of a wire value; invalid when it has
-        no base image or no preimage."""
+    def preimages(self, y_wire) -> tuple:
+        """The sorted trapdoor preimages of the base image of a wire value:
+        two for a claw, one, or none when it has no base image or no
+        preimage."""
         y = self.base_image(y_wire)
-        preimages = set() if y is None else tcf.invert(self.keys, y)
-        if len(preimages) == 2:
-            x0, x1 = sorted(preimages)
-            return ("claw", tcf.Claw(x0=x0, x1=x1, y=y))
-        if len(preimages) == 1:
-            return ("single", next(iter(preimages)))
-        return ("invalid", None)
+        return () if y is None else tuple(sorted(tcf.invert(self.keys, y)))
 
     def check_preimage_wire(self, x_wire: int, y_wire) -> bool:
         """Verify a round-1 preimage answer as sent on the wire: x_wire
@@ -282,16 +232,13 @@ class IterationConfig:
     postselect: bool = False
 
 
-def predicted_state(ctx: ProtocolContext, kind: str, inverted, r: int, d: int,
+def predicted_state(ctx: ProtocolContext, preimages: tuple, r: int, d: int,
                     phase_bit: int) -> QubitState:
-    """The qubit the verifier expects after round 2 for an image it inverted
-    to `inverted` ("single": one preimage, "claw": a Claw whose branches
-    carry the discard phase bit phase_bit)."""
-    if kind == "single":
-        x0 = x1 = ctx.encode_domain(inverted)
-    else:
-        x0, x1 = ctx.encode_domain(inverted.x0), ctx.encode_domain(inverted.x1)
-    return compute_qubit_state(x0, x1, r, d, rel_phase_bit=phase_bit)
+    """The qubit the verifier expects after round 2 for an image with one
+    preimage, or a claw whose branches carry the discard phase phase_bit."""
+    return compute_qubit_state(ctx.encode_domain(preimages[0]),
+                               ctx.encode_domain(preimages[-1]), r, d,
+                               rel_phase_bit=phase_bit)
 
 
 # A session settles its pending claw rounds this many at a time, in one
@@ -306,25 +253,14 @@ def predicted_state(ctx: ProtocolContext, kind: str, inverted, r: int, d: int,
 SETTLE_BLOCK = 32
 
 
-@dataclass
-class MeasurementRound:
-    """A played measurement round: what the verifier needs to judge it."""
-
-    transcript: Transcript
-    kind: str  # "single" | "claw", as ProtocolContext.check_image_wire returned it
-    inverted: object
-    h: int
-    r: int
-    d: int
-    sign: int
-    bit: int
-
-    def judge(self, ctx: ProtocolContext, phase_bit: int) -> None:
-        """Set the transcript's outcome, given the branches' discard phase."""
-        state = predicted_state(ctx, self.kind, self.inverted, self.r, self.d, phase_bit)
-        ok = self.bit == expected_bit(state, self.sign)
-        self.transcript.outcome = Outcome.ACCEPTED_MEASUREMENT if ok \
-            else Outcome.REJECTED_MEASUREMENT
+def judge(ctx: ProtocolContext, t: Transcript, preimages: tuple, phase_bit: int) -> None:
+    """Set the outcome of t, a played measurement round whose image has the
+    given preimages, from its r, d, sign and bit and the branches' discard
+    phase."""
+    m = t.msgs
+    state = predicted_state(ctx, preimages, m["vector"]["r"], m["equation"]["d"], phase_bit)
+    ok = m["result"]["bit"] == expected_bit(state, m["basis"]["sign"])
+    t.outcome = Outcome.ACCEPTED_MEASUREMENT if ok else Outcome.REJECTED_MEASUREMENT
 
 
 def discard_phases(ctx: ProtocolContext, claws) -> list:
@@ -340,12 +276,13 @@ def discard_phases(ctx: ProtocolContext, claws) -> list:
 
 
 def settle(ctx: ProtocolContext, pending: list) -> None:
-    """Judge every MeasurementRound in pending, then empty it."""
+    """Judge every (transcript, claw preimages) in pending, then empty it."""
     if not pending:
         return
-    phases = discard_phases(ctx, [(p.inverted.x0, p.inverted.x1, p.h) for p in pending])
-    for p, phase_bit in zip(pending, phases):
-        p.judge(ctx, phase_bit)
+    phases = discard_phases(ctx, [(x0, x1, t.msgs["image"]["h"])
+                                  for t, (x0, x1) in pending])
+    for (t, preimages), phase_bit in zip(pending, phases):
+        judge(ctx, t, preimages, phase_bit)
     pending.clear()
 
 
@@ -355,47 +292,44 @@ def run_iteration(ctx: ProtocolContext, prover, rng, config: IterationConfig,
 
     This plays the iteration: every message and every verifier draw.  A
     claw measurement round whose discard phase needs the circuit (a circuit
-    context and h_len > 0) joins `pending` with its outcome left None, for
-    settle to judge later; without a pending list it is settled at once."""
+    context and h_len > 0) joins `pending` as (transcript, preimages), its
+    outcome left None for settle to judge later; without a pending list it
+    is settled at once."""
     t = Transcript(iteration=iteration)
     y_wire, h, h_len = prover.round1()
-    t.msgs.append(ImageMsg(y=y_wire, h=h, h_len=h_len))
+    t.msgs["image"] = {"y": y_wire, "h": h, "h_len": h_len}
 
-    kind, inverted = ctx.check_image_wire(y_wire)
-    if config.postselect and kind == "invalid":
+    preimages = ctx.preimages(y_wire)
+    if config.postselect and not preimages:
         # silent discard: the prover is not told, the iteration is dropped
         t.outcome = Outcome.DISCARDED_INVALID_Y
         return t
 
     challenge = choose_challenge(rng, config.challenge_ratio)
-    t.msgs.append(ChallengeMsg(kind=challenge))
+    t.msgs["challenge"] = {"kind": challenge}
     if challenge == "preimage":
         x_wire = prover.answer_preimage()
-        t.msgs.append(PreimageMsg(x=x_wire))
+        t.msgs["preimage"] = {"x": x_wire}
         ok = ctx.check_preimage_wire(x_wire, y_wire)
         t.outcome = Outcome.ACCEPTED_PREIMAGE if ok else Outcome.REJECTED_PREIMAGE
         return t
 
     r = rng.getrandbits(ctx.reg_width)
-    t.msgs.append(VectorMsg(r=r, n=ctx.reg_width))
-    d = prover.round2(r)
-    t.msgs.append(EquationMsg(d=d, n=ctx.reg_width))
+    t.msgs["vector"] = {"r": r, "n": ctx.reg_width}
+    t.msgs["equation"] = {"d": prover.round2(r), "n": ctx.reg_width}
     sign = 1 if rng.random() < 0.5 else -1
-    t.msgs.append(BasisMsg(sign=sign))
-    bit = prover.round3(sign)
-    t.msgs.append(ResultMsg(bit=bit))
+    t.msgs["basis"] = {"sign": sign}
+    t.msgs["result"] = {"bit": prover.round3(sign)}
 
-    if kind == "invalid":
+    if not preimages:
         # post-selection off: an unindexable y can never be accepted
         t.outcome = Outcome.REJECTED_MEASUREMENT
-        return t
-    played = MeasurementRound(t, kind, inverted, h, r, d, sign, bit)
-    if kind == "single" or ctx.circuit is None or not h_len:
-        played.judge(ctx, 0)
+    elif len(preimages) == 1 or ctx.circuit is None or not h_len:
+        judge(ctx, t, preimages, 0)
     elif pending is None:
-        settle(ctx, [played])
+        settle(ctx, [(t, preimages)])
     else:
-        pending.append(played)
+        pending.append((t, preimages))
     return t
 
 

@@ -132,14 +132,16 @@ def channel_from_socket(sock: socket.socket, session: str | None,
 # verifier / prover drivers
 
 def _int(value, field: str) -> int:
-    """A payload integer, sent as a JSON integer or a decimal string;
-    ParseError for anything else, a missing field (None) included."""
+    """A payload integer as protocol.json_ints writes it: a JSON integer, or
+    a string of ASCII digits after an optional "-"; ParseError for anything
+    else, a missing field (None) included."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str):
+    digits = value.removeprefix("-") if isinstance(value, str) else ""
+    if digits.isascii() and digits.isdigit():
         try:
             return int(value)
-        except ValueError:
+        except ValueError:  # more digits than int() converts
             pass
     raise ParseError(f"field {field!r} is missing or not an integer: {value!r:.40}")
 

@@ -20,7 +20,7 @@ PKG = os.path.join(SRC, "qbell")
 # options no package call sets, each with the reason it stays
 ALLOWED = {
     "cli.main.argv": "console entry point: the command line supplies argv",
-    "protocol.Transcript.msgs": "filled by append as the iteration is played",
+    "protocol.Transcript.msgs": "filled tag by tag as the iteration is played",
     "protocol.Transcript.outcome": "set by assignment when the iteration is judged",
 }
 

@@ -111,14 +111,13 @@ class TestVerifierChecks:
     CTX77 = proto.ProtocolContext.plain(KEY77)
 
     def test_image_claw(self):
-        kind, claw = self.CTX77.check_image_wire(4)
-        assert kind == "claw" and (claw.x0, claw.x1) == (2, 9)
+        assert self.CTX77.preimages(4) == (2, 9)
 
     def test_image_invalid(self):
-        assert self.CTX77.check_image_wire(5) == ("invalid", None)
+        assert self.CTX77.preimages(5) == ()
 
     def test_image_single(self):
-        assert self.CTX77.check_image_wire(0) == ("single", 0)
+        assert self.CTX77.preimages(0) == (0,)
 
     def test_check_preimage(self):
         assert self.CTX77.check_preimage_wire(9, 4)
@@ -237,7 +236,7 @@ class TestRunIteration:
     def test_public_key_context_cannot_invert(self):
         ctx = proto.ProtocolContext.plain(KEY77.public())
         with pytest.raises(tcf.DomainError):
-            ctx.check_image_wire(4)
+            ctx.preimages(4)
 
     def test_single_preimage_iterations_counted_normally(self):
         # a cheater that picks x0 = 0 commits to the single-preimage image 0
@@ -286,8 +285,8 @@ class TestTranscripts:
         for t, line in zip(ts, proto.transcripts_to_jsonl(ts).splitlines()):
             y = json.loads(line)["msgs"][0]["payload"]["y"]
             assert all(isinstance(v, str) == (v_int > 2 ** 53)
-                       for v, v_int in zip(y, t.msgs[0].y))
-            assert tuple(int(v) for v in y) == t.msgs[0].y
+                       for v, v_int in zip(y, t.msgs["image"]["y"]))
+            assert tuple(int(v) for v in y) == t.msgs["image"]["y"]
             big += sum(isinstance(v, str) for v in y)
         assert big > 0
 
@@ -298,7 +297,7 @@ class TestTranscripts:
         rng = derive_rng(5, "v")
         t = proto.run_iteration(ctx, prover, rng,
                                 proto.IterationConfig(challenge_ratio=1e-9), 0)
-        tags = [m.tag for m in t.msgs]
+        tags = list(t.msgs)
         assert tags == ["image", "challenge", "vector", "equation", "basis", "result"]
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import socket
 import subprocess
 import sys
@@ -45,14 +46,14 @@ def malformed_keys(full):
 def session_length(value):
     """The session length a key frame's `trials` value announces: None
     when absent or null, else a nonnegative integer sent as a JSON integer
-    or a decimal string; wire.ParseError for anything else."""
+    or a string of ASCII digits after an optional "-", the only strings
+    protocol.json_ints writes; wire.ParseError for anything else."""
     if value is MISSING or value is None:
         return None
     if isinstance(value, str):
-        try:
-            value = int(value)
-        except ValueError:
+        if not re.fullmatch(r"-?[0-9]+", value):
             return wire.ParseError
+        value = int(value)
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         return wire.ParseError
     return value
@@ -184,6 +185,11 @@ class TestFrames:
         (lambda rp: rp.answer_preimage(), {"tag": "preimage"}),
         (lambda rp: rp.round2(3), {"tag": "equation", "d": 1.5}),
         (lambda rp: rp.round3(1), {"tag": "image", "y": "1"}),  # wrong reply
+        # strings int() reads but json_ints never writes
+        (lambda rp: rp.round1(), {"tag": "image", "y": " 7 "}),
+        (lambda rp: rp.answer_preimage(), {"tag": "preimage", "x": "+5"}),
+        (lambda rp: rp.round2(3), {"tag": "equation", "d": "1_000"}),
+        (lambda rp: rp.round3(1), {"tag": "result", "bit": "\u0663"}),  # Arabic-Indic 3
     ])
     def test_remote_prover_rejects_bad_replies(self, call, reply):
         line = json.dumps({"v": 1, "session": "v", "seq": 0, "msg": reply}).encode()
@@ -215,8 +221,8 @@ class TestFrames:
         frame = wire.encode_frame(wire.WireFrame(
             "s", 0, {"tag": "image", "y": vector, "h": scalar, "h_len": 3}))
         msg = json.loads(frame)["msg"]
-        t = proto.Transcript(0, [proto.ImageMsg(y=tuple(vector), h=scalar, h_len=3),
-                                 proto.VectorMsg(r=scalar, n=3)])
+        t = proto.Transcript(0, {"image": {"y": tuple(vector), "h": scalar, "h_len": 3},
+                                 "vector": {"r": scalar, "n": 3}})
         payloads = [m["payload"] for m in json.loads(t.to_json())["msgs"]]
         for doc in (msg, payloads[0]):
             assert wire._int(doc["h"], "h") == scalar
@@ -405,9 +411,19 @@ class TestCli:
             assert sizes == [provers.ROUND1_POOL] * full + [rest] * (rest > 0)
             assert len(draws) == trials
 
-    def test_usage_error_exit_code(self):
+    def test_usage_error_exit_code(self, tmp_path, capsys):
+        # an unknown command, and paths that cannot be read or written:
+        # a missing key file, a directory, an --out in a missing directory
+        key = tmp_path / "key.json"
+        key.write_text(tcf.key_to_json(gen_exact_bits(16)))
         assert run_cli("frobnicate") == 2
-        assert run_cli("run", "--key", "/nonexistent", "--prover", "bogus") in (2, 3)
+        for argv in (["run", "--key", "/nonexistent", "--prover", "bogus"],
+                     ["run", "--key", str(tmp_path), "--trials", "3"],
+                     ["run", "--key", str(key), "--trials", "40",
+                      "--out", str(tmp_path / "missing" / "x.json")]):
+            capsys.readouterr()
+            assert run_cli(*argv) == 2, argv
+            assert capsys.readouterr().err.startswith("error: "), argv
 
     def test_malformed_frame_exits_protocol_error(self):
         proc = subprocess.run(
@@ -431,6 +447,9 @@ class TestCli:
         [{"tag": "round1"}, {"tag": "vector"}],  # no r
         [{"tag": "round1"}, {"tag": "vector", "r": 5}, {"tag": "basis", "sign": 7}],
         [{"tag": "bogus"}],  # a tag the protocol does not have
+        # integers as strings int() reads but json_ints never writes
+        [{"tag": "round1"}, {"tag": "vector", "r": "1_000"}],
+        [{"tag": "round1"}, {"tag": "vector", "r": 5}, {"tag": "basis", "sign": "+1"}],
     ])
     def test_prover_payload_and_order_faults_exit_protocol_error(self, msgs):
         keys = gen_exact_bits(16)
@@ -623,6 +642,11 @@ class TestCli:
         # negative lift exponent in a sweep grid
         ("extract", "--key", "{rabin}", "--prover", "ideal", "--probes", "17"),
         ("sweep", "--key", "{rabin}", "--m-values", "-1"),
+        # transport options outside their range, refused before any socket
+        ("verify", "--key", "{rabin}", "--transport", "tcp", "--port", "99999"),
+        ("prove", "--transport", "tcp", "--port", "99999"),
+        ("prove", "--transport", "tcp", "--timeout", "-1"),
+        ("prove", "--transport", "tcp", "--timeout", "nan"),
     ])
     def test_bad_arguments_exit_usage_error(self, tmp_path, capsys, argv):
         paths = {"rabin": tmp_path / "rabin.json", "ddh": tmp_path / "ddh.json",
