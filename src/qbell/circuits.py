@@ -26,8 +26,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, count, groupby, repeat
-from operator import is_, itemgetter, sub
+from itertools import compress, count, takewhile
+from operator import itemgetter, sub
 
 
 class CircuitError(ValueError):
@@ -76,42 +76,26 @@ class Circuit:
 
     @cached_property
     def schedule(self) -> "Schedule":
-        """The static draw order of a two-branch run."""
+        """How many unitary gates and discarded qubits the program has, and
+        where its unitary gates stand."""
         program = self.program
         # program indices of the ALLOC/DISCARD/MEASURE_Y entries; the k-th
         # has index - k unitary gates before it
         at = list(compress(count(), map(_BOOKKEEPING.__contains__,
                                          map(itemgetter(0), program))))
-        marks = list(map(sub, at, count()))
-        events = list(map(program.__getitem__, at))
-        is_discard = list(map(is_, map(itemgetter(0), events), repeat(DISCARD)))
-        widths = list(map(len, map(itemgetter(1), compress(events, is_discard))))
-        spans, e = [], 0
-        for one, group in groupby(widths, (1).__eq__):
-            k = len(list(group))
-            if one:
-                spans.append((e, e + k, 1))
-            else:
-                spans.extend((i, i + 1, widths[i]) for i in range(e, e + k))
-            e += k
-        return Schedule(unitary=len(program) - len(at), befores=list(compress(marks, is_discard)),
-                        widths=widths, spans=spans, h_len=sum(widths), marks=marks)
+        return Schedule(unitary=len(program) - len(at), marks=list(map(sub, at, count())),
+                        h_len=sum(len(program[i][1]) for i in at if program[i][0] is DISCARD))
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """Where a two-branch run draws randomness.  Pauli errors strike the
-    `unitary` X/CNOT/Toffoli gates.  DISCARD event e draws
-    getrandbits(widths[e]) after befores[e] unitary gates.  `spans` covers
-    the events in order with (first, end, width) triples: a single event
-    wider than one qubit, or a run of one-qubit events.  marks[k] counts
-    the unitary gates before the k-th other entry of the program, so
-    unitary gate u stands at program index u + bisect_right(marks, u)."""
+    """A two-branch run's Pauli errors strike the `unitary` X/CNOT/Toffoli
+    gates, and its `h_len` discarded qubits each take one Hadamard outcome.
+    marks[k] counts the unitary gates before the k-th other entry of the
+    program, so unitary gate u stands at program index
+    u + bisect_right(marks, u)."""
 
     unitary: int
-    befores: list
-    widths: list
-    spans: list
     h_len: int
     marks: list
 
@@ -731,56 +715,26 @@ class TwoBranchRun:
     h: int  # Hadamard outcomes, bit i for the i-th discarded qubit
 
 
-# _TOP_BIT reads a byte as its top bit
-_TOP_BIT = bytes(b >> 7 for b in range(256))
+# _BIT_BYTE reads a binary digit as its 0/1 byte
+_BIT_BYTE = bytes.maketrans(b"01", b"\0\1")
 
 
-def replay_draws(schedule: Schedule, error_prob: float, rng):
-    """The draws one two-branch run makes from rng, without evaluating a
-    gate: returns (h, errors), h its Hadamard outcomes as one 0/1 byte per
-    discarded qubit, in discard order, and errors its Pauli errors as
-    _sampled_errors yields them, (gate, 0, pick, pauli).
-
-    A run draws its first error, then walks the gates: each DISCARD draws
-    getrandbits(width), and each error, once applied after its gate, draws
-    the next one.  Where discards fall among the unitary gates is static
-    (the schedule), so the order of the draws follows from the error
-    positions alone.  Between two errors, a run of k one-qubit discards is
-    one getrandbits(32 k): the Mersenne Twister fills it with the 32-bit
-    words k getrandbits(1) calls would take, lowest first, and
-    getrandbits(1) is a word's top bit, so byte 4 i + 3 of the draw holds
-    the i-th discard's outcome in its top bit.
-    """
-    draw, spans = rng.getrandbits, schedule.spans
-    pieces, errors = [], []
-    e = s = 0  # the next discard event, and the span holding it
-    sampled = _sampled_errors(error_prob, rng, 1) if error_prob > 0 else iter(())
-    while True:
-        err = next(sampled, None)
-        if err is not None and err[0] < schedule.unitary:
-            stop = bisect_right(schedule.befores, err[0])
-        else:  # drawn, but past the last gate
-            err, stop = None, len(schedule.widths)
-        while e < stop:
-            _, end, width = spans[s]
-            if width == 1:
-                k = min(end, stop) - e
-                pieces.append(draw(32 * k).to_bytes(4 * k, "little")[3::4].translate(_TOP_BIT))
-                e += k
-            else:
-                value = draw(width)
-                pieces.append(bytes((value >> i) & 1 for i in range(width)))
-                e += 1
-            if e == end:
-                s += 1
-        if err is None:
-            return b"".join(pieces), errors
-        errors.append(err)
+def draw_run(schedule: Schedule, error_prob: float, rng):
+    """The draws of one two-branch run from rng: returns (h, errors).  First
+    its Hadamard outcomes, one getrandbits(h_len) whose bit i is the i-th
+    discarded qubit's, returned as one 0/1 byte per discarded qubit; then
+    its Pauli errors as _sampled_errors yields them, (gate, 0, pick, pauli),
+    up to the last unitary gate."""
+    h_len = schedule.h_len
+    h = bin(rng.getrandbits(h_len) | 1 << h_len)[:2:-1].encode().translate(_BIT_BYTE)
+    errors = _sampled_errors(error_prob, rng, 1) if error_prob > 0 else ()
+    unitary = schedule.unitary
+    return h, list(takewhile(lambda err: err[0] < unitary, errors))
 
 
 def run_two_branch_block(circuit: Circuit, x0s, x1s, draws) -> list:
     """len(x0s) two-branch runs in one engine call, run j on the claw
-    (x0s[j], x1s[j]) with the draws draws[j] = (h, errors) of replay_draws.
+    (x0s[j], x1s[j]) with the draws draws[j] = (h, errors) of draw_run.
     Returns one TwoBranchRun per run."""
     R = len(x0s)
     errors = sorted((u, j, pick, pauli) for j, (_, errs) in enumerate(draws)
@@ -797,7 +751,7 @@ def run_two_branch_block(circuit: Circuit, x0s, x1s, draws) -> list:
 
 
 def run_two_branch(circuit: Circuit, x0: int, x1: int, error_prob: float, rng):
-    """One two-branch run on the claw (x0, x1), with the draws replay_draws
+    """One two-branch run on the claw (x0, x1), with the draws draw_run
     makes from rng: run_two_branch_block on a single run.
 
     Each X/CNOT/Toffoli gate independently errs with probability
@@ -808,7 +762,7 @@ def run_two_branch(circuit: Circuit, x0: int, x1: int, error_prob: float, rng):
     package itself runs blocks; bench/layers.py traces this name.
     """
     return run_two_branch_block(circuit, [x0], [x1],
-                                [replay_draws(circuit.schedule, error_prob, rng)])[0]
+                                [draw_run(circuit.schedule, error_prob, rng)])[0]
 
 
 def run_two_branch_batch(circuit: Circuit, x0s, x1s, error_prob, rng):

@@ -192,6 +192,7 @@ def cmd_verify(args):
         report_stream = sys.stderr
     else:
         srv = wire.open_tcp_listener(args.host, args.port)
+        srv.settimeout(args.timeout)  # no prover within it: TimeoutError, exit 3
         conn, _ = srv.accept()
         ch = wire.channel_from_socket(conn, session=f"s{args.seed}", timeout=args.timeout)
         report_stream = sys.stdout

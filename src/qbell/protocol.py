@@ -41,11 +41,31 @@ def parity(x: int) -> int:
     return x.bit_count() & 1
 
 
+# str() and int() convert at most 4,300 decimal digits, the interpreter's
+# guard against slow conversions of peer input; longer decimals convert in
+# chunks of DECIMAL_CHUNK digits
+DECIMAL_CHUNK = 4000
+_CHUNK_BASE = 10 ** DECIMAL_CHUNK
+
+
+def _decimal(value: int) -> str:
+    """str(value) for an int of any size."""
+    if abs(value) < _CHUNK_BASE:
+        return str(value)
+    if value < 0:
+        return "-" + _decimal(-value)
+    chunks = []
+    while value >= _CHUNK_BASE:
+        value, low = divmod(value, _CHUNK_BASE)
+        chunks.append(str(low).zfill(DECIMAL_CHUNK))
+    return str(value) + "".join(reversed(chunks))
+
+
 def json_ints(value):
     """`value` for transcripts and wire frames: every int beyond +/-2^53 (the
     exact range of a double) as a decimal string, at any depth."""
     if isinstance(value, int) and not isinstance(value, bool):
-        return str(value) if abs(value) > 2 ** 53 else value
+        return _decimal(value) if abs(value) > 2 ** 53 else value
     if isinstance(value, dict):
         return {k: json_ints(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -284,7 +284,7 @@ def is_valid_y(y: int, k: int) -> bool:
 # Xeon VM, Python 3.11): a call costs about 17 ms for 25 runs, 18 ms for 32,
 # 28 ms for 64 and 47 ms for 128, so a run's share falls from 0.67 ms at 25
 # runs to 0.44 ms at 64 and only 0.08 ms further at 128, beside about
-# 0.35 ms of replayed draws per attempt.  A 1,000-iteration session at
+# 0.05 ms of draws per attempt.  A 1,000-iteration session at
 # F = 0.5, m = 1 with --postselect took 2.26 s with a pool of 32, 2.11 s
 # with 64 and 2.21 s with 128.
 ROUND1_POOL = 64
@@ -302,8 +302,8 @@ class NoisyCircuitProver(IdealProver):
 
     Round 1 of iteration i draws everything from its own stream
     derive_rng(derive_seed(seed, "iter", i), "round1"): per attempt the
-    claw, the circuit run's errors and Hadamard outcomes (replay_draws),
-    then the y measurement.  Round 1 runs ahead in a pool of up to
+    claw, the circuit run's Hadamard outcomes in one call and then its
+    Pauli errors (circuits.draw_run), then the y measurement.  Round 1 runs ahead in a pool of up to
     ROUND1_POOL pending iterations, refilled from the upcoming ones below
     the session length `trials` (None: unknown, so no bound but the pool's);
     `attempts` and `valid_attempts` count an iteration, and
@@ -350,8 +350,7 @@ class NoisyCircuitProver(IdealProver):
         for i in pending:
             rng = pool[i][0]
             claws.append(sample_claw(ctx.keys, rng))
-            draws.append(circuits.replay_draws(ctx.circuit.schedule, self.noise.error_prob,
-                                               rng))
+            draws.append(circuits.draw_run(ctx.circuit.schedule, self.noise.error_prob, rng))
         runs = circuits.run_two_branch_block(ctx.circuit, [c[0] for c in claws],
                                              [c[1] for c in claws], draws)
         for i, run in zip(pending, runs):

@@ -131,6 +131,15 @@ def channel_from_socket(sock: socket.socket, session: str | None,
 # ---------------------------------------------------------------------------
 # verifier / prover drivers
 
+def _from_decimal(digits: str) -> int:
+    """int(digits) for ASCII digits of any length: halved until each part
+    has at most protocol.DECIMAL_CHUNK digits."""
+    if len(digits) <= protocol.DECIMAL_CHUNK:
+        return int(digits)
+    k = len(digits) // 2
+    return _from_decimal(digits[:-k]) * 10 ** k + _from_decimal(digits[-k:])
+
+
 def _int(value, field: str) -> int:
     """A payload integer as protocol.json_ints writes it: a JSON integer, or
     a string of ASCII digits after an optional "-"; ParseError for anything
@@ -139,10 +148,8 @@ def _int(value, field: str) -> int:
         return value
     digits = value.removeprefix("-") if isinstance(value, str) else ""
     if digits.isascii() and digits.isdigit():
-        try:
-            return int(value)
-        except ValueError:  # more digits than int() converts
-            pass
+        n = _from_decimal(digits)
+        return -n if value.startswith("-") else n
     raise ParseError(f"field {field!r} is missing or not an integer: {value!r:.40}")
 
 

@@ -6,7 +6,6 @@ detection and the DDH claw helpers."""
 
 import math
 import os
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -151,18 +150,20 @@ def hybrid_phase_run(circuit, x):
 
 
 def sequential_two_branch(circuit, x0, x1, error_prob, rng):
-    """One two-branch run, one bit per qubit and branch, drawing from rng
-    inside the gate loop: the first error before the loop, each discard's
-    getrandbits(width) where it stands, each next error right after the
-    previous one strikes.  The reference for the draw order that
-    cc.replay_draws reproduces without evaluating gates."""
+    """One two-branch run, one bit per qubit and branch: its Hadamard
+    outcomes first, as one getrandbits(h_len) whose bit i goes to the i-th
+    discarded qubit, then its errors drawn inside the gate loop, the first
+    before the loop and each next one right after the previous one
+    strikes.  The reference for the draws cc.draw_run makes without
+    evaluating gates."""
     x_reg = {q: i for i, q in enumerate(circuit.registers["x"])}
     bits = ([0] * circuit.n_qubits, [0] * circuit.n_qubits)
     loaded = set()
+    h = rng.getrandbits(sum(len(gate[1]) for gate in circuit.gates if gate[0] == cc.DISCARD))
     errors = cc._sampled_errors(error_prob, rng, 1) if error_prob > 0 else iter(())
     err = next(errors, None)
     u = -1
-    phase = h = h_len = 0
+    phase = k = 0  # k: the next discarded qubit
     ys = None
     for gate in circuit.gates:
         tag = gate[0]
@@ -173,12 +174,9 @@ def sequential_two_branch(circuit, x0, x1, error_prob, rng):
             for branch, x in zip(bits, (x0, x1)):
                 branch[q] = (x >> x_reg[q]) & 1 if first else 0
         elif tag == cc.DISCARD:
-            hs = rng.getrandbits(len(gate[1]))
-            for i, q in enumerate(gate[1]):
-                hb = (hs >> i) & 1
-                phase ^= hb & (bits[0][q] ^ bits[1][q])
-                h |= hb << h_len
-                h_len += 1
+            for q in gate[1]:
+                phase ^= (h >> k) & 1 & (bits[0][q] ^ bits[1][q])
+                k += 1
         elif tag == cc.MEASURE_Y:
             ys = [sum(branch[q] << i for i, q in enumerate(gate[1])) for branch in bits]
         elif tag in (cc.X, cc.CNOT, cc.TOFFOLI):
@@ -273,23 +271,6 @@ def reference_run_lanes(circuit, inputs, runs=0, errors=(), h_rows=None, draw_h=
         raise cc.MalformedCircuit("circuit has no MEASURE_Y")
     return cc._Lanes(rows=rows, y_rows=y_rows, garbage=garbage, phase=phase,
                      clean_phase=clean)
-
-
-def reference_replay_draws(schedule, error_prob, rng):
-    """cc.replay_draws with one getrandbits(width) per discard event, as
-    the gate loop draws them: the oracle for its span-at-a-time draws."""
-    draw, widths = rng.getrandbits, schedule.widths
-    values, errors = [], []
-    if error_prob > 0:
-        for err in cc._sampled_errors(error_prob, rng, 1):
-            if err[0] >= schedule.unitary:
-                break
-            stop = bisect_right(schedule.befores, err[0])
-            values.extend(map(draw, widths[len(values):stop]))
-            errors.append(err)
-    values.extend(map(draw, widths[len(values):]))
-    h = bytes((value >> i) & 1 for value, width in zip(values, widths) for i in range(width))
-    return h, errors
 
 
 def discarded_at_end(circuit):

@@ -15,9 +15,8 @@ from qbell import protocol as proto
 from qbell import tcf
 
 from helpers import (blum_semiprimes, build_mul3_inplace, discarded_at_end, gen_exact_bits,
-                     montgomery_stage, planted_run, reference_replay_draws,
-                     reference_run_lanes, reference_tally, sequential_two_branch,
-                     validate_circuit)
+                     montgomery_stage, planted_run, reference_run_lanes, reference_tally,
+                     sequential_two_branch, validate_circuit)
 
 
 class TestMul3:
@@ -328,10 +327,11 @@ class TestTwoBranchRuns:
 
     @pytest.mark.parametrize("method, m", [("schoolbook", 0), ("schoolbook", 2),
                                            ("karatsuba", 1)])
-    def test_replayed_draws_match_in_loop_draws(self, method, m):
+    def test_drawn_runs_match_in_loop_draws(self, method, m):
         # run_two_branch draws from rng without evaluating gates first; its
         # runs and the rng's state afterwards equal those of a run drawing
-        # inside the gate loop, from no errors up to dozens per run
+        # its errors inside the gate loop, from no errors up to dozens per
+        # run
         keys = gen_exact_bits(14)
         circ = cc.build_modsquare(keys.N, lift_m=m, method=method, cutoff=8)
         ng = cc.count_resources(circ).total_gates
@@ -601,28 +601,6 @@ def test_schedule_positions_unitary_gates():
     assert len(unitary) == sched.unitary
     assert all(i == u + bisect_right(sched.marks, u) for u, i in enumerate(unitary))
     assert sched.h_len == sum(len(g[1]) for g in circ.gates if g[0] == cc.DISCARD)
-
-
-def test_replay_draws_match_per_event_draws():
-    # replay_draws packs each run of one-qubit discards into one wide draw;
-    # its h, its errors and the stream after it equal one getrandbits(width)
-    # per discard event, on a circuit with 34-66-qubit events, at error
-    # rates where errors split runs of one-qubit discards
-    keys = gen_exact_bits(64)
-    circ = cc.build_modsquare(keys.N, lift_m=1, method="karatsuba")
-    sched = circ.schedule
-    assert max(sched.widths) >= 34
-    widths, split = sched.widths, 0
-    for rate in (0.0, 1.0, 10.0, 300.0):
-        for seed in range(3):
-            a, b = random.Random(seed), random.Random(seed)
-            got = cc.replay_draws(sched, rate / sched.unitary, a)
-            assert got == reference_replay_draws(sched, rate / sched.unitary, b), (rate, seed)
-            assert a.random() == b.random()
-            for u, *_ in got[1]:
-                stop = bisect_right(sched.befores, u)
-                split += 0 < stop < len(widths) and widths[stop - 1] == 1 == widths[stop]
-    assert split
 
 
 # sha256 of repr(circuit.gates) for (N, method, cutoff, lift_m): the gate

@@ -12,10 +12,11 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from qbell import tcf
+from qbell import cli, tcf
 from qbell.cli import main
 
 from helpers import cli_env
@@ -101,6 +102,16 @@ CASES = (
      ("karatsuba.json",)),
 )
 
+# the report, transcripts and prover of each case that plays the noisy
+# prover: their digests move with its round-1 stream, and the checks below
+# hold whatever that stream draws
+NOISY_RUNS = (
+    ("noisy.json", "noisy.jsonl", "noisy:F=0.5,circuit=schoolbook,m=1"),
+    ("noisy-blocks.json", "noisy-blocks.jsonl", "noisy:F=0.7,circuit=schoolbook,m=0"),
+    ("noisy300.json", "noisy300.jsonl", "noisy:F=0.5,circuit=schoolbook,m=1"),
+    ("stdio-noisy.json", "stdio-noisy.jsonl", "noisy:F=0.5,circuit=schoolbook,m=1"),
+)
+
 # (name, verifier argv, prover argv, output files): `verify` and `prove` as
 # two processes joined by stdio pipes, after every case above
 STDIO_CASES = (
@@ -130,12 +141,12 @@ DIGESTS = {
     "ideal-rabin32.json": "d14de658b9a20062d29919cae3cd70361b10eb94e6df4c41883cc70673761752",
     "ideal-rabin32.jsonl": "739236bdfb7839d626a4d161668431298975c16920191781693cd7168479aac5",
     "karatsuba.json": "56de21d43bf89ec6be2036b1d8b1d083ac6399bd938effdd3b1e3600fe5b12be",
-    "noisy.json": "2f1b5312fbdb82c3c7cca2db5fe8795d9e06979c0c6df451062c97a009360018",
-    "noisy.jsonl": "e6bf2241e570e95771da05d357237bd3debb4721f9d39a224d83d8f62c4cf586",
-    "noisy-blocks.json": "0600aeecea843d06b6833ce74716fa165ceabeefb671ceb3d86b2cf4e97ef144",
-    "noisy-blocks.jsonl": "9fd05441f5199183c54a489378f27ce4fd911b4760ffaa914fc8b5fd0196fa57",
-    "noisy300.json": "7758f9f07f0c25d1fa4bd0831a11c644c44aa34d0616d9e862c206d4bfdc43c0",
-    "noisy300.jsonl": "63a65efec3a8a96aa79c3bde98e46b90c2c15571e827c5186ebc61c65f3c6ec7",
+    "noisy.json": "4112caf6e0150a09c95f7bc8172c6e215c42cffd25a3b9f88d2d5040529c8222",
+    "noisy.jsonl": "7f4c314a5cebf8819122095e7c0f017a3a71bba1a855bb4308878c245b93a960",
+    "noisy-blocks.json": "e592d3001416f2a0c6bc1584db66334a2a5e18590da6c36aca367eebdd9d9f40",
+    "noisy-blocks.jsonl": "9bf135be4fc1d34a493f33128072647fc7460b63d626e879f5a3b0675e3b6c2e",
+    "noisy300.json": "38daf63ed74093ab3e19611f2290f7c7b1229e319d2030eb17e0647aa9b23324",
+    "noisy300.jsonl": "e340d91c8e361d5c83f4e3077a47e909c7ecfecbf331b0c134d401c7702857ed",
     "phase1.json": "858fb06c5797dca52aeb9e4fcd4e40150b86398c44dd330db7c46a3b4de151ff",
     "phase1-128.json": "0fb9533c35ff51e477a23e993d0238d1ced1617f73fb6bcda5c1261904adc97f",
     "phase2.json": "bedee618276c6af518bd0b189a45c9ab2dfe392bd6dfe021f9bf0b06f20f215d",
@@ -145,7 +156,7 @@ DIGESTS = {
     "rabin32.pub.json": "8de828468261c1a65b57cf39c416f2bf345c8b36f762a62d936fdec0d231e3ff",
     "schoolbook.json": "d3fa75aea5930a85b88133beb1062aba9cc874d5b13509cf6f99331554af90d7",
     "stdio-noisy.json": "c2454cbedfe4f685904190b77d295d8cb67a897176e8033b2a088aa6e06d7cbd",
-    "stdio-noisy.jsonl": "7ace273ae365fca3777ba14618d52be8a45243fb5fb3fa4d7eec0efd4291ea11",
+    "stdio-noisy.jsonl": "02768b5f4992626975cbf78813ac5493e109ed5c5c84e4c9770edec395753030",
     "sweep.csv": "8d22b3fc1bb9fdab1663d92bad8f5a7f854197d61b060457c9d3d91b897ec238",
 }
 
@@ -209,3 +220,30 @@ def test_noisy_extraction_factors(digests, golden_dir):
     keys = tcf.key_from_json((golden_dir / "rabin16.json").read_text())
     assert doc["success"] is True
     assert sorted(int(f) for f in doc["factors"]) == sorted((keys.p, keys.q))
+
+
+def _transcripts(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("report, transcripts, spec", NOISY_RUNS)
+def test_noisy_report_counts_its_transcripts(digests, golden_dir, report, transcripts, spec):
+    rep = json.loads((golden_dir / report).read_text())
+    n = Counter(t["outcome"] for t in _transcripts(golden_dir / transcripts))
+    assert (rep["accepts_x"], rep["trials_x"], rep["accepts_m"], rep["trials_m"]) == (
+        n["AcceptedPreimage"], n["AcceptedPreimage"] + n["RejectedPreimage"],
+        n["AcceptedMeasurement"], n["AcceptedMeasurement"] + n["RejectedMeasurement"])
+
+
+@pytest.mark.parametrize("report, transcripts, spec", NOISY_RUNS)
+def test_noisy_images_fit_the_circuit(digests, golden_dir, report, transcripts, spec):
+    # every image carries one Hadamard outcome per discarded qubit of the
+    # circuit the prover runs
+    keys = tcf.key_from_json((golden_dir / "rabin16.json").read_text())
+    h_len = cli.build_prover(cli.parse_prover_spec(spec), keys, 0)[1].circuit.schedule.h_len
+    firsts = [t["msgs"][0] for t in _transcripts(golden_dir / transcripts)]
+    assert firsts and h_len
+    for msg in firsts:
+        assert msg["tag"] == "image"
+        assert msg["payload"]["h_len"] == h_len
+        assert 0 <= int(msg["payload"]["h"]) < 2 ** h_len

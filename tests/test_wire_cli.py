@@ -246,6 +246,17 @@ class TestFrames:
         doc = json.loads(wire.encode_frame(frame))
         assert doc["msg"]["y"] == str(2 ** 90)
 
+    def test_image_beyond_the_digit_limit_round_trips(self):
+        # h = 2^20000 - 1 has 6,021 digits, more than str() and int()
+        # convert: the prover's image frame carries it and the verifier
+        # reads it back
+        h = 2 ** 20000 - 1
+        sent = BytesIO()
+        wire.Channel(BytesIO(), sent, "v").send({"tag": "image", "y": 5, "h": h, "h_len": 20000})
+        remote = wire.RemoteProver(wire.Channel(BytesIO(sent.getvalue()), BytesIO(), "v"),
+                                   gen_exact_bits(16))
+        assert remote.round1() == (5, h, 20000)
+
 
 def run_cli(*argv):
     return cli_main(list(argv))
@@ -376,22 +387,22 @@ class TestCli:
     def test_round1_runs_only_the_session(self, monkeypatch, tmp_path, command, prover_spec,
                                           trials):
         # one engine call per wave of at most ROUND1_POOL runs, and one
-        # replay_draws call per attempt of a played iteration: none runs at
+        # draw_run call per attempt of a played iteration: none runs at
         # or past the session's length.  At F = 1 and m = 0 every attempt
         # is valid, so the session is full waves and one partial wave: 25
         # iterations are one call of 25 runs
         key = tmp_path / "key16.json"
         key.write_text(tcf.key_to_json(gen_exact_bits(16)))
         sizes, draws, built = [], [], []
-        block, replay, build = cc.run_two_branch_block, cc.replay_draws, cli.build_prover
+        block, draw, build = cc.run_two_branch_block, cc.draw_run, cli.build_prover
 
         def counted_block(circuit, x0s, x1s, draws):
             sizes.append(len(x0s))
             return block(circuit, x0s, x1s, draws)
 
-        def counted_replay(schedule, error_prob, rng):
+        def counted_draw(schedule, error_prob, rng):
             draws.append(1)
-            return replay(schedule, error_prob, rng)
+            return draw(schedule, error_prob, rng)
 
         def kept(spec, keys, seed, trials):
             prover, ctx = build(spec, keys, seed, trials)
@@ -399,7 +410,7 @@ class TestCli:
             return prover, ctx
 
         monkeypatch.setattr(cc, "run_two_branch_block", counted_block)
-        monkeypatch.setattr(cc, "replay_draws", counted_replay)
+        monkeypatch.setattr(cc, "draw_run", counted_draw)
         monkeypatch.setattr(cli, "build_prover", kept)
         assert run_cli(*command, "--key", str(key), "--prover", prover_spec,
                        "--out", str(tmp_path / "out.json")) == 0
@@ -673,6 +684,21 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr.startswith(b"error: ")
 
+    def test_transcripts_of_an_80_bit_circuit_run(self, tmp_path):
+        # the karatsuba circuit of an 80-bit key discards 16,873 qubits, so
+        # each image's h is a decimal of more than 4,300 digits
+        key = tmp_path / "key.json"
+        keys = gen_exact_bits(80)
+        key.write_text(tcf.key_to_json(keys))
+        out = tmp_path / "t.jsonl"
+        assert run_cli("run", "--key", str(key), "--prover", "noisy:F=1.0,circuit=karatsuba,m=0",
+                       "--trials", "10", "--seed", "1", "--out", str(tmp_path / "rep.json"),
+                       "--transcripts", str(out)) == 0
+        images = [json.loads(line)["msgs"][0]["payload"] for line in out.read_text().splitlines()]
+        assert len(images) == 10
+        assert all(len(image["h"]) > 4300 and 0 <= wire._int(image["h"], "h") < 2 ** image["h_len"]
+                   for image in images)
+
     def test_wrong_key_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -829,3 +855,20 @@ class TestTcpTransport:
         stdio_rep = json.loads(rep_path.read_text())
         tcp_rep = json.loads(self._tcp_report(keys, trials=600, seed=42).to_json())
         assert stdio_rep == tcp_rep
+
+    def test_verify_without_prover_times_out(self, tmp_path):
+        # --timeout bounds the wait for a prover to connect: the verifier
+        # exits 3 on its own; the child is killed at the test's deadline
+        key = tmp_path / "k.json"
+        key.write_text(tcf.key_to_json(gen_exact_bits(16)))
+        verifier = subprocess.Popen(
+            [sys.executable, "-m", "qbell.cli", "verify", "--key", str(key),
+             "--transport", "tcp", "--port", "0", "--timeout", "1"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=cli_env())
+        try:
+            _, err = verifier.communicate(timeout=15)
+        finally:
+            verifier.kill()
+            verifier.wait()
+        assert verifier.returncode == 3
+        assert err.startswith(b"transport error: ")
