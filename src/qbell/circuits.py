@@ -556,20 +556,6 @@ def _transpose(rows, width) -> list:
     return [int(data[j >> 3::nb].translate(_LANE_DIGITS[j & 7]), 2) for j in range(width)]
 
 
-def _bit_rows(seqs, n) -> list:
-    """n rows of len(seqs) bits: bit j of row i is seqs[j][i], for byte
-    strings of 0/1 values and length n.  Eight sequences at a time become
-    eight bit positions of one int, one byte per row."""
-    rows = None
-    for g in range(0, len(seqs), 8):
-        acc = 0
-        for j, seq in enumerate(seqs[g:g + 8]):
-            acc |= int.from_bytes(seq, "little") << j
-        part = acc.to_bytes(n, "little")
-        rows = list(part) if rows is None else [row | b << g for row, b in zip(rows, part)]
-    return [0] * n if rows is None else rows
-
-
 def _sampled_errors(error_prob, rng, runs):
     """Erring (unitary gate, run) pairs in gate-major order: each pair errs
     independently with probability error_prob, found by geometric skips.
@@ -590,13 +576,12 @@ def _sampled_errors(error_prob, rng, runs):
 class _Lanes:
     rows: list  # final row of every qubit; a discarded qubit's row is 0
     y_rows: list  # rows of the y register at MEASURE_Y
-    garbage: list  # discarded rows in discard order (classical lanes only)
+    garbage: list  # discarded rows in discard order (without draw_h)
     phase: int  # noisy-pair phase bits, bit j for run j
     clean_phase: int  # the same h against the clean pair
 
 
-def _run_lanes(circuit: Circuit, inputs, runs=0, errors=(), h_rows=None,
-               draw_h=None) -> _Lanes:
+def _run_lanes(circuit: Circuit, inputs, runs=0, errors=(), draw_h=None) -> _Lanes:
     """Run the circuit's program once over one lane per input (x register
     = input).
 
@@ -605,12 +590,14 @@ def _run_lanes(circuit: Circuit, inputs, runs=0, errors=(), h_rows=None,
     (unitary gate, run, pick, pauli) in gate-major order as _sampled_errors
     yields them, strike the noisy pair of their run right after the gate;
     the program runs in error-free slices between them, each next error
-    taken once the previous one has struck.  The i-th discarded qubit takes
-    the R Hadamard outcomes h_rows[i], bit j for run j, or, with draw_h,
-    one draw_h(R * width) per discard event whose qubit i takes bits
-    [i R, (i + 1) R).  It folds h & (b0 xor b1) into the noisy pair's phase
-    and, with the same h, into the clean pair's: the phase the verifier
-    recomputes from the claw.
+    taken once the previous one has struck; a Z or Y error folds into the
+    noisy pair's phase.
+
+    A discarded row joins `garbage`, unless draw_h is given: then each
+    discard event takes draw_h(R * width), whose bits [i R, (i + 1) R) are
+    the R Hadamard outcomes h of its qubit i, and folds h & (b0 xor b1)
+    into the noisy pair's phase and, with the same h, into the clean
+    pair's: the phase the verifier recomputes from the claw.
     """
     x_reg = circuit.registers["x"]
     if any(x < 0 or x.bit_length() > len(x_reg) for x in inputs):
@@ -620,7 +607,6 @@ def _run_lanes(circuit: Circuit, inputs, runs=0, errors=(), h_rows=None,
     loads = dict(zip(x_reg, _transpose(inputs, len(x_reg))))
     rows = [0] * circuit.n_qubits
     garbage = []
-    next_h = None if h_rows is None else iter(h_rows).__next__
     run_mask = (1 << runs) - 1
     phase = clean = 0
     y_rows = None
@@ -644,12 +630,7 @@ def _run_lanes(circuit: Circuit, inputs, runs=0, errors=(), h_rows=None,
             elif tag is CNOT:
                 rows[gate[2]] ^= rows[gate[1]]
             elif tag is DISCARD:
-                if next_h is not None:
-                    for q in gate[1]:
-                        row = rows[q]
-                        rows[q] = 0
-                        phase ^= next_h() & (row ^ (row >> runs))
-                elif draw_h is not None:
+                if draw_h is not None:
                     hs = draw_h(runs * len(gate[1]))
                     for q in gate[1]:
                         row = rows[q]
@@ -700,6 +681,16 @@ def evaluate_classical(circuit: Circuit, xs):
     return _transpose(lanes.y_rows, len(xs)), _transpose(lanes.garbage, len(xs))
 
 
+def fold_discard_phases(hs, garbage) -> list:
+    """The discard phase bit parity(h . (g0 xor g1)) of each run j: its
+    Hadamard outcomes h = hs[j] against its branches' garbage strings
+    g0 = garbage[j] and g1 = garbage[R + j], R = len(hs), laid out as
+    evaluate_classical returns them.  Discarding leaves the branches the
+    relative phase (-1)^bit."""
+    R = len(hs)
+    return [(h & (g0 ^ g1)).bit_count() & 1 for h, g0, g1 in zip(hs, garbage, garbage[R:])]
+
+
 # ---------------------------------------------------------------------------
 # two-branch evaluation (exact simulation of a claw superposition)
 
@@ -715,18 +706,12 @@ class TwoBranchRun:
     h: int  # Hadamard outcomes, bit i for the i-th discarded qubit
 
 
-# _BIT_BYTE reads a binary digit as its 0/1 byte
-_BIT_BYTE = bytes.maketrans(b"01", b"\0\1")
-
-
 def draw_run(schedule: Schedule, error_prob: float, rng):
     """The draws of one two-branch run from rng: returns (h, errors).  First
-    its Hadamard outcomes, one getrandbits(h_len) whose bit i is the i-th
-    discarded qubit's, returned as one 0/1 byte per discarded qubit; then
-    its Pauli errors as _sampled_errors yields them, (gate, 0, pick, pauli),
-    up to the last unitary gate."""
-    h_len = schedule.h_len
-    h = bin(rng.getrandbits(h_len) | 1 << h_len)[:2:-1].encode().translate(_BIT_BYTE)
+    its Hadamard outcomes h, one getrandbits(h_len) whose bit i is the i-th
+    discarded qubit's; then its Pauli errors as _sampled_errors yields them,
+    (gate, 0, pick, pauli), up to the last unitary gate."""
+    h = rng.getrandbits(schedule.h_len)
     errors = _sampled_errors(error_prob, rng, 1) if error_prob > 0 else ()
     unitary = schedule.unitary
     return h, list(takewhile(lambda err: err[0] < unitary, errors))
@@ -735,18 +720,20 @@ def draw_run(schedule: Schedule, error_prob: float, rng):
 def run_two_branch_block(circuit: Circuit, x0s, x1s, draws) -> list:
     """len(x0s) two-branch runs in one engine call, run j on the claw
     (x0s[j], x1s[j]) with the draws draws[j] = (h, errors) of draw_run.
-    Returns one TwoBranchRun per run."""
+    The engine keeps the noisy branches' garbage, as evaluate_classical
+    does; each run's phase is its Z errors' bit xor the discard phase that
+    fold_discard_phases takes from its h and that garbage, the verifier's
+    rule.  Returns one TwoBranchRun per run."""
     R = len(x0s)
     errors = sorted((u, j, pick, pauli) for j, (_, errs) in enumerate(draws)
                     for u, _, pick, pauli in errs)
-    lanes = _run_lanes(circuit, [*x0s, *x1s], R, errors,
-                       _bit_rows([h for h, _ in draws], circuit.schedule.h_len))
+    lanes = _run_lanes(circuit, [*x0s, *x1s], R, errors)
     ys = _transpose(lanes.y_rows, 2 * R)
     regs = _transpose([lanes.rows[q] for q in circuit.registers["x"]], 2 * R)
-    # h as an int: its 0/1 bytes, last first, read as binary digits
+    hs = [h for h, _ in draws]
+    discard = fold_discard_phases(hs, _transpose(lanes.garbage, 2 * R))
     return [TwoBranchRun(y0=ys[j], y1=ys[R + j], reg0=regs[j], reg1=regs[R + j],
-                         phase=lanes.phase >> j & 1,
-                         h=int(b"0" + draws[j][0][::-1].translate(_LANE_DIGITS[0]), 2))
+                         phase=(lanes.phase >> j & 1) ^ discard[j], h=hs[j])
             for j in range(R)]
 
 

@@ -284,15 +284,14 @@ def judge(ctx: ProtocolContext, t: Transcript, preimages: tuple, phase_bit: int)
 
 
 def discard_phases(ctx: ProtocolContext, claws) -> list:
-    """The discard phase bit parity(h . (g(x0) xor g(x1))) of each (x0, x1, h)
-    in claws: the prover's reported Hadamard outcomes h against the two
-    branches' garbage strings, recomputed classically from the claw in one
-    evaluate_classical call over all 2R branches."""
-    R = len(claws)
+    """The discard phase bit of each (x0, x1, h) in claws: the prover's
+    reported Hadamard outcomes h against the two branches' garbage strings,
+    recomputed classically from the claw in one evaluate_classical call
+    over all 2R branches and folded by circuits.fold_discard_phases, the
+    rule the noisy prover's runs fold with too."""
     _, garbage = circuits.evaluate_classical(
         ctx.circuit, [x0 for x0, _, _ in claws] + [x1 for _, x1, _ in claws])
-    return [parity(h & (g0 ^ g1))
-            for (_, _, h), g0, g1 in zip(claws, garbage, garbage[R:])]
+    return circuits.fold_discard_phases([h for _, _, h in claws], garbage)
 
 
 def settle(ctx: ProtocolContext, pending: list) -> None:

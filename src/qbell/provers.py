@@ -321,7 +321,7 @@ class NoisyCircuitProver(IdealProver):
         self.valid_attempts = 0
         self._pool = {}  # pending iteration -> [its round-1 rng, attempts so far]
         self._joined = 0  # the next iteration to join the pool
-        self._done = {}  # iteration -> (attempts, (y, state, h) or None)
+        self._done = {}  # iteration -> (attempts, (state, h) or None)
 
     def _round1_impl(self):
         while self._iteration not in self._done:
@@ -331,8 +331,8 @@ class NoisyCircuitProver(IdealProver):
         if found is None:
             raise AttemptsExhausted(f"no valid y within {self.max_attempts} attempts")
         self.valid_attempts += 1
-        y, self.state, h = found
-        return y, h, self.ctx.circuit.schedule.h_len
+        self.state, h = found
+        return self.state.y, h, self.ctx.circuit.schedule.h_len
 
     def _round1_wave(self):
         """Tops the pool up, then runs one attempt of every pending
@@ -359,7 +359,7 @@ class NoisyCircuitProver(IdealProver):
                               ctx.reg_width, entry[0])
             entry[1] += 1
             if is_valid_y(state.y, ctx.lift_k):
-                self._done[i] = (entry[1], (state.y, state, run.h))
+                self._done[i] = (entry[1], (state, run.h))
             elif entry[1] == self.max_attempts:
                 self._done[i] = (entry[1], None)
             else:

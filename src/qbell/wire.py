@@ -178,7 +178,11 @@ class RemoteProver:
             y = tuple(_int(v, "y") for v in y)
         else:
             raise ParseError(f"image is not a list of {n} integers: {y!r:.40}")
-        return y, _int(msg.get("h", 0), "h"), _int(msg.get("h_len", 0), "h_len")
+        h, h_len = _int(msg.get("h", 0), "h"), _int(msg.get("h_len", 0), "h_len")
+        # h holds one Hadamard outcome per discarded qubit: h_len bits
+        if h_len < 0 or h < 0 or h.bit_length() > h_len:
+            raise ParseError(f"h does not fit h_len = {h_len!r:.40}")
+        return y, h, h_len
 
     def answer_preimage(self):
         msg = self._exchange({"tag": "challenge", "kind": "preimage"}, "preimage")

@@ -202,7 +202,7 @@ def sequential_two_branch(circuit, x0, x1, error_prob, rng):
                            phase=phase, h=h)
 
 
-def reference_run_lanes(circuit, inputs, runs=0, errors=(), h_rows=None, draw_h=None):
+def reference_run_lanes(circuit, inputs, runs=0, errors=(), draw_h=None):
     """cc._run_lanes as it walked Circuit.gates before the engine ran the
     lowered program: every ALLOC zeroes its row (the x register's first
     ones load the inputs), a discarded row keeps its value, and each
@@ -215,7 +215,6 @@ def reference_run_lanes(circuit, inputs, runs=0, errors=(), h_rows=None, draw_h=
     pending = dict(zip(x_reg, cc._transpose(inputs, len(x_reg))))
     rows = [0] * circuit.n_qubits
     garbage = []
-    k = 0  # next discarded qubit
     run_mask = (1 << runs) - 1
     phase = clean = 0
     errors = iter(errors)
@@ -235,17 +234,13 @@ def reference_run_lanes(circuit, inputs, runs=0, errors=(), h_rows=None, draw_h=
             rows[gate[1]] = pending.pop(gate[1], 0)
             continue
         elif tag == cc.DISCARD:
-            if not runs:
+            if draw_h is None:
                 garbage.extend([rows[q] for q in gate[1]])
                 continue
-            hs = draw_h(runs * len(gate[1])) if draw_h else None
+            hs = draw_h(runs * len(gate[1]))
             for q in gate[1]:
-                if hs is None:
-                    h = h_rows[k]
-                    k += 1
-                else:
-                    h = hs & run_mask
-                    hs >>= runs
+                h = hs & run_mask
+                hs >>= runs
                 row = rows[q]
                 phase ^= h & (row ^ (row >> runs))
                 clean ^= h & ((row >> 2 * runs) ^ (row >> 3 * runs))
@@ -288,13 +283,12 @@ def discarded_at_end(circuit):
 def planted_run(circuit, x0, x1, plan=None, h=0):
     """One two-branch run with its errors pinned instead of drawn: plan
     maps the index of a unitary gate (counting only X/CNOT/Toffoli) to a
-    (qubit, pauli) pair struck right after that gate; every discarded
-    qubit's Hadamard outcome is h.  Runs through cc.run_two_branch_block,
-    the engine call the noisy prover makes."""
+    (qubit, pauli) pair struck right after that gate; h holds the Hadamard
+    outcomes, bit i for the i-th discarded qubit.  Runs through
+    cc.run_two_branch_block, the engine call the noisy prover makes."""
     unitary = [gate[1:] for gate in circuit.gates if gate[0] in (cc.X, cc.CNOT, cc.TOFFOLI)]
     errors = [(u, 0, unitary[u].index(q), pauli) for u, (q, pauli) in (plan or {}).items()]
-    draws = (bytes([h]) * circuit.schedule.h_len, errors)
-    return cc.run_two_branch_block(circuit, [x0], [x1], [draws])[0]
+    return cc.run_two_branch_block(circuit, [x0], [x1], [(h, errors)])[0]
 
 
 def validate_circuit(circuit):

@@ -136,6 +136,14 @@ class TestDiscardPhase:
             phases.append(pv)
         # the same claws settled as one block
         assert proto.discard_phases(ctx, claws) == phases
+        # and run as one noise-free block, with fresh h: run j must fold its
+        # own branches' garbage, lanes j and R + j
+        fresh = [(x0, x1, rng.getrandbits(circ.schedule.h_len)) for x0, x1, _ in claws]
+        runs = cc.run_two_branch_block(circ, [c[0] for c in fresh], [c[1] for c in fresh],
+                                       [(h, []) for _, _, h in fresh])
+        block = [run.phase for run in runs]
+        assert len(runs) > 8 and set(block) == {0, 1}
+        assert block == proto.discard_phases(ctx, fresh)
 
 
 class TestValidation:
@@ -315,14 +323,15 @@ class TestTwoBranchRuns:
         monkeypatch.setattr(cc, "_sampled_errors", lambda p, rng, runs: iter(planted))
         out = cc.run_two_branch_batch(circ, [a for a, _ in pairs], [b for _, b in pairs],
                                       0.5, _AllOnes())
+        ones = (1 << circ.schedule.h_len) - 1
         for i, (a, b) in enumerate(pairs):
-            run = planted_run(circ, a, b, plan if i == hit else None, h=1)
-            clean = planted_run(circ, a, b, h=1)
+            run = planted_run(circ, a, b, plan if i == hit else None, h=ones)
+            clean = planted_run(circ, a, b, h=ones)
             assert (out["y0"][i], out["y1"][i]) == (run.y0, run.y1), i
             assert (out["reg0"][i], out["reg1"][i]) == (run.reg0, run.reg1), i
             assert out["phase_prover"][i] == run.phase, i
             assert out["phase_verifier"][i] == clean.phase, i
-        clean = planted_run(circ, *pairs[hit], h=1)
+        clean = planted_run(circ, *pairs[hit], h=ones)
         assert (out["y0"][hit], out["reg0"][hit]) != (clean.y0, clean.reg0)
 
     @pytest.mark.parametrize("method, m", [("schoolbook", 0), ("schoolbook", 2),
@@ -354,7 +363,7 @@ class TestTwoBranchRuns:
         errors = [(u, 0, rng.randrange(6), "XYZ"[u % 3])
                   for u in sorted(rng.sample(range(circ.schedule.unitary), 30))]
         h_len = circ.schedule.h_len
-        draws = [(bytes(rng.choices((0, 1), k=h_len)), errors if j == hit else [])
+        draws = [(rng.getrandbits(h_len), errors if j == hit else [])
                  for j in range(R)]
         runs = cc.run_two_branch_block(circ, x0s, x1s, draws)
         for j in range(R):
@@ -487,16 +496,14 @@ class TestEngineMatchesReference:
                                 min_size=2 * runs, max_size=2 * runs))
         _assert_lanes_equal(circ, cc._run_lanes(circ, xs),
                             reference_run_lanes(circ, xs))
-        # planted errors, several on one gate and some past the last one
+        # two-branch lanes keeping their garbage, with planted errors,
+        # several on one gate and some past the last one
         unitary = circ.schedule.unitary
         errors = sorted(data.draw(st.lists(st.tuples(
             st.integers(0, unitary + 1), st.integers(0, runs - 1), st.integers(0, 5),
             st.sampled_from("XYZ")), max_size=3 * unitary + 2)))
-        h_rows = data.draw(st.lists(st.integers(0, (1 << runs) - 1),
-                                    min_size=circ.schedule.h_len,
-                                    max_size=circ.schedule.h_len))
-        _assert_lanes_equal(circ, cc._run_lanes(circ, xs, runs, errors, h_rows),
-                            reference_run_lanes(circ, xs, runs, errors, h_rows))
+        _assert_lanes_equal(circ, cc._run_lanes(circ, xs, runs, errors),
+                            reference_run_lanes(circ, xs, runs, errors))
         # sampled errors and in-loop Hadamard draws, beside a clean pair
         p = data.draw(st.sampled_from((0.0, 0.05, 0.3, 1.0)))
         seed = data.draw(st.integers(0, 2 ** 32))
@@ -535,7 +542,7 @@ class TestEngineMatchesReference:
         for _ in range(runs):
             us = sorted(rng.sample(range(sched.unitary), int(rate * sched.unitary)))
             errors = [(u, 0, rng.randrange(6), rng.choice("XYZ")) for u in us]
-            draws.append((bytes(rng.choices((0, 1), k=sched.h_len)), errors))
+            draws.append((rng.getrandbits(sched.h_len), errors))
         got = cc.run_two_branch_block(circ, x0s, x1s, draws)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cc, "_run_lanes", reference_run_lanes)

@@ -190,6 +190,11 @@ class TestFrames:
         (lambda rp: rp.answer_preimage(), {"tag": "preimage", "x": "+5"}),
         (lambda rp: rp.round2(3), {"tag": "equation", "d": "1_000"}),
         (lambda rp: rp.round3(1), {"tag": "result", "bit": "\u0663"}),  # Arabic-Indic 3
+        # Hadamard outcomes that no h_len-qubit discard can produce
+        (lambda rp: rp.round1(), {"tag": "image", "y": "12", "h": 0, "h_len": -1}),
+        (lambda rp: rp.round1(), {"tag": "image", "y": "12", "h": -1, "h_len": 3}),
+        (lambda rp: rp.round1(), {"tag": "image", "y": "12", "h": 8, "h_len": 3}),
+        (lambda rp: rp.round1(), {"tag": "image", "y": "12", "h": 1}),
     ])
     def test_remote_prover_rejects_bad_replies(self, call, reply):
         line = json.dumps({"v": 1, "session": "v", "seq": 0, "msg": reply}).encode()
