@@ -25,9 +25,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import compress, count, takewhile
-from operator import itemgetter, sub
+from functools import cache, cached_property
+from itertools import takewhile
 
 
 class CircuitError(ValueError):
@@ -48,43 +47,56 @@ DISCARD = "DISCARD"
 MEASURE_Y = "MEASURE_Y"
 
 UNITARY_TAGS = frozenset((X, CNOT, TOFFOLI, CPHASE))
-_BOOKKEEPING = frozenset((ALLOC, DISCARD, MEASURE_Y))
 
 
 @dataclass
 class Circuit:
     """A gate list over qubits 0..n_qubits-1.  Its tags are this module's
     constants, which the engine tells apart by identity.  `program` and
-    `schedule` are computed on first use; the gate list must not change
-    after that."""
+    `schedule` are lowered together, in one pass over the gate list, on
+    first use of either; the gate list must not change after that."""
 
     n_qubits: int
     gates: list
     registers: dict
     metadata: dict = field(default_factory=dict)
 
-    @cached_property
+    @property
     def program(self) -> list:
         """The gate list as the engine runs it: CPHASE gates (diagonal, no
         effect on basis states) and ALLOC events dropped, except the first
         ALLOC of each x-register qubit, which loads its input row.  A
         DISCARD zeroes its rows, so a re-allocated qubit starts at 0."""
-        load = set(self.registers["x"])
-        return [g for g in self.gates
-                if g[0] is not CPHASE
-                and (g[0] is not ALLOC or (g[1] in load and not load.remove(g[1])))]
+        return self._lowered[0]
 
-    @cached_property
+    @property
     def schedule(self) -> "Schedule":
         """How many unitary gates and discarded qubits the program has, and
         where its unitary gates stand."""
-        program = self.program
-        # program indices of the ALLOC/DISCARD/MEASURE_Y entries; the k-th
-        # has index - k unitary gates before it
-        at = list(compress(count(), map(_BOOKKEEPING.__contains__,
-                                         map(itemgetter(0), program))))
-        return Schedule(unitary=len(program) - len(at), marks=list(map(sub, at, count())),
-                        h_len=sum(len(program[i][1]) for i in at if program[i][0] is DISCARD))
+        return self._lowered[1]
+
+    @cached_property
+    def _lowered(self) -> tuple:
+        load = set(self.registers["x"])
+        program, marks = [], []
+        append, mark = program.append, marks.append
+        unitary = h_len = 0
+        for g in self.gates:
+            tag = g[0]
+            if tag in UNITARY_TAGS:
+                if tag is not CPHASE:
+                    append(g)
+                    unitary += 1
+                continue
+            if tag is ALLOC:
+                if g[1] not in load:
+                    continue
+                load.remove(g[1])
+            elif tag is DISCARD:
+                h_len += len(g[1])
+            mark(unitary)
+            append(g)
+        return program, Schedule(unitary=unitary, h_len=h_len, marks=marks)
 
 
 @dataclass(frozen=True)
@@ -480,14 +492,7 @@ def build_modsquare(N, lift_m=0, method="schoolbook", cutoff=KARATSUBA_CUTOFF):
     domain-restriction comparator for x < ceil(N/2) is not part of the gate
     list, since the simulated prover samples the domain directly.
     """
-    if N % 2 == 0 or N < 15:
-        raise CircuitError("modulus must be an odd composite >= 15")
-    if method not in ("schoolbook", "karatsuba"):
-        raise CircuitError(f"unknown multiplier {method!r}")
-    if method == "karatsuba" and cutoff < 8:
-        raise CircuitError("karatsuba cutoff must be >= 8")
-    if lift_m < 0:
-        raise CircuitError("lift exponent m must be >= 0")
+    _check_modsquare(N, lift_m, method, cutoff)
     n = N.bit_length()
     k = 3 ** lift_m
     modulus = k * k * N
@@ -522,6 +527,101 @@ def build_modsquare(N, lift_m=0, method="schoolbook", cutoff=KARATSUBA_CUTOFF):
             "r_undo": R % modulus,
         },
     )
+
+
+def _check_modsquare(N, lift_m, method, cutoff):
+    """build_modsquare's parameter checks.  Montgomery reduction needs only
+    an odd modulus, so a prime passes."""
+    if N % 2 == 0 or N < 15:
+        raise CircuitError("modulus must be odd and >= 15")
+    if method not in ("schoolbook", "karatsuba"):
+        raise CircuitError(f"unknown multiplier {method!r}")
+    if method == "karatsuba" and cutoff < 8:
+        raise CircuitError("karatsuba cutoff must be >= 8")
+    if lift_m < 0:
+        raise CircuitError("lift exponent m must be >= 0")
+
+
+def modsquare_gate_count(N, lift_m, method, cutoff) -> int:
+    """The number of X/CNOT/Toffoli gates build_modsquare emits with the same
+    arguments, counted without building it.  Each helper counts the gates
+    of the builder it is named after from register widths and classical
+    constants; the Karatsuba ones on widths alone are memoised."""
+    _check_modsquare(N, lift_m, method, cutoff)
+
+    def add_registers(a, b):
+        # a half adder, a - 1 full adders, then a ripple through b - a bits
+        return 2 * (a + b) - 2
+
+    def add_constant(value, width):
+        # a half adder per bit, and four X gates around it per set bit
+        return 2 * width + 4 * value.bit_count()
+
+    def schoolbook_mult(a, b, c):
+        return sum(5 * b + 2 * (c - i - b) for i in range(a))
+
+    def schoolbook_square(n, c):
+        return sum(6 + 5 * (n - 1 - i) + 2 * (c - i - n - 1) for i in range(n))
+
+    def schoolbook_mult_classical(a, b, c, limit=None):
+        limit = c if limit is None else limit
+        return sum(4 * min(b, limit - i) + 2 * max(0, limit - i - b)
+                   for i in range(min(a.bit_length(), limit)) if a >> i & 1)
+
+    @cache
+    def karatsuba_mult(a, b, c):
+        if min(a, b) <= cutoff:
+            return schoolbook_mult(a, b, c)
+        s = min(a, b) // 2
+        ah, bh = a - s, b - s
+        mid = ah + bh + 2
+        return (karatsuba_mult(s, s, mid) + add_registers(mid, c)
+                + karatsuba_mult(ah, bh, ah + bh) + add_registers(ah + bh, c - 2 * s)
+                + add_registers(ah + bh, mid) + 2 * s + add_registers(ah, ah + 1)
+                + add_registers(bh, bh + 1) + mid + add_constant(1, mid)
+                + karatsuba_mult(ah + 1, bh + 1, mid) + add_registers(mid, c - s))
+
+    @cache
+    def karatsuba_square(n, c):
+        if n <= cutoff:
+            return schoolbook_square(n, c)
+        s, h = n // 2, n - n // 2
+        return (karatsuba_square(s, 2 * s) + add_registers(2 * s, c)
+                + karatsuba_mult(s, h, n) + add_registers(n, c - s - 1)
+                + karatsuba_square(h, 2 * h) + add_registers(2 * h, c - 2 * s))
+
+    def karatsuba_mult_classical(a, b, c):
+        if min(a.bit_length(), b) <= cutoff:
+            return schoolbook_mult_classical(a, b, c)
+        s = min(a.bit_length(), b) // 2
+        lo, hi, bh = a & ((1 << s) - 1), a >> s, b - s
+        high = hi.bit_length() + bh
+        mid = high + 2
+        return (karatsuba_mult_classical(lo, s, mid) + add_registers(mid, c)
+                + karatsuba_mult_classical(hi, bh, high) + add_registers(high, c - 2 * s)
+                + add_registers(high, mid) + s + add_registers(bh, bh + 1) + mid
+                + add_constant(1, mid) + karatsuba_mult_classical(lo + hi, bh + 1, mid)
+                + add_registers(mid, c - s))
+
+    def montgomery_reduce(t, modulus):
+        nm = modulus.bit_length()
+        R = 1 << nm
+        mult = karatsuba_mult_classical if method == "karatsuba" else schoolbook_mult_classical
+        # m = T * N' mod R, T += m * modulus, the comparator and its flag's
+        # X, then the conditional add of the modulus between its CNOTs
+        return (schoolbook_mult_classical(-pow(modulus, -1, R) % R, nm, nm, nm)
+                + mult(modulus, nm, t) + add_constant((1 << (nm + 1)) - modulus, nm + 2)
+                + 1 + 2 * modulus.bit_count() + add_registers(nm, nm + 1))
+
+    n = N.bit_length()
+    k = 3 ** lift_m
+    modulus = k * k * N
+    width = n + 2 * lift_m
+    # the x3 chain: 2w CNOTs per stage of width w, and its carries' Toffolis
+    gates = sum(2 * w + max(0, 3 * w - 4) for w in range(n, width, 2))
+    t = max(2 * width, 2 * modulus.bit_length()) + 1
+    square = karatsuba_square if method == "karatsuba" else schoolbook_square
+    return gates + square(width, t) + montgomery_reduce(t, modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -830,11 +930,6 @@ def _tally(gates, n_qubits) -> tuple:
         if lv > depth:
             depth = lv
     return total, toffoli, depth
-
-
-def gate_count(circuit: Circuit) -> int:
-    """count_resources(circuit).total_gates without the depth layering."""
-    return sum(map(UNITARY_TAGS.__contains__, map(itemgetter(0), circuit.gates)))
 
 
 def count_resources(circuit: Circuit) -> ResourceReport:

@@ -89,9 +89,10 @@ def build_prover(spec: dict, keys, seed: int, trials: int | None = None):
     """Prover plus the protocol context that reads its answers, for the
     verifier and the extractor: built first, the prover on it, except for
     the cheater, who holds only the public key.  The noisy prover's
-    per-gate noise is calibrated on the unlifted (m = 0) circuit, built a
-    second time for m >= 1 to count its gates; it runs round 1 ahead only
-    for iterations below the session length `trials` (None: unknown)."""
+    per-gate noise is calibrated on the unlifted (m = 0) circuit, whose
+    gates circuits.modsquare_gate_count counts without building it, so a
+    circuit-backed setup builds one circuit; the prover runs round 1 ahead
+    only for iterations below the session length `trials` (None: unknown)."""
     if spec["kind"] == "cheater":
         return provers.CheaterProver(keys.public(), seed), protocol.ProtocolContext.plain(keys)
     if not keys.has_trapdoor:
@@ -102,9 +103,8 @@ def build_prover(spec: dict, keys, seed: int, trials: int | None = None):
         return provers.IdealProver(ctx, seed), ctx
     _rabin_only(keys, "a circuit-backed prover")
     ctx = postselect.lift_key(keys, spec["m"], spec["circuit"])
-    base = ctx if spec["m"] == 0 else postselect.lift_key(keys, 0, spec["circuit"])
-    noise = provers.NoiseModel(circuit_fidelity=spec["F"],
-                               n_gates=circuits.gate_count(base.circuit))
+    n_gates = circuits.modsquare_gate_count(keys.N, 0, spec["circuit"], circuits.KARATSUBA_CUTOFF)
+    noise = provers.NoiseModel(circuit_fidelity=spec["F"], n_gates=n_gates)
     return provers.NoisyCircuitProver(ctx, noise, seed, trials), ctx
 
 

@@ -65,14 +65,16 @@ def run_sweep(config: SweepConfig, keys: tcf.RabinKeyPair) -> list:
     Per-gate fidelity is calibrated on the unlifted circuit, so lifted
     circuits run at a lower overall fidelity -- that cost, plus re-running
     until a valid y appears, is the runtime overhead
-    (size ratio / keep rate).
+    (size ratio / keep rate).  Gate counts come from
+    circuits.modsquare_gate_count, so each listed m builds its circuit
+    once and m = 0 is built only when listed.
     """
-    base = lift_key(keys, 0, config.method)
-    base_gates = circuits.gate_count(base.circuit)
+    cutoff = circuits.KARATSUBA_CUTOFF  # the cutoff lift_key builds with
+    base_gates = circuits.modsquare_gate_count(keys.N, 0, config.method, cutoff)
     rows = []
     for m in config.m_values:
-        ctx = base if m == 0 else lift_key(keys, m, config.method)
-        gates = base_gates if m == 0 else circuits.gate_count(ctx.circuit)
+        ctx = lift_key(keys, m, config.method)
+        gates = circuits.modsquare_gate_count(keys.N, m, config.method, cutoff)
         for F in config.fidelity_grid:
             noise = NoiseModel(circuit_fidelity=F, n_gates=base_gates)
             rows.append(_sweep_point(config, m, ctx, gates, noise))

@@ -8,7 +8,8 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import compress, count, product
+from operator import itemgetter, sub
 
 import numpy as np
 
@@ -354,6 +355,31 @@ def reference_tally(gates):
             layer[q] = lv
         depth = max(depth, lv)
     return total, toffoli, depth
+
+
+def gate_count(circuit):
+    """The unitary gates of a built circuit, counted by scanning its gate
+    list: the oracle for cc.modsquare_gate_count, and
+    count_resources(circuit).total_gates without the depth layering."""
+    return sum(map(cc.UNITARY_TAGS.__contains__, map(itemgetter(0), circuit.gates)))
+
+
+def reference_lowering(circuit):
+    """(program, schedule) as Circuit computed them before lowering became
+    one pass: a filtering comprehension, then passes over the program for
+    the bookkeeping entries' indices and the discarded qubits.  The oracle
+    for Circuit.program and Circuit.schedule."""
+    load = set(circuit.registers["x"])
+    program = [g for g in circuit.gates
+               if g[0] is not cc.CPHASE
+               and (g[0] is not cc.ALLOC or (g[1] in load and not load.remove(g[1])))]
+    # program indices of the ALLOC/DISCARD/MEASURE_Y entries; the k-th has
+    # index - k unitary gates before it
+    bookkeeping = frozenset((cc.ALLOC, cc.DISCARD, cc.MEASURE_Y))
+    at = list(compress(count(), map(bookkeeping.__contains__, map(itemgetter(0), program))))
+    return program, cc.Schedule(
+        unitary=len(program) - len(at), marks=list(map(sub, at, count())),
+        h_len=sum(len(program[i][1]) for i in at if program[i][0] is cc.DISCARD))
 
 
 def reference_phase_resources(variant, n):

@@ -9,7 +9,7 @@ import types
 
 from qbell import circuits as cc
 
-from helpers import gen_exact_bits
+from helpers import gate_count, gen_exact_bits
 
 LAYERS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "bench", "layers.py")
@@ -62,7 +62,7 @@ def test_trace_targets_resolve_and_uninstall_restores():
         circ = cc.build_modsquare(gen_exact_bits(12).N)
         cc.run_two_branch(circ, 3, 5, 0.0, random.Random(0))
         assert "circuits.run_two_branch" in tracer.names
-        assert tracer.counters["scalar_gate_evals"] == cc.gate_count(circ)
+        assert tracer.counters["scalar_gate_evals"] == gate_count(circ)
     finally:
         tracer.uninstall()
     after = _bindings(layers, mods)

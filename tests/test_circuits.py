@@ -14,9 +14,10 @@ from qbell import circuits as cc
 from qbell import protocol as proto
 from qbell import tcf
 
-from helpers import (blum_semiprimes, build_mul3_inplace, discarded_at_end, gen_exact_bits,
-                     montgomery_stage, planted_run, reference_run_lanes, reference_tally,
-                     sequential_two_branch, validate_circuit)
+from helpers import (blum_semiprimes, build_mul3_inplace, discarded_at_end, gate_count,
+                     gen_exact_bits, montgomery_stage, planted_run, reference_lowering,
+                     reference_run_lanes, reference_tally, sequential_two_branch,
+                     validate_circuit)
 
 
 class TestMul3:
@@ -46,6 +47,17 @@ class TestBuilders:
         # the modulus' bit length is checked by `qbell resources` (TestCli)
         with pytest.raises(cc.CircuitError):
             cc.build_modsquare(77, method="karatsuba", cutoff=4)
+
+    def test_modulus_needs_only_be_odd(self):
+        # Montgomery reduction needs an odd modulus, not a composite one: a
+        # prime builds and squares correctly, and the error names the check
+        circ = cc.build_modsquare(37)
+        rp = circ.metadata["rprime"]
+        assert cc.evaluate_classical(circ, range(19))[0] == [x * x * rp % 37 for x in range(19)]
+        for N in (36, 13):
+            for check in (cc.build_modsquare, cc.modsquare_gate_count):
+                with pytest.raises(cc.CircuitError, match=r"^modulus must be odd and >= 15$"):
+                    check(N, 0, "schoolbook", cc.KARATSUBA_CUTOFF)
 
     def test_semantics_all_blum_semiprimes_below_1000(self):
         # exhaustive: every input of every builder matches integer arithmetic
@@ -184,7 +196,7 @@ class TestResources:
                           registers={"x": (0,)}, metadata={})
         rep = cc.count_resources(circ)
         assert (rep.total_gates, rep.toffoli_count, rep.depth) == (0, 0, 0)
-        assert cc.gate_count(circ) == 0
+        assert gate_count(circ) == 0
 
     def test_disjoint_gates_depth_one(self):
         gates = [(cc.ALLOC, q) for q in range(4)]
@@ -198,7 +210,7 @@ class TestResources:
         gates.append((cc.MEASURE_Y, (1,)))
         circ = cc.Circuit(n_qubits=2, gates=gates, registers={"x": ()}, metadata={})
         rep = cc.count_resources(circ)
-        assert rep.depth == 10 and rep.total_gates == 10 == cc.gate_count(circ)
+        assert rep.depth == 10 and rep.total_gates == 10 == gate_count(circ)
 
     def test_monotone_in_n(self):
         prev = {"schoolbook": 0, "karatsuba": 0}
@@ -208,7 +220,7 @@ class TestResources:
                 circ = cc.build_modsquare(keys.N, method=name)
                 got = cc.count_resources(circ).total_gates
                 assert got > prev[name], (name, n)
-                assert cc.gate_count(circ) == got
+                assert gate_count(circ) == got
                 prev[name] = got
 
     @pytest.mark.parametrize("m", [0, 1, 2])
@@ -216,7 +228,7 @@ class TestResources:
     def test_gate_count_of_lifted_builds(self, method, m):
         # the lifted circuits postselect.lift_key counts, x3 chain included
         circ = cc.build_modsquare(gen_exact_bits(24).N, lift_m=m, method=method, cutoff=8)
-        assert cc.gate_count(circ) == cc.count_resources(circ).total_gates
+        assert gate_count(circ) == cc.count_resources(circ).total_gates
 
     def test_karatsuba_beats_schoolbook_from_96_bits(self):
         for n in (96, 128, 160):
@@ -229,6 +241,23 @@ class TestResources:
     def test_sanity_ceiling_small(self):
         circ = cc.build_modsquare(77)
         assert cc.count_resources(circ).qubits <= 60
+
+    def test_gate_count_recursion_small_moduli(self):
+        # every Blum N <= 1000, both builders, m = 0-3, and Karatsuba's
+        # cutoff at 8 and 32 (the schoolbook builder reads no cutoff)
+        for N, _, _ in blum_semiprimes(1000):
+            for m in range(4):
+                for method, cutoff in (("schoolbook", 32), ("karatsuba", 8), ("karatsuba", 32)):
+                    assert cc.modsquare_gate_count(N, m, method, cutoff) == gate_count(
+                        cc.build_modsquare(N, m, method, cutoff)), (N, m, method, cutoff)
+
+    @pytest.mark.parametrize("bits", [24, 64, 128])
+    def test_gate_count_recursion_key_sizes(self, bits):
+        N = gen_exact_bits(bits).N
+        for m in (0, 1, 3):
+            for method in ("schoolbook", "karatsuba"):
+                assert cc.modsquare_gate_count(N, m, method, cc.KARATSUBA_CUTOFF) == \
+                    gate_count(cc.build_modsquare(N, m, method)), (m, method)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -490,6 +519,7 @@ class TestEngineMatchesReference:
     def test_random_circuits_every_mode(self, data):
         circ = _random_circuit(data)
         validate_circuit(circ)
+        assert (circ.program, circ.schedule) == reference_lowering(circ)
         width = len(circ.registers["x"])
         runs = data.draw(st.integers(1, 4))
         xs = data.draw(st.lists(st.integers(0, (1 << width) - 1),
@@ -630,3 +660,9 @@ GATE_DIGESTS = (
 def test_builder_gate_order_pinned(N, method, cutoff, m, digest):
     circ = cc.build_modsquare(N, lift_m=m, method=method, cutoff=cutoff)
     assert hashlib.sha256(repr(circ.gates).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("N,method,cutoff,m", [row[:4] for row in GATE_DIGESTS])
+def test_lowering_matches_reference(N, method, cutoff, m):
+    circ = cc.build_modsquare(N, lift_m=m, method=method, cutoff=cutoff)
+    assert (circ.program, circ.schedule) == reference_lowering(circ)

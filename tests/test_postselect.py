@@ -13,7 +13,7 @@ from qbell import circuits as cc
 from qbell import provers, tcf
 from qbell.seeds import derive_rng
 
-from helpers import NoCrossing, gen_exact_bits, rejection_power, threshold_of
+from helpers import NoCrossing, gate_count, gen_exact_bits, rejection_power, threshold_of
 
 
 class TestLiftKey:
@@ -26,7 +26,7 @@ class TestLiftKey:
         keys = tcf.RabinKeyPair(N=77, p=11, q=7)
         lifted = ps.lift_key(keys, 1, method="schoolbook")
         assert lifted.lift_k == 3 and lifted.circuit.metadata["modulus"] == 693
-        assert cc.gate_count(lifted.circuit) == cc.count_resources(lifted.circuit).total_gates
+        assert gate_count(lifted.circuit) == cc.count_resources(lifted.circuit).total_gates
 
     def test_double_lift(self):
         keys = tcf.RabinKeyPair(N=77, p=11, q=7)
@@ -73,27 +73,43 @@ class TestSingleSetup:
         assert not prover.ctx.keys.has_trapdoor
         assert ctx.keys.has_trapdoor and ctx.keys.public() == prover.ctx.keys
 
-    @pytest.mark.parametrize("m,builds", [(0, [0]), (1, [1, 0]), (2, [2, 0])])
+    @pytest.mark.parametrize("m,builds", [(0, [0]), (1, [1]), (2, [2])])
     def test_noisy_prover_builds(self, monkeypatch, m, builds):
-        # m >= 1 builds the unlifted circuit a second time: the noise model
-        # is calibrated on its gate count
-        calls = self._builds(monkeypatch)
-        keys = gen_exact_bits(14)
-        prover, ctx = cli.build_prover(
-            cli.parse_prover_spec(f"noisy:F=0.5,circuit=schoolbook,m={m}"), keys, 3)
-        assert calls == builds
-        assert ctx.lift_k == 3 ** m
-        assert prover.noise.n_gates == cc.gate_count(
-            cc.build_modsquare(keys.N, method="schoolbook"))
+        # only the lifted circuit is built: the noise model is calibrated
+        # on the unlifted one's gate count, counted without building it.
+        # At 40 bits the two builders' counts differ.
+        keys = gen_exact_bits(40)
+        base = {}
+        for circuit in ("schoolbook", "karatsuba"):
+            calls = self._builds(monkeypatch)
+            prover, ctx = cli.build_prover(
+                cli.parse_prover_spec(f"noisy:F=0.5,circuit={circuit},m={m}"), keys, 3)
+            assert calls == builds
+            monkeypatch.undo()
+            assert ctx.lift_k == 3 ** m
+            base[circuit] = gate_count(cc.build_modsquare(keys.N, method=circuit))
+            assert prover.noise.n_gates == base[circuit]
+        assert base["schoolbook"] != base["karatsuba"]
 
     @pytest.mark.parametrize("m_values,builds", [((0, 1, 3), [0, 1, 3]),
-                                                 ((1, 3), [0, 1, 3])])
+                                                 ((1, 3), [1, 3])])
     def test_sweep_builds_once_per_m(self, monkeypatch, m_values, builds):
         calls = self._builds(monkeypatch)
+        keys = gen_exact_bits(12)
         cfg = ps.SweepConfig(m_values=m_values, fidelity_grid=(0.5, 1.0),
                              trials_per_point=100, seed=2, method="schoolbook")
-        ps.run_sweep(cfg, gen_exact_bits(12))
+        rows = ps.run_sweep(cfg, keys)
         assert calls == builds
+        monkeypatch.undo()
+        # a noise-free point discards nothing, so its overhead is the size
+        # ratio of the m circuit to the unlifted one, as built
+        base = gate_count(cc.build_modsquare(keys.N, method="schoolbook"))
+        noise_free = [row for row in rows if row.F == 1.0]
+        assert [row.m for row in noise_free] == list(m_values)
+        for row in noise_free:
+            assert row.discard_rate == 0.0
+            assert row.runtime_overhead == gate_count(
+                cc.build_modsquare(keys.N, lift_m=row.m, method="schoolbook")) / base
 
 
 class TestValidity:

@@ -13,7 +13,7 @@ from qbell import protocol as proto
 from qbell import provers, tcf
 from qbell.seeds import derive_rng
 
-from helpers import COS2_PI_8, gen_exact_bits
+from helpers import COS2_PI_8, gate_count, gen_exact_bits
 
 KEY77 = tcf.RabinKeyPair(N=77, p=11, q=7)
 STATES = {
@@ -356,7 +356,7 @@ class TestSettleBlocks:
     def _noisy(keys, method, m, F):
         # cutoff 8 makes the 16-bit karatsuba multiplier recurse
         circ = cc.build_modsquare(keys.N, lift_m=m, method=method, cutoff=8)
-        base = cc.gate_count(cc.build_modsquare(keys.N, lift_m=0, method=method, cutoff=8))
+        base = gate_count(cc.build_modsquare(keys.N, lift_m=0, method=method, cutoff=8))
         noise = provers.NoiseModel(circuit_fidelity=F, n_gates=base)
         ctx = proto.ProtocolContext.for_circuit(keys, circ)
         return provers.NoisyCircuitProver(ctx, noise, seed=7), ctx

@@ -22,7 +22,7 @@ from qbell import protocol as proto
 from qbell import cli, provers, tcf, wire
 from qbell.cli import main as cli_main
 
-from helpers import cli_env, gen_exact_bits
+from helpers import cli_env, gate_count, gen_exact_bits
 
 
 MISSING = object()  # a key frame without the field
@@ -65,7 +65,7 @@ def noisy_setup():
     keys = gen_exact_bits(16)
     circ = cc.build_modsquare(keys.N, lift_m=1, method="schoolbook")
     return (proto.ProtocolContext.for_circuit(keys, circ),
-            provers.NoiseModel(0.5, cc.gate_count(circ)))
+            provers.NoiseModel(0.5, gate_count(circ)))
 
 
 class TestFrames:
