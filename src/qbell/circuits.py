@@ -52,31 +52,17 @@ UNITARY_TAGS = frozenset((X, CNOT, TOFFOLI, CPHASE))
 @dataclass
 class Circuit:
     """A gate list over qubits 0..n_qubits-1.  Its tags are this module's
-    constants, which the engine tells apart by identity.  `program` and
-    `schedule` are lowered together, in one pass over the gate list, on
-    first use of either; the gate list must not change after that."""
+    constants, which the engine tells apart by identity.  `schedule` is
+    lowered on first use, in one pass over the gate list; the gate list
+    must not change after that."""
 
     n_qubits: int
     gates: list
     registers: dict
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def program(self) -> list:
-        """The gate list as the engine runs it: CPHASE gates (diagonal, no
-        effect on basis states) and ALLOC events dropped, except the first
-        ALLOC of each x-register qubit, which loads its input row.  A
-        DISCARD zeroes its rows, so a re-allocated qubit starts at 0."""
-        return self._lowered[0]
-
-    @property
-    def schedule(self) -> "Schedule":
-        """How many unitary gates and discarded qubits the program has, and
-        where its unitary gates stand."""
-        return self._lowered[1]
-
     @cached_property
-    def _lowered(self) -> tuple:
+    def schedule(self) -> "Schedule":
         load = set(self.registers["x"])
         program, marks = [], []
         append, mark = program.append, marks.append
@@ -96,17 +82,22 @@ class Circuit:
                 h_len += len(g[1])
             mark(unitary)
             append(g)
-        return program, Schedule(unitary=unitary, h_len=h_len, marks=marks)
+        return Schedule(program=program, unitary=unitary, h_len=h_len, marks=marks)
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """A two-branch run's Pauli errors strike the `unitary` X/CNOT/Toffoli
-    gates, and its `h_len` discarded qubits each take one Hadamard outcome.
-    marks[k] counts the unitary gates before the k-th other entry of the
-    program, so unitary gate u stands at program index
-    u + bisect_right(marks, u)."""
+    """A circuit lowered for the engine.  `program` is its gate list as the
+    engine runs it: CPHASE gates (diagonal, no effect on basis states) and
+    ALLOC events dropped, except the first ALLOC of each x-register qubit,
+    which loads its input row; a DISCARD zeroes its rows, so a re-allocated
+    qubit starts at 0.  A two-branch run's Pauli errors strike the
+    `unitary` X/CNOT/Toffoli gates, and its `h_len` discarded qubits each
+    take one Hadamard outcome.  marks[k] counts the unitary gates before
+    the k-th other entry of the program, so unitary gate u stands at
+    program index u + bisect_right(marks, u)."""
 
+    program: list
     unitary: int
     h_len: int
     marks: list
@@ -542,11 +533,13 @@ def _check_modsquare(N, lift_m, method, cutoff):
         raise CircuitError("lift exponent m must be >= 0")
 
 
-def modsquare_gate_count(N, lift_m, method, cutoff) -> int:
+def modsquare_gate_count(N, lift_m, method) -> int:
     """The number of X/CNOT/Toffoli gates build_modsquare emits with the same
-    arguments, counted without building it.  Each helper counts the gates
-    of the builder it is named after from register widths and classical
-    constants; the Karatsuba ones on widths alone are memoised."""
+    arguments and its default cutoff, counted without building it.  Each
+    helper counts the gates of the builder it is named after from register
+    widths and classical constants; the Karatsuba ones on widths alone are
+    memoised."""
+    cutoff = KARATSUBA_CUTOFF
     _check_modsquare(N, lift_m, method, cutoff)
 
     def add_registers(a, b):
@@ -702,7 +695,8 @@ def _run_lanes(circuit: Circuit, inputs, runs=0, errors=(), draw_h=None) -> _Lan
     x_reg = circuit.registers["x"]
     if any(x < 0 or x.bit_length() > len(x_reg) for x in inputs):
         raise MalformedCircuit("input does not fit the x register")
-    program = circuit.program
+    schedule = circuit.schedule
+    program = schedule.program
     full = (1 << len(inputs)) - 1
     loads = dict(zip(x_reg, _transpose(inputs, len(x_reg))))
     rows = [0] * circuit.n_qubits
@@ -713,7 +707,7 @@ def _run_lanes(circuit: Circuit, inputs, runs=0, errors=(), draw_h=None) -> _Lan
     errors = iter(errors)
     err = next(errors, None)
     if err is not None:
-        unitary, marks = circuit.schedule.unitary, circuit.schedule.marks
+        unitary, marks = schedule.unitary, schedule.marks
     start = 0
     while True:
         if err is not None and err[0] < unitary:

@@ -103,7 +103,7 @@ def build_prover(spec: dict, keys, seed: int, trials: int | None = None):
         return provers.IdealProver(ctx, seed), ctx
     _rabin_only(keys, "a circuit-backed prover")
     ctx = postselect.lift_key(keys, spec["m"], spec["circuit"])
-    n_gates = circuits.modsquare_gate_count(keys.N, 0, spec["circuit"], circuits.KARATSUBA_CUTOFF)
+    n_gates = circuits.modsquare_gate_count(keys.N, 0, spec["circuit"])
     noise = provers.NoiseModel(circuit_fidelity=spec["F"], n_gates=n_gates)
     return provers.NoisyCircuitProver(ctx, noise, seed, trials), ctx
 

@@ -65,16 +65,15 @@ def run_sweep(config: SweepConfig, keys: tcf.RabinKeyPair) -> list:
     Per-gate fidelity is calibrated on the unlifted circuit, so lifted
     circuits run at a lower overall fidelity -- that cost, plus re-running
     until a valid y appears, is the runtime overhead
-    (size ratio / keep rate).  Gate counts come from
-    circuits.modsquare_gate_count, so each listed m builds its circuit
+    (size ratio / keep rate).  The unlifted circuit's gates are counted
+    by circuits.modsquare_gate_count, so each listed m builds its circuit
     once and m = 0 is built only when listed.
     """
-    cutoff = circuits.KARATSUBA_CUTOFF  # the cutoff lift_key builds with
-    base_gates = circuits.modsquare_gate_count(keys.N, 0, config.method, cutoff)
+    base_gates = circuits.modsquare_gate_count(keys.N, 0, config.method)
     rows = []
     for m in config.m_values:
         ctx = lift_key(keys, m, config.method)
-        gates = circuits.modsquare_gate_count(keys.N, m, config.method, cutoff)
+        gates = ctx.circuit.schedule.unitary
         for F in config.fidelity_grid:
             noise = NoiseModel(circuit_fidelity=F, n_gates=base_gates)
             rows.append(_sweep_point(config, m, ctx, gates, noise))

@@ -365,10 +365,9 @@ def gate_count(circuit):
 
 
 def reference_lowering(circuit):
-    """(program, schedule) as Circuit computed them before lowering became
-    one pass: a filtering comprehension, then passes over the program for
-    the bookkeeping entries' indices and the discarded qubits.  The oracle
-    for Circuit.program and Circuit.schedule."""
+    """Circuit.schedule computed in several passes: a comprehension filters
+    the program, then passes over it find the bookkeeping entries' indices
+    and the discarded qubits.  The oracle for Circuit.schedule's one loop."""
     load = set(circuit.registers["x"])
     program = [g for g in circuit.gates
                if g[0] is not cc.CPHASE
@@ -377,8 +376,8 @@ def reference_lowering(circuit):
     # index - k unitary gates before it
     bookkeeping = frozenset((cc.ALLOC, cc.DISCARD, cc.MEASURE_Y))
     at = list(compress(count(), map(bookkeeping.__contains__, map(itemgetter(0), program))))
-    return program, cc.Schedule(
-        unitary=len(program) - len(at), marks=list(map(sub, at, count())),
+    return cc.Schedule(
+        program=program, unitary=len(program) - len(at), marks=list(map(sub, at, count())),
         h_len=sum(len(program[i][1]) for i in at if program[i][0] is cc.DISCARD))
 
 

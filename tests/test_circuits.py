@@ -57,7 +57,7 @@ class TestBuilders:
         for N in (36, 13):
             for check in (cc.build_modsquare, cc.modsquare_gate_count):
                 with pytest.raises(cc.CircuitError, match=r"^modulus must be odd and >= 15$"):
-                    check(N, 0, "schoolbook", cc.KARATSUBA_CUTOFF)
+                    check(N, 0, "schoolbook")
 
     def test_semantics_all_blum_semiprimes_below_1000(self):
         # exhaustive: every input of every builder matches integer arithmetic
@@ -242,13 +242,15 @@ class TestResources:
         circ = cc.build_modsquare(77)
         assert cc.count_resources(circ).qubits <= 60
 
-    def test_gate_count_recursion_small_moduli(self):
+    def test_gate_count_recursion_small_moduli(self, monkeypatch):
         # every Blum N <= 1000, both builders, m = 0-3, and Karatsuba's
-        # cutoff at 8 and 32 (the schoolbook builder reads no cutoff)
-        for N, _, _ in blum_semiprimes(1000):
-            for m in range(4):
-                for method, cutoff in (("schoolbook", 32), ("karatsuba", 8), ("karatsuba", 32)):
-                    assert cc.modsquare_gate_count(N, m, method, cutoff) == gate_count(
+        # cutoff at 8 and 32 (the schoolbook builder reads no cutoff); the
+        # count reads the module's cutoff when it is called
+        for method, cutoff in (("schoolbook", 32), ("karatsuba", 8), ("karatsuba", 32)):
+            monkeypatch.setattr(cc, "KARATSUBA_CUTOFF", cutoff)
+            for N, _, _ in blum_semiprimes(1000):
+                for m in range(4):
+                    assert cc.modsquare_gate_count(N, m, method) == gate_count(
                         cc.build_modsquare(N, m, method, cutoff)), (N, m, method, cutoff)
 
     @pytest.mark.parametrize("bits", [24, 64, 128])
@@ -256,7 +258,7 @@ class TestResources:
         N = gen_exact_bits(bits).N
         for m in (0, 1, 3):
             for method in ("schoolbook", "karatsuba"):
-                assert cc.modsquare_gate_count(N, m, method, cc.KARATSUBA_CUTOFF) == \
+                assert cc.modsquare_gate_count(N, m, method) == \
                     gate_count(cc.build_modsquare(N, m, method)), (m, method)
 
     @settings(max_examples=300, deadline=None)
@@ -519,7 +521,7 @@ class TestEngineMatchesReference:
     def test_random_circuits_every_mode(self, data):
         circ = _random_circuit(data)
         validate_circuit(circ)
-        assert (circ.program, circ.schedule) == reference_lowering(circ)
+        assert circ.schedule == reference_lowering(circ)
         width = len(circ.registers["x"])
         runs = data.draw(st.integers(1, 4))
         xs = data.draw(st.lists(st.integers(0, (1 << width) - 1),
@@ -634,7 +636,7 @@ def test_schedule_positions_unitary_gates():
     keys = gen_exact_bits(12)
     circ = cc.build_modsquare(keys.N, lift_m=1)
     sched = circ.schedule
-    unitary = [i for i, g in enumerate(circ.program) if g[0] in (cc.X, cc.CNOT, cc.TOFFOLI)]
+    unitary = [i for i, g in enumerate(sched.program) if g[0] in (cc.X, cc.CNOT, cc.TOFFOLI)]
     assert len(unitary) == sched.unitary
     assert all(i == u + bisect_right(sched.marks, u) for u, i in enumerate(unitary))
     assert sched.h_len == sum(len(g[1]) for g in circ.gates if g[0] == cc.DISCARD)
@@ -665,4 +667,4 @@ def test_builder_gate_order_pinned(N, method, cutoff, m, digest):
 @pytest.mark.parametrize("N,method,cutoff,m", [row[:4] for row in GATE_DIGESTS])
 def test_lowering_matches_reference(N, method, cutoff, m):
     circ = cc.build_modsquare(N, lift_m=m, method=method, cutoff=cutoff)
-    assert (circ.program, circ.schedule) == reference_lowering(circ)
+    assert circ.schedule == reference_lowering(circ)
