@@ -61,6 +61,9 @@ def test_c1_completeness(key32):
     pm = float(rep.p_m)
     sig_m = math.sqrt(COS2_PI_8 * (1 - COS2_PI_8) / rep.trials_m)
     score = float(rep.score)
+    # false-failure probability 2.7e-3: the two-sided 3 sigma window on
+    # p_m over about 50,000 measurement rounds (exact binomial tail); with
+    # p_x = 1 the score window is the same event
     ok = (rep.p_x == 1
           and abs(pm - COS2_PI_8) <= 3 * sig_m
           and abs(score - SQRT2M1) <= 3 * 4 * sig_m
@@ -79,6 +82,10 @@ def test_c2_soundness_saturation(key32):
     sig_m = math.sqrt(0.75 * 0.25 / rep.trials_m)
     score = float(rep.score)
     hw = rep.ci_halfwidth
+    # false-failure probability 2.7e-3: the two-sided 3 sigma window on
+    # p_m over about 50,000 measurement rounds (exact binomial tail); the
+    # Hoeffding interval is 4.3 sigma wide in p_m, so failing it (2e-5)
+    # fails the window too
     ok = (abs(pm - 0.75) <= 3 * sig_m
           and abs(score) <= hw          # CI contains 0
           and score + hw < 0.1)         # CI excludes 0.1
@@ -109,6 +116,16 @@ def test_c3_extraction():
             cheat_wins += 1
         except ex.ExtractionFailed:
             pass
+    # false-failure probability below 1e-35.  Each oracle answer is right
+    # with probability cos^4(pi/8) = 0.729 when r.x0 = r.x1 and 0.875
+    # otherwise, independently across the 63 queries that vote on a bit at
+    # the true probe parities, so a bit is wrong only if 32 of them are
+    # wrong: at most 5.7e-5 (all 63 in the first case, which needs all six
+    # probes orthogonal to x0 ^ x1, probability 1/64) and 2.4e-8 otherwise.
+    # That bounds a trial's failure by 2.9e-5 at any 24..32-bit width and
+    # Hamming weight of x0 ^ x1, and 11 failures in 100 by 1.3e-36.  The
+    # cheater's oracle is the noiseless parity r.x0, so its candidates are
+    # x0 and its complement, which is x1 with probability about 2^-n
     ok = wins >= 90 and cheat_wins <= 1
     verdict("C3 extraction", ok,
             f"ideal prover factored {wins}/100 (need >=90), "
@@ -301,6 +318,12 @@ def test_c8_angle_adaptation():
     predicted = 0.75 + 3 * delta ** 2 / 8
     sig = math.sqrt(predicted * (1 - predicted) / rep_delta.trials_m)
 
+    # false-failure probabilities over about 50,000 measurement rounds
+    # each (exact binomial tails): 2.8e-3 for the two-sided 3 sigma formula
+    # window (the model's p_m(theta = delta) = 0.76488 sits 0.06 sigma below
+    # the small-delta formula); 2e-24 for score(theta_opt) > 0 at the
+    # model's p_m = 0.7693; 1.2e-8 for score(pi/4) inside the Hoeffding
+    # interval at the model's p_m = 0.7475
     beat_ok = score_opt > 0
     classical_ok = score_pi4 <= rep_pi4.ci_halfwidth
     formula_ok = abs(pm_delta - predicted) <= 3 * sig

@@ -81,6 +81,10 @@ class TestParityGuess:
             r = rng.getrandbits(n)
             hits += oracle.query(r) == proto.parity(r & x1)
         acc = hits / trials
+        # false-failure probability below 1e-69: an answer is right with
+        # probability cos^4(pi/8) = 0.729 when r.x0 = r.x1 and
+        # 1 - cos^2 sin^2(pi/8) = 0.875 otherwise, so 0.802 at a random r,
+        # 18.8 sigma above the one-sided threshold 0.683 (exact binomial)
         assert acc > bound - 3 * math.sqrt(0.25 / trials)
 
     def test_random_answers_give_coin_accuracy(self):

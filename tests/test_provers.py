@@ -122,6 +122,8 @@ class TestIdealRound3:
             state = proto.compute_qubit_state(st.x0, st.x1, r, d)
             hits += bit == proto.expected_bit(state, sign)
         p = hits / n
+        # false-failure probability 2.7e-3 (two-sided 3 sigma, exact
+        # binomial); this test draws from its own stream, not a prover's
         assert abs(p - COS2_PI_8) < 3 * math.sqrt(0.125 / n)
 
 
@@ -135,6 +137,9 @@ class TestCheater:
         ts = [proto.run_iteration(ctx, prover, rng, cfg, i) for i in range(30_000)]
         rep = proto.score(ts)
         assert rep.p_x == 1
+        # false-failure probability 2.6e-3: two-sided 3 sigma over about
+        # 15,000 measurement rounds (exact binomial); the Hoeffding interval
+        # below is 4.3 sigma wide in p_m (2e-5) and inside the window
         assert abs(float(rep.p_m) - 0.75) < 3 * math.sqrt(0.1875 / rep.trials_m)
         assert abs(float(rep.score)) < rep.ci_halfwidth
 
@@ -322,14 +327,19 @@ class TestPhaseNoisyProver:
               for i in range(trials)]
         return proto.score(ts)
 
+    # false-failure probabilities over about 15,000 measurement rounds
+    # each (exact binomial tails at the model's p_m)
     def test_fair_coin_phase_saturates_bound(self):
         rep = self.run_score(delta=0.0, theta=math.pi / 4)
         assert rep.p_x == 1
+        # p_m = 0.677: below 1e-100
         assert float(rep.score) <= rep.ci_halfwidth
 
     def test_adapted_angle_beats_bound(self):
         delta = 0.2
         rep = self.run_score(delta=delta, theta=provers.optimal_theta(1.0, 0.5 + delta))
+        # p_m = 0.7693: 1.5e-8 for the sign, and 3.8e-4 for the window
+        # below, 3.56 sigma wide because it takes the variance as 1/4
         assert float(rep.score) > 0
         # measured p_m tracks the model prediction
         model = AngleModel(1.0, 0.5 + delta,
@@ -339,6 +349,7 @@ class TestPhaseNoisyProver:
 
     def test_prescribed_angle_stays_classical(self):
         rep = self.run_score(delta=0.2, theta=math.pi / 4)
+        # p_m = 0.7475: 2.8e-7
         assert float(rep.score) <= rep.ci_halfwidth
 
 
@@ -354,6 +365,9 @@ class TestNoisyProverProtocol:
               for i in range(2500)]
         rep = proto.score(ts)
         assert rep.p_x == 1
+        # false-failure probability 2.7e-7: with p_x = 1 the Hoeffding
+        # interval is a 5.2 sigma window on p_m over about 1,250 measurement
+        # rounds (exact binomial)
         assert abs(float(rep.score) - (math.sqrt(2) - 1)) < rep.ci_halfwidth
 
 
