@@ -16,7 +16,11 @@ with Pauli errors.
 Rewinding: reset() restores the exact post-round-1 state, and all
 post-reset randomness is a deterministic function of the messages received
 since (keyed by a per-iteration snapshot), which is the classical-prover
-rewind model the extractor relies on.
+rewind model the extractor relies on.  Each message draws from its own
+counter stream, seeds.CounterRandom(snapshot, *message labels), so an
+answer depends on the snapshot and the message alone, never on what was
+asked before; round 2's answer to each r is therefore kept for the snapshot
+and replayed when a rewound prover is asked the same r again.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from . import circuits, tcf
 from .protocol import (ProtocolContext, QubitState, born_probability,
                        compute_qubit_state, expected_bit, parity)
-from .seeds import derive_rng, derive_seed
+from .seeds import CounterRandom, derive_rng, derive_seed
 
 
 class DegenerateModel(ValueError):
@@ -158,16 +162,18 @@ class ProverBase:
         self._snapshot = None
         self._r = None
         self._d = None
+        self._answers = {}  # r -> d, round 2's answers since the snapshot
 
     # -- deterministic per-message randomness since the snapshot
     def _rng(self, *labels):
-        return derive_rng(self._snapshot, *labels)
+        return CounterRandom(self._snapshot, *labels)
 
     def round1(self):
         self._iteration += 1
         self._snapshot = derive_seed(self._seed, "iter", self._iteration)
         self._r = None
         self._d = None
+        self._answers = {}
         return self._round1_impl()
 
     def reset(self):
@@ -178,9 +184,14 @@ class ProverBase:
         self._d = None
 
     def round2(self, r: int) -> int:
+        """d for r: _round2_impl is a function of the snapshot and r alone,
+        so a rewound prover replays its answer instead of drawing it again."""
         self._r = r
-        self._d = self._round2_impl(r)
-        return self._d
+        d = self._answers.get(r)
+        if d is None:
+            d = self._answers[r] = self._round2_impl(r)
+        self._d = d
+        return d
 
     def round3(self, basis_sign: int) -> int:
         if self._r is None:

@@ -13,13 +13,14 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from qbell import cli, tcf
 from qbell.cli import main
 
-from helpers import cli_env
+from helpers import COS2_PI_8, cli_env
 
 # (name, argv, output files); "{d}" is the output directory, and later cases
 # read the key files the keygen cases wrote
@@ -112,6 +113,17 @@ NOISY_RUNS = (
     ("stdio-noisy.json", "stdio-noisy.jsonl", "noisy:F=0.5,circuit=schoolbook,m=1"),
 )
 
+# the report, transcripts and model p_m of each case that plays the ideal or
+# the cheater prover: their digests move with the prover's message streams,
+# and the checks below hold whatever those streams draw
+CLEAN_RUNS = (
+    ("ideal-ddh24k3.json", "ideal-ddh24k3.jsonl", COS2_PI_8),
+    ("ideal-rabin32.json", "ideal-rabin32.jsonl", COS2_PI_8),
+    ("cheater-rabin32.json", "cheater-rabin32.jsonl", 0.75),
+    ("ideal-ddh24.json", "ideal-ddh24.jsonl", COS2_PI_8),
+    ("cheater-ddh24.json", "cheater-ddh24.jsonl", 0.75),
+)
+
 # (name, verifier argv, prover argv, output files): `verify` and `prove` as
 # two processes joined by stdio pipes, after every case above
 STDIO_CASES = (
@@ -125,28 +137,28 @@ STDIO_CASES = (
 )
 
 DIGESTS = {
-    "cheater-ddh24.json": "21cf9b9d706dbd9cfb97478e36217b91fb8e7bdd16e80b0243060f322599bae1",
-    "cheater-ddh24.jsonl": "284b6413561fe1d0bc3fdf400c5e5e58b7373ee28fe61b7cd3b00f04807fd139",
-    "cheater-rabin32.json": "d5ff9cd1cdd0361e24909afd6b75ac9b5082377e68ab3b3a51c0867e5fed4392",
-    "cheater-rabin32.jsonl": "411bd82fa7f3bff4f087e3c0b7bb2c84b37f9178fb56dc79ab3bcfcd90b15bf3",
+    "cheater-ddh24.json": "ff670b0494018dbf6dc271260f8207d1dcee67d09f07848f6329ac3f6ce8519a",
+    "cheater-ddh24.jsonl": "d9976dfa1d5da40aa27eed5215156635585ba5edcc0e50feea95abb365b18672",
+    "cheater-rabin32.json": "d936417965d692a691d652fb4d412508a414c6771ec2fc70b2e84b28aa4727db",
+    "cheater-rabin32.jsonl": "74425a230e3d24f49322f07c3671302e55d85d157af55dfcaef469a6675bedea",
     "ddh24.json": "0cbeaa9235fd1096d0a6429fb7f08a3f524ac0506565aebce41da411b35e51f8",
     "ddh24.pub.json": "6400dc687d228b2ed9a935755f7c2f84cc5490a59e6a1015196828715a532879",
     "ddh24k3.json": "e16094af820a545d3fa64429fd5f0e88a4660412a8c42e86fc5d53d68e4ad13c",
-    "extract.json": "876de0cc885bc4901658dc47a12f5a537c4c2d65093c41eff0c741c69dfc2049",
-    "extract-noisy.json": "964a580abe201b4dffe1c2481e2c2aa72851ccc32e014ef8b10090361dcb2036",
-    "ideal-ddh24.json": "fc3484f68778be2f5d238eaf58c4abb1e4001a2c282fc7cb50f4027e091d467a",
-    "ideal-ddh24.jsonl": "3bf9b7d6e7609377ed01af54e5190c60d3648f7221219563c2105692a630256b",
-    "ideal-ddh24k3.json": "76a891f60a1f5d98b0e740c377490ea0f5503b6490a5272ad26b70104bf1d67e",
-    "ideal-ddh24k3.jsonl": "f3f72d8bb30127a98ca6635142f82c30f3fea688f62f5e03346d6351165b8b58",
-    "ideal-rabin32.json": "d14de658b9a20062d29919cae3cd70361b10eb94e6df4c41883cc70673761752",
-    "ideal-rabin32.jsonl": "739236bdfb7839d626a4d161668431298975c16920191781693cd7168479aac5",
+    "extract.json": "d9f6fe85794601b48ffda731a6b95715a1424946844f88f03865f2c82b8f33c2",
+    "extract-noisy.json": "a102471466e60dad01925d946db99292b50fc7df740893beb0a7d4de27386e03",
+    "ideal-ddh24.json": "bfe616165a7d699be0222b54eba6f10049063cfec338a1b0eafe6fbcd9c458a9",
+    "ideal-ddh24.jsonl": "c7e83ba5d9320f77e679d2f74633a99d90e5e50bb96033d80c4db271634cad63",
+    "ideal-ddh24k3.json": "6170020d2d1a9729b5c68938f5ab6222714df1edcd9083bd3f156afa85ffc0ef",
+    "ideal-ddh24k3.jsonl": "bb6aebce1541a6ba83c613f8d58a678133ad1ae5c180b5376c609148fd65a768",
+    "ideal-rabin32.json": "e1818528a40c96ce70b1861fe0e657b90d615a3bce64e59b29ac27745924c00e",
+    "ideal-rabin32.jsonl": "e2b4f137366bc30bca79260561e7b4bbc7a8ccbe8819bbe054d5f9542db7353e",
     "karatsuba.json": "56de21d43bf89ec6be2036b1d8b1d083ac6399bd938effdd3b1e3600fe5b12be",
     "noisy.json": "4112caf6e0150a09c95f7bc8172c6e215c42cffd25a3b9f88d2d5040529c8222",
-    "noisy.jsonl": "7f4c314a5cebf8819122095e7c0f017a3a71bba1a855bb4308878c245b93a960",
-    "noisy-blocks.json": "e592d3001416f2a0c6bc1584db66334a2a5e18590da6c36aca367eebdd9d9f40",
-    "noisy-blocks.jsonl": "9bf135be4fc1d34a493f33128072647fc7460b63d626e879f5a3b0675e3b6c2e",
-    "noisy300.json": "38daf63ed74093ab3e19611f2290f7c7b1229e319d2030eb17e0647aa9b23324",
-    "noisy300.jsonl": "e340d91c8e361d5c83f4e3077a47e909c7ecfecbf331b0c134d401c7702857ed",
+    "noisy.jsonl": "732449e82f50f60a0890002c4c706183c5801828c6a126771143ea77f7bcbe47",
+    "noisy-blocks.json": "18acd73a7439f72c458f569f624b6cf72517a31a3067a05529e2d3c74ffef5c5",
+    "noisy-blocks.jsonl": "af766579b2df63ab28fc82d1ba3fdd8f6d166bc0f5b60d827c1aee609c238992",
+    "noisy300.json": "a8fb8517d39a927ddf36f7aba3d89ec8468d4ccd36ea456ac226494c4052b7ef",
+    "noisy300.jsonl": "7b329a5c24545c9011279cb93162edb178055966a0b6be6c89b9eca42b4ac5f8",
     "phase1.json": "858fb06c5797dca52aeb9e4fcd4e40150b86398c44dd330db7c46a3b4de151ff",
     "phase1-128.json": "0fb9533c35ff51e477a23e993d0238d1ced1617f73fb6bcda5c1261904adc97f",
     "phase2.json": "bedee618276c6af518bd0b189a45c9ab2dfe392bd6dfe021f9bf0b06f20f215d",
@@ -156,7 +168,7 @@ DIGESTS = {
     "rabin32.pub.json": "8de828468261c1a65b57cf39c416f2bf345c8b36f762a62d936fdec0d231e3ff",
     "schoolbook.json": "d3fa75aea5930a85b88133beb1062aba9cc874d5b13509cf6f99331554af90d7",
     "stdio-noisy.json": "c2454cbedfe4f685904190b77d295d8cb67a897176e8033b2a088aa6e06d7cbd",
-    "stdio-noisy.jsonl": "02768b5f4992626975cbf78813ac5493e109ed5c5c84e4c9770edec395753030",
+    "stdio-noisy.jsonl": "0896f0f513d70dcfbe31fb08a410079ccca70d36ff7d27883c5810e850048a4f",
     "sweep.csv": "8d22b3fc1bb9fdab1663d92bad8f5a7f854197d61b060457c9d3d91b897ec238",
 }
 
@@ -214,25 +226,49 @@ def test_every_output_is_pinned(digests):
     assert sorted(digests) == sorted(DIGESTS)
 
 
-def test_noisy_extraction_factors(digests, golden_dir):
-    # the digest of extract-noisy.json pins a success with the key's factors
-    doc = json.loads((golden_dir / "extract-noisy.json").read_text())
-    keys = tcf.key_from_json((golden_dir / "rabin16.json").read_text())
+def _assert_factors(golden_dir, output, key):
+    # a success whose claw squares to one image, with the key's factors
+    doc = json.loads((golden_dir / output).read_text())
+    keys = tcf.key_from_json((golden_dir / key).read_text())
     assert doc["success"] is True
+    x0, x1 = int(doc["x0"]), int(doc["x1"])
+    assert x0 != x1 and x0 * x0 % keys.N == x1 * x1 % keys.N
     assert sorted(int(f) for f in doc["factors"]) == sorted((keys.p, keys.q))
+
+
+def test_noisy_extraction_factors(digests, golden_dir):
+    _assert_factors(golden_dir, "extract-noisy.json", "rabin16.json")
+
+
+def test_ideal_extraction_factors(digests, golden_dir):
+    _assert_factors(golden_dir, "extract.json", "rabin32.json")
 
 
 def _transcripts(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
-@pytest.mark.parametrize("report, transcripts, spec", NOISY_RUNS)
-def test_noisy_report_counts_its_transcripts(digests, golden_dir, report, transcripts, spec):
+def _assert_counts(golden_dir, report, transcripts):
     rep = json.loads((golden_dir / report).read_text())
     n = Counter(t["outcome"] for t in _transcripts(golden_dir / transcripts))
     assert (rep["accepts_x"], rep["trials_x"], rep["accepts_m"], rep["trials_m"]) == (
         n["AcceptedPreimage"], n["AcceptedPreimage"] + n["RejectedPreimage"],
         n["AcceptedMeasurement"], n["AcceptedMeasurement"] + n["RejectedMeasurement"])
+    return rep
+
+
+@pytest.mark.parametrize("report, transcripts, spec", NOISY_RUNS)
+def test_noisy_report_counts_its_transcripts(digests, golden_dir, report, transcripts, spec):
+    _assert_counts(golden_dir, report, transcripts)
+
+
+@pytest.mark.parametrize("report, transcripts, p_m", CLEAN_RUNS)
+def test_clean_report_matches_the_model(digests, golden_dir, report, transcripts, p_m):
+    # every preimage answer is right, and the model's score lies in the
+    # report's own interval: with p_x = 1 that is |4 (p_m - model)| <= ci
+    rep = _assert_counts(golden_dir, report, transcripts)
+    assert rep["p_x"] == "1"
+    assert 4 * abs(float(Fraction(rep["p_m"])) - p_m) <= rep["ci_halfwidth"]
 
 
 @pytest.mark.parametrize("report, transcripts, spec", NOISY_RUNS)

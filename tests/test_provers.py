@@ -2,11 +2,13 @@
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from qbell import circuits as cc
+from qbell import extractor as ex
 from qbell import protocol as proto
 from qbell import provers, tcf
 from qbell.seeds import derive_rng, derive_seed
@@ -166,6 +168,47 @@ class TestRewindDeterminism:
         prover.round2(r ^ 1)  # different r gives an independent stream
         prover.reset()
         assert prover.round2(r) == d1
+
+    def test_round2_replays_over_a_list_decode(self):
+        # a rewound prover draws d once per r and snapshot, and answers a
+        # whole Goldreich-Levin decode exactly as one that draws every time
+        draws = Counter()
+
+        class Counted(provers.IdealProver):
+            def _round2_impl(self, r):
+                draws[self._snapshot, r] += 1
+                return super()._round2_impl(r)
+
+        class Redrawing(provers.IdealProver):
+            def round2(self, r):
+                self._r, self._d = r, self._round2_impl(r)
+                return self._d
+
+        def decode(cls):
+            answers = []
+
+            class Logged(cls):
+                def round2(self, r):
+                    answers.append(super().round2(r))
+                    return answers[-1]
+
+                def round3(self, basis_sign):
+                    answers.append(super().round3(basis_sign))
+                    return answers[-1]
+
+            keys = gen_exact_bits(20)
+            prover = Logged(proto.ProtocolContext.plain(keys), seed=4)
+            prover.round1()
+            oracle = ex.RewindableOracle(prover, prover.answer_preimage())
+            prover.reset()
+            cands = ex.gl_list_decode(oracle, 20, ex.GlParams(t=4), random.Random(0))
+            prover.round1()  # a new snapshot draws again
+            prover.round2(next(iter(oracle._cache)))
+            return cands, answers, oracle.queries_used
+
+        cands, answers, queries = decode(Counted)
+        assert decode(Redrawing) == (cands, answers, queries)
+        assert len(draws) == queries + 1 and set(draws.values()) == {1}
 
 
 class TestNoiseModel:

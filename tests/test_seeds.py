@@ -1,0 +1,86 @@
+"""The counter-based stream behind a simulated prover's messages."""
+
+import copy
+import json
+import subprocess
+import sys
+
+import pytest
+
+from qbell.seeds import CounterRandom, derive_seed
+
+from helpers import cli_env
+
+WIDTHS = (0, 1, 53, 511, 512, 513, 1500)
+
+
+def draws(seed, *labels):
+    rng = CounterRandom(seed, *labels)
+    return [rng.getrandbits(k) for k in WIDTHS]
+
+
+def test_getrandbits_fits_its_width():
+    for seed in range(20):
+        for k, v in zip(WIDTHS, draws(seed, "w")):
+            assert 0 <= v < 2 ** k
+    # the widest draws use their top bits too
+    assert max(draws(seed, "w")[-1] for seed in range(20)).bit_length() > 1490
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_draws_do_not_depend_on_the_process(hash_seed):
+    # str hashing is randomized per process; the stream must not be
+    env = dict(cli_env(), PYTHONHASHSEED=hash_seed)
+    code = ("import json; from qbell.seeds import CounterRandom; "
+            f"r = CounterRandom(7, 'a', 3); print(json.dumps([r.getrandbits(k) for k in {WIDTHS}]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert json.loads(out) == draws(7, "a", 3)
+
+
+def test_distinct_label_paths_give_distinct_streams():
+    paths = [(s, *labels) for s in (0, 1, derive_seed(5, "iter", 0))
+             for labels in [("d", 3), ("d", 4), ("m", 3, 1), ("m", 3, -1), ("d", 3, 1),
+                            ("round1",), ("preimage",), ()]]
+    assert len({CounterRandom(*p).getrandbits(512) for p in paths}) == len(paths)
+
+
+def test_random_lies_in_unit_interval():
+    rng = CounterRandom(3, "u")
+    xs = [rng.random() for _ in range(5000)]
+    assert all(0.0 <= x < 1.0 for x in xs)
+    assert min(xs) < 0.01 and max(xs) > 0.99
+
+
+@pytest.mark.parametrize("paths", [True, False], ids=["first-draw-per-path", "one-path"])
+def test_randrange_chi_square(paths):
+    # 10 cells, 9 degrees of freedom: chi^2 exceeds 33.72 with probability
+    # 1e-4, so each case fails by chance with probability 1e-4.  The first
+    # case draws as a prover does, once from each of many message streams
+    n, cells = 20_000, 10
+    if paths:
+        values = [CounterRandom(11, "d", i).randrange(cells) for i in range(n)]
+    else:
+        rng = CounterRandom(11, "one")
+        values = [rng.randrange(cells) for _ in range(n)]
+    counts = [values.count(c) for c in range(cells)]
+    chi2 = sum((c - n / cells) ** 2 / (n / cells) for c in counts)
+    assert chi2 < 33.72
+
+
+@pytest.mark.parametrize("call", [
+    lambda r: r.seed(1),
+    lambda r: r.getstate(),
+    lambda r: r.setstate((3, tuple(range(625)), None)),
+    lambda r: r.gauss(0.0, 1.0),
+    copy.copy,
+], ids=["seed", "getstate", "setstate", "gauss", "copy"])
+def test_state_methods_raise(call):
+    # no method may read, write or reseed the base class's unseeded state
+    with pytest.raises(NotImplementedError):
+        call(CounterRandom(1, "s"))
+
+
+def test_negative_width_raises():
+    with pytest.raises(ValueError):
+        CounterRandom(1, "s").getrandbits(-1)
