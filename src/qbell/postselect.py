@@ -141,7 +141,7 @@ def _sweep_point(config: SweepConfig, m: int, ctx: protocol.ProtocolContext, gat
     for state, phase_v, preimages in kept_runs:
         if protocol.choose_challenge(rng) == "preimage":
             tx += 1
-            ax += ctx.check_preimage_wire(state.preimage(rng), state.y)
+            ax += ctx.check_preimage_wire(state.preimage(lambda: rng.randrange(2)), state.y)
         else:
             tm += 1
             r = rng.getrandbits(ctx.reg_width)

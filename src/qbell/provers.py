@@ -56,10 +56,11 @@ class TwoBranchState:
     def merged(self) -> bool:
         return self.collapsed is not None or self.x0 == self.x1
 
-    def preimage(self, rng) -> int:
+    def preimage(self, coin) -> int:
         """Standard-basis measurement of the input register: the surviving
-        branch, or either branch with probability one half."""
-        pick = rng.randrange(2) if self.collapsed is None else self.collapsed
+        branch, or branch coin() of the two, where coin is a fair 0/1 draw
+        made only while both branches remain."""
+        pick = coin() if self.collapsed is None else self.collapsed
         return (self.x0, self.x1)[pick]
 
     def qubit(self, r: int, d: int) -> QubitState:
@@ -232,7 +233,9 @@ class IdealProver(ProverBase):
         return y, 0, 0
 
     def answer_preimage(self) -> int:
-        return self.state.preimage(self._rng("preimage"))
+        # getrandbits(1) takes one counter block; randrange(2) asks for two
+        # bits and rejects half its draws
+        return self.state.preimage(lambda: self._rng("preimage").getrandbits(1))
 
     def _round2_impl(self, r):
         return ideal_round2(self.state, r, self._rng("d", r))

@@ -56,6 +56,8 @@ class CounterRandom(random.Random):
     """
 
     def __init__(self, seed, *labels):
+        # Python 3.11's C Random seeds in __init__, which this replaces, so
+        # no Twister is seeded; 3.10 seeded in __new__ from these arguments
         self._key = hashlib.blake2b(_path(seed, labels)).digest()
         self._counter = 0
 
