@@ -106,8 +106,8 @@ CASES = (
 )
 
 # the report, transcripts and prover of each case that plays the noisy
-# prover: their digests move with its round-1 stream, and the checks below
-# hold whatever that stream draws
+# prover: their digests move with its streams, and the checks below
+# hold whatever those streams draw
 NOISY_RUNS = (
     ("noisy.json", "noisy.jsonl", "noisy:F=0.5,circuit=schoolbook,m=1"),
     ("noisy-blocks.json", "noisy-blocks.jsonl", "noisy:F=0.7,circuit=schoolbook,m=0"),
