@@ -1,13 +1,16 @@
 """Verifier state machine for the 3-round interactive quantumness test.
 
-Round 1: the prover commits an image y of the trapdoor claw-free function;
-the verifier inverts it with the trapdoor.  The verifier then either asks
-for a preimage (checked against y) or continues.  Round 2: the verifier
+Round 1: the prover commits an image y of the trapdoor claw-free function.
+The verifier then either asks for a preimage, checked by evaluating f
+forward on the answer, or continues.  Round 2: the verifier
 sends a random vector r, the prover returns the Hadamard-measurement
 string d of its input register.  Round 3: the verifier requests one of the
 two intermediate bases (rotated +/- pi/4 from Z around Y) and accepts iff
 the reported bit is the more likely outcome for the single-qubit state
-determined by (x0, x1, r, d).
+determined by (x0, x1, r, d).  Only that prediction needs the trapdoor
+preimages (x0, x1), so the verifier inverts y after round 3 of a
+measurement round, and at round 1 only when post-selection must discard an
+image with no preimage before the challenge.
 
 An iteration is played, then settled.  Playing sends every message and
 makes every verifier draw; settling judges the outcome.  With a circuit
@@ -309,8 +312,12 @@ def run_iteration(ctx: ProtocolContext, prover, rng, config: IterationConfig,
                   iteration: int = 0, pending: list | None = None) -> Transcript:
     """Drive one iteration against a prover implementing the 3-round interface.
 
-    This plays the iteration: every message and every verifier draw.  A
-    claw measurement round whose discard phase needs the circuit (a circuit
+    This plays the iteration: every message and every verifier draw.  The
+    image is inverted once, only where its preimages are read: at round 1
+    under post-selection, whose silent discard precedes the challenge, and
+    otherwise after round 3 of a measurement round.  A preimage round is
+    judged by evaluating f forward on the prover's answer.  A claw
+    measurement round whose discard phase needs the circuit (a circuit
     context and h_len > 0) joins `pending` as (transcript, preimages), its
     outcome left None for settle to judge later; without a pending list it
     is settled at once."""
@@ -318,11 +325,13 @@ def run_iteration(ctx: ProtocolContext, prover, rng, config: IterationConfig,
     y_wire, h, h_len = prover.round1()
     t.msgs["image"] = {"y": y_wire, "h": h, "h_len": h_len}
 
-    preimages = ctx.preimages(y_wire)
-    if config.postselect and not preimages:
-        # silent discard: the prover is not told, the iteration is dropped
-        t.outcome = Outcome.DISCARDED_INVALID_Y
-        return t
+    preimages = None
+    if config.postselect:
+        preimages = ctx.preimages(y_wire)
+        if not preimages:
+            # silent discard: the prover is not told, the iteration is dropped
+            t.outcome = Outcome.DISCARDED_INVALID_Y
+            return t
 
     challenge = choose_challenge(rng, config.challenge_ratio)
     t.msgs["challenge"] = {"kind": challenge}
@@ -340,6 +349,8 @@ def run_iteration(ctx: ProtocolContext, prover, rng, config: IterationConfig,
     t.msgs["basis"] = {"sign": sign}
     t.msgs["result"] = {"bit": prover.round3(sign)}
 
+    if preimages is None:
+        preimages = ctx.preimages(y_wire)
     if not preimages:
         # post-selection off: an unindexable y can never be accepted
         t.outcome = Outcome.REJECTED_MEASUREMENT

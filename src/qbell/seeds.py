@@ -48,7 +48,9 @@ class CounterRandom(random.Random):
 
     The key is the blake2b digest of the path, and block n is
     blake2b(n, key=key): 512 bits.  getrandbits(k) joins the next
-    ceil(k / 512) blocks and keeps their top k bits; random() takes 53.
+    ceil(k / 512) blocks and keeps their top k bits; random() takes 53.  A
+    draw of 1 to 512 bits reads its one block directly, with no join, and
+    gets the same bits; a draw of 0 bits reads no block.
     The key and the counter are the whole state, so the inherited
     randrange, choice and the like draw through getrandbits, and the
     methods that would seed, save or restore the Twister's state, or keep
@@ -62,6 +64,10 @@ class CounterRandom(random.Random):
         self._counter = 0
 
     def getrandbits(self, k: int) -> int:
+        if 0 < k <= _BLOCK_BITS:
+            block = hashlib.blake2b(self._counter.to_bytes(8, "little"), key=self._key).digest()
+            self._counter += 1
+            return int.from_bytes(block, "little") >> (_BLOCK_BITS - k)
         if k < 0:
             raise ValueError("number of bits must be non-negative")
         n = -(-k // _BLOCK_BITS)

@@ -323,8 +323,12 @@ def rabin_invert(keys: RabinKeyPair, y: int) -> set:
     """All square roots of y mod N inside the restricted domain.
 
     Size 2 for a quadratic residue coprime to N (a claw), size 1 in the
-    degenerate gcd cases, empty when y is not an image.  Every candidate is
-    verified by squaring before it is returned.
+    degenerate gcd cases, empty when y is not an image.  The four CRT
+    combinations of the roots +/-a mod p and +/-b mod q are two pairs of
+    negatives mod N, x and N - x, and exactly one of each pair,
+    min(x, N - x), lies in the domain; so one root is computed per pair,
+    (a cp + b cq) and (a cp - b cq) mod N.  Every root is verified by
+    squaring before it is returned.
     """
     if not keys.has_trapdoor:
         raise DomainError("inversion requires the trapdoor (p, q)")
@@ -332,17 +336,18 @@ def rabin_invert(keys: RabinKeyPair, y: int) -> set:
     if not (0 <= y < N):
         raise DomainError(f"y={y} outside [0, {N})")
     a = sqrt_mod_blum_prime(y, p)
+    if a is None:
+        return set()
     b = sqrt_mod_blum_prime(y, q)
-    if a is None or b is None:
+    if b is None:
         return set()
     cp, cq = keys.crt
-    bound = rabin_domain_size(N)
+    ap, bq = a * cp, b * cq
     roots = set()
-    for sa in (a, p - a):
-        for sb in (b, q - b):
-            x = (sa * cp + sb * cq) % N
-            if x < bound and x * x % N == y:
-                roots.add(x)
+    for x in ((ap + bq) % N, (ap - bq) % N):
+        x = min(x, N - x)
+        if x * x % N == y:
+            roots.add(x)
     return roots
 
 

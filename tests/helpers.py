@@ -4,6 +4,7 @@ circuits that only the tests run: the phase-estimation circuits, the
 phase-noise prover and its angle model, the Lemma 1 bound, threshold
 detection and the DDH claw helpers."""
 
+import hashlib
 import math
 import os
 from dataclasses import dataclass
@@ -426,6 +427,51 @@ def build_mul3_inplace(n):
     return cc.Circuit(n_qubits=pool.peak, gates=gates,
                       registers={"x": x_reg, "y": x_reg},
                       metadata={"builder": "mul3", "n": n})
+
+
+def reference_rabin_invert(keys, y):
+    """tcf.rabin_invert as a loop over all four CRT combinations of the
+    roots +/-a mod p and +/-b mod q, keeping those that lie in the domain
+    and square to y.  The oracle for the one-root-per-pair rule."""
+    N, p, q = keys.N, keys.p, keys.q
+    a = tcf.sqrt_mod_blum_prime(y, p)
+    b = tcf.sqrt_mod_blum_prime(y, q)
+    if a is None or b is None:
+        return set()
+    cp, cq = keys.crt
+    bound = tcf.rabin_domain_size(N)
+    roots = set()
+    for sa in (a, p - a):
+        for sb in (b, q - b):
+            x = (sa * cp + sb * cq) % N
+            if x < bound and x * x % N == y:
+                roots.add(x)
+    return roots
+
+
+def record_inversions(monkeypatch):
+    """Wrap tcf.invert for one test; returns the list of the images it is
+    called on, in call order."""
+    images = []
+    inner = tcf.invert
+
+    def recorded(keys, y):
+        images.append(y)
+        return inner(keys, y)
+
+    monkeypatch.setattr(tcf, "invert", recorded)
+    return images
+
+
+def reference_getrandbits(key, counter, k):
+    """A counter stream's k-bit draw by the join rule: the blocks
+    blake2b(n, key=key) for n from counter on, ceil(k / 512) of them,
+    joined little-endian, their top k bits kept.  Returns (value, next
+    counter).  The oracle for seeds.CounterRandom.getrandbits."""
+    n = -(-k // 512)
+    blocks = b"".join(hashlib.blake2b(i.to_bytes(8, "little"), key=key).digest()
+                      for i in range(counter, counter + n))
+    return int.from_bytes(blocks, "little") >> (n * 512 - k), counter + n
 
 
 def sample_claw_by_inversion(keys, rng):

@@ -13,7 +13,7 @@ from qbell import protocol as proto
 from qbell import provers, tcf
 from qbell.seeds import derive_rng
 
-from helpers import COS2_PI_8, gate_count, gen_exact_bits
+from helpers import COS2_PI_8, gate_count, gen_exact_bits, record_inversions
 
 KEY77 = tcf.RabinKeyPair(N=77, p=11, q=7)
 STATES = {
@@ -407,3 +407,61 @@ class TestSettleBlocks:
         ts = proto.run_session(ctx, prover(), derive_rng(self.SEED, "verifier"), cfg, 150)
         assert [t.to_json() for t in ts] == plain
         assert calls == []
+
+
+class TestInversionCount:
+    """The verifier inverts an image only where a round reads its preimages:
+    after round 3 of a measurement round, and at round 1 under
+    post-selection, whose silent discard needs the answer before the
+    challenge.  A preimage round is judged by evaluating f forward."""
+
+    @staticmethod
+    def _session(family, kind, postselect):
+        key = tcf.ddh_gen(2, 10, seed=3) if family == "ddh" else gen_exact_bits(24)
+        ctx = proto.ProtocolContext.plain(key)
+        prover = (provers.CheaterProver(key.public(), seed=5) if kind == "cheater"
+                  else provers.IdealProver(ctx, seed=5))
+        cfg = proto.IterationConfig(postselect=postselect)
+        return ctx, prover, cfg
+
+    @pytest.mark.parametrize("postselect", [False, True])
+    @pytest.mark.parametrize("kind", ["ideal", "cheater"])
+    @pytest.mark.parametrize("family", ["rabin", "ddh"])
+    def test_inverts_where_preimages_are_read(self, monkeypatch, family, kind, postselect):
+        images = record_inversions(monkeypatch)
+        ctx, prover, cfg = self._session(family, kind, postselect)
+        rng = derive_rng(1, "verifier")
+        for i in range(200):
+            before = len(images)
+            t = proto.run_iteration(ctx, prover, rng, cfg, i)
+            measured = "vector" in t.msgs
+            assert len(images) - before == (1 if postselect or measured else 0), t.to_json()
+        if postselect:
+            assert len(images) == 200
+        else:
+            assert 60 < len(images) < 140
+
+    @pytest.mark.parametrize("postselect", [False, True])
+    def test_session_inverts_each_measurement_round_once(self, monkeypatch, postselect):
+        images = record_inversions(monkeypatch)
+        ctx, prover, cfg = self._session("rabin", "cheater", postselect)
+        ts = proto.run_session(ctx, prover, derive_rng(2, "verifier"), cfg, 300)
+        assert images == [t.msgs["image"]["y"] for t in ts
+                          if postselect or "vector" in t.msgs]
+
+    def test_postselect_inverts_discarded_images(self, monkeypatch):
+        # every other image is a non-residue mod 7: discarded at round 1,
+        # after one inversion, like the kept images
+        class HalfInvalidProver(provers.CheaterProver):
+            def _round1_impl(self):
+                y, h, h_len = super()._round1_impl()
+                self.calls = getattr(self, "calls", 0) + 1
+                return (5 if self.calls % 2 else y), h, h_len
+
+        images = record_inversions(monkeypatch)
+        ctx = proto.ProtocolContext.plain(KEY77)
+        prover = HalfInvalidProver(KEY77.public(), seed=3)
+        cfg = proto.IterationConfig(postselect=True)
+        ts = proto.run_session(ctx, prover, derive_rng(3, "v"), cfg, 40)
+        assert sum(t.outcome is proto.Outcome.DISCARDED_INVALID_Y for t in ts) == 20
+        assert images == [t.msgs["image"]["y"] for t in ts]

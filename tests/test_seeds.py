@@ -6,10 +6,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qbell.seeds import CounterRandom, derive_seed
 
-from helpers import cli_env
+from helpers import cli_env, reference_getrandbits
 
 WIDTHS = (0, 1, 53, 511, 512, 513, 1500)
 
@@ -43,6 +45,24 @@ def test_distinct_label_paths_give_distinct_streams():
              for labels in [("d", 3), ("d", 4), ("m", 3, 1), ("m", 3, -1), ("d", 3, 1),
                             ("round1",), ("preimage",), ()]]
     assert len({CounterRandom(*p).getrandbits(512) for p in paths}) == len(paths)
+
+
+BOUNDARY_WIDTHS = [0, 1, 53, 511, 512, 513, 1024, 1025]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 64 - 1),
+       st.lists(st.one_of(st.sampled_from(BOUNDARY_WIDTHS), st.integers(0, 1100)),
+                max_size=24))
+@example(7, BOUNDARY_WIDTHS + BOUNDARY_WIDTHS[::-1])
+def test_getrandbits_matches_the_join_rule(seed, widths):
+    # the one-block path for 1 to 512 bits draws what joining would
+    rng = CounterRandom(seed, "w")
+    counter = 0
+    for k in widths:
+        expected, counter = reference_getrandbits(rng._key, counter, k)
+        assert rng.getrandbits(k) == expected, (k, widths)
+    assert rng._counter == counter
 
 
 def test_random_lies_in_unit_interval():

@@ -12,9 +12,30 @@ from hypothesis import strategies as st
 
 from qbell import tcf
 
-from helpers import TooLarge, blum_semiprimes, ddh_secret_from_claw, unpaired_fraction
+from helpers import (TooLarge, blum_semiprimes, ddh_secret_from_claw, reference_rabin_invert,
+                     unpaired_fraction)
 
 KEY77 = tcf.RabinKeyPair(N=77, p=11, q=7)
+KEYS64 = [tcf.rabin_gen(tcf.SecurityParams(n_bits=64, rng_seed=s)) for s in range(3)]
+
+
+@st.composite
+def key_and_image(draw):
+    """A 64-bit key and y in [0, N): any value, a square, 0, or a multiple
+    of p or of q, and the square of one."""
+    keys = draw(st.sampled_from(KEYS64))
+    N, p, q = keys.N, keys.p, keys.q
+    kind = draw(st.sampled_from(["any", "square", "zero", "p", "q", "p-square", "q-square"]))
+    if kind == "any":
+        return keys, draw(st.integers(0, N - 1))
+    if kind == "square":
+        x = draw(st.integers(0, tcf.rabin_domain_size(N) - 1))
+        return keys, x * x % N
+    if kind == "zero":
+        return keys, 0
+    factor, other = (p, q) if kind[0] == "p" else (q, p)
+    y = factor * draw(st.integers(0, other - 1))
+    return keys, (y * y % N if kind.endswith("square") else y)
 
 
 class TestRabinEval:
@@ -58,6 +79,12 @@ class TestRabinInvert:
                 by_image.setdefault(x * x % N, set()).add(x)
             for y in range(N):
                 assert tcf.rabin_invert(keys, y) == by_image.get(y, set()), (N, y)
+
+    @settings(max_examples=400, deadline=None)
+    @given(key_and_image())
+    def test_matches_four_candidate_loop_on_64_bit_keys(self, case):
+        keys, y = case
+        assert tcf.rabin_invert(keys, y) == reference_rabin_invert(keys, y)
 
 
 class TestFactorFromClaw:

@@ -22,7 +22,7 @@ from qbell import protocol as proto
 from qbell import cli, provers, tcf, wire
 from qbell.cli import main as cli_main
 
-from helpers import cli_env, gate_count, gen_exact_bits
+from helpers import cli_env, gate_count, gen_exact_bits, record_inversions
 
 
 MISSING = object()  # a key frame without the field
@@ -810,7 +810,8 @@ class TestStdioPair:
 
 
 class TestTcpTransport:
-    def _tcp_report(self, keys, trials, seed):
+    def _tcp_session(self, keys, trials, seed, config=None):
+        """serve_session's (report, transcripts) against a cheater over TCP."""
         ctx = proto.ProtocolContext.plain(keys)
         srv = wire.open_tcp_listener("127.0.0.1", 0)
         port = srv.getsockname()[1]
@@ -819,8 +820,8 @@ class TestTcpTransport:
         def server():
             conn, _ = srv.accept()
             ch = wire.channel_from_socket(conn, "t", timeout=60)
-            report, _ = wire.serve_session(ch, ctx, trials, seed=seed)
-            results["report"] = report
+            results["session"] = wire.serve_session(ch, ctx, trials, seed=seed,
+                                                    config=config)
 
         th = threading.Thread(target=server)
         th.start()
@@ -830,10 +831,10 @@ class TestTcpTransport:
                          provers.CheaterProver(tcf.key_from_json(key_json), seed_))
         th.join(timeout=60)
         srv.close()
-        return results["report"]
+        return results["session"]
 
     def test_tcp_session_scores_like_cheater(self):
-        rep = self._tcp_report(gen_exact_bits(24), trials=600, seed=42)
+        rep, _ = self._tcp_session(gen_exact_bits(24), trials=600, seed=42)
         assert rep.p_x == 1
         assert abs(float(rep.p_m) - 0.75) < 0.08
 
@@ -858,8 +859,20 @@ class TestTcpTransport:
         assert verifier.wait(timeout=120) == 0, verifier.stderr.read()
         assert prover.wait(timeout=120) == 0
         stdio_rep = json.loads(rep_path.read_text())
-        tcp_rep = json.loads(self._tcp_report(keys, trials=600, seed=42).to_json())
+        tcp_rep = json.loads(self._tcp_session(keys, trials=600, seed=42)[0].to_json())
         assert stdio_rep == tcp_rep
+
+    @pytest.mark.parametrize("postselect", [False, True])
+    def test_session_inverts_only_where_preimages_are_read(self, monkeypatch, postselect):
+        # the verifier inverts each measurement round's image once, after
+        # round 3, and no preimage round's; under post-selection it inverts
+        # every image at round 1
+        images = record_inversions(monkeypatch)
+        _, ts = self._tcp_session(gen_exact_bits(24), trials=200, seed=42,
+                                  config=proto.IterationConfig(postselect=postselect))
+        measured = [t.msgs["image"]["y"] for t in ts if "vector" in t.msgs]
+        assert 60 < len(measured) < 140
+        assert images == ([t.msgs["image"]["y"] for t in ts] if postselect else measured)
 
     def test_verify_without_prover_times_out(self, tmp_path):
         # --timeout bounds the wait for a prover to connect: the verifier
