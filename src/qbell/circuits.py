@@ -11,7 +11,10 @@ superposed branches, where h is the random string of Hadamard-basis
 outcomes and g(x) the garbage values on input x.  Builders here discard
 eagerly -- every carry chain and partial product is measured away as soon
 as it is classically dead -- so the multipliers run in essentially the
-classical number of qubits.
+classical number of qubits.  Since the phase reads g only as
+g(x0) xor g(x1), the gate engine keeps one pair row per discarded qubit,
+bit j holding that xor for run j, and evaluate_classical, the verifier's
+recomputation, returns each claw's phase bit rather than its garbage.
 
 Multiplication is schoolbook or Karatsuba; the modulo is Montgomery
 reduction, which leaves a known factor R' = R^-1 mod N on the output
@@ -622,8 +625,7 @@ def modsquare_gate_count(N, lift_m, method) -> int:
 #
 # Row q of the state is an int whose bit j is qubit q's value in lane j, the
 # bit-slicing of Biham's software DES, so one int operation applies a gate
-# to every lane.  A lane is one input (classical evaluation) or one branch
-# of one run (two-branch evaluation).
+# to every lane.  A lane is one input, or one branch of one run pair.
 
 # _LANE_DIGITS[j] reads a byte as the binary digit "1" where its bit j is set
 _LANE_DIGITS = tuple(bytes(b"01"[(b >> j) & 1] for b in range(256)) for j in range(8))
@@ -669,7 +671,7 @@ def _sampled_errors(error_prob, rng, runs):
 class _Lanes:
     rows: list  # final row of every qubit; a discarded qubit's row is 0
     y_rows: list  # rows of the y register at MEASURE_Y
-    garbage: list  # discarded rows in discard order (without draw_h)
+    garbage: list  # pair rows of the discarded qubits, in discard order (without draw_h)
     phase: int  # noisy-pair phase bits, bit j for run j
     clean_phase: int  # the same h against the clean pair
 
@@ -686,11 +688,14 @@ def _run_lanes(circuit: Circuit, inputs, runs=0, errors=(), draw_h=None) -> _Lan
     taken once the previous one has struck; a Z or Y error folds into the
     noisy pair's phase.
 
-    A discarded row joins `garbage`, unless draw_h is given: then each
-    discard event takes draw_h(R * width), whose bits [i R, (i + 1) R) are
-    the R Hadamard outcomes h of its qubit i, and folds h & (b0 xor b1)
-    into the noisy pair's phase and, with the same h, into the clean
-    pair's: the phase the verifier recomputes from the claw.
+    A discarded row leaves its pair row (row xor row >> R) & (2^R - 1) in
+    `garbage`: bit j is g0 xor g1 of run j, all that run's discard phase
+    reads (every pair row is 0 at R = 0, where a lane has no partner).
+    With draw_h given instead, each discard event takes draw_h(R * width),
+    whose bits [i R, (i + 1) R) are the R Hadamard outcomes h of its qubit
+    i, and folds h & (b0 xor b1) into the noisy pair's phase and, with the
+    same h, into the clean pair's: the phase the verifier recomputes from
+    the claw.
     """
     x_reg = circuit.registers["x"]
     if any(x < 0 or x.bit_length() > len(x_reg) for x in inputs):
@@ -736,8 +741,9 @@ def _run_lanes(circuit: Circuit, inputs, runs=0, errors=(), draw_h=None) -> _Lan
                         clean ^= h & (row >> 2 * runs)
                 else:
                     for q in gate[1]:
-                        garbage.append(rows[q])
+                        row = rows[q]
                         rows[q] = 0
+                        garbage.append((row ^ row >> runs) & run_mask)
             elif tag is X:
                 rows[gate[1]] ^= full
             elif tag is ALLOC:
@@ -763,26 +769,19 @@ def _run_lanes(circuit: Circuit, inputs, runs=0, errors=(), draw_h=None) -> _Lan
                   clean_phase=clean)
 
 
-def evaluate_classical(circuit: Circuit, xs):
-    """Run the circuit on each basis input in xs; returns (ys, garbage).
-
-    Both are per-input ints; bit i of a garbage int is the i-th discarded
-    qubit, in discard order and little-endian within each event.  CPHASE
-    gates are diagonal and have no effect on basis states.
-    """
-    xs = list(xs)
-    lanes = _run_lanes(circuit, xs)
-    return _transpose(lanes.y_rows, len(xs)), _transpose(lanes.garbage, len(xs))
-
-
-def fold_discard_phases(hs, garbage) -> list:
+def fold_discard_phases(hs, rows) -> list:
     """The discard phase bit parity(h . (g0 xor g1)) of each run j: its
-    Hadamard outcomes h = hs[j] against its branches' garbage strings
-    g0 = garbage[j] and g1 = garbage[R + j], R = len(hs), laid out as
-    evaluate_classical returns them.  Discarding leaves the branches the
-    relative phase (-1)^bit."""
-    R = len(hs)
-    return [(h & (g0 ^ g1)).bit_count() & 1 for h, g0, g1 in zip(hs, garbage, garbage[R:])]
+    Hadamard outcomes h = hs[j] against bit j of every pair row in rows,
+    as _run_lanes keeps them for R = len(hs) runs.  Discarding leaves the
+    branches the relative phase (-1)^bit."""
+    return [(h & d).bit_count() & 1 for h, d in zip(hs, _transpose(rows, len(hs)))]
+
+
+def evaluate_classical(circuit: Circuit, x0s, x1s, hs) -> list:
+    """The verifier's recomputation: the discard phase bit of each
+    noise-free claw (x0s[j], x1s[j]) against the Hadamard outcomes hs[j]
+    its prover reported, from one engine call over the claws' branches."""
+    return fold_discard_phases(hs, _run_lanes(circuit, [*x0s, *x1s], len(hs)).garbage)
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +796,18 @@ class TwoBranchRun:
     reg0: int  # x-register value, branch 0
     reg1: int
     phase: int  # relative phase bit: the branches carry (-1)^phase
-    h: int  # Hadamard outcomes, bit i for the i-th discarded qubit
+
+
+def _branch_runs(circuit: Circuit, lanes: _Lanes, phases) -> list:
+    """One TwoBranchRun per run j of lanes whose lanes j and R + j are its
+    branches, R = len(phases): their y and x-register values, and the phase
+    bit phases[j].  Lanes past the first 2R are not read."""
+    R = len(phases)
+    pair = (1 << 2 * R) - 1
+    ys = _transpose([row & pair for row in lanes.y_rows], 2 * R)
+    regs = _transpose([lanes.rows[q] & pair for q in circuit.registers["x"]], 2 * R)
+    return [TwoBranchRun(y0=ys[j], y1=ys[R + j], reg0=regs[j], reg1=regs[R + j], phase=bit)
+            for j, bit in enumerate(phases)]
 
 
 def draw_run(schedule: Schedule, error_prob: float, rng):
@@ -814,21 +824,17 @@ def draw_run(schedule: Schedule, error_prob: float, rng):
 def run_two_branch_block(circuit: Circuit, x0s, x1s, draws) -> list:
     """len(x0s) two-branch runs in one engine call, run j on the claw
     (x0s[j], x1s[j]) with the draws draws[j] = (h, errors) of draw_run.
-    The engine keeps the noisy branches' garbage, as evaluate_classical
-    does; each run's phase is its Z errors' bit xor the discard phase that
-    fold_discard_phases takes from its h and that garbage, the verifier's
-    rule.  Returns one TwoBranchRun per run."""
+    Each run's phase is its Z errors' bit xor the discard phase that
+    fold_discard_phases takes from its h and the noisy branches' pair rows,
+    the rule of the verifier's evaluate_classical.  Returns one
+    TwoBranchRun per run."""
     R = len(x0s)
     errors = sorted((u, j, pick, pauli) for j, (_, errs) in enumerate(draws)
                     for u, _, pick, pauli in errs)
     lanes = _run_lanes(circuit, [*x0s, *x1s], R, errors)
-    ys = _transpose(lanes.y_rows, 2 * R)
-    regs = _transpose([lanes.rows[q] for q in circuit.registers["x"]], 2 * R)
-    hs = [h for h, _ in draws]
-    discard = fold_discard_phases(hs, _transpose(lanes.garbage, 2 * R))
-    return [TwoBranchRun(y0=ys[j], y1=ys[R + j], reg0=regs[j], reg1=regs[R + j],
-                         phase=(lanes.phase >> j & 1) ^ discard[j], h=hs[j])
-            for j in range(R)]
+    discard = fold_discard_phases([h for h, _ in draws], lanes.garbage)
+    return _branch_runs(circuit, lanes, [(lanes.phase >> j & 1) ^ bit
+                                         for j, bit in enumerate(discard)])
 
 
 def run_two_branch(circuit: Circuit, x0: int, x1: int, error_prob: float, rng):
@@ -853,25 +859,16 @@ def run_two_branch_batch(circuit: Circuit, x0s, x1s, error_prob, rng):
     and the errors of all runs from rng as it goes.  The shadow pair
     evolves the same inputs without errors and meets the same Hadamard
     outcomes h at each discard, producing the phase the verifier would
-    reconstruct from the true claw.  Returns a dict of per-run lists: the
-    noisy pair's y values and x-register values, and the prover and
-    verifier (shadow) phase bits.
+    reconstruct from the true claw.  Returns (runs, verifier_phases): one
+    TwoBranchRun per run, whose phase is the prover's, and the shadow's
+    phase bit of each run.
     """
     R = len(x0s)
     errors = _sampled_errors(error_prob, rng, R) if error_prob > 0 else ()
     lanes = _run_lanes(circuit, [*x0s, *x1s, *x0s, *x1s], R, errors,
                        draw_h=rng.getrandbits)
-    noisy = (1 << 2 * R) - 1  # the first 2R lanes are the noisy pair
-    ys = _transpose([row & noisy for row in lanes.y_rows], 2 * R)
-    regs = _transpose([lanes.rows[q] & noisy for q in circuit.registers["x"]], 2 * R)
-    return {
-        "y0": ys[:R],
-        "y1": ys[R:],
-        "reg0": regs[:R],
-        "reg1": regs[R:],
-        "phase_prover": _transpose([lanes.phase], R),
-        "phase_verifier": _transpose([lanes.clean_phase], R),
-    }
+    return (_branch_runs(circuit, lanes, _transpose([lanes.phase], R)),
+            _transpose([lanes.clean_phase], R))
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,7 @@ def cmd_keygen(args):
     if args.family == "rabin":
         if args.bits < tcf.MIN_MODULUS_BITS:
             raise UsageError(f"--bits must be at least {tcf.MIN_MODULUS_BITS}, got {args.bits}")
-        keys = tcf.rabin_gen(tcf.SecurityParams(n_bits=args.bits, rng_seed=args.seed))
+        keys = tcf.rabin_gen(args.bits, args.seed)
     else:
         if args.k < 1:
             raise UsageError(f"--k must be at least 1, got {args.k}")
@@ -266,8 +266,8 @@ def _exact_modulus(n: int) -> int:
     """The modulus of the first rabin_gen seed whose N has exactly n bits."""
     if n < tcf.MIN_MODULUS_BITS:
         raise UsageError(f"--n must be at least {tcf.MIN_MODULUS_BITS}, got {n}")
-    for rng_seed in range(MODULUS_SEEDS):
-        keys = tcf.rabin_gen(tcf.SecurityParams(n, rng_seed))
+    for seed in range(MODULUS_SEEDS):
+        keys = tcf.rabin_gen(n, seed)
         if keys.N.bit_length() == n:
             return keys.N
     raise UsageError(f"no {n}-bit Blum modulus in {MODULUS_SEEDS} seeds; pass --modulus")

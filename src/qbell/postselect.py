@@ -99,14 +99,11 @@ def _sweep_point(config: SweepConfig, m: int, ctx: protocol.ProtocolContext, gat
         R = min(chunk, trials - done)
         done += R
         claws = [sample_claw(keys, rng) for _ in range(R)]
-        x0s = [c[0] for c in claws]
-        x1s = [c[1] for c in claws]
-        out = circuits.run_two_branch_batch(ctx.circuit, x0s, x1s, noise.error_prob,
-                                            engine_rng)
-        for i in range(R):
-            phase_p, phase_v = out["phase_prover"][i], out["phase_verifier"][i]
-            state = measure_y(out["y0"][i], out["y1"][i], out["reg0"][i], out["reg1"][i],
-                              phase_p, ctx.reg_width, rng)
+        runs, phases_v = circuits.run_two_branch_batch(
+            ctx.circuit, [c[0] for c in claws], [c[1] for c in claws], noise.error_prob,
+            engine_rng)
+        for (x0, x1, _), run, phase_v in zip(claws, runs, phases_v):
+            state = measure_y(run, ctx.reg_width, rng)
             if not is_valid_y(state.y, ctx.lift_k):
                 discarded += 1  # prover-side: re-run the circuit
                 continue
@@ -115,10 +112,9 @@ def _sweep_point(config: SweepConfig, m: int, ctx: protocol.ProtocolContext, gat
             # clean registers hold the encoded claw
             cal_total += 1
             if state.collapsed is None and \
-                    {state.x0, state.x1} == {ctx.encode_domain(x0s[i]),
-                                             ctx.encode_domain(x1s[i])}:
+                    {state.x0, state.x1} == {ctx.encode_domain(x0), ctx.encode_domain(x1)}:
                 cal_bits += 1
-                if phase_p == phase_v:
+                if run.phase == phase_v:
                     cal_state += 1
             preimages = ctx.preimages(state.y)
             if not preimages:

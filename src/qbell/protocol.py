@@ -14,12 +14,14 @@ image with no preimage before the challenge.
 
 An iteration is played, then settled.  Playing sends every message and
 makes every verifier draw; settling judges the outcome.  With a circuit
-that discards garbage, the verdict on a claw needs the discard phase
-(-1)^(h . (g(x0) xor g(x1))), and recomputing the garbage g costs one gate
-engine call.  A session therefore leaves those rounds pending and settles
-them SETTLE_BLOCK at a time, in one call over all their branches.  No
-verdict goes on the wire and no later draw depends on one, so deferring
-them changes no message, transcript or report.
+that discards qubits, the verdict on a claw needs the discard phase
+(-1)^(h . (g(x0) xor g(x1))), g(x) the discarded qubits' values on input
+x, which circuits.evaluate_classical recomputes from the claw and the
+reported h at the cost of one gate engine call.  A
+session therefore leaves those rounds pending and settles them
+SETTLE_BLOCK at a time, in one call over all their claws.  No verdict goes
+on the wire and no later draw depends on one, so deferring them changes no
+message, transcript or report.
 
 Conventions: bit strings are little-endian integers (bit i weights 2^i);
 r . x is the parity of r & x.  Scores are kept as exact rationals.
@@ -93,7 +95,7 @@ class Transcript:
     payload: image (y, h, h_len), challenge (kind: preimage | continue),
     preimage (x), vector (r, n), equation (d, n), basis (sign: rotated
     sign * pi/4 from Z around Y) and result (bit).  h holds the Hadamard
-    outcomes of the garbage qubits a discarding circuit measured (0, with
+    outcomes of the qubits a discarding circuit measured away (0, with
     h_len 0, otherwise); the verifier needs them for the discard phase."""
 
     iteration: int
@@ -265,13 +267,13 @@ def predicted_state(ctx: ProtocolContext, preimages: tuple, r: int, d: int,
 
 
 # A session settles its pending claw rounds this many at a time, in one
-# evaluate_classical call over twice as many lanes.  Measured on the 64-bit
-# karatsuba circuit at m = 0 (2-vCPU Xeon VM, Python 3.11): one call costs
-# about 6 ms on 2 lanes, 9.5 ms on 32, 12 ms on 64 and 15 ms on 128, so a
-# round's share falls to about 0.37 ms at 32 claws and 0.24 ms at 64.  A
+# evaluate_classical call.  Measured on the 64-bit karatsuba circuit at
+# m = 0 (2-vCPU Xeon VM, Python 3.11, best of 7): one call costs about
+# 3.5 ms on 1 claw, 5.7 ms on 16, 6.4 ms on 32 and 7.6 ms on 64, so a
+# round's share falls to about 0.20 ms at 32 claws and 0.12 ms at 64.  A
 # block of 64 made a 600-trial noisy session about 5% faster but changes
 # nothing in sessions with fewer than 33 pending rounds.  The bound keeps a
-# block's lanes, and the wait for its verdicts, independent of the
+# block's size, and the wait for its verdicts, independent of the
 # session's length.
 SETTLE_BLOCK = 32
 
@@ -286,23 +288,15 @@ def judge(ctx: ProtocolContext, t: Transcript, preimages: tuple, phase_bit: int)
     t.outcome = Outcome.ACCEPTED_MEASUREMENT if ok else Outcome.REJECTED_MEASUREMENT
 
 
-def discard_phases(ctx: ProtocolContext, claws) -> list:
-    """The discard phase bit of each (x0, x1, h) in claws: the prover's
-    reported Hadamard outcomes h against the two branches' garbage strings,
-    recomputed classically from the claw in one evaluate_classical call
-    over all 2R branches and folded by circuits.fold_discard_phases, the
-    rule the noisy prover's runs fold with too."""
-    _, garbage = circuits.evaluate_classical(
-        ctx.circuit, [x0 for x0, _, _ in claws] + [x1 for _, x1, _ in claws])
-    return circuits.fold_discard_phases([h for _, _, h in claws], garbage)
-
-
 def settle(ctx: ProtocolContext, pending: list) -> None:
-    """Judge every (transcript, claw preimages) in pending, then empty it."""
+    """Judge every (transcript, claw preimages) in pending, then empty it.
+    Each claw's discard phase comes from one evaluate_classical call over
+    all of them, against the Hadamard outcomes h its image reported."""
     if not pending:
         return
-    phases = discard_phases(ctx, [(x0, x1, t.msgs["image"]["h"])
-                                  for t, (x0, x1) in pending])
+    phases = circuits.evaluate_classical(ctx.circuit, [x0 for _, (x0, _) in pending],
+                                         [x1 for _, (_, x1) in pending],
+                                         [t.msgs["image"]["h"] for t, _ in pending])
     for (t, preimages), phase_bit in zip(pending, phases):
         judge(ctx, t, preimages, phase_bit)
     pending.clear()

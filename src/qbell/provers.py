@@ -274,17 +274,18 @@ class CheaterProver(ProverBase):
         return expected_bit(assumed, basis_sign)
 
 
-def measure_y(y0, y1, reg0, reg1, phase, width, rng) -> TwoBranchState:
+def measure_y(run: circuits.TwoBranchRun, width: int, rng) -> TwoBranchState:
     """The y measurement after a two-branch circuit run.  If the branches'
     outputs disagree it collapses the state onto one branch chosen
     uniformly (one rng draw); equal registers leave a single branch too."""
     collapsed = None
-    if y0 != y1:
+    if run.y0 != run.y1:
         collapsed = rng.randrange(2)
-    elif reg0 == reg1:
+    elif run.reg0 == run.reg1:
         collapsed = 0
-    return TwoBranchState(x0=reg0, x1=reg1, phase=phase,
-                          y=(y0, y1)[collapsed or 0], width=width, collapsed=collapsed)
+    return TwoBranchState(x0=run.reg0, x1=run.reg1, phase=run.phase,
+                          y=(run.y0, run.y1)[collapsed or 0], width=width,
+                          collapsed=collapsed)
 
 
 def is_valid_y(y: int, k: int) -> bool:
@@ -367,13 +368,12 @@ class NoisyCircuitProver(IdealProver):
             draws.append(circuits.draw_run(ctx.circuit.schedule, self.noise.error_prob, rng))
         runs = circuits.run_two_branch_block(ctx.circuit, [c[0] for c in claws],
                                              [c[1] for c in claws], draws)
-        for i, run in zip(pending, runs):
+        for i, run, (h, _) in zip(pending, runs, draws):
             entry = pool[i]
-            state = measure_y(run.y0, run.y1, run.reg0, run.reg1, run.phase,
-                              ctx.reg_width, entry[0])
+            state = measure_y(run, ctx.reg_width, entry[0])
             entry[1] += 1
             if is_valid_y(state.y, ctx.lift_k):
-                self._done[i] = (entry[1], (state, run.h))
+                self._done[i] = (entry[1], (state, h))
             elif entry[1] == self.max_attempts:
                 self._done[i] = (entry[1], None)
             else:

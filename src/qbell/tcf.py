@@ -115,18 +115,6 @@ def matrix_inv_mod(mat, q: int):
 # key material
 
 @dataclass(frozen=True)
-class SecurityParams:
-    """Modulus bit length and the seed all key randomness derives from."""
-
-    n_bits: int
-    rng_seed: int
-
-    def __post_init__(self):
-        if self.n_bits < MIN_MODULUS_BITS:
-            raise DomainError(f"n_bits must be >= {MIN_MODULUS_BITS}, got {self.n_bits}")
-
-
-@dataclass(frozen=True)
 class RabinKeyPair:
     """Public modulus N = p*q with the factorization as trapdoor."""
 
@@ -286,17 +274,20 @@ def rabin_domain_size(N: int) -> int:
     return (N + 1) // 2
 
 
-def rabin_gen(params: SecurityParams) -> RabinKeyPair:
-    """Sample a Blum modulus of params.n_bits (+/- 1) bits.
+def rabin_gen(n_bits: int, seed: int) -> RabinKeyPair:
+    """Sample a Blum modulus of n_bits (+/- 1) bits; all key randomness
+    derives from seed.
 
     Primes are drawn at ceil(n/2) and floor(n/2) bits.  At tiny sizes a bit
     pool can contain a single 3-mod-4 prime (e.g. only 7 at 3 bits), which
     would force p == q forever; after repeated collisions the p pool is
     widened by one bit, moving N to n_bits + 1 which the contract allows.
     """
-    rng = random.Random(params.rng_seed)
-    p_bits = (params.n_bits + 1) // 2
-    q_bits = params.n_bits // 2
+    if n_bits < MIN_MODULUS_BITS:
+        raise DomainError(f"n_bits must be >= {MIN_MODULUS_BITS}, got {n_bits}")
+    rng = random.Random(seed)
+    p_bits = (n_bits + 1) // 2
+    q_bits = n_bits // 2
     collisions = 0
     while True:
         p = gen_prime(p_bits, rng, residue_3mod4=True)
@@ -308,7 +299,7 @@ def rabin_gen(params: SecurityParams) -> RabinKeyPair:
                 collisions = 0
             continue
         N = p * q
-        if abs(N.bit_length() - params.n_bits) <= 1:
+        if abs(N.bit_length() - n_bits) <= 1:
             return RabinKeyPair(N=N, p=max(p, q), q=min(p, q))
 
 

@@ -31,7 +31,7 @@ def cli_env():
 def gen_exact_bits(n, seed0=0):
     """Rabin key whose modulus has exactly n bits."""
     for s in range(seed0, seed0 + 80):
-        keys = tcf.rabin_gen(tcf.SecurityParams(n, s))
+        keys = tcf.rabin_gen(n, s)
         if keys.N.bit_length() == n:
             return keys
     raise RuntimeError(f"no exact {n}-bit modulus found")
@@ -200,8 +200,14 @@ def sequential_two_branch(circuit, x0, x1, error_prob, rng):
                     bits[1][q] ^= 1
                 err = next(errors, None)
     regs = [sum(branch[q] << i for q, i in x_reg.items()) for branch in bits]
-    return cc.TwoBranchRun(y0=ys[0], y1=ys[1], reg0=regs[0], reg1=regs[1],
-                           phase=phase, h=h)
+    return cc.TwoBranchRun(y0=ys[0], y1=ys[1], reg0=regs[0], reg1=regs[1], phase=phase)
+
+
+def classical_ys(circuit, xs):
+    """The y value of each basis input in xs, from one cc._run_lanes call
+    with one lane per input."""
+    xs = list(xs)
+    return cc._transpose(cc._run_lanes(circuit, xs).y_rows, len(xs))
 
 
 def reference_run_lanes(circuit, inputs, runs=0, errors=(), draw_h=None):
@@ -209,7 +215,9 @@ def reference_run_lanes(circuit, inputs, runs=0, errors=(), draw_h=None):
     lowered program: every ALLOC zeroes its row (the x register's first
     ones load the inputs), a discarded row keeps its value, and each
     unitary gate bumps an error counter.  The oracle for the engine; same
-    arguments, and a cc._Lanes."""
+    arguments, and a cc._Lanes, except that its garbage holds each
+    discarded row whole, every lane's value, where the engine keeps only
+    the xor of each run's two branches."""
     x_reg = circuit.registers["x"]
     if any(x < 0 or x.bit_length() > len(x_reg) for x in inputs):
         raise cc.MalformedCircuit("input does not fit the x register")
@@ -488,15 +496,16 @@ def sample_claw_by_inversion(keys, rng):
 
 def noisy_round1(keys, circuit, noise, rng, ctx=None):
     """One round-1 attempt of the noisy circuit prover, one run at a time:
-    the claw, one cc.run_two_branch call and the y measurement, all drawn
-    from rng.  Returns (y, state, run).  The sequential oracle for the
-    prover's blocked round 1."""
+    the claw, the run's draws (cc.draw_run), one single-run engine call and
+    the y measurement, all drawn from rng.  Returns (y, state, h), h the
+    run's Hadamard outcomes.  The sequential oracle for the prover's
+    blocked round 1."""
     ctx = ctx or protocol.ProtocolContext.for_circuit(keys, circuit)
     x0, x1, _ = provers.sample_claw(keys, rng)
-    run = cc.run_two_branch(circuit, x0, x1, noise.error_prob, rng)
-    state = provers.measure_y(run.y0, run.y1, run.reg0, run.reg1, run.phase,
-                              ctx.reg_width, rng)
-    return state.y, state, run
+    draw = cc.draw_run(circuit.schedule, noise.error_prob, rng)
+    [run] = cc.run_two_branch_block(circuit, [x0], [x1], [draw])
+    state = provers.measure_y(run, ctx.reg_width, rng)
+    return state.y, state, draw[0]
 
 
 def reference_gl_list_decode(oracle, n, params, rng):

@@ -22,8 +22,8 @@ from qbell import provers, tcf
 from qbell.seeds import derive_rng
 
 from helpers import (COS2_PI_8, AngleModel, NoCrossing, PhaseNoisyProver, StateVector,
-                     blum_semiprimes, cli_env, gen_exact_bits, good_fraction, lemma1_bound,
-                     phase_schedule, pm_of_theta, threshold_of)
+                     blum_semiprimes, classical_ys, cli_env, gen_exact_bits, good_fraction,
+                     lemma1_bound, phase_schedule, pm_of_theta, threshold_of)
 
 SQRT2M1 = math.sqrt(2) - 1
 
@@ -160,7 +160,7 @@ def test_c5_circuit_semantics():
         for circ in (cc.build_modsquare(N),
                      cc.build_modsquare(N, method="karatsuba", cutoff=8)):
             rp = circ.metadata["rprime"]
-            ys, _ = cc.evaluate_classical(circ, range(bound))
+            ys = classical_ys(circ, range(bound))
             for x in range(bound):
                 assert ys[x] == x * x * rp % N, (N, x)
             checked += bound

@@ -11,13 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbell import circuits as cc
-from qbell import protocol as proto
 from qbell import tcf
 
-from helpers import (blum_semiprimes, build_mul3_inplace, discarded_at_end, gate_count,
-                     gen_exact_bits, montgomery_stage, planted_run, reference_lowering,
-                     reference_run_lanes, reference_tally, sequential_two_branch,
-                     validate_circuit)
+from helpers import (blum_semiprimes, build_mul3_inplace, classical_ys, discarded_at_end,
+                     gate_count, gen_exact_bits, montgomery_stage, planted_run,
+                     reference_lowering, reference_run_lanes, reference_tally,
+                     sequential_two_branch, validate_circuit)
 
 
 class TestMul3:
@@ -25,12 +24,12 @@ class TestMul3:
     def test_exhaustive(self, n):
         frag = build_mul3_inplace(n)
         validate_circuit(frag)
-        ys, _ = cc.evaluate_classical(frag, range(1 << n))
+        ys = classical_ys(frag, range(1 << n))
         assert ys == [3 * x for x in range(1 << n)]
 
     def test_worked_values(self):
         frag = build_mul3_inplace(4)
-        assert cc.evaluate_classical(frag, [5, 0])[0] == [15, 0]
+        assert classical_ys(frag, [5, 0]) == [15, 0]
 
 
 class TestBuilders:
@@ -38,7 +37,7 @@ class TestBuilders:
         circ = cc.build_modsquare(77)
         validate_circuit(circ)
         rp = circ.metadata["rprime"]
-        ys, _ = cc.evaluate_classical(circ, range(39))
+        ys = classical_ys(circ, range(39))
         for x, y in enumerate(ys):
             assert 0 <= y < 77
             assert y == x * x * rp % 77
@@ -53,7 +52,7 @@ class TestBuilders:
         # prime builds and squares correctly, and the error names the check
         circ = cc.build_modsquare(37)
         rp = circ.metadata["rprime"]
-        assert cc.evaluate_classical(circ, range(19))[0] == [x * x * rp % 37 for x in range(19)]
+        assert classical_ys(circ, range(19)) == [x * x * rp % 37 for x in range(19)]
         for N in (36, 13):
             for check in (cc.build_modsquare, cc.modsquare_gate_count):
                 with pytest.raises(cc.CircuitError, match=r"^modulus must be odd and >= 15$"):
@@ -66,7 +65,7 @@ class TestBuilders:
                          cc.build_modsquare(N, method="karatsuba", cutoff=8)):
                 rp = circ.metadata["rprime"]
                 bound = (N + 1) // 2
-                ys, _ = cc.evaluate_classical(circ, range(bound))
+                ys = classical_ys(circ, range(bound))
                 for x in range(bound):
                     assert ys[x] == x * x * rp % N, (N, x, circ.metadata["builder"])
 
@@ -76,8 +75,8 @@ class TestBuilders:
         ka = cc.build_modsquare(keys.N, method="karatsuba", cutoff=8)
         rng = random.Random(0)
         xs = [rng.randrange((keys.N + 1) // 2) for _ in range(30)]
-        ys_sb, _ = cc.evaluate_classical(sb, xs)
-        ys_ka, _ = cc.evaluate_classical(ka, xs)
+        ys_sb = classical_ys(sb, xs)
+        ys_ka = classical_ys(ka, xs)
         assert ys_sb == ys_ka
 
     def test_lifted_builder(self):
@@ -89,18 +88,26 @@ class TestBuilders:
             modulus = k * k * N
             rp = circ.metadata["rprime"]
             xs = range(0, 39, 5)
-            ys, _ = cc.evaluate_classical(circ, xs)
+            ys = classical_ys(circ, xs)
             for x, y in zip(xs, ys):
                 assert y == (k * x) ** 2 * rp % modulus
                 assert y % (k * k) == 0  # honest images carry the redundancy
 
     def test_batch_matches_scalar(self):
-        # one call over many inputs equals one call per input
+        # one call over many inputs equals one call per input, and one
+        # recomputation over many claws one per claw
         circ = cc.build_modsquare(583, method="karatsuba", cutoff=8)  # 11 * 53
         xs = list(range(0, 292, 3))
-        ys, garb = cc.evaluate_classical(circ, xs)
+        ys = classical_ys(circ, xs)
         for i, x in enumerate(xs):
-            assert cc.evaluate_classical(circ, [x]) == ([ys[i]], [garb[i]])
+            assert classical_ys(circ, [x]) == [ys[i]]
+        rng = random.Random(9)
+        x1s = [rng.randrange(292) for _ in xs]
+        hs = [rng.getrandbits(circ.schedule.h_len) for _ in xs]
+        phases = cc.evaluate_classical(circ, xs, x1s, hs)
+        assert set(phases) == {0, 1}
+        for x0, x1, h, bit in zip(xs, x1s, hs, phases):
+            assert cc.evaluate_classical(circ, [x0], [x1], [h]) == [bit]
 
 
 class TestMontgomeryStage:
@@ -109,14 +116,14 @@ class TestMontgomeryStage:
         validate_circuit(stage)
         rp = stage.metadata["rprime"]
         undo = pow(rp, -1, 77)
-        ys, _ = cc.evaluate_classical(stage, [x * x for x in range(39)])
+        ys = classical_ys(stage, [x * x for x in range(39)])
         for x, y in enumerate(ys):
             assert y == x * x * rp % 77
             assert y * undo % 77 == x * x % 77
 
     def test_zero(self):
         stage = montgomery_stage(7, 77)
-        assert cc.evaluate_classical(stage, [0])[0] == [0]
+        assert classical_ys(stage, [0]) == [0]
 
     def test_rprime_invertible(self):
         stage = montgomery_stage(9, 341)  # 11 * 31
@@ -131,7 +138,6 @@ class TestDiscardPhase:
     def test_two_branch_phase_equals_verifier_recomputation(self):
         keys = gen_exact_bits(12)
         circ = cc.build_modsquare(keys.N, lift_m=0, method="schoolbook")
-        ctx = proto.ProtocolContext.for_circuit(keys, circ)
         rng = random.Random(5)
         claws, phases = [], []
         for _ in range(30):
@@ -140,22 +146,23 @@ class TestDiscardPhase:
             if len(roots) != 2:
                 continue
             x0, x1 = sorted(roots)
-            run = cc.run_two_branch(circ, x0, x1, 0.0, rng)
+            h, errors = cc.draw_run(circ.schedule, 0.0, rng)
+            [run] = cc.run_two_branch_block(circ, [x0], [x1], [(h, errors)])
             # the settle step on this claw alone
-            [pv] = proto.discard_phases(ctx, [(x0, x1, run.h)])
+            [pv] = cc.evaluate_classical(circ, [x0], [x1], [h])
             assert run.phase == pv
-            claws.append((x0, x1, run.h))
+            claws.append((x0, x1, h))
             phases.append(pv)
         # the same claws settled as one block
-        assert proto.discard_phases(ctx, claws) == phases
+        x0s, x1s, hs = map(list, zip(*claws))
+        assert cc.evaluate_classical(circ, x0s, x1s, hs) == phases
         # and run as one noise-free block, with fresh h: run j must fold its
         # own branches' garbage, lanes j and R + j
-        fresh = [(x0, x1, rng.getrandbits(circ.schedule.h_len)) for x0, x1, _ in claws]
-        runs = cc.run_two_branch_block(circ, [c[0] for c in fresh], [c[1] for c in fresh],
-                                       [(h, []) for _, _, h in fresh])
+        fresh = [rng.getrandbits(circ.schedule.h_len) for _ in claws]
+        runs = cc.run_two_branch_block(circ, x0s, x1s, [(h, []) for h in fresh])
         block = [run.phase for run in runs]
         assert len(runs) > 8 and set(block) == {0, 1}
-        assert block == proto.discard_phases(ctx, fresh)
+        assert block == cc.evaluate_classical(circ, x0s, x1s, fresh)
 
 
 class TestValidation:
@@ -322,15 +329,15 @@ class TestTwoBranchRuns:
             roots = tcf.rabin_invert(keys, x0 * x0 % keys.N)
             if len(roots) == 2:
                 pairs.append(tuple(sorted(roots)))
-        out = cc.run_two_branch_batch(circ, [p[0] for p in pairs],
-                                      [p[1] for p in pairs], 0.0, random.Random(3))
+        runs, phases_v = cc.run_two_branch_batch(circ, [p[0] for p in pairs],
+                                                 [p[1] for p in pairs], 0.0, random.Random(3))
         k = 3
         for i, (a, b) in enumerate(pairs):
             run = cc.run_two_branch(circ, a, b, 0.0, random.Random(i))
-            assert out["y0"][i] == out["y1"][i] == run.y0
-            assert out["reg0"][i] == k * a and out["reg1"][i] == k * b
+            assert runs[i].y0 == runs[i].y1 == run.y0
+            assert runs[i].reg0 == k * a and runs[i].reg1 == k * b
         # clean shadow phases and prover phases see identical h draws
-        assert out["phase_prover"] == out["phase_verifier"]
+        assert [run.phase for run in runs] == phases_v
 
     def test_batch_lanes_match_single_runs(self, monkeypatch):
         # one batch call over R runs equals R single-pair calls; errors are
@@ -352,18 +359,16 @@ class TestTwoBranchRuns:
         # the sampler's pick 0 strikes the gate's first qubit, as the plan does
         planted = sorted((u, hit, 0, pauli) for u, (_, pauli) in plan.items())
         monkeypatch.setattr(cc, "_sampled_errors", lambda p, rng, runs: iter(planted))
-        out = cc.run_two_branch_batch(circ, [a for a, _ in pairs], [b for _, b in pairs],
-                                      0.5, _AllOnes())
+        runs, phases_v = cc.run_two_branch_batch(circ, [a for a, _ in pairs],
+                                                 [b for _, b in pairs], 0.5, _AllOnes())
         ones = (1 << circ.schedule.h_len) - 1
         for i, (a, b) in enumerate(pairs):
             run = planted_run(circ, a, b, plan if i == hit else None, h=ones)
             clean = planted_run(circ, a, b, h=ones)
-            assert (out["y0"][i], out["y1"][i]) == (run.y0, run.y1), i
-            assert (out["reg0"][i], out["reg1"][i]) == (run.reg0, run.reg1), i
-            assert out["phase_prover"][i] == run.phase, i
-            assert out["phase_verifier"][i] == clean.phase, i
+            assert runs[i] == run, i
+            assert phases_v[i] == clean.phase, i
         clean = planted_run(circ, *pairs[hit], h=ones)
-        assert (out["y0"][hit], out["reg0"][hit]) != (clean.y0, clean.reg0)
+        assert (runs[hit].y0, runs[hit].reg0) != (clean.y0, clean.reg0)
 
     @pytest.mark.parametrize("method, m", [("schoolbook", 0), ("schoolbook", 2),
                                            ("karatsuba", 1)])
@@ -473,9 +478,24 @@ def _random_circuit(data):
     return cc.Circuit(n_qubits=pool.peak, gates=gates, registers={"x": x_reg}, metadata={})
 
 
-def _assert_lanes_equal(circuit, got, want):
+def _pair_rows(garbage, runs):
+    """reference_run_lanes' whole discarded rows as the engine's pair rows:
+    bit j the xor of lanes j and runs + j."""
+    return [(row ^ row >> runs) & ((1 << runs) - 1) for row in garbage]
+
+
+def _paired_reference(circuit, inputs, runs=0, errors=(), draw_h=None):
+    """reference_run_lanes with its garbage as pair rows, so that it can
+    stand in for cc._run_lanes."""
+    lanes = reference_run_lanes(circuit, inputs, runs, errors, draw_h)
+    return dataclasses.replace(lanes, garbage=_pair_rows(lanes.garbage, runs))
+
+
+def _assert_lanes_equal(circuit, runs, got, want):
+    """got, from cc._run_lanes with `runs` runs, against want from
+    reference_run_lanes with the same arguments."""
     assert (got.y_rows, got.garbage, got.phase, got.clean_phase) == \
-        (want.y_rows, want.garbage, want.phase, want.clean_phase)
+        (want.y_rows, _pair_rows(want.garbage, runs), want.phase, want.clean_phase)
     dead = discarded_at_end(circuit)
     for q, (a, b) in enumerate(zip(got.rows, want.rows)):
         assert a == (0 if q in dead else b), q
@@ -526,7 +546,7 @@ class TestEngineMatchesReference:
         runs = data.draw(st.integers(1, 4))
         xs = data.draw(st.lists(st.integers(0, (1 << width) - 1),
                                 min_size=2 * runs, max_size=2 * runs))
-        _assert_lanes_equal(circ, cc._run_lanes(circ, xs),
+        _assert_lanes_equal(circ, 0, cc._run_lanes(circ, xs),
                             reference_run_lanes(circ, xs))
         # two-branch lanes keeping their garbage, with planted errors,
         # several on one gate and some past the last one
@@ -534,7 +554,7 @@ class TestEngineMatchesReference:
         errors = sorted(data.draw(st.lists(st.tuples(
             st.integers(0, unitary + 1), st.integers(0, runs - 1), st.integers(0, 5),
             st.sampled_from("XYZ")), max_size=3 * unitary + 2)))
-        _assert_lanes_equal(circ, cc._run_lanes(circ, xs, runs, errors),
+        _assert_lanes_equal(circ, runs, cc._run_lanes(circ, xs, runs, errors),
                             reference_run_lanes(circ, xs, runs, errors))
         # sampled errors and in-loop Hadamard draws, beside a clean pair
         p = data.draw(st.sampled_from((0.0, 0.05, 0.3, 1.0)))
@@ -545,19 +565,24 @@ class TestEngineMatchesReference:
         want = reference_run_lanes(circ, xs + xs, runs,
                                    cc._sampled_errors(p, b, runs) if p else (),
                                    draw_h=b.getrandbits)
-        _assert_lanes_equal(circ, got, want)
+        _assert_lanes_equal(circ, runs, got, want)
         assert a.random() == b.random()
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_classical_lanes(self, real_circuits, data):
+        # per-input outputs, and the verifier's phases of claws drawn from
+        # the same inputs
         circ = data.draw(st.sampled_from(real_circuits))
         width = len(circ.registers["x"])
         xs = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=70))
-        got = cc.evaluate_classical(circ, xs)
+        x1s = data.draw(st.permutations(xs))
+        hs = data.draw(st.lists(st.integers(0, (1 << circ.schedule.h_len) - 1),
+                                min_size=len(xs), max_size=len(xs)))
+        got = classical_ys(circ, xs), cc.evaluate_classical(circ, xs, x1s, hs)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cc, "_run_lanes", reference_run_lanes)
-            assert got == cc.evaluate_classical(circ, xs)
+            mp.setattr(cc, "_run_lanes", _paired_reference)
+            assert got == (classical_ys(circ, xs), cc.evaluate_classical(circ, xs, x1s, hs))
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -577,7 +602,7 @@ class TestEngineMatchesReference:
             draws.append((rng.getrandbits(sched.h_len), errors))
         got = cc.run_two_branch_block(circ, x0s, x1s, draws)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cc, "_run_lanes", reference_run_lanes)
+            mp.setattr(cc, "_run_lanes", _paired_reference)
             want = cc.run_two_branch_block(circ, x0s, x1s, draws)
         live = _live_x(circ)
         assert got == _masked_runs(got, live) and got == _masked_runs(want, live)
@@ -595,16 +620,14 @@ class TestEngineMatchesReference:
         # up to every gate erring in every run: dense errors, several per gate
         p = data.draw(st.sampled_from((0.0, 1e-4, 0.01, 0.1, 0.4, 1.0)))
         a, b = random.Random(seed), random.Random(seed)
-        got = cc.run_two_branch_batch(circ, x0s, x1s, p, a)
+        got, got_v = cc.run_two_branch_batch(circ, x0s, x1s, p, a)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cc, "_run_lanes", reference_run_lanes)
-            want = cc.run_two_branch_batch(circ, x0s, x1s, p, b)
+            mp.setattr(cc, "_run_lanes", _paired_reference)
+            want, want_v = cc.run_two_branch_batch(circ, x0s, x1s, p, b)
         assert a.random() == b.random()
         live = _live_x(circ)
-        for reg in ("reg0", "reg1"):
-            assert [r & live for r in want[reg]] == got[reg] == [r & live for r in got[reg]]
-            del got[reg], want[reg]
-        assert got == want
+        assert got == _masked_runs(got, live) and got == _masked_runs(want, live)
+        assert got_v == want_v
 
     def test_dense_batch_errors(self, real_circuits):
         # at p = 0.1 over 8 runs a gate errs 0.8 times on average, and many
@@ -623,7 +646,7 @@ class TestEngineMatchesReference:
         got = cc._run_lanes(circ, [*x0s, *x1s, *x0s, *x1s], 8, errors, draw_h=a.getrandbits)
         want = reference_run_lanes(circ, [*x0s, *x1s, *x0s, *x1s], 8,
                                    cc._sampled_errors(0.1, b, 8), draw_h=b.getrandbits)
-        _assert_lanes_equal(circ, got, want)
+        _assert_lanes_equal(circ, 8, got, want)
         per_gate = {}
         for u, *_ in drawn[:-1]:
             per_gate[u] = per_gate.get(u, 0) + 1

@@ -1,5 +1,6 @@
 """Redundancy lifting, validity filtering, sweeps, thresholds."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -13,7 +14,8 @@ from qbell import circuits as cc
 from qbell import provers, tcf
 from qbell.seeds import derive_rng
 
-from helpers import NoCrossing, gate_count, gen_exact_bits, rejection_power, threshold_of
+from helpers import (NoCrossing, classical_ys, gate_count, gen_exact_bits, rejection_power,
+                     threshold_of)
 
 
 class TestLiftKey:
@@ -36,7 +38,7 @@ class TestLiftKey:
         keys = tcf.RabinKeyPair(N=77, p=11, q=7)
         lifted = ps.lift_key(keys, 1, method="schoolbook")
         rp = lifted.circuit.metadata["rprime"]
-        (y,), _ = cc.evaluate_classical(lifted.circuit, [15])
+        (y,) = classical_ys(lifted.circuit, [15])
         assert y == (3 * 15) ** 2 * rp % 693
         # 15^2 mod 77 = 71, so the unscaled lifted image is 9 * 71 = 639
         undo = lifted.circuit.metadata["r_undo"]
@@ -221,11 +223,10 @@ class TestSweep:
         clean = cc.run_two_branch_batch
 
         def shifted(circuit, x0s, x1s, error_prob, rng):
-            out = clean(circuit, x0s, x1s, 0.0, rng)
+            runs, phases_v = clean(circuit, x0s, x1s, 0.0, rng)
             modulus = circuit.metadata["modulus"]
-            for key in ("y0", "y1"):
-                out[key] = [y + modulus for y in out[key]]
-            return out
+            return [dataclasses.replace(run, y0=run.y0 + modulus, y1=run.y1 + modulus)
+                    for run in runs], phases_v
 
         monkeypatch.setattr(cc, "run_two_branch_batch", shifted)
         for m in (0, 1):

@@ -159,7 +159,7 @@ class TestScore:
 
 class TestRunIteration:
     def setup_method(self):
-        self.keys = tcf.rabin_gen(tcf.SecurityParams(n_bits=24, rng_seed=5))
+        self.keys = tcf.rabin_gen(24, 5)
         self.ctx = proto.ProtocolContext.plain(self.keys)
 
     def test_ideal_preimage_always_accepted(self):
@@ -259,7 +259,7 @@ class TestRunIteration:
 
 class TestTranscripts:
     def test_jsonl_export(self):
-        keys = tcf.rabin_gen(tcf.SecurityParams(n_bits=16, rng_seed=2))
+        keys = tcf.rabin_gen(16, 2)
         ctx = proto.ProtocolContext.plain(keys)
         prover = provers.IdealProver(proto.ProtocolContext.plain(keys), seed=5)
         rng = derive_rng(4, "v")
@@ -291,7 +291,7 @@ class TestTranscripts:
         assert big > 0
 
     def test_message_order_matches_rounds(self):
-        keys = tcf.rabin_gen(tcf.SecurityParams(n_bits=16, rng_seed=2))
+        keys = tcf.rabin_gen(16, 2)
         ctx = proto.ProtocolContext.plain(keys)
         prover = provers.IdealProver(proto.ProtocolContext.plain(keys), seed=6)
         rng = derive_rng(5, "v")
@@ -341,13 +341,14 @@ class TestSettleBlocks:
 
     @staticmethod
     def _calls(monkeypatch):
-        """Wrap circuits.evaluate_classical; returns its list of call widths."""
+        """Wrap circuits.evaluate_classical; returns its list of call widths in
+        lanes, two per claw."""
         calls = []
         inner = cc.evaluate_classical
 
-        def counted(circuit, xs):
-            calls.append(len(xs))
-            return inner(circuit, xs)
+        def counted(circuit, x0s, x1s, hs):
+            calls.append(len(x0s) + len(x1s))
+            return inner(circuit, x0s, x1s, hs)
 
         monkeypatch.setattr(cc, "evaluate_classical", counted)
         return calls

@@ -420,10 +420,10 @@ def sequential_round1(prover, seed, i):
     iteration's own stream."""
     rng = derive_rng(derive_seed(seed, "iter", i), "round1")
     for attempt in range(1, prover.max_attempts + 1):
-        y, state, run = noisy_round1(prover.ctx.keys, prover.ctx.circuit, prover.noise, rng,
-                                     prover.ctx)
+        y, state, h = noisy_round1(prover.ctx.keys, prover.ctx.circuit, prover.noise, rng,
+                                   prover.ctx)
         if provers.is_valid_y(y, prover.ctx.lift_k):
-            return attempt, (y, state, run.h, prover.ctx.circuit.schedule.h_len)
+            return attempt, (y, state, h, prover.ctx.circuit.schedule.h_len)
     return prover.max_attempts, None
 
 

@@ -16,7 +16,7 @@ from helpers import (TooLarge, blum_semiprimes, ddh_secret_from_claw, reference_
                      unpaired_fraction)
 
 KEY77 = tcf.RabinKeyPair(N=77, p=11, q=7)
-KEYS64 = [tcf.rabin_gen(tcf.SecurityParams(n_bits=64, rng_seed=s)) for s in range(3)]
+KEYS64 = [tcf.rabin_gen(64, s) for s in range(3)]
 
 
 @st.composite
@@ -101,7 +101,7 @@ class TestFactorFromClaw:
             tcf.factor_from_claw(77, tcf.Claw(2, 75, 4))
 
     def test_every_inverted_claw_factors(self):
-        keys = tcf.rabin_gen(tcf.SecurityParams(n_bits=24, rng_seed=4))
+        keys = tcf.rabin_gen(24, 4)
         rng = random.Random(0)
         for _ in range(50):
             x = rng.randrange(tcf.rabin_domain_size(keys.N))
@@ -114,7 +114,7 @@ class TestFactorFromClaw:
 
 class TestRabinGen:
     def test_invariants(self):
-        keys = tcf.rabin_gen(tcf.SecurityParams(n_bits=32, rng_seed=1))
+        keys = tcf.rabin_gen(32, 1)
         assert keys.N == keys.p * keys.q
         assert keys.p != keys.q
         assert keys.p % 4 == 3 and keys.q % 4 == 3
@@ -124,21 +124,21 @@ class TestRabinGen:
         assert abs(keys.N.bit_length() - 32) <= 1
 
     def test_smallest_size(self):
-        keys = tcf.rabin_gen(tcf.SecurityParams(n_bits=6, rng_seed=0))
+        keys = tcf.rabin_gen(6, 0)
         assert keys.p % 4 == 3 and keys.q % 4 == 3
         assert abs(keys.N.bit_length() - 6) <= 1
 
     def test_precondition(self):
         with pytest.raises(tcf.DomainError):
-            tcf.SecurityParams(n_bits=4, rng_seed=0)
+            tcf.rabin_gen(4, 0)
 
     def test_deterministic_given_seed(self):
-        a = tcf.rabin_gen(tcf.SecurityParams(n_bits=40, rng_seed=123))
-        b = tcf.rabin_gen(tcf.SecurityParams(n_bits=40, rng_seed=123))
+        a = tcf.rabin_gen(40, 123)
+        b = tcf.rabin_gen(40, 123)
         assert a == b
 
     def test_round_trip_inversion(self):
-        keys = tcf.rabin_gen(tcf.SecurityParams(n_bits=40, rng_seed=7))
+        keys = tcf.rabin_gen(40, 7)
         rng = random.Random(1)
         for _ in range(200):
             x = rng.randrange(tcf.rabin_domain_size(keys.N))
@@ -299,7 +299,7 @@ def inverted_partner(keys, x):
     return next(iter(preimages - {x})) if len(preimages) == 2 else None
 
 
-RABIN_KEYS = (KEY77,) + tuple(tcf.rabin_gen(tcf.SecurityParams(n_bits=n, rng_seed=n))
+RABIN_KEYS = (KEY77,) + tuple(tcf.rabin_gen(n, n)
                               for n in (16, 32, 64))
 DDH_KEYS = (DDH_KEY, tcf.ddh_gen(2, 10, seed=9), tcf.ddh_gen(3, 12, seed=24))
 
@@ -360,7 +360,7 @@ class TestPartner:
             keys.partner(x)
 
     def test_cached_constants_leave_the_key_as_it_was(self):
-        for keys in (tcf.rabin_gen(tcf.SecurityParams(n_bits=40, rng_seed=3)),
+        for keys in (tcf.rabin_gen(40, 3),
                      tcf.ddh_gen(3, 12, seed=24)):
             text = tcf.key_to_json(keys)
             fresh = tcf.key_from_json(text)
@@ -374,7 +374,7 @@ class TestPartner:
 
 class TestSerialization:
     def test_rabin_round_trip(self):
-        keys = tcf.rabin_gen(tcf.SecurityParams(n_bits=40, rng_seed=3))
+        keys = tcf.rabin_gen(40, 3)
         assert tcf.key_from_json(tcf.key_to_json(keys)) == keys
 
     def test_rabin_public_form_omits_secrets(self):
@@ -390,7 +390,7 @@ class TestSerialization:
         assert pub == key.public()
 
     def test_big_integers_as_decimal_strings(self):
-        keys = tcf.rabin_gen(tcf.SecurityParams(n_bits=96, rng_seed=0))
+        keys = tcf.rabin_gen(96, 0)
         import json
         doc = json.loads(tcf.key_to_json(keys))
         assert doc["N"] == str(keys.N) and isinstance(doc["N"], str)
@@ -402,7 +402,7 @@ class TestSerialization:
                                                        (2, 60), (3, 12))])
     def test_keygen_output_round_trips(self, family, size):
         for seed in range(5):
-            keys = (tcf.rabin_gen(tcf.SecurityParams(size, seed)) if family == "rabin"
+            keys = (tcf.rabin_gen(size, seed) if family == "rabin"
                     else tcf.ddh_gen(*size, seed))
             assert tcf.key_from_json(tcf.key_to_json(keys)) == keys
             pub = tcf.key_to_json(keys, include_secret=False)
