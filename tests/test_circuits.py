@@ -622,7 +622,7 @@ class TestEngineMatchesReference:
         a, b = random.Random(seed), random.Random(seed)
         got, got_v = cc.run_two_branch_batch(circ, x0s, x1s, p, a)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cc, "_run_lanes", _paired_reference)
+            mp.setattr(cc, "_run_lanes", reference_run_lanes)
             want, want_v = cc.run_two_branch_batch(circ, x0s, x1s, p, b)
         assert a.random() == b.random()
         live = _live_x(circ)
