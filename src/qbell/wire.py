@@ -1,8 +1,12 @@
 """Line-delimited wire protocol separating verifier and prover processes.
 
 One JSON frame per newline-terminated line: {"v": 1, "session": ..,
-"seq": .., "msg": {"tag": .., ...payload}}.  Payload integers follow the
-transcripts' rule (protocol.json_ints): a JSON number up to 2^53 in
+"seq": .., "msg": {"tag": .., ...payload}}.  The encoder keeps each
+frame's bytes fixed: the envelope's keys in sorted order
+({"msg":..,"seq":..,"session":..,"v":1}), the message's keys sorted
+too, "," and ":" as separators with no spaces, every non-ASCII character
+as a \\u escape, and one "\\n" ending the line.  Payload integers follow
+the transcripts' rule (protocol.json_ints): a JSON number up to 2^53 in
 magnitude, a decimal string beyond; readers accept either form.  The
 verifier drives: it sends the public key and the session length, then
 for each iteration the message sequence of the protocol; the prover
@@ -37,18 +41,31 @@ class WireFrame:
     msg: dict
 
 
+# one encoder and one decoder for every frame: json.dumps and json.loads
+# would build or look up theirs, and serialize or check a whole
+# envelope, on each call
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_DECODE = json.JSONDecoder().raw_decode
+
+
 def encode_frame(frame: WireFrame) -> bytes:
-    doc = {"v": WIRE_VERSION, "session": frame.session, "seq": frame.seq,
-           "msg": protocol.json_ints(frame.msg)}
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    """The frame's line: the envelope written around the message's JSON,
+    its keys in the order sort_keys gives them."""
+    return (f'{{"msg":{_ENCODE(protocol.json_ints(frame.msg))},"seq":{frame.seq},'
+            f'"session":{_ENCODE(frame.session)},"v":{WIRE_VERSION}}}\n').encode()
 
 
 def decode_frame(line: bytes) -> WireFrame:
     text = line.decode("utf-8", errors="replace").strip()
     if not text:
         raise ParseError("empty frame")
-    try:
-        doc = json.loads(text)
+    try:  # json.loads(text), in one pass of the shared decoder
+        if text[0] == "\ufeff":
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)",
+                                       text, 0)
+        doc, end = _DECODE(text)
+        if end != len(text):  # text is stripped: no JSON whitespace ends it
+            raise json.JSONDecodeError("Extra data", text, end)
     except json.JSONDecodeError as e:
         raise ParseError(f"bad JSON: {e.msg}") from None
     except ValueError as e:  # an integer literal beyond int's digit limit

@@ -5,6 +5,7 @@ phase-noise prover and its angle model, the Lemma 1 bound, threshold
 detection and the DDH claw helpers."""
 
 import hashlib
+import json
 import math
 import os
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from operator import itemgetter, sub
 import numpy as np
 
 from qbell import circuits as cc
-from qbell import protocol, provers, tcf
+from qbell import protocol, provers, tcf, wire
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -480,6 +481,46 @@ def reference_getrandbits(key, counter, k):
     blocks = b"".join(hashlib.blake2b(i.to_bytes(8, "little"), key=key).digest()
                       for i in range(counter, counter + n))
     return int.from_bytes(blocks, "little") >> (n * 512 - k), counter + n
+
+
+def reference_encode_frame(frame: wire.WireFrame) -> bytes:
+    """wire.encode_frame as it was before it wrote the envelope itself: one
+    json.dumps of the whole envelope per frame."""
+    doc = {"v": wire.WIRE_VERSION, "session": frame.session, "seq": frame.seq,
+           "msg": protocol.json_ints(frame.msg)}
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def reference_decode_frame(line: bytes) -> wire.WireFrame:
+    """wire.decode_frame as it was before it shared one decoder: json.loads
+    of the stripped line."""
+    ParseError = wire.ParseError
+    text = line.decode("utf-8", errors="replace").strip()
+    if not text:
+        raise ParseError("empty frame")
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"bad JSON: {e.msg}") from None
+    except ValueError as e:  # an integer literal beyond int's digit limit
+        raise ParseError(f"bad JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise ParseError("frame is not a JSON object")
+    if doc.get("v") != wire.WIRE_VERSION:
+        raise ParseError(f"unsupported version {doc.get('v')!r}")
+    for field in ("session", "seq", "msg"):
+        if field not in doc:
+            raise ParseError(f"missing field {field!r}")
+    msg, seq = doc["msg"], doc["seq"]
+    if not isinstance(doc["session"], str):
+        raise ParseError(f"session id {doc['session']!r:.40} is not a string")
+    if not isinstance(msg, dict):
+        raise ParseError("message is not a JSON object")
+    if "tag" not in msg:
+        raise ParseError("message lacks a tag")
+    if not isinstance(seq, int) or isinstance(seq, bool):
+        raise ParseError(f"sequence number {seq!r} is not an integer")
+    return wire.WireFrame(session=doc["session"], seq=seq, msg=msg)
 
 
 def sample_claw_by_inversion(keys, rng):

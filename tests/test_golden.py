@@ -8,17 +8,19 @@ update the digest with it.
 """
 
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from qbell import cli, protocol, tcf
+from qbell import cli, protocol, tcf, wire
 from qbell.cli import main
 from qbell.seeds import derive_seed
 
@@ -325,3 +327,86 @@ def test_noisy_report_matches_the_born_rule(digests, golden_dir, report, transcr
     assert len(born) == rep["trials_m"]
     model = sum(born) / len(born)
     assert 4 * abs(float(Fraction(rep["p_m"])) - model) <= rep["ci_halfwidth"]
+
+
+# (name, prover spec, trials, seed): one wire session on the keygen-rabin16
+# key, `serve_session` against `prover_loop` in process, as `verify
+# --transport stdio` and `prove --key` play it; the digests pin the bytes
+# each side writes, so they move with any change to the frame codec
+WIRE_SESSIONS = (
+    ("ideal", "ideal", 200, 43),
+    ("cheater", "cheater", 200, 47),
+    ("noisy", "noisy:F=0.7,circuit=schoolbook,m=0", 60, 53),
+)
+
+# name: (sha256 of the verifier's bytes, sha256 of the prover's bytes)
+WIRE_DIGESTS = {
+    "ideal": ("739f9485f5c641fe9ae37482f301b029576df3d137ae8ad26bb016061171ab21",
+              "273c6b21cdb926c71810c34c959225ba9d1d564116280654818f6986cb56dd71"),
+    "cheater": ("a6b3ecd59b55d7ece27543588616cf5c2eb40bfeb6e27218fd76b31128af582c",
+                "870f45efdcb88143d0eccaf42249397ae3e4409ca5ab3d9a57aa735b86ba3815"),
+    "noisy": ("319bf83d75d36b0e1b3aeaf4586c3e86a2695090ed599aca5b0e38bcef6ee22c",
+              "5bebe5e43550387fa1f3198ea375030516057a8b10d9df431a2c54445ebcaa9f"),
+}
+
+
+class _Tee:
+    """A write stream that keeps a copy of every byte written through it."""
+
+    def __init__(self, stream):
+        self.stream, self.copy = stream, io.BytesIO()
+
+    def write(self, data):
+        self.copy.write(data)
+        return self.stream.write(data)
+
+    def flush(self):
+        self.stream.flush()
+
+
+def wire_streams(spec, trials, seed):
+    """(verifier's bytes, prover's bytes) of one seeded session over two
+    pipes, the prover in a thread."""
+    keys = tcf.rabin_gen(16, 3)
+    v2p_r, v2p_w = os.pipe()
+    p2v_r, p2v_w = os.pipe()
+    prover_out = _Tee(open(p2v_w, "wb"))
+    errors = []
+
+    def prove():
+        try:
+            with open(v2p_r, "rb") as rfile:
+                wire.prover_loop(wire.Channel(rfile, prover_out, session=None),
+                                 lambda key_json, seed_, trials_: cli.build_prover(
+                                     cli.parse_prover_spec(spec), keys, seed_, trials_)[0])
+        except Exception as e:  # reported below; closing the pipe ends the verifier
+            errors.append(e)
+        finally:
+            prover_out.stream.close()
+
+    thread = threading.Thread(target=prove)
+    thread.start()
+    verifier_out = _Tee(open(v2p_w, "wb"))
+    try:
+        with open(p2v_r, "rb") as rfile:
+            wire.serve_session(wire.Channel(rfile, verifier_out, session=f"s{seed}"),
+                               protocol.ProtocolContext.plain(keys), trials, seed)
+    finally:
+        verifier_out.stream.close()
+        thread.join(timeout=120)
+    assert not errors, errors
+    return verifier_out.copy.getvalue(), prover_out.copy.getvalue()
+
+
+@pytest.mark.parametrize("name, spec, trials, seed", WIRE_SESSIONS)
+def test_wire_stream_is_byte_identical(name, spec, trials, seed):
+    sent, answered = wire_streams(spec, trials, seed)
+    # one frame per line, each a frame of the session, in sequence
+    for stream in (sent, answered):
+        lines = stream.splitlines(keepends=True)
+        assert all(line.endswith(b"\n") for line in lines)
+        frames = [wire.decode_frame(line) for line in lines]
+        assert [f.seq for f in frames] == list(range(len(frames)))
+        assert {f.session for f in frames} == {f"s{seed}"}
+    assert (hashlib.sha256(sent).hexdigest(),
+            hashlib.sha256(answered).hexdigest()) == WIRE_DIGESTS[name]
