@@ -4,15 +4,16 @@ One JSON frame per newline-terminated line: {"v": 1, "session": ..,
 "seq": .., "msg": {"tag": .., ...payload}}.  The encoder keeps each
 frame's bytes fixed: the envelope's keys in sorted order
 ({"msg":..,"seq":..,"session":..,"v":1}), the message's keys sorted
-too, "," and ":" as separators with no spaces, every non-ASCII character
-as a \\u escape, and one "\\n" ending the line.  Payload integers follow
-the transcripts' rule (protocol.json_ints): a JSON number up to 2^53 in
-magnitude, a decimal string beyond; readers accept either form.  The
-verifier drives: it sends the public key and the session length, then
-for each iteration the message sequence of the protocol; the prover
-answers synchronously.  A final {"tag": "end"} frame closes the session.
-The verifier names the session, the prover adopts that name from the key
-frame, and either side rejects a frame from another session.
+too, "," and ":" as separators with no spaces, ASCII only (JSON's
+escapes, and \\uXXXX for every non-ASCII character), and one "\\n"
+ending the line.  Payload integers follow the transcripts' rule
+(protocol.json_ints): a JSON number up to 2^53 in magnitude, a decimal
+string beyond; readers accept either form.  The verifier drives: it
+sends the public key and the session length, then for each iteration
+the message sequence of the protocol; the prover answers synchronously.
+A final {"tag": "end"} frame closes the session.  The verifier names
+the session, the prover adopts that name from the key frame, and either
+side rejects a frame from another session.
 """
 
 from __future__ import annotations
@@ -59,17 +60,17 @@ def decode_frame(line: bytes) -> WireFrame:
     text = line.decode("utf-8", errors="replace").strip()
     if not text:
         raise ParseError("empty frame")
-    try:  # json.loads(text), in one pass of the shared decoder
-        if text[0] == "\ufeff":
-            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)",
-                                       text, 0)
+    # json.loads(text) in one pass of the shared decoder, with its errors
+    if text[0] == "\ufeff":
+        raise ParseError("bad JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)")
+    try:
         doc, end = _DECODE(text)
-        if end != len(text):  # text is stripped: no JSON whitespace ends it
-            raise json.JSONDecodeError("Extra data", text, end)
     except json.JSONDecodeError as e:
         raise ParseError(f"bad JSON: {e.msg}") from None
     except ValueError as e:  # an integer literal beyond int's digit limit
         raise ParseError(f"bad JSON: {e}") from None
+    if end != len(text):  # text is stripped: no JSON whitespace ends it
+        raise ParseError("bad JSON: Extra data")
     if not isinstance(doc, dict):
         raise ParseError("frame is not a JSON object")
     if doc.get("v") != WIRE_VERSION:

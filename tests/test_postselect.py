@@ -133,6 +133,9 @@ class TestValidity:
         rng = random.Random(1)
         n = 100_000
         rejected = sum(not ps.is_valid_y(rng.getrandbits(40), 3) for _ in range(n))
+        # a 10.1-sigma window: under Bin(100000, 8/9) (a uniform 40-bit y is
+        # a multiple of 9 with probability 1/9 to within 2^-40) the count
+        # leaves (87888, 89889) with probability 1.5e-23 (exact tails)
         assert abs(rejected / n - 8 / 9) < 0.01
 
     def test_full_corruption_rates_all_m(self):
@@ -141,6 +144,9 @@ class TestValidity:
         for m in (1, 2, 3):
             k = 3 ** m
             rejected = sum(not ps.is_valid_y(rng.getrandbits(48), k) for _ in range(n))
+            # windows of 14.2, 40.5 and 121 sigma under Bin(50000, 1 - 1/k^2):
+            # exact tails of 3.9e-44 (m = 1), 1.8e-249 (m = 2) and below
+            # 1e-846 (m = 3), so the test fails by chance with p = 3.9e-44
             assert abs(rejected / n - float(rejection_power(k))) < 0.02
 
 

@@ -100,6 +100,8 @@ class TestChooseChallenge:
         rng = random.Random(2)
         n = 100_000
         frac = sum(proto.choose_challenge(rng, 0.5) == "preimage" for _ in range(n)) / n
+        # a 6.3-sigma window: under Bin(100000, 1/2) the count leaves
+        # (49000, 51000) with probability 2.6e-10 (exact tails, 1.3e-10 each)
         assert abs(frac - 0.5) < 0.01
 
     def test_zero_ratio_rejected(self):

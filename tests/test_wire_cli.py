@@ -22,7 +22,8 @@ from qbell import protocol as proto
 from qbell import cli, provers, tcf, wire
 from qbell.cli import main as cli_main
 
-from helpers import cli_env, gate_count, gen_exact_bits, record_inversions
+from helpers import (cli_env, gate_count, gen_exact_bits, record_inversions,
+                     reference_decode_frame, reference_encode_frame)
 
 
 MISSING = object()  # a key frame without the field
@@ -261,6 +262,102 @@ class TestFrames:
         remote = wire.RemoteProver(wire.Channel(BytesIO(sent.getvalue()), BytesIO(), "v"),
                                    gen_exact_bits(16))
         assert remote.round1() == (5, h, 20000)
+
+
+# any code point, lone surrogates included: str.encode would refuse them,
+# so the codec must escape them
+ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=12)
+
+# payload values a message may carry: ints of any size (json_ints turns
+# those beyond 2^53 into decimal strings), floats, any text, and lists,
+# tuples and objects of them
+PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 300, 2 ** 300)
+    | st.floats() | ANY_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(ANY_TEXT, inner, max_size=4),
+    max_leaves=12)
+
+# every frame a Channel sends: a session named by the verifier (None before
+# the prover adopts one) and a sequence number counted up from 0.  A bool
+# seq is outside this domain: the envelope writes a seq as an int literal,
+# where json.dumps would write true or false
+FRAMES = st.builds(wire.WireFrame, session=st.none() | ANY_TEXT,
+                   seq=st.integers(min_value=0) | st.integers(2 ** 60, 2 ** 200),
+                   msg=st.builds(lambda tag, rest: {**rest, "tag": tag}, ANY_TEXT | PAYLOADS,
+                                 st.dictionaries(ANY_TEXT, PAYLOADS, max_size=4)))
+
+
+def _outcome(decode, line):
+    """decode(line) as comparable data: the frame's repr (NaN != NaN), or
+    the ParseError's message."""
+    try:
+        return "frame", repr(decode(line))
+    except wire.ParseError as e:
+        return "ParseError", str(e)
+
+
+@st.composite
+def frame_lines(draw):
+    """Lines near a frame: a frame or an envelope holding NaN, Infinity or
+    an integer literal beyond the digit limit, with a BOM, whitespace,
+    trailing data or a second object around it, and maybe invalid UTF-8."""
+    frame = draw(FRAMES)
+    body = reference_encode_frame(frame).rstrip(b"\n")
+    special = draw(st.sampled_from([None, "float", "digits"]))
+    if special:  # the literal in place of the seq, of y or of y's first entry
+        literal = (json.dumps(draw(st.floats())) if special == "float"
+                   else "9" * draw(st.sampled_from([4300, 4301, 5000])))
+        at = draw(st.sampled_from(["seq", "y", "y.0"]))
+        doc = {"v": 1, "session": "s", "seq": 0,
+               "msg": {"tag": "image", "y": ["@", 1] if at == "y.0" else 1}}
+        if at == "seq":
+            doc["seq"] = "@"
+        elif at == "y":
+            doc["msg"]["y"] = "@"
+        body = json.dumps(doc, separators=(",", ":")).replace('"@"', literal).encode()
+    space = st.sampled_from([b"", b" ", b"\t", b"\r\n", b"\x0b\x0c", b"\x1c\x1f",
+                             "\u00a0\u3000".encode(), "\u0085".encode()])
+    prefix = draw(space) + draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + draw(space)
+    suffix = draw(st.sampled_from([b"", b"x", b"]", b",", b"{}", b" {}", body, b" " + body,
+                                   b"\xff"])) + draw(space) + draw(st.sampled_from([b"", b"\n"]))
+    line = prefix + body + suffix
+    if draw(st.booleans()):  # invalid UTF-8: a lone byte, a cut sequence, a surrogate
+        at = draw(st.integers(0, len(line)))
+        bad = draw(st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"]))
+        line = line[:at] + bad + line[at:]
+    return line
+
+
+class TestCodecMatchesReference:
+    """The frame codec against the json.dumps/json.loads one it replaced
+    (tests/helpers.py): the same bytes for every frame a Channel sends, and
+    the same frame or ParseError message for any line."""
+
+    @given(FRAMES)
+    @settings(max_examples=500, deadline=None)
+    def test_encode_gives_the_reference_bytes(self, frame):
+        assert wire.encode_frame(frame) == reference_encode_frame(frame)
+
+    @given(frame_lines())
+    @settings(max_examples=500, deadline=None)
+    def test_decode_matches_the_reference(self, line):
+        assert _outcome(wire.decode_frame, line) == _outcome(reference_decode_frame, line)
+
+    @pytest.mark.parametrize("line, error", [
+        (b'{"msg":{"tag":"end"},"seq":0,"session":"s","v":1}{}', "bad JSON: Extra data"),
+        (b'{"msg":{"tag":"end"},"seq":0,"session":"s","v":1} 7\n', "bad JSON: Extra data"),
+        (b'\xef\xbb\xbf{"msg":{"tag":"end"},"seq":0,"session":"s","v":1}',
+         "bad JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        (b'{"msg":{"tag":"end"},"seq":NaN,"session":"s","v":1}',
+         "sequence number nan is not an integer"),
+        (b'{"msg":{"tag":"end"},"seq":0,"session":"s\xff","v":1}\xff', "bad JSON: Extra data"),
+    ])
+    def test_decode_error_messages(self, line, error):
+        for decode in (wire.decode_frame, reference_decode_frame):
+            with pytest.raises(wire.ParseError) as e:
+                decode(line)
+            assert str(e.value) == error
 
 
 def run_cli(*argv):
