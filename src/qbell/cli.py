@@ -62,49 +62,52 @@ def _rabin_only(keys, what: str):
 
 
 def parse_prover_spec(spec: str):
-    """'ideal' | 'cheater' | 'noisy:F=<float>,circuit=<name>,m=<int>'."""
-    if spec == "ideal":
-        return {"kind": "ideal"}
-    if spec == "cheater":
-        return {"kind": "cheater"}
+    """'ideal' | 'cheater' | 'noisy:F=<float>,circuit=<name>,m=<int>' as the
+    prover's own part (kind, and F) and the session's circuit: (builder, m) or None."""
+    if spec in ("ideal", "cheater"):
+        return {"kind": spec}, None
     if spec.startswith("noisy:"):
-        out = {"kind": "noisy", "F": 1.0, "circuit": "karatsuba", "m": 0}
+        own, circuit = {"kind": "noisy", "F": 1.0}, ["karatsuba", 0]
         for part in spec[len("noisy:"):].split(","):
             key, _, val = part.partition("=")
             if key == "F":
-                out["F"] = _fidelity(val, "noisy option F")
+                own["F"] = _fidelity(val, "noisy option F")
             elif key == "circuit":
                 if val not in ("schoolbook", "karatsuba"):
                     raise UsageError(f"unknown circuit {val!r}")
-                out["circuit"] = val
+                circuit[0] = val
             elif key == "m":
-                out["m"] = _number(int, val, "noisy option m")
+                circuit[1] = _number(int, val, "noisy option m")
             else:
                 raise UsageError(f"unknown noisy option {key!r}")
-        return out
+        return own, tuple(circuit)
     raise UsageError(f"unknown prover spec {spec!r}")
 
 
-def build_prover(spec: dict, keys, seed: int, trials: int | None = None):
-    """Prover plus the protocol context that reads its answers, for the
-    verifier and the extractor: built first, the prover on it, except for
-    the cheater, who holds only the public key.  The noisy prover's
-    per-gate noise is calibrated on the unlifted (m = 0) circuit, whose
-    gates circuits.modsquare_gate_count counts without building it, so a
-    circuit-backed setup builds one circuit; the prover runs round 1 ahead
-    only for iterations below the session length `trials` (None: unknown)."""
-    if spec["kind"] == "cheater":
-        return provers.CheaterProver(keys.public(), seed), protocol.ProtocolContext.plain(keys)
-    if not keys.has_trapdoor:
-        raise UsageError(f"the {spec['kind']} prover simulation needs the trapdoor; "
-                         "pass the full key file")
-    if spec["kind"] == "ideal":
-        ctx = protocol.ProtocolContext.plain(keys)
-        return provers.IdealProver(ctx, seed), ctx
+def session_context(keys, circuit):
+    """The one session setup, the context every role reads a session in: plain
+    without a circuit, else (builder, m)'s lift by postselect.lift_key."""
+    if circuit is None:
+        return protocol.ProtocolContext.plain(keys)
     _rabin_only(keys, "a circuit-backed prover")
-    ctx = postselect.lift_key(keys, spec["m"], spec["circuit"])
-    n_gates = circuits.modsquare_gate_count(keys.N, 0, spec["circuit"])
-    noise = provers.NoiseModel(circuit_fidelity=spec["F"], n_gates=n_gates)
+    return postselect.lift_key(keys, circuit[1], circuit[0])
+
+
+def build_prover(spec, keys, seed: int, trials: int | None = None):
+    """(prover, context) for a parsed spec: session_context on its circuit, the prover
+    on it (the cheater holds only the public key).  Noise is calibrated on the unlifted
+    circuit's gate count; round 1 runs ahead only below the session length `trials`."""
+    own, circuit = spec
+    if own["kind"] != "cheater" and not keys.has_trapdoor:
+        raise UsageError(f"the {own['kind']} prover simulation needs the trapdoor; "
+                         "pass the full key file")
+    ctx = session_context(keys, circuit)
+    if own["kind"] == "cheater":
+        return provers.CheaterProver(keys.public(), seed), ctx
+    if own["kind"] == "ideal":
+        return provers.IdealProver(ctx, seed), ctx
+    n_gates = circuits.modsquare_gate_count(keys.N, 0, circuit[0])
+    noise = provers.NoiseModel(circuit_fidelity=own["F"], n_gates=n_gates)
     return provers.NoisyCircuitProver(ctx, noise, seed, trials), ctx
 
 
@@ -164,17 +167,22 @@ def _load_keys(path):
         raise UsageError(f"{path}: {e}") from None
 
 
-def cmd_run(args):
-    keys = _load_keys(args.key)
+def _load_verifier_keys(path):
+    """The verifier's key: the key file's, with the trapdoor."""
+    keys = _load_keys(path)
     if not keys.has_trapdoor:
         raise UsageError("the verifier role needs the secret key file")
+    return keys
+
+
+def cmd_run(args):
+    keys = _load_verifier_keys(args.key)
     spec = parse_prover_spec(args.prover)
     prover, ctx = build_prover(spec, keys, derive_seed(args.seed, "prover"), args.trials)
     rng = derive_rng(args.seed, "verifier")
     config = _iteration_config(args)
     transcripts = protocol.run_session(ctx, prover, rng, config, args.trials)
-    report = protocol.score(transcripts)
-    _write_out(args.out, report.to_json() + "\n")
+    _write_out(args.out, protocol.score(transcripts).to_json() + "\n")
     if args.transcripts:
         _write_out(args.transcripts, protocol.transcripts_to_jsonl(transcripts))
     return EXIT_OK
@@ -182,10 +190,8 @@ def cmd_run(args):
 
 def cmd_verify(args):
     _check_transport(args)
-    keys = _load_keys(args.key)
-    if not keys.has_trapdoor:
-        raise UsageError("the verifier role needs the secret key file")
-    ctx = protocol.ProtocolContext.plain(keys)
+    # no circuit yet: a circuit prover is scored in the plain context (defect 1)
+    ctx = session_context(_load_verifier_keys(args.key), None)
     config = _iteration_config(args)
     if args.transport == "stdio":
         ch = wire.Channel(sys.stdin.buffer, sys.stdout.buffer, session=f"s{args.seed}")
@@ -197,12 +203,10 @@ def cmd_verify(args):
         ch = wire.channel_from_socket(conn, session=f"s{args.seed}", timeout=args.timeout)
         report_stream = sys.stdout
     report, transcripts = wire.serve_session(ch, ctx, args.trials, args.seed, config)
-    text = report.to_json() + "\n"
     if args.out:
-        _write_out(args.out, text)
+        _write_out(args.out, report.to_json() + "\n")
     else:
-        report_stream.write(text)
-        report_stream.flush()
+        print(report.to_json(), file=report_stream, flush=True)
     if args.transcripts:
         _write_out(args.transcripts, protocol.transcripts_to_jsonl(transcripts))
     return EXIT_OK
@@ -307,10 +311,9 @@ def cmd_extract(args):
     spec = parse_prover_spec(args.prover)
     # the extractor plays round 1 once, then rewinds
     prover, ctx = build_prover(spec, keys, derive_seed(args.seed, "prover"), 1)
-    params = extractor.GlParams(t=args.probes)
-    rng = derive_rng(args.seed, "extract")
     try:
-        report = extractor.extract_and_factor(prover, ctx, params, rng)
+        report = extractor.extract_and_factor(prover, ctx, extractor.GlParams(t=args.probes),
+                                              derive_rng(args.seed, "extract"))
         doc = dict(report.to_json_dict(), success=True)
     except extractor.ExtractionFailed as e:
         doc = {"success": False, "queries_used": e.queries_used, "error": str(e)}
@@ -409,10 +412,7 @@ def main(argv=None) -> int:
     except (UsageError, circuits.CircuitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except wire.TransportError as e:
-        print(f"transport error: {e}", file=sys.stderr)
-        return EXIT_TRANSPORT
-    except OSError as e:  # from a socket: unusable paths are usage errors
+    except (wire.TransportError, OSError) as e:  # OSError from a socket: paths are usage errors
         print(f"transport error: {e}", file=sys.stderr)
         return EXIT_TRANSPORT
     except (wire.ParseError, tcf.DomainError, protocol.InsufficientData,

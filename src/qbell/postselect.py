@@ -23,8 +23,8 @@ from .seeds import derive_rng, derive_seed
 def lift_key(keys: tcf.RabinKeyPair, m: int,
              method: str = "karatsuba") -> protocol.ProtocolContext:
     """The context that reads the wire values of the lifted circuit (x3
-    chain, square, reduce) for k = 3^m: the one setup of every
-    circuit-backed run."""
+    chain, square, reduce) for k = 3^m: the circuit half of the one session
+    setup, cli.session_context, and the setup of each sweep m."""
     circ = circuits.build_modsquare(keys.N, lift_m=m, method=method)
     return protocol.ProtocolContext.for_circuit(keys, circ)
 

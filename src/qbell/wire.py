@@ -69,6 +69,8 @@ def decode_frame(line: bytes) -> WireFrame:
         raise ParseError(f"bad JSON: {e.msg}") from None
     except ValueError as e:  # an integer literal beyond int's digit limit
         raise ParseError(f"bad JSON: {e}") from None
+    except RecursionError:  # the scanner recurses once per nesting level
+        raise ParseError("bad JSON: nesting too deep") from None
     if end != len(text):  # text is stripped: no JSON whitespace ends it
         raise ParseError("bad JSON: Extra data")
     if not isinstance(doc, dict):

@@ -4,10 +4,12 @@ circuits that only the tests run: the phase-estimation circuits, the
 phase-noise prover and its angle model, the Lemma 1 bound, threshold
 detection and the DDH claw helpers."""
 
+import contextlib
 import hashlib
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, product
@@ -521,6 +523,40 @@ def reference_decode_frame(line: bytes) -> wire.WireFrame:
     if not isinstance(seq, int) or isinstance(seq, bool):
         raise ParseError(f"sequence number {seq!r} is not an integer")
     return wire.WireFrame(session=doc["session"], seq=seq, msg=msg)
+
+
+def pipe_session(make_prover, ctx, trials, seed, wrap=lambda side, stream: stream):
+    """One wire session over two os.pipe()s, as `verify --transport stdio`
+    and `prove` play it: serve_session on ctx in this thread and
+    prover_loop(make_prover) in another, each side writing through
+    wrap(side, stream), side "verifier" or "prover".  A side that stops
+    closes its ends, so its peer reads the end of the stream or fails to
+    send.  Returns the exception each side raised, or None, as
+    (verifier's, prover's)."""
+    v2p_r, v2p_w = os.pipe()
+    p2v_r, p2v_w = os.pipe()
+    errors = {}
+
+    def play(side, rfd, wfd, role):
+        rfile, wfile = open(rfd, "rb"), open(wfd, "wb")
+        try:
+            role(rfile, wrap(side, wfile))
+        except Exception as e:
+            errors[side] = e
+        finally:
+            rfile.close()
+            with contextlib.suppress(BrokenPipeError):  # a frame the stopped peer left unread
+                wfile.close()
+
+    thread = threading.Thread(target=play, args=(
+        "prover", v2p_r, p2v_w,
+        lambda rfile, wfile: wire.prover_loop(wire.Channel(rfile, wfile, None), make_prover)))
+    thread.start()
+    play("verifier", p2v_r, v2p_w, lambda rfile, wfile: wire.serve_session(
+        wire.Channel(rfile, wfile, f"s{seed}"), ctx, trials, seed))
+    thread.join(timeout=120)
+    assert not thread.is_alive(), "the prover is still waiting"
+    return errors.get("verifier"), errors.get("prover")
 
 
 def sample_claw_by_inversion(keys, rng):

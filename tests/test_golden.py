@@ -14,7 +14,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -24,7 +23,7 @@ from qbell import cli, protocol, tcf, wire
 from qbell.cli import main
 from qbell.seeds import derive_seed
 
-from helpers import COS2_PI_8, cli_env
+from helpers import COS2_PI_8, cli_env, pipe_session
 
 # (name, argv, output files); "{d}" is the output directory, and later cases
 # read the key files the keygen cases wrote
@@ -366,36 +365,19 @@ class _Tee:
 
 def wire_streams(spec, trials, seed):
     """(verifier's bytes, prover's bytes) of one seeded session over two
-    pipes, the prover in a thread."""
+    pipes, the verifier in the context `verify` sets up."""
     keys = tcf.rabin_gen(16, 3)
-    v2p_r, v2p_w = os.pipe()
-    p2v_r, p2v_w = os.pipe()
-    prover_out = _Tee(open(p2v_w, "wb"))
-    errors = []
+    tees = {}
 
-    def prove():
-        try:
-            with open(v2p_r, "rb") as rfile:
-                wire.prover_loop(wire.Channel(rfile, prover_out, session=None),
-                                 lambda key_json, seed_, trials_: cli.build_prover(
-                                     cli.parse_prover_spec(spec), keys, seed_, trials_)[0])
-        except Exception as e:  # reported below; closing the pipe ends the verifier
-            errors.append(e)
-        finally:
-            prover_out.stream.close()
+    def tee(side, stream):
+        tees[side] = _Tee(stream)
+        return tees[side]
 
-    thread = threading.Thread(target=prove)
-    thread.start()
-    verifier_out = _Tee(open(v2p_w, "wb"))
-    try:
-        with open(p2v_r, "rb") as rfile:
-            wire.serve_session(wire.Channel(rfile, verifier_out, session=f"s{seed}"),
-                               protocol.ProtocolContext.plain(keys), trials, seed)
-    finally:
-        verifier_out.stream.close()
-        thread.join(timeout=120)
-    assert not errors, errors
-    return verifier_out.copy.getvalue(), prover_out.copy.getvalue()
+    errors = pipe_session(lambda key_json, seed_, trials_: cli.build_prover(
+                              cli.parse_prover_spec(spec), keys, seed_, trials_)[0],
+                          cli.session_context(keys, None), trials, seed, tee)
+    assert errors == (None, None), errors
+    return tees["verifier"].copy.getvalue(), tees["prover"].copy.getvalue()
 
 
 @pytest.mark.parametrize("name, spec, trials, seed", WIRE_SESSIONS)

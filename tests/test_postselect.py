@@ -1,8 +1,10 @@
 """Redundancy lifting, validity filtering, sweeps, thresholds."""
 
 import dataclasses
+import io
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,7 @@ from qbell import cli
 from qbell import postselect as ps
 from qbell import protocol as proto
 from qbell import circuits as cc
-from qbell import provers, tcf
+from qbell import extractor, provers, tcf, wire
 from qbell.seeds import derive_rng
 
 from helpers import (NoCrossing, classical_ys, gate_count, gen_exact_bits, rejection_power,
@@ -46,8 +48,83 @@ class TestLiftKey:
 
 
 class TestSingleSetup:
-    """Every circuit-backed run sets up through lift_key, and each prover
-    and its verifier share one context."""
+    """Every session sets up through cli.session_context, a circuit-backed
+    one through its lift_key half, and each prover and its verifier share
+    one context."""
+
+    SPECS = ["ideal", "cheater", "noisy:F=0.5,circuit=schoolbook,m=0",
+             "noisy:F=0.5,circuit=schoolbook,m=1"]
+
+    @pytest.mark.parametrize("spec, own, circuit", [
+        ("ideal", {"kind": "ideal"}, None),
+        ("cheater", {"kind": "cheater"}, None),
+        ("noisy:F=0.5", {"kind": "noisy", "F": 0.5}, ("karatsuba", 0)),  # the defaults
+        ("noisy:m=2,circuit=schoolbook", {"kind": "noisy", "F": 1.0}, ("schoolbook", 2)),
+    ])
+    def test_spec_splits_into_prover_and_circuit(self, spec, own, circuit):
+        assert cli.parse_prover_spec(spec) == (own, circuit)
+
+    @staticmethod
+    def _spy(monkeypatch, module, name, calls):
+        """Record each call of module.name in calls: [args], then [args,
+        result] once it returns."""
+        inner = getattr(module, name)
+
+        def spied(*args):
+            calls.append([args])
+            calls[-1].append(inner(*args))
+            return calls[-1][1]
+
+        monkeypatch.setattr(module, name, spied)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("command", ["run", "extract", "prove"])
+    def test_each_role_plays_in_the_setup_of_its_spec(self, monkeypatch, tmp_path, command,
+                                                      spec):
+        keys = gen_exact_bits(14)
+        path = tmp_path / "key.json"
+        path.write_text(tcf.key_to_json(keys))
+        setups, built, played = [], [], []
+        self._spy(monkeypatch, cli, "session_context", setups)
+        self._spy(monkeypatch, cli, "build_prover", built)
+        self._spy(monkeypatch, proto, "run_session", played)
+        self._spy(monkeypatch, extractor, "extract_and_factor", played)
+        argv = [command, "--key", str(path), "--prover", spec]
+        if command == "prove":
+            frames = [{"tag": "key", "key_json": tcf.key_to_json(keys, include_secret=False)},
+                      {"tag": "end"}]
+            stdin = b"".join(wire.encode_frame(wire.WireFrame("v", i, m))
+                             for i, m in enumerate(frames))
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin)))
+            monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO()))
+        else:
+            argv += ["--out", str(tmp_path / "out.json")]
+            argv += ["--trials", "10"] if command == "run" else ["--probes", "1"]
+        assert cli.main(argv) == 0
+        [((_, circuit), ctx)] = setups
+        assert circuit == cli.parse_prover_spec(spec)[1]
+        [(_, (prover, built_ctx))] = built
+        assert built_ctx is ctx
+        assert spec == "cheater" or prover.ctx is ctx
+        # run and extract score in that context; prove only answers in it
+        assert [any(arg is ctx for arg in call[0]) for call in played] == \
+            ([] if command == "prove" else [True])
+
+    def test_verify_plays_in_the_plain_context(self, monkeypatch, tmp_path):
+        # verify names no circuit yet (ROADMAP item 4, defect 1).  With no
+        # prover on stdin the session ends at the first reply: exit 3
+        keys = gen_exact_bits(14)
+        path = tmp_path / "key.json"
+        path.write_text(tcf.key_to_json(keys))
+        setups, played = [], []
+        self._spy(monkeypatch, cli, "session_context", setups)
+        self._spy(monkeypatch, proto, "run_session", played)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO()))
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO()))
+        assert cli.main(["verify", "--key", str(path), "--trials", "3"]) == 3
+        [((_, circuit), ctx)] = setups
+        assert circuit is None and ctx == proto.ProtocolContext.plain(keys)
+        assert [call[0][0] for call in played] == [ctx]
 
     @staticmethod
     def _builds(monkeypatch):

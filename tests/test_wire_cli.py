@@ -22,7 +22,7 @@ from qbell import protocol as proto
 from qbell import cli, provers, tcf, wire
 from qbell.cli import main as cli_main
 
-from helpers import (cli_env, gate_count, gen_exact_bits, record_inversions,
+from helpers import (cli_env, gate_count, gen_exact_bits, pipe_session, record_inversions,
                      reference_decode_frame, reference_encode_frame)
 
 
@@ -332,7 +332,10 @@ def frame_lines(draw):
 class TestCodecMatchesReference:
     """The frame codec against the json.dumps/json.loads one it replaced
     (tests/helpers.py): the same bytes for every frame a Channel sends, and
-    the same frame or ParseError message for any line."""
+    the same frame or ParseError message for any line nested less deeply
+    than the JSON scanner recurses.  Deeper lines are outside the
+    reference's domain: it lets the scanner's RecursionError escape, and
+    test_deep_nesting_is_a_parse_error pins what the codec raises."""
 
     @given(FRAMES)
     @settings(max_examples=500, deadline=None)
@@ -358,6 +361,17 @@ class TestCodecMatchesReference:
             with pytest.raises(wire.ParseError) as e:
                 decode(line)
             assert str(e.value) == error
+
+    @pytest.mark.parametrize("depth", [2000, 10 ** 4, 10 ** 5])
+    @pytest.mark.parametrize("opener, closer", [("[", "]"), ('{"a":', "}")])
+    def test_deep_nesting_is_a_parse_error(self, depth, opener, closer):
+        # a bare run of openers, and a frame whose y nests that deep
+        nested = opener * depth + "0" + closer * depth
+        for line in ((opener * depth).encode(),
+                     b'{"msg":{"tag":"image","y":%s},"seq":0,"session":"s","v":1}'
+                     % nested.encode()):
+            with pytest.raises(wire.ParseError, match="^bad JSON: nesting too deep$"):
+                wire.decode_frame(line)
 
 
 def run_cli(*argv):
@@ -544,6 +558,40 @@ class TestCli:
             input=b"[1]\n", capture_output=True, timeout=120, env=cli_env())
         assert proc.returncode == 4, proc.stderr
         assert b"Traceback" not in proc.stderr
+
+    def test_deeply_nested_line_to_prover_exits_protocol_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qbell.cli", "prove", "--transport", "stdio"],
+            input=b"[" * 2000 + b"\n", capture_output=True, timeout=120, env=cli_env())
+        assert proc.returncode == 4, proc.stderr
+        assert b"Traceback" not in proc.stderr
+        assert b"nesting too deep" in proc.stderr
+
+    def test_deeply_nested_reply_to_verifier_exits_protocol_error(self, tmp_path):
+        # a scripted prover reads the key frame and the first round1, and
+        # answers with the line
+        key = tmp_path / "key.json"
+        key.write_text(tcf.key_to_json(gen_exact_bits(16)))
+        verifier = subprocess.Popen(
+            [sys.executable, "-m", "qbell.cli", "verify", "--transport", "stdio",
+             "--key", str(key), "--trials", "3"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=cli_env())
+        try:
+            tags = [wire.decode_frame(verifier.stdout.readline()).msg["tag"] for _ in range(2)]
+            verifier.stdin.write(b"[" * 2000 + b"\n")
+            verifier.stdin.close()
+            stderr = verifier.stderr.read()
+            rc = verifier.wait(timeout=120)
+        finally:
+            verifier.kill()
+            verifier.wait()
+            verifier.stdout.close()
+            verifier.stderr.close()
+        assert tags == ["key", "round1"]
+        assert rc == 4, stderr
+        assert b"Traceback" not in stderr
+        assert b"nesting too deep" in stderr
 
     def test_first_frame_other_than_key_exits_protocol_error(self):
         proc = subprocess.run(
@@ -806,6 +854,68 @@ class TestCli:
         bad.write_text("{not json")
         rc = run_cli("run", "--key", str(bad), "--prover", "ideal")
         assert rc != 0
+
+
+class _Replace:
+    """A write stream that writes `replace(line)` in place of the n-th line
+    (from 0) written through it."""
+
+    def __init__(self, stream, n, replace):
+        self.stream, self.n, self.replace = stream, n, replace
+
+    def write(self, line):
+        self.n -= 1
+        return self.stream.write(self.replace(line) if self.n == -1 else line)
+
+    def flush(self):
+        self.stream.flush()
+
+
+def _with_field(line, pick, literal):
+    """The frame `line` with one field, chosen by `pick` among the message's
+    and the envelope's, set to the JSON text `literal`."""
+    doc = json.loads(line)
+    fields = [(doc["msg"], key) for key in sorted(doc["msg"])] + [(doc, key) for key in sorted(doc)]
+    parent, key = fields[pick % len(fields)]
+    parent[key] = "@@"
+    return json.dumps(doc, separators=(",", ":")).replace('"@@"', literal).encode() + b"\n"
+
+
+# one line a peer may send in place of a frame: arbitrary bytes, nesting
+# up to 10^4 levels (bare or as a field), a field of the wrong type, or an
+# integer literal beyond int's digit limit
+FAULTS = st.one_of(
+    st.binary(max_size=64).map(lambda b: lambda line: b.replace(b"\n", b" ") + b"\n"),
+    st.tuples(st.integers(1, 10 ** 4), st.booleans(), st.integers(0, 20)).map(
+        lambda t: lambda line: b"[" * t[0] + b"\n" if t[1]
+        else _with_field(line, t[2], "[" * t[0] + "]" * t[0])),
+    st.tuples(st.none() | st.booleans() | st.floats() | st.lists(st.integers(), max_size=2)
+              | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+              st.integers(0, 20)).map(
+        lambda t: lambda line: _with_field(line, t[1], json.dumps(t[0]))),
+    st.tuples(st.integers(4301, 6000), st.integers(0, 20)).map(
+        lambda t: lambda line: _with_field(line, t[1], "9" * t[0])),
+)
+
+
+class TestSessionFaults:
+    @given(st.sampled_from(["ideal", "cheater"]), st.sampled_from(["verifier", "prover"]),
+           st.integers(0, 8), FAULTS)
+    @settings(max_examples=150, deadline=None)
+    def test_any_replaced_line_ends_in_a_typed_error(self, kind, side, n, fault):
+        # one line of a short session replaced, the key frame included: each
+        # role finishes, or stops on a ParseError, or on a TransportError once
+        # its peer has stopped.  Unreplaced (n past a side's last line), the
+        # session at seed 7 plays both branches, so the verifier scores it
+        keys = gen_exact_bits(16)
+        verifier_error, prover_error = pipe_session(
+            lambda key_json, seed, trials: cli.build_prover(
+                cli.parse_prover_spec(kind), keys, seed, trials)[0],
+            cli.session_context(keys, None), 3, 7,
+            lambda at, stream: _Replace(stream, n, fault) if at == side else stream)
+        for error in (verifier_error, prover_error):
+            assert error is None or isinstance(error, (wire.ParseError, wire.TransportError)), \
+                repr(error)[:200]
 
 
 class TestStdioPair:
