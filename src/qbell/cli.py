@@ -67,7 +67,7 @@ def parse_prover_spec(spec: str):
     if spec in ("ideal", "cheater"):
         return {"kind": spec}, None
     if spec.startswith("noisy:"):
-        own, circuit = {"kind": "noisy", "F": 1.0}, ["karatsuba", 0]
+        own, builder, m = {"kind": "noisy", "F": 1.0}, "karatsuba", 0
         for part in spec[len("noisy:"):].split(","):
             key, _, val = part.partition("=")
             if key == "F":
@@ -75,12 +75,12 @@ def parse_prover_spec(spec: str):
             elif key == "circuit":
                 if val not in ("schoolbook", "karatsuba"):
                     raise UsageError(f"unknown circuit {val!r}")
-                circuit[0] = val
+                builder = val
             elif key == "m":
-                circuit[1] = _number(int, val, "noisy option m")
+                m = _number(int, val, "noisy option m")
             else:
                 raise UsageError(f"unknown noisy option {key!r}")
-        return own, tuple(circuit)
+        return own, (builder, m)
     raise UsageError(f"unknown prover spec {spec!r}")
 
 
