@@ -52,9 +52,6 @@ class TestSingleSetup:
     one through its lift_key half, and each prover and its verifier share
     one context."""
 
-    SPECS = ["ideal", "cheater", "noisy:F=0.5,circuit=schoolbook,m=0",
-             "noisy:F=0.5,circuit=schoolbook,m=1"]
-
     @pytest.mark.parametrize("spec, own, circuit", [
         ("ideal", {"kind": "ideal"}, None),
         ("cheater", {"kind": "cheater"}, None),
@@ -77,7 +74,8 @@ class TestSingleSetup:
 
         monkeypatch.setattr(module, name, spied)
 
-    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("spec", ["ideal", "cheater", "noisy:F=0.5,circuit=schoolbook,m=0",
+                                      "noisy:F=0.5,circuit=schoolbook,m=1"])
     @pytest.mark.parametrize("command", ["run", "extract", "prove"])
     def test_each_role_plays_in_the_setup_of_its_spec(self, monkeypatch, tmp_path, command,
                                                       spec):
