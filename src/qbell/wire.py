@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import socket
-from dataclasses import dataclass
 
 from . import protocol, tcf
 
@@ -35,13 +34,6 @@ class TransportError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class WireFrame:
-    session: str
-    seq: int
-    msg: dict
-
-
 # one encoder and one decoder for every frame: json.dumps and json.loads
 # would build or look up theirs, and serialize or check a whole
 # envelope, on each call
@@ -49,14 +41,15 @@ _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _DECODE = json.JSONDecoder().raw_decode
 
 
-def encode_frame(frame: WireFrame) -> bytes:
+def encode_frame(session: str, seq: int, msg: dict) -> bytes:
     """The frame's line: the envelope written around the message's JSON,
     its keys in the order sort_keys gives them."""
-    return (f'{{"msg":{_ENCODE(protocol.json_ints(frame.msg))},"seq":{frame.seq},'
-            f'"session":{_ENCODE(frame.session)},"v":{WIRE_VERSION}}}\n').encode()
+    return (f'{{"msg":{_ENCODE(protocol.json_ints(msg))},"seq":{seq},'
+            f'"session":{_ENCODE(session)},"v":{WIRE_VERSION}}}\n').encode()
 
 
-def decode_frame(line: bytes) -> WireFrame:
+def decode_frame(line: bytes) -> tuple[str, int, dict]:
+    """The (session, seq, msg) of one line, or a ParseError."""
     text = line.decode("utf-8", errors="replace").strip()
     if not text:
         raise ParseError("empty frame")
@@ -75,21 +68,23 @@ def decode_frame(line: bytes) -> WireFrame:
         raise ParseError("bad JSON: Extra data")
     if not isinstance(doc, dict):
         raise ParseError("frame is not a JSON object")
-    if doc.get("v") != WIRE_VERSION:
-        raise ParseError(f"unsupported version {doc.get('v')!r}")
+    version = doc.get("v")
+    # the JSON integer 1: true and 1.0 compare equal to it in Python
+    if type(version) is not int or version != WIRE_VERSION:
+        raise ParseError(f"unsupported version {version!r}")
     for field in ("session", "seq", "msg"):
         if field not in doc:
             raise ParseError(f"missing field {field!r}")
-    msg, seq = doc["msg"], doc["seq"]
-    if not isinstance(doc["session"], str):
-        raise ParseError(f"session id {doc['session']!r:.40} is not a string")
+    session, seq, msg = doc["session"], doc["seq"], doc["msg"]
+    if not isinstance(session, str):
+        raise ParseError(f"session id {session!r:.40} is not a string")
     if not isinstance(msg, dict):
         raise ParseError("message is not a JSON object")
     if "tag" not in msg:
         raise ParseError("message lacks a tag")
     if not isinstance(seq, int) or isinstance(seq, bool):
         raise ParseError(f"sequence number {seq!r} is not an integer")
-    return WireFrame(session=doc["session"], seq=seq, msg=msg)
+    return session, seq, msg
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +102,10 @@ class Channel:
         self._seq_in = -1
 
     def send(self, msg: dict) -> None:
-        frame = WireFrame(session=self.session, seq=self._seq_out, msg=msg)
-        self._seq_out += 1
+        seq = self._seq_out
+        self._seq_out = seq + 1
         try:
-            self.wfile.write(encode_frame(frame))
+            self.wfile.write(encode_frame(self.session, seq, msg))
             self.wfile.flush()
         except (BrokenPipeError, OSError) as e:
             raise TransportError(f"send failed: {e}") from None
@@ -122,16 +117,16 @@ class Channel:
             raise TransportError(f"recv failed: {e}") from None
         if not line:
             raise TransportError("peer closed the stream")
-        frame = decode_frame(line)
+        session, seq, msg = decode_frame(line)
         if self.session is None:
-            self.session = frame.session
-        elif frame.session != self.session:
-            raise ParseError(f"frame from session {frame.session!r:.40}, "
+            self.session = session
+        elif session != self.session:
+            raise ParseError(f"frame from session {session!r:.40}, "
                              f"expected {self.session!r}")
-        if frame.seq <= self._seq_in:
-            raise ParseError(f"sequence went backwards: {frame.seq}")
-        self._seq_in = frame.seq
-        return frame.msg
+        if seq <= self._seq_in:
+            raise ParseError(f"sequence went backwards: {seq}")
+        self._seq_in = seq
+        return msg
 
 
 def open_tcp_listener(host: str, port: int) -> socket.socket:

@@ -485,17 +485,18 @@ def reference_getrandbits(key, counter, k):
     return int.from_bytes(blocks, "little") >> (n * 512 - k), counter + n
 
 
-def reference_encode_frame(frame: wire.WireFrame) -> bytes:
+def reference_encode_frame(session: str, seq: int, msg: dict) -> bytes:
     """wire.encode_frame as it was before it wrote the envelope itself: one
     json.dumps of the whole envelope per frame."""
-    doc = {"v": wire.WIRE_VERSION, "session": frame.session, "seq": frame.seq,
-           "msg": protocol.json_ints(frame.msg)}
+    doc = {"v": wire.WIRE_VERSION, "session": session, "seq": seq,
+           "msg": protocol.json_ints(msg)}
     return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
-def reference_decode_frame(line: bytes) -> wire.WireFrame:
+def reference_decode_frame(line: bytes) -> tuple[str, int, dict]:
     """wire.decode_frame as it was before it shared one decoder: json.loads
-    of the stripped line."""
+    of the stripped line.  It takes a version that equals 1 in Python
+    (true, 1.0) for version 1, as that codec did."""
     ParseError = wire.ParseError
     text = line.decode("utf-8", errors="replace").strip()
     if not text:
@@ -522,7 +523,7 @@ def reference_decode_frame(line: bytes) -> wire.WireFrame:
         raise ParseError("message lacks a tag")
     if not isinstance(seq, int) or isinstance(seq, bool):
         raise ParseError(f"sequence number {seq!r} is not an integer")
-    return wire.WireFrame(session=doc["session"], seq=seq, msg=msg)
+    return doc["session"], seq, msg
 
 
 def pipe_session(make_prover, ctx, trials, seed, wrap=lambda side, stream: stream):

@@ -1,13 +1,16 @@
 """The bench's traced runs (`bench/run.py --trace 1`) wrap package functions
-by name from outside: every name they patch must exist, and the patching
-must undo cleanly."""
+by name from outside: every name they patch must exist, the patching
+must undo cleanly, and the wire rows must count every frame."""
 
 import importlib
 import os
 import random
 import types
+from collections import Counter
+from io import BytesIO
 
 from qbell import circuits as cc
+from qbell import wire
 
 from helpers import gate_count, gen_exact_bits
 
@@ -67,3 +70,30 @@ def test_trace_targets_resolve_and_uninstall_restores():
         tracer.uninstall()
     after = _bindings(layers, mods)
     assert all(after[key] is before[key] for key in before)
+
+
+def test_traced_channels_count_every_frame():
+    # wire.frames, wire.bytes, wire.encode_s and wire.decode_s come from the
+    # wrapped codec, which Channel reaches through wire's module globals
+    layers = _load_layers()
+    msgs = [{"tag": "round1"}, {"tag": "image", "y": 12345, "h": 5, "h_len": 3},
+            {"tag": "vector", "r": 2 ** 80}, {"tag": "end"}]
+    sent = BytesIO()
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        sender = wire.Channel(BytesIO(), sent, "s")
+        for msg in msgs:
+            sender.send(msg)
+        receiver = wire.Channel(BytesIO(sent.getvalue()), BytesIO(), None)
+        tags = [receiver.recv()["tag"] for _ in msgs]
+    finally:
+        tracer.uninstall()
+    assert tags == [msg["tag"] for msg in msgs]
+    spans = Counter(tracer.names[i] for i in tracer.name)
+    assert spans["wire.encode_frame"] == spans["wire.decode_frame"] == len(msgs)
+    assert tracer.counters["frame_bytes"] == len(sent.getvalue())
+    metrics = layers.layer_metrics(tracer.tally())
+    assert metrics["wire.frames"] == len(msgs)
+    assert metrics["wire.bytes"] == len(sent.getvalue())
+    assert metrics["wire.encode_s"] > 0 and metrics["wire.decode_s"] > 0

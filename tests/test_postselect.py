@@ -91,7 +91,7 @@ class TestSingleSetup:
         if command == "prove":
             frames = [{"tag": "key", "key_json": tcf.key_to_json(keys, include_secret=False)},
                       {"tag": "end"}]
-            stdin = b"".join(wire.encode_frame(wire.WireFrame("v", i, m))
+            stdin = b"".join(wire.encode_frame("v", i, m)
                              for i, m in enumerate(frames))
             monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin)))
             monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO()))

@@ -71,19 +71,18 @@ def noisy_setup():
 
 class TestFrames:
     def test_round_trip(self):
-        frame = wire.WireFrame(session="abc", seq=3,
-                               msg={"tag": "vector", "r": 12345678901234567890})
-        back = wire.decode_frame(wire.encode_frame(frame))
-        assert back.session == "abc" and back.seq == 3
-        assert back.msg["tag"] == "vector"
-        assert int(back.msg["r"]) == 12345678901234567890
+        session, seq, msg = wire.decode_frame(
+            wire.encode_frame("abc", 3, {"tag": "vector", "r": 12345678901234567890}))
+        assert session == "abc" and seq == 3
+        assert msg["tag"] == "vector"
+        assert int(msg["r"]) == 12345678901234567890
 
     @given(st.integers(min_value=0, max_value=2 ** 128), st.integers(0, 10 ** 6))
     @settings(max_examples=200, deadline=None)
     def test_round_trip_property(self, r, seq):
-        frame = wire.WireFrame(session="s", seq=seq, msg={"tag": "vector", "r": r})
-        back = wire.decode_frame(wire.encode_frame(frame))
-        assert int(back.msg["r"]) == r and back.seq == seq
+        line = wire.encode_frame("s", seq, {"tag": "vector", "r": r})
+        _, back_seq, msg = wire.decode_frame(line)
+        assert int(msg["r"]) == r and back_seq == seq
 
     def test_truncated_line(self):
         with pytest.raises(wire.ParseError):
@@ -92,6 +91,13 @@ class TestFrames:
     def test_unknown_version(self):
         with pytest.raises(wire.ParseError, match="version"):
             wire.decode_frame(b'{"v": 9, "session": "x", "seq": 0, "msg": {"tag": "end"}}')
+
+    @pytest.mark.parametrize("version", ["true", "1.0", '"1"'])
+    def test_version_must_be_the_integer_1(self, version):
+        # true and 1.0 compare equal to 1 in Python; the wire takes only 1
+        line = b'{"msg":{"tag":"end"},"seq":0,"session":"s","v":%s}' % version.encode()
+        with pytest.raises(wire.ParseError, match="^unsupported version "):
+            wire.decode_frame(line)
 
     def test_missing_tag(self):
         with pytest.raises(wire.ParseError):
@@ -112,8 +118,8 @@ class TestFrames:
                 frame = wire.decode_frame(line)
             except wire.ParseError:
                 continue
-            assert isinstance(frame, wire.WireFrame)
-            assert isinstance(frame.seq, int) and isinstance(frame.msg, dict)
+            session, seq, msg = frame
+            assert isinstance(session, str) and isinstance(seq, int) and isinstance(msg, dict)
 
     @given(st.lists(st.tuples(st.fixed_dictionaries(
         {"tag": st.sampled_from(["round1", "challenge", "vector", "basis", "end",
@@ -224,8 +230,8 @@ class TestFrames:
     def test_no_json_number_beyond_2_53(self, scalar, vector):
         # frames and transcripts share one rule: a JSON number up to 2^53,
         # a decimal string beyond, and _int reads both forms back
-        frame = wire.encode_frame(wire.WireFrame(
-            "s", 0, {"tag": "image", "y": vector, "h": scalar, "h_len": 3}))
+        frame = wire.encode_frame("s", 0, {"tag": "image", "y": vector, "h": scalar,
+                                          "h_len": 3})
         msg = json.loads(frame)["msg"]
         t = proto.Transcript(0, {"image": {"y": tuple(vector), "h": scalar, "h_len": 3},
                                  "vector": {"r": scalar, "n": 3}})
@@ -248,8 +254,7 @@ class TestFrames:
             wire.decode_frame(line)
 
     def test_big_ints_as_decimal_strings(self):
-        frame = wire.WireFrame(session="s", seq=0, msg={"tag": "image", "y": 2 ** 90})
-        doc = json.loads(wire.encode_frame(frame))
+        doc = json.loads(wire.encode_frame("s", 0, {"tag": "image", "y": 2 ** 90}))
         assert doc["msg"]["y"] == str(2 ** 90)
 
     def test_image_beyond_the_digit_limit_round_trips(self):
@@ -282,10 +287,10 @@ PAYLOADS = st.recursive(
 # the prover adopts one) and a sequence number counted up from 0.  A bool
 # seq is outside this domain: the envelope writes a seq as an int literal,
 # where json.dumps would write true or false
-FRAMES = st.builds(wire.WireFrame, session=st.none() | ANY_TEXT,
-                   seq=st.integers(min_value=0) | st.integers(2 ** 60, 2 ** 200),
-                   msg=st.builds(lambda tag, rest: {**rest, "tag": tag}, ANY_TEXT | PAYLOADS,
-                                 st.dictionaries(ANY_TEXT, PAYLOADS, max_size=4)))
+FRAMES = st.tuples(st.none() | ANY_TEXT,
+                   st.integers(min_value=0) | st.integers(2 ** 60, 2 ** 200),
+                   st.builds(lambda tag, rest: {**rest, "tag": tag}, ANY_TEXT | PAYLOADS,
+                             st.dictionaries(ANY_TEXT, PAYLOADS, max_size=4)))
 
 
 def _outcome(decode, line):
@@ -303,7 +308,7 @@ def frame_lines(draw):
     an integer literal beyond the digit limit, with a BOM, whitespace,
     trailing data or a second object around it, and maybe invalid UTF-8."""
     frame = draw(FRAMES)
-    body = reference_encode_frame(frame).rstrip(b"\n")
+    body = reference_encode_frame(*frame).rstrip(b"\n")
     special = draw(st.sampled_from([None, "float", "digits"]))
     if special:  # the literal in place of the seq, of y or of y's first entry
         literal = (json.dumps(draw(st.floats())) if special == "float"
@@ -333,14 +338,17 @@ class TestCodecMatchesReference:
     """The frame codec against the json.dumps/json.loads one it replaced
     (tests/helpers.py): the same bytes for every frame a Channel sends, and
     the same frame or ParseError message for any line nested less deeply
-    than the JSON scanner recurses.  Deeper lines are outside the
-    reference's domain: it lets the scanner's RecursionError escape, and
-    test_deep_nesting_is_a_parse_error pins what the codec raises."""
+    than the JSON scanner recurses.  Two kinds of line are outside the
+    reference's domain.  On deeper lines it lets the scanner's
+    RecursionError escape, and test_deep_nesting_is_a_parse_error pins
+    what the codec raises.  It takes a "v" of true or 1.0 for version 1,
+    and test_version_must_be_the_integer_1 pins the codec's ParseError;
+    frame_lines() always writes the integer 1."""
 
     @given(FRAMES)
     @settings(max_examples=500, deadline=None)
     def test_encode_gives_the_reference_bytes(self, frame):
-        assert wire.encode_frame(frame) == reference_encode_frame(frame)
+        assert wire.encode_frame(*frame) == reference_encode_frame(*frame)
 
     @given(frame_lines())
     @settings(max_examples=500, deadline=None)
@@ -578,7 +586,7 @@ class TestCli:
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             env=cli_env())
         try:
-            tags = [wire.decode_frame(verifier.stdout.readline()).msg["tag"] for _ in range(2)]
+            tags = [wire.decode_frame(verifier.stdout.readline())[2]["tag"] for _ in range(2)]
             verifier.stdin.write(b"[" * 2000 + b"\n")
             verifier.stdin.close()
             stderr = verifier.stderr.read()
@@ -596,7 +604,7 @@ class TestCli:
     def test_first_frame_other_than_key_exits_protocol_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "qbell.cli", "prove", "--transport", "stdio"],
-            input=wire.encode_frame(wire.WireFrame("v", 0, {"tag": "round1"})),
+            input=wire.encode_frame("v", 0, {"tag": "round1"}),
             capture_output=True, timeout=120, env=cli_env())
         assert proc.returncode == 4, proc.stderr
         assert b"Traceback" not in proc.stderr
@@ -615,7 +623,7 @@ class TestCli:
     def test_prover_payload_and_order_faults_exit_protocol_error(self, msgs):
         keys = gen_exact_bits(16)
         frames = [{"tag": "key", "key_json": tcf.key_to_json(keys, include_secret=False)}]
-        stdin = b"".join(wire.encode_frame(wire.WireFrame("v", i, m))
+        stdin = b"".join(wire.encode_frame("v", i, m)
                          for i, m in enumerate(frames + msgs))
         proc = subprocess.run(
             [sys.executable, "-m", "qbell.cli", "prove", "--transport", "stdio",
@@ -637,17 +645,17 @@ class TestCli:
         key.write_text(tcf.key_to_json(keys))
         if role == "prove":
             own, argv = "v", ["--prover", "cheater"]
-            frames = [wire.WireFrame("v", 0, {"tag": "key", "key_json": tcf.key_to_json(
+            frames = [("v", 0, {"tag": "key", "key_json": tcf.key_to_json(
                 keys, include_secret=False)})]
             reply = {"tag": "round1"}
         else:
             own, argv = "s5", ["--key", str(key), "--seed", "5", "--trials", "3"]
             frames = []
             reply = {"tag": "image", "y": 4}
-        frames.append(wire.WireFrame(own if session == "own" else session, len(frames), reply))
+        frames.append((own if session == "own" else session, len(frames), reply))
         proc = subprocess.run(
             [sys.executable, "-m", "qbell.cli", role, "--transport", "stdio"] + argv,
-            input=b"".join(map(wire.encode_frame, frames)), capture_output=True,
+            input=b"".join(wire.encode_frame(*frame) for frame in frames), capture_output=True,
             timeout=120, env=cli_env())
         assert proc.returncode == rc, proc.stderr
         assert b"Traceback" not in proc.stderr
@@ -657,7 +665,7 @@ class TestCli:
     def test_malformed_key_frame_exits_protocol_error(self, key_json):
         frames = [{"tag": "key", "key_json": key_json, "trials": 2}, {"tag": "round1"},
                   {"tag": "end"}]
-        stdin = b"".join(wire.encode_frame(wire.WireFrame("v", i, m))
+        stdin = b"".join(wire.encode_frame("v", i, m)
                          for i, m in enumerate(frames))
         proc = subprocess.run(
             [sys.executable, "-m", "qbell.cli", "prove", "--transport", "stdio",
@@ -678,7 +686,7 @@ class TestCli:
         keys = gen_exact_bits(16)
         key_frame = {"tag": "key", "key_json": tcf.key_to_json(keys, include_secret=False),
                      "trials": trials}
-        stdin = b"".join(wire.encode_frame(wire.WireFrame("v", i, m))
+        stdin = b"".join(wire.encode_frame("v", i, m)
                          for i, m in enumerate([key_frame, {"tag": "end"}]))
         proc = subprocess.run(
             [sys.executable, "-m", "qbell.cli", "prove", "--transport", "stdio",
@@ -696,7 +704,7 @@ class TestCli:
         key_path.write_text(tcf.key_to_json(keys))
         key_frame = {"tag": "key", "key_json": tcf.key_to_json(keys, include_secret=False),
                      **field}
-        stdin = b"".join(wire.encode_frame(wire.WireFrame("v", i, m))
+        stdin = b"".join(wire.encode_frame("v", i, m)
                          for i, m in enumerate([key_frame, {"tag": "end"}]))
         built = []
         build = cli.build_prover
@@ -727,7 +735,7 @@ class TestCli:
         frames = [{"tag": "key", "key_json": tcf.key_to_json(keys[session],
                                                              include_secret=False)},
                   {"tag": "round1"}, {"tag": "end"}]
-        stdin = b"".join(wire.encode_frame(wire.WireFrame("v", i, m))
+        stdin = b"".join(wire.encode_frame("v", i, m)
                          for i, m in enumerate(frames))
         proc = subprocess.run(
             [sys.executable, "-m", "qbell.cli", "prove", "--transport", "stdio",
@@ -747,7 +755,7 @@ class TestCli:
         path = tmp_path / "key.json"
         path.write_text(tcf.key_to_json(keys))
         frames = [{"tag": "key", "key_json": tcf.key_to_json(keys)}, {"tag": "end"}]
-        stdin = b"".join(wire.encode_frame(wire.WireFrame("v", i, m))
+        stdin = b"".join(wire.encode_frame("v", i, m)
                          for i, m in enumerate(frames))
         proc = subprocess.run(
             [sys.executable, "-m", "qbell.cli", "prove", "--transport", "stdio"]
@@ -916,6 +924,24 @@ class TestSessionFaults:
         for error in (verifier_error, prover_error):
             assert error is None or isinstance(error, (wire.ParseError, wire.TransportError)), \
                 repr(error)[:200]
+
+    @pytest.mark.parametrize("version", [b"true", b"1.0"])
+    @pytest.mark.parametrize("side, n", [("verifier", 1), ("prover", 0)])
+    def test_round1_frame_with_a_version_equal_to_1_is_a_parse_error(self, side, n, version):
+        # the verifier's round1 request (its second line) or the prover's
+        # image reply (its first) sent with v = true or 1.0: its reader
+        # stops on a ParseError, not on the frame's content
+        keys = gen_exact_bits(16)
+        errors = pipe_session(
+            lambda key_json, seed, trials: cli.build_prover(
+                cli.parse_prover_spec("cheater"), keys, seed, trials)[0],
+            cli.session_context(keys, None), 3, 7,
+            lambda at, stream: _Replace(
+                stream, n, lambda line: line.replace(b'"v":1}', b'"v":%s}' % version))
+            if at == side else stream)
+        reader_error = errors[1] if side == "verifier" else errors[0]
+        assert isinstance(reader_error, wire.ParseError), repr(errors)
+        assert str(reader_error) == f"unsupported version {json.loads(version)!r}"
 
 
 class TestStdioPair:
