@@ -115,10 +115,9 @@ class TestFrames:
                     {"v": 1, "session": "s", "seq": 0, "msg": value}):
             line = json.dumps(doc).encode() + b"\n"
             try:
-                frame = wire.decode_frame(line)
+                session, seq, msg = wire.decode_frame(line)
             except wire.ParseError:
                 continue
-            session, seq, msg = frame
             assert isinstance(session, str) and isinstance(seq, int) and isinstance(msg, dict)
 
     @given(st.lists(st.tuples(st.fixed_dictionaries(
