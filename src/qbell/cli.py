@@ -15,7 +15,10 @@ import json
 import math
 import sys
 
-from . import circuits, extractor, postselect, protocol, provers, tcf, wire
+# every wire role runs these; circuits, postselect, extractor and socket are
+# imported by the functions that run them, so keygen, verify and the ideal and
+# cheater provers never load them
+from . import protocol, provers, tcf, wire
 from .seeds import derive_rng, derive_seed
 
 EXIT_OK = 0
@@ -90,6 +93,7 @@ def session_context(keys, circuit):
     if circuit is None:
         return protocol.ProtocolContext.plain(keys)
     _rabin_only(keys, "a circuit-backed prover")
+    from . import postselect
     return postselect.lift_key(keys, circuit[1], circuit[0])
 
 
@@ -106,6 +110,7 @@ def build_prover(spec, keys, seed: int, trials: int | None = None):
         return provers.CheaterProver(keys.public(), seed), ctx
     if own["kind"] == "ideal":
         return provers.IdealProver(ctx, seed), ctx
+    from . import circuits
     n_gates = circuits.modsquare_gate_count(keys.N, 0, circuit[0])
     noise = provers.NoiseModel(circuit_fidelity=own["F"], n_gates=n_gates)
     return provers.NoisyCircuitProver(ctx, noise, seed, trials), ctx
@@ -232,13 +237,15 @@ def cmd_prove(args):
     if args.transport == "stdio":
         ch = wire.Channel(sys.stdin.buffer, sys.stdout.buffer, session=None)
     else:
-        sock = wire.socket.create_connection((args.host, args.port), timeout=args.timeout)
+        import socket
+        sock = socket.create_connection((args.host, args.port), timeout=args.timeout)
         ch = wire.channel_from_socket(sock, session=None, timeout=args.timeout)
     wire.prover_loop(ch, make_prover)
     return EXIT_OK
 
 
 def cmd_sweep(args):
+    from . import postselect
     keys = _load_keys(args.key)
     _rabin_only(keys, "sweep")
     if args.trials < postselect.MIN_TRIALS_PER_POINT:
@@ -278,6 +285,7 @@ def _exact_modulus(n: int) -> int:
 
 
 def cmd_resources(args):
+    from . import circuits
     builder = args.builder
     if args.cutoff is not None and builder != "karatsuba":
         raise UsageError(f"--cutoff applies only to --builder karatsuba, not {builder}")
@@ -304,6 +312,7 @@ def cmd_resources(args):
 
 
 def cmd_extract(args):
+    from . import extractor
     keys = _load_keys(args.key)
     _rabin_only(keys, "extract")
     if args.probes < 1:
@@ -324,6 +333,17 @@ def cmd_extract(args):
 
 
 # ---------------------------------------------------------------------------
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """Fills a help text's {KARATSUBA_CUTOFF} from circuits, imported only
+    when the help is shown."""
+
+    def _get_help_string(self, action):
+        if "{KARATSUBA_CUTOFF}" not in action.help:
+            return action.help
+        from . import circuits
+        return action.help.format(KARATSUBA_CUTOFF=circuits.KARATSUBA_CUTOFF)
+
 
 def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="qbell",
@@ -380,14 +400,15 @@ def make_parser() -> argparse.ArgumentParser:
     sw.add_argument("--out", default="-")
     sw.set_defaults(func=cmd_sweep)
 
-    rs = sub.add_parser("resources", help="circuit resource estimates")
+    rs = sub.add_parser("resources", help="circuit resource estimates",
+                        formatter_class=_HelpFormatter)
     rs.add_argument("--builder", required=True,
                     choices=("schoolbook", "karatsuba", "phase1", "phase2"))
     rs.add_argument("--n", type=int, required=True)
     rs.add_argument("--modulus", default=None)
     rs.add_argument("--cutoff", type=int, default=None,
                     help="Karatsuba recursion cutoff (karatsuba only; default "
-                         f"{circuits.KARATSUBA_CUTOFF})")
+                         "{KARATSUBA_CUTOFF})")
     rs.add_argument("--out", default="-")
     rs.set_defaults(func=cmd_resources)
 
@@ -409,7 +430,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, circuits.CircuitError) as e:
+    except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (wire.TransportError, OSError) as e:  # OSError from a socket: paths are usage errors
@@ -419,6 +440,13 @@ def main(argv=None) -> int:
             provers.AttemptsExhausted) as e:
         print(f"protocol error: {e}", file=sys.stderr)
         return EXIT_PROTOCOL
+    except ValueError as e:  # after the protocol errors, which are ValueErrors too
+        # a CircuitError is a usage error; without circuits loaded none was raised
+        circuits = sys.modules.get(f"{__package__}.circuits")
+        if circuits is None or not isinstance(e, circuits.CircuitError):
+            raise
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import circuits, tcf
+from . import tcf
 
 
 class InsufficientData(ValueError):
@@ -294,6 +294,7 @@ def settle(ctx: ProtocolContext, pending: list) -> None:
     all of them, against the Hadamard outcomes h its image reported."""
     if not pending:
         return
+    from . import circuits  # only a circuit context leaves rounds pending
     phases = circuits.evaluate_classical(ctx.circuit, [x0 for _, (x0, _) in pending],
                                          [x1 for _, (_, x1) in pending],
                                          [t.msgs["image"]["h"] for t, _ in pending])

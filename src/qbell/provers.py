@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import circuits, tcf
+from . import tcf
 from .protocol import (ProtocolContext, QubitState, born_probability,
                        compute_qubit_state, expected_bit, parity)
 from .seeds import CounterRandom, derive_rng, derive_seed
@@ -354,6 +354,7 @@ class NoisyCircuitProver(IdealProver):
         iteration in one engine call.  An iteration joins only below the
         session length, unless it is the one being played, and leaves once
         its y is valid or its attempts are spent."""
+        from . import circuits  # the one prover that runs a circuit
         ctx, pool = self.ctx, self._pool
         stop = math.inf if self.trials is None else max(self.trials, self._iteration + 1)
         while len(pool) < ROUND1_POOL and self._joined < stop:

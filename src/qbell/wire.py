@@ -19,7 +19,6 @@ side rejects a frame from another session.
 from __future__ import annotations
 
 import json
-import socket
 
 from . import protocol, tcf
 
@@ -71,7 +70,7 @@ def decode_frame(line: bytes) -> tuple[str, int, dict]:
     version = doc.get("v")
     # the JSON integer 1: true and 1.0 compare equal to it in Python
     if type(version) is not int or version != WIRE_VERSION:
-        raise ParseError(f"unsupported version {version!r}")
+        raise ParseError(f"unsupported version {version!r:.40}")
     for field in ("session", "seq", "msg"):
         if field not in doc:
             raise ParseError(f"missing field {field!r}")
@@ -83,7 +82,7 @@ def decode_frame(line: bytes) -> tuple[str, int, dict]:
     if "tag" not in msg:
         raise ParseError("message lacks a tag")
     if not isinstance(seq, int) or isinstance(seq, bool):
-        raise ParseError(f"sequence number {seq!r} is not an integer")
+        raise ParseError(f"sequence number {seq!r:.40} is not an integer")
     return session, seq, msg
 
 
@@ -129,7 +128,9 @@ class Channel:
         return msg
 
 
-def open_tcp_listener(host: str, port: int) -> socket.socket:
+def open_tcp_listener(host: str, port: int):
+    """A socket listening on (host, port) for one connection."""
+    import socket  # here alone: a stdio session never loads it
     srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     srv.bind((host, port))
@@ -137,8 +138,7 @@ def open_tcp_listener(host: str, port: int) -> socket.socket:
     return srv
 
 
-def channel_from_socket(sock: socket.socket, session: str | None,
-                        timeout: float = 30.0) -> Channel:
+def channel_from_socket(sock, session: str | None, timeout: float = 30.0) -> Channel:
     sock.settimeout(timeout)
     return Channel(sock.makefile("rb"), sock.makefile("wb"), session)
 

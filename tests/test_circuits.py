@@ -426,6 +426,9 @@ class TestTwoBranchRuns:
         monkeypatch.setattr(cc, "_sampled_errors", recorded)
         cc.run_two_branch_batch(circ, [2] * 600, [5] * 600, p, random.Random(4))
         mean = sum(u < circ.schedule.unitary for u, _, _, _ in drawn) / 600
+        # the count is Bin(600 * 1311, 2/1311), mean 1200 and sigma 34.6, and
+        # the bound passes 991 to 1409 errors (6.07 sigma): it fails a correct
+        # sampler with probability 2.1e-9 (2.2e-10 below, 1.9e-9 above)
         assert abs(mean - 2.0) < 0.35
 
 

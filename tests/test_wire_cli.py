@@ -60,6 +60,13 @@ def session_length(value):
     return value
 
 
+def long_field_line(field):
+    """A frame line whose v or seq is a 100,000-character string."""
+    doc = {"msg": {"tag": "end"}, "seq": 0, "session": "s", "v": 1}
+    doc[field] = "9" * 10 ** 5
+    return json.dumps(doc).encode()
+
+
 @functools.lru_cache(maxsize=None)
 def noisy_setup():
     """A lifted 16-bit circuit context and half-fidelity noise for it."""
@@ -98,6 +105,13 @@ class TestFrames:
         line = b'{"msg":{"tag":"end"},"seq":0,"session":"s","v":%s}' % version.encode()
         with pytest.raises(wire.ParseError, match="^unsupported version "):
             wire.decode_frame(line)
+
+    @pytest.mark.parametrize("field, error", [
+        ("v", "unsupported version '{}"), ("seq", "sequence number '{} is not an integer")])
+    def test_long_version_or_seq_is_quoted_to_40_characters(self, field, error):
+        with pytest.raises(wire.ParseError) as e:
+            wire.decode_frame(long_field_line(field))
+        assert str(e.value) == error.format("9" * 39)
 
     def test_missing_tag(self):
         with pytest.raises(wire.ParseError):
@@ -342,7 +356,10 @@ class TestCodecMatchesReference:
     RecursionError escape, and test_deep_nesting_is_a_parse_error pins
     what the codec raises.  It takes a "v" of true or 1.0 for version 1,
     and test_version_must_be_the_integer_1 pins the codec's ParseError;
-    frame_lines() always writes the integer 1."""
+    frame_lines() always writes the integer 1.  It also quotes a v or a
+    non-integer seq in full, where the codec cuts the repr at 40 characters
+    (test_long_version_or_seq_is_quoted_to_40_characters); the only
+    non-integer seq frame_lines() writes is a float, whose repr is shorter."""
 
     @given(FRAMES)
     @settings(max_examples=500, deadline=None)
@@ -565,6 +582,24 @@ class TestCli:
             input=b"[1]\n", capture_output=True, timeout=120, env=cli_env())
         assert proc.returncode == 4, proc.stderr
         assert b"Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("field", ["v", "seq"])
+    def test_long_version_or_seq_to_prover_exits_protocol_error(self, field):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qbell.cli", "prove", "--transport", "stdio"],
+            input=long_field_line(field) + b"\n", capture_output=True, timeout=120,
+            env=cli_env())
+        assert proc.returncode == 4, proc.stderr[:200]
+        assert proc.stderr.startswith(b"protocol error: ")
+        assert len(proc.stderr) < 120, proc.stderr[:200]
+
+    def test_resources_help_states_the_cutoff_default(self, monkeypatch, capsys):
+        # the help reads the default from circuits when it is shown
+        for cutoff in (cc.KARATSUBA_CUTOFF, 13):
+            monkeypatch.setattr(cc, "KARATSUBA_CUTOFF", cutoff)
+            assert run_cli("resources", "--help") == 0
+            help_text = capsys.readouterr().out
+            assert re.search(r"default\s+(\d+)\)", help_text).group(1) == str(cutoff)
 
     def test_deeply_nested_line_to_prover_exits_protocol_error(self):
         proc = subprocess.run(
@@ -1122,3 +1157,66 @@ class TestTcpTransport:
             verifier.wait()
         assert verifier.returncode == 3
         assert err.startswith(b"transport error: ")
+
+
+# the modules that keygen, a run with the ideal or cheater prover and the
+# wire roles do not run
+DEFERRED = ("qbell.circuits", "qbell.postselect", "qbell.extractor", "socket")
+
+# a child process that runs qbell's main on argv[2:] and writes its exit code
+# and the DEFERRED modules it loaded to the file argv[1]
+LOADED_CHILD = f"""import json, sys
+from qbell.cli import main
+rc = main(sys.argv[2:])
+with open(sys.argv[1], "w") as f:
+    json.dump([rc, [m for m in {DEFERRED!r} if m in sys.modules]], f)
+"""
+
+
+class TestDeferredImports:
+    @staticmethod
+    def _child(out, argv, **kwargs):
+        return subprocess.Popen([sys.executable, "-c", LOADED_CHILD, str(out)] + argv,
+                                env=cli_env(), **kwargs)
+
+    def test_roles_load_only_the_modules_they_run(self, tmp_path):
+        key = tmp_path / "key.json"
+        runs = [
+            (["keygen", "--bits", "16", "--seed", "3", "--out", str(key)], []),
+            (["run", "--key", str(key), "--prover", "ideal", "--trials", "20",
+              "--out", str(tmp_path / "ideal.json")], []),
+            # the control: a circuit-backed run loads the engine and the lift
+            (["run", "--key", str(key), "--prover", "noisy:F=1.0,circuit=schoolbook",
+              "--trials", "20", "--out", str(tmp_path / "noisy.json")],
+             ["qbell.circuits", "qbell.postselect"]),
+        ]
+        for i, (argv, loaded) in enumerate(runs):
+            out = tmp_path / f"loaded{i}.json"
+            assert self._child(out, argv).wait(timeout=120) == 0, argv
+            assert json.loads(out.read_text()) == [0, loaded], argv
+
+    def test_wire_pair_loads_no_deferred_module(self, tmp_path):
+        key = tmp_path / "key.json"
+        key.write_text(tcf.key_to_json(gen_exact_bits(16)))
+        outs = tmp_path / "verifier.json", tmp_path / "prover.json"
+        v2p_r, v2p_w = os.pipe()
+        p2v_r, p2v_w = os.pipe()
+        children = [
+            self._child(outs[0], ["verify", "--key", str(key), "--trials", "30",
+                                  "--out", str(tmp_path / "rep.json")],
+                        stdin=p2v_r, stdout=v2p_w),
+            self._child(outs[1], ["prove", "--prover", "cheater"], stdin=v2p_r, stdout=p2v_w)]
+        for fd in (v2p_r, v2p_w, p2v_r, p2v_w):
+            os.close(fd)
+        for child in children:
+            assert child.wait(timeout=120) == 0
+        assert [json.loads(out.read_text()) for out in outs] == [[0, []], [0, []]]
+
+    def test_circuit_error_exits_usage_error_in_a_child(self):
+        # main maps a CircuitError to exit 2 by the circuits module it finds loaded
+        proc = subprocess.run(
+            [sys.executable, "-m", "qbell.cli", "resources", "--builder", "karatsuba",
+             "--n", "7", "--modulus", "77", "--cutoff", "4"],
+            capture_output=True, timeout=60, env=cli_env())
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(b"error: ")
