@@ -141,7 +141,7 @@ def _sweep_point(config: SweepConfig, m: int, ctx: protocol.ProtocolContext, gat
         else:
             tm += 1
             r = rng.getrandbits(ctx.reg_width)
-            d = ideal_round2(state, r, rng)
+            d = ideal_round2(state, r, rng.getrandbits(state.width))
             sign = 1 if rng.random() < 0.5 else -1
             expected = protocol.expected_bit(
                 protocol.predicted_state(ctx, preimages, r, d, phase_v), sign)

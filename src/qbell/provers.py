@@ -20,7 +20,10 @@ rewind model the extractor relies on.  Each message draws from its own
 counter stream, seeds.CounterRandom(snapshot, *message labels), so an
 answer depends on the snapshot and the message alone, never on what was
 asked before; round 2's answer to each r is therefore kept for the snapshot
-and replayed when a rewound prover is asked the same r again.
+and replayed when a rewound prover is asked the same r again.  Round 1
+draws through a stream object, since it may draw more than once; rounds 2
+and 3 and the preimage answer draw once, and read their stream's first
+bits with seeds.first_bits.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from . import tcf
 from .protocol import (ProtocolContext, QubitState, born_probability,
                        compute_qubit_state, expected_bit, parity)
-from .seeds import CounterRandom, derive_rng, derive_seed
+from .seeds import CounterRandom, _path, derive_rng, derive_seed, first_bits
 
 
 class DegenerateModel(ValueError):
@@ -127,14 +130,14 @@ def ideal_round1(ctx: ProtocolContext, rng):
     return y, state
 
 
-def ideal_round2(state: TwoBranchState, r: int, rng) -> int:
-    """Hadamard-basis measurement string d of the input register.
+def ideal_round2(state: TwoBranchState, r: int, d: int) -> int:
+    """Hadamard-basis measurement string of the input register, from d, a
+    uniform state.width-bit draw.
 
-    If the register is merged or r.x0 != r.x1 every d is equally likely
-    (the first draw of rng).  Otherwise the branches interfere and d is
-    uniform over the affine class {d : d.(x0 xor x1) = phase}.
+    If the register is merged or r.x0 != r.x1 every string is equally
+    likely, and it is d.  Otherwise the branches interfere and the string
+    is uniform over the affine class {d : d.(x0 xor x1) = phase}.
     """
-    d = rng.getrandbits(state.width)
     if not state.merged and parity(r & state.x0) == parity(r & state.x1):
         diff = state.x0 ^ state.x1
         if parity(d & diff) != state.phase:
@@ -143,11 +146,11 @@ def ideal_round2(state: TwoBranchState, r: int, rng) -> int:
     return d
 
 
-def ideal_round3(state: TwoBranchState, r: int, d: int, basis_sign: int, rng) -> int:
-    """Sample the round-3 outcome with exact Born probabilities at the
-    angle basis_sign * pi/4."""
+def ideal_round3(state: TwoBranchState, r: int, d: int, basis_sign: int, u: float) -> int:
+    """The round-3 outcome with exact Born probabilities at the angle
+    basis_sign * pi/4, from u, a uniform draw in [0, 1)."""
     p0 = born_probability(state.qubit(r, d), basis_sign * (math.pi / 4), 0)
-    return 0 if rng.random() < p0 else 1
+    return 0 if u < p0 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -161,17 +164,22 @@ class ProverBase:
         self._seed = seed
         self._iteration = -1
         self._snapshot = None
+        self._prefix = None  # _path(snapshot, ()) + b"|": every message path's start
         self._r = None
         self._d = None
         self._answers = {}  # r -> d, round 2's answers since the snapshot
 
-    # -- deterministic per-message randomness since the snapshot
+    # -- deterministic per-message randomness since the snapshot.  A message
+    # that draws once reads its stream's first bits with first_bits, from
+    # self._prefix plus its labels as _path writes them (str() of each,
+    # joined by "|"): the bits self._rng(*labels) would draw first
     def _rng(self, *labels):
         return CounterRandom(self._snapshot, *labels)
 
     def round1(self):
         self._iteration += 1
         self._snapshot = derive_seed(self._seed, "iter", self._iteration)
+        self._prefix = _path(self._snapshot, ()) + b"|"
         self._r = None
         self._d = None
         self._answers = {}
@@ -235,13 +243,16 @@ class IdealProver(ProverBase):
     def answer_preimage(self) -> int:
         # getrandbits(1) takes one counter block; randrange(2) asks for two
         # bits and rejects half its draws
-        return self.state.preimage(lambda: self._rng("preimage").getrandbits(1))
+        return self.state.preimage(lambda: first_bits(self._prefix + b"preimage", 1))
 
     def _round2_impl(self, r):
-        return ideal_round2(self.state, r, self._rng("d", r))
+        return ideal_round2(self.state, r,
+                            first_bits(self._prefix + f"d|{r}".encode(), self.state.width))
 
     def _round3_impl(self, r, d, basis_sign):
-        return ideal_round3(self.state, r, d, basis_sign, self._rng("m", r, basis_sign))
+        # u is CounterRandom.random()'s 53-bit float
+        u = first_bits(self._prefix + f"m|{r}|{basis_sign}".encode(), 53) * 2.0 ** -53
+        return ideal_round3(self.state, r, d, basis_sign, u)
 
 
 class CheaterProver(ProverBase):
@@ -267,7 +278,7 @@ class CheaterProver(ProverBase):
         return self._x0_wire
 
     def _round2_impl(self, r):
-        return self._rng("d", r).getrandbits(self.ctx.reg_width)
+        return first_bits(self._prefix + f"d|{r}".encode(), self.ctx.reg_width)
 
     def _round3_impl(self, r, d, basis_sign):
         assumed = compute_qubit_state(self._x0_wire, self._x0_wire, r, d)

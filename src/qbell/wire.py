@@ -19,6 +19,7 @@ side rejects a frame from another session.
 from __future__ import annotations
 
 import json
+import sys
 
 from . import protocol, tcf
 
@@ -194,9 +195,11 @@ class RemoteProver:
         else:
             raise ParseError(f"image is not a list of {n} integers: {y!r:.40}")
         h, h_len = _int(msg.get("h", 0), "h"), _int(msg.get("h_len", 0), "h_len")
-        # h holds one Hadamard outcome per discarded qubit: h_len bits
+        # h holds one Hadamard outcome per discarded qubit: h_len bits.  The
+        # error quotes h_len as sent, since the repr of an int beyond int's
+        # decimal digit limit raises ValueError
         if h_len < 0 or h < 0 or h.bit_length() > h_len:
-            raise ParseError(f"h does not fit h_len = {h_len!r:.40}")
+            raise ParseError(f"h does not fit h_len = {msg.get('h_len', 0)!r:.40}")
         return y, h, h_len
 
     def answer_preimage(self):
@@ -240,7 +243,10 @@ def prover_loop(channel: Channel, make_prover):
     seed, trials) from the key frame and answers until the end frame.  The
     session length `trials` is None when the key frame omits it.  A frame
     out of protocol order, of an unknown tag, or with a missing or
-    non-integer field raises ParseError, and so does a negative length."""
+    non-integer field raises ParseError, and so does a negative length, a
+    prover seed beyond int's decimal digit limit, or a vector r outside
+    [0, 2^prover.ctx.reg_width).  The prover writes its seed and each r in
+    decimal into its label paths (seeds._path)."""
     hello = channel.recv()
     if hello["tag"] != "key":
         raise ParseError("expected key frame first")
@@ -249,10 +255,15 @@ def prover_loop(channel: Channel, make_prover):
     trials = hello.get("trials")
     if trials is not None:
         trials = _int(trials, "trials")
-        if trials < 0:
-            raise ParseError(f"session length must be nonnegative, got {trials!r:.40}")
-    prover = make_prover(hello["key_json"], _int(hello.get("prover_seed", 0), "prover_seed"),
-                         trials)
+        if trials < 0:  # quoted as sent, as RemoteProver.round1 quotes h_len
+            raise ParseError(f"session length must be nonnegative, "
+                             f"got {hello['trials']!r:.40}")
+    seed = _int(hello.get("prover_seed", 0), "prover_seed")
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if limit and abs(seed) >= 10 ** limit:
+        raise ParseError(f"prover_seed has more than {limit} decimal digits")
+    prover = make_prover(hello["key_json"], seed, trials)
+    width = prover.ctx.reg_width
     last = None
     while True:
         msg = channel.recv()
@@ -270,9 +281,12 @@ def prover_loop(channel: Channel, make_prover):
         elif tag == "challenge":
             channel.send({"tag": "preimage", "x": prover.answer_preimage()})
         elif tag == "vector":
-            channel.send({"tag": "equation", "d": prover.round2(_int(msg.get("r"), "r"))})
+            r = _int(msg.get("r"), "r")
+            if r < 0 or r >> width:
+                raise ParseError(f"vector r is outside [0, 2^{width})")
+            channel.send({"tag": "equation", "d": prover.round2(r)})
         else:
             sign = _int(msg.get("sign"), "sign")
-            if sign not in (1, -1):
-                raise ParseError(f"basis sign must be +1 or -1, got {sign!r:.40}")
+            if sign not in (1, -1):  # quoted as sent
+                raise ParseError(f"basis sign must be +1 or -1, got {msg['sign']!r:.40}")
             channel.send({"tag": "result", "bit": prover.round3(sign)})

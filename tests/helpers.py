@@ -485,6 +485,46 @@ def reference_getrandbits(key, counter, k):
     return int.from_bytes(blocks, "little") >> (n * 512 - k), counter + n
 
 
+def reference_ideal_round2(state, r, rng):
+    """provers.ideal_round2 as it was when it drew d from a stream: d is
+    rng's first state.width-bit draw."""
+    d = rng.getrandbits(state.width)
+    if not state.merged and protocol.parity(r & state.x0) == protocol.parity(r & state.x1):
+        diff = state.x0 ^ state.x1
+        if protocol.parity(d & diff) != state.phase:
+            d ^= diff & -diff
+    return d
+
+
+def reference_ideal_round3(state, r, d, basis_sign, rng):
+    """provers.ideal_round3 as it was when it drew from a stream: the
+    outcome is 0 when rng.random() falls below the Born probability of 0."""
+    p0 = protocol.born_probability(state.qubit(r, d), basis_sign * (math.pi / 4), 0)
+    return 0 if rng.random() < p0 else 1
+
+
+class ReferenceIdealProver(provers.IdealProver):
+    """provers.IdealProver as it was before a single-draw message read its
+    first bits directly: a seeds.CounterRandom stream object per message."""
+
+    def answer_preimage(self):
+        return self.state.preimage(lambda: self._rng("preimage").getrandbits(1))
+
+    def _round2_impl(self, r):
+        return reference_ideal_round2(self.state, r, self._rng("d", r))
+
+    def _round3_impl(self, r, d, basis_sign):
+        return reference_ideal_round3(self.state, r, d, basis_sign,
+                                      self._rng("m", r, basis_sign))
+
+
+class ReferenceCheaterProver(provers.CheaterProver):
+    """provers.CheaterProver with round 2 drawn from a stream object."""
+
+    def _round2_impl(self, r):
+        return self._rng("d", r).getrandbits(self.ctx.reg_width)
+
+
 def reference_encode_frame(session: str, seq: int, msg: dict) -> bytes:
     """wire.encode_frame as it was before it wrote the envelope itself: one
     json.dumps of the whole envelope per frame."""

@@ -34,7 +34,8 @@ class TruthfulOracleProver(provers.ProverBase):
         return self.state.x0
 
     def _round2_impl(self, r):
-        return provers.ideal_round2(self.state, r, self._rng("d", r))
+        return provers.ideal_round2(self.state, r,
+                                    self._rng("d", r).getrandbits(self.state.width))
 
     def _round3_impl(self, r, d, basis_sign):
         st = proto.compute_qubit_state(self.state.x0, self.state.x1, r, d)
@@ -175,6 +176,15 @@ class TestListDecode:
             cands = ex.gl_list_decode(oracle, 16, ex.GlParams(t=6),
                                       random.Random(trial))
             wins += x1 in cands
+        # false-failure probability at most 2.8e-13: each distinct r is
+        # answered wrong with probability 1 - 0.95^2 = 0.0975 when r.(x0 ^ x1)
+        # is even and 0.95 * 0.05 = 0.0475 when odd, and a trial loses only
+        # if its six probes are linearly dependent (9.6e-4) or a bit of the
+        # true sign assignment's candidate gets 32 or more wrong votes of 63
+        # (at most 16 P(Bin(63, 0.0975) >= 32) = 3.0e-15), so a loss has
+        # probability q <= 9.6e-4, and the exact binomial tail at that q is
+        # P(Bin(60, q) >= 7) = 2.8e-13.  30,000 trials of that model on
+        # random 16-bit claws all won
         assert wins >= 54  # >= 90%
 
     def test_coin_oracle_fails(self):
@@ -190,6 +200,11 @@ class TestListDecode:
             cands = ex.gl_list_decode(oracle, 16, ex.GlParams(t=5),
                                       random.Random(trial))
             wins += x1 in cands
+        # false-failure probability 1.4e-6: each distinct r is answered
+        # 1 ^ r.x0 with probability 3/4 (two uniform round-3 bits), and under
+        # that model x1 was among the 32 candidates in 209 of 400,000
+        # simulated trials on random 16-bit claws, p = 5.2e-4; the exact
+        # P(Bin(40, p) >= 3) is 1.4e-6, and 2.6e-6 at p's 99.9% upper bound
         assert wins <= 2  # <= 5%
 
     def test_budget_guard(self):
@@ -292,7 +307,7 @@ class TestExtractAndFactor:
                 rng = self._rng("blend", r, basis_sign)
                 if rng.random() < 0.9:
                     return provers.ideal_round3(self.state, r, d, basis_sign,
-                                                self._rng("m", r, basis_sign))
+                                                self._rng("m", r, basis_sign).random())
                 return rng.randrange(2)
 
         keys0 = gen_exact_bits(24, seed0=799)

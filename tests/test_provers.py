@@ -13,8 +13,9 @@ from qbell import protocol as proto
 from qbell import provers, tcf
 from qbell.seeds import derive_rng, derive_seed
 
-from helpers import (COS2_PI_8, AngleModel, PhaseNoisyProver, StateVector, gen_exact_bits,
-                     noisy_round1, planted_run, pm_of_theta, sample_claw_by_inversion)
+from helpers import (COS2_PI_8, AngleModel, PhaseNoisyProver, ReferenceCheaterProver,
+                     ReferenceIdealProver, StateVector, gen_exact_bits, noisy_round1,
+                     planted_run, pm_of_theta, sample_claw_by_inversion)
 
 
 class TestSampleClaw:
@@ -75,7 +76,8 @@ class TestIdealRound2:
             for seed in range(20):
                 expect = random.Random(seed).getrandbits(st.width)
                 for r in (0, 1, 0b01011):
-                    assert provers.ideal_round2(st, r, random.Random(seed)) == expect
+                    assert provers.ideal_round2(
+                        st, r, random.Random(seed).getrandbits(st.width)) == expect
 
     def test_equal_case_parity_class_plus(self):
         st = provers.TwoBranchState(x0=0b01001, x1=0b00010, phase=0, y=0, width=5)
@@ -84,7 +86,8 @@ class TestIdealRound2:
         for _ in range(500):
             r = rng.getrandbits(5)
             if proto.parity(r & st.x0) == proto.parity(r & st.x1):
-                assert proto.parity(provers.ideal_round2(st, r, rng) & diff) == 0
+                d = provers.ideal_round2(st, r, rng.getrandbits(st.width))
+                assert proto.parity(d & diff) == 0
 
     def test_equal_case_parity_class_minus(self):
         st = provers.TwoBranchState(x0=0b01001, x1=0b00010, phase=1, y=0, width=5)
@@ -93,7 +96,8 @@ class TestIdealRound2:
         for _ in range(500):
             r = rng.getrandbits(5)
             if proto.parity(r & st.x0) == proto.parity(r & st.x1):
-                assert proto.parity(provers.ideal_round2(st, r, rng) & diff) == 1
+                d = provers.ideal_round2(st, r, rng.getrandbits(st.width))
+                assert proto.parity(d & diff) == 1
 
     def test_unequal_case_d_uniform(self):
         # chi-square against uniform over 32 strings at n=5
@@ -103,7 +107,7 @@ class TestIdealRound2:
         counts = [0] * 32
         n = 32_000
         for _ in range(n):
-            counts[provers.ideal_round2(st, r, rng)] += 1
+            counts[provers.ideal_round2(st, r, rng.getrandbits(st.width))] += 1
         chi2 = sum((c - n / 32) ** 2 / (n / 32) for c in counts)
         assert chi2 < 70  # 31 dof, p ~ 1e-4 cutoff
 
@@ -118,9 +122,9 @@ class TestIdealRound3:
         for _ in range(n):
             y, st = provers.ideal_round1(ctx, rng)
             r = rng.getrandbits(ctx.reg_width)
-            d = provers.ideal_round2(st, r, rng)
+            d = provers.ideal_round2(st, r, rng.getrandbits(st.width))
             sign = 1 if rng.random() < 0.5 else -1
-            bit = provers.ideal_round3(st, r, d, sign, rng)
+            bit = provers.ideal_round3(st, r, d, sign, rng.random())
             state = proto.compute_qubit_state(st.x0, st.x1, r, d)
             hits += bit == proto.expected_bit(state, sign)
         p = hits / n
@@ -209,6 +213,50 @@ class TestRewindDeterminism:
         cands, answers, queries = decode(Counted)
         assert decode(Redrawing) == (cands, answers, queries)
         assert len(draws) == queries + 1 and set(draws.values()) == {1}
+
+
+class TestDrawsMatchReference:
+    @pytest.mark.parametrize("kind", ["ideal", "cheater"])
+    def test_session_and_rewinds_answer_as_the_reference(self, kind):
+        # the provers read each single-draw message's first bits directly,
+        # and their references draw them from a stream object: 200 played
+        # iterations give equal transcripts, and the rewinds of three
+        # list decodes read equal answers
+        keys = gen_exact_bits(24)
+        ctx = proto.ProtocolContext.plain(keys)
+        if kind == "ideal":
+            pair = [cls(ctx, seed=17) for cls in (provers.IdealProver, ReferenceIdealProver)]
+        else:
+            pair = [cls(keys.public(), seed=17)
+                    for cls in (provers.CheaterProver, ReferenceCheaterProver)]
+        sessions = [[proto.run_iteration(ctx, prover, rng, proto.IterationConfig(), i)
+                     for i in range(200)]
+                    for prover, rng in zip(pair, (derive_rng(3, "v"), derive_rng(3, "v")))]
+        assert sessions[0] == sessions[1]
+
+        def rewinds(prover, decode):
+            answers = []
+
+            class Logged:
+                def reset(self):
+                    prover.reset()
+
+                def round2(self, r):
+                    answers.append((r, prover.round2(r)))
+                    return answers[-1][1]
+
+                def round3(self, basis_sign):
+                    answers.append((basis_sign, prover.round3(basis_sign)))
+                    return answers[-1][1]
+
+            prover.round1()
+            x0 = prover.answer_preimage()
+            cands = ex.gl_list_decode(ex.RewindableOracle(Logged(), x0), ctx.reg_width,
+                                      ex.GlParams(t=5), random.Random(decode))
+            return x0, cands, answers
+
+        for decode in range(3):
+            assert rewinds(pair[0], decode) == rewinds(pair[1], decode)
 
 
 class TestNoiseModel:

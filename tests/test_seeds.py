@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qbell.seeds import CounterRandom, derive_seed
+from qbell.seeds import CounterRandom, _path, derive_seed, first_bits
 
 from helpers import cli_env, reference_getrandbits
 
@@ -65,6 +65,22 @@ def test_getrandbits_matches_the_join_rule(seed, widths):
     assert rng._counter == counter
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-2 ** 80, 2 ** 80),
+       st.lists(st.text(max_size=6) | st.integers(-2 ** 100, 2 ** 100), min_size=1,
+                max_size=4),
+       st.integers(0, 1536))
+@example(-1, ["d", 2 ** 70], 1536)
+def test_first_bits_is_a_fresh_streams_first_draw(seed, labels, k):
+    # a single-draw message's path as a prover builds it: the seed's path
+    # prefix, then the labels as _path writes them
+    path = _path(seed, ()) + b"|" + "|".join(map(str, labels)).encode()
+    assert path == _path(seed, labels)
+    for width in (k, 0, 512, 513, 1024):
+        assert first_bits(path, width) == CounterRandom(seed, *labels).getrandbits(width)
+    assert first_bits(path, 53) * 2.0 ** -53 == CounterRandom(seed, *labels).random()
+
+
 def test_random_lies_in_unit_interval():
     rng = CounterRandom(3, "u")
     xs = [rng.random() for _ in range(5000)]
@@ -104,3 +120,5 @@ def test_state_methods_raise(call):
 def test_negative_width_raises():
     with pytest.raises(ValueError):
         CounterRandom(1, "s").getrandbits(-1)
+    with pytest.raises(ValueError):
+        first_bits(_path(1, ("s",)), -1)

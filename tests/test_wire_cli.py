@@ -14,7 +14,7 @@ from io import BytesIO
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbell import circuits as cc
@@ -200,6 +200,28 @@ class TestFrames:
             if rfile.tell() == read_to:
                 assert isinstance(error, wire.ParseError)
 
+    @pytest.mark.parametrize("r, answered", [(0, True), (2 ** 16 - 1, True), (-1, False),
+                                              (2 ** 16, False)])
+    def test_prover_answers_only_a_vector_of_its_register_width(self, r, answered):
+        # the 16-bit key's register is 16 bits wide, and an honest verifier
+        # draws r below 2^16
+        keys = gen_exact_bits(16)
+        frames = [{"tag": "key", "key_json": tcf.key_to_json(keys, include_secret=False)},
+                  {"tag": "round1"}, {"tag": "vector", "r": r}, {"tag": "end"}]
+        ch = wire.Channel(BytesIO(b"".join(wire.encode_frame("v", i, m)
+                                           for i, m in enumerate(frames))), BytesIO(), None)
+
+        def play():
+            wire.prover_loop(ch, lambda key_json, seed, trials: provers.CheaterProver(
+                tcf.key_from_json(key_json), seed))
+
+        if answered:
+            play()
+            assert wire.decode_frame(ch.wfile.getvalue().splitlines()[-1])[2]["tag"] == "equation"
+        else:
+            with pytest.raises(wire.ParseError, match=r"outside \[0, 2\^16\)"):
+                play()
+
     @pytest.mark.parametrize("call, reply", [
         (lambda rp: rp.round1(), {"tag": "image", "y": "12", "h": "x"}),
         (lambda rp: rp.answer_preimage(), {"tag": "preimage"}),
@@ -215,6 +237,8 @@ class TestFrames:
         (lambda rp: rp.round1(), {"tag": "image", "y": "12", "h": -1, "h_len": 3}),
         (lambda rp: rp.round1(), {"tag": "image", "y": "12", "h": 8, "h_len": 3}),
         (lambda rp: rp.round1(), {"tag": "image", "y": "12", "h": 1}),
+        # an h_len beyond int's digit limit, which the error quotes
+        (lambda rp: rp.round1(), {"tag": "image", "y": "12", "h": 0, "h_len": "-" + "9" * 5000}),
     ])
     def test_remote_prover_rejects_bad_replies(self, call, reply):
         line = json.dumps({"v": 1, "session": "v", "seq": 0, "msg": reply}).encode()
@@ -593,6 +617,29 @@ class TestCli:
         assert proc.stderr.startswith(b"protocol error: ")
         assert len(proc.stderr) < 120, proc.stderr[:200]
 
+    @pytest.mark.parametrize("at, field, value", [(0, "prover_seed", "9" * 5000),
+                                                  (2, "r", "9" * 5000), (3, "sign", "9" * 5000),
+                                                  (0, "trials", "-" + "9" * 5000)],
+                             ids=["prover_seed", "r", "sign", "trials"])
+    def test_decimal_beyond_the_digit_limit_to_prover_exits_protocol_error(self, at, field,
+                                                                           value):
+        # the prover writes its seed and each r in decimal into its label
+        # paths, and an error quoting the int of a refused sign or length
+        # would convert it: each fails with a ValueError on a 5,000-digit value
+        keys = gen_exact_bits(16)
+        frames = [{"tag": "key", "key_json": tcf.key_to_json(keys, include_secret=False)},
+                  {"tag": "round1"}, {"tag": "vector", "r": 5}, {"tag": "basis", "sign": 1},
+                  {"tag": "end"}]
+        frames[at][field] = value
+        proc = subprocess.run(
+            [sys.executable, "-m", "qbell.cli", "prove", "--transport", "stdio",
+             "--prover", "cheater"],
+            input=b"".join(wire.encode_frame("v", i, m) for i, m in enumerate(frames)),
+            capture_output=True, timeout=120, env=cli_env())
+        assert proc.returncode == 4, proc.stderr[-300:]
+        assert b"Traceback" not in proc.stderr
+        assert proc.stderr.startswith(b"protocol error: ") and len(proc.stderr) < 120
+
     def test_resources_help_states_the_cutoff_default(self, monkeypatch, capsys):
         # the help reads the default from circuits when it is shown
         for cutoff in (cc.KARATSUBA_CUTOFF, 13):
@@ -923,9 +970,15 @@ def _with_field(line, pick, literal):
     return json.dumps(doc, separators=(",", ":")).replace('"@@"', literal).encode() + b"\n"
 
 
+def _decimal_string(digits, pick):
+    """The fault that sets field `pick` (as _with_field picks it) to a
+    decimal string of `digits` digits."""
+    return lambda line: _with_field(line, pick, '"%s"' % ("9" * digits))
+
+
 # one line a peer may send in place of a frame: arbitrary bytes, nesting
 # up to 10^4 levels (bare or as a field), a field of the wrong type, or an
-# integer literal beyond int's digit limit
+# integer literal or a decimal string beyond int's digit limit
 FAULTS = st.one_of(
     st.binary(max_size=64).map(lambda b: lambda line: b.replace(b"\n", b" ") + b"\n"),
     st.tuples(st.integers(1, 10 ** 4), st.booleans(), st.integers(0, 20)).map(
@@ -937,6 +990,7 @@ FAULTS = st.one_of(
         lambda t: lambda line: _with_field(line, t[1], json.dumps(t[0]))),
     st.tuples(st.integers(4301, 6000), st.integers(0, 20)).map(
         lambda t: lambda line: _with_field(line, t[1], "9" * t[0])),
+    st.builds(_decimal_string, st.integers(4301, 6000), st.integers(0, 20)),
 )
 
 
@@ -944,6 +998,10 @@ class TestSessionFaults:
     @given(st.sampled_from(["ideal", "cheater"]), st.sampled_from(["verifier", "prover"]),
            st.integers(0, 8), FAULTS)
     @settings(max_examples=150, deadline=None)
+    # the verifier's key frame with a 5,000-digit prover_seed (its field 1)
+    # and its first vector frame, line 2 at seed 7, with a 5,000-digit r
+    @example("cheater", "verifier", 0, _decimal_string(5000, 1))
+    @example("ideal", "verifier", 2, _decimal_string(5000, 0))
     def test_any_replaced_line_ends_in_a_typed_error(self, kind, side, n, fault):
         # one line of a short session replaced, the key frame included: each
         # role finishes, or stops on a ParseError, or on a TransportError once
