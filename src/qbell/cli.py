@@ -202,9 +202,10 @@ def cmd_verify(args):
         ch = wire.Channel(sys.stdin.buffer, sys.stdout.buffer, session=f"s{args.seed}")
         report_stream = sys.stderr
     else:
-        srv = wire.open_tcp_listener(args.host, args.port)
-        srv.settimeout(args.timeout)  # no prover within it: TimeoutError, exit 3
-        conn, _ = srv.accept()
+        # closed once the one prover is in: a second one is refused at once
+        with wire.open_tcp_listener(args.host, args.port) as srv:
+            srv.settimeout(args.timeout)  # no prover within it: TimeoutError, exit 3
+            conn, _ = srv.accept()
         ch = wire.channel_from_socket(conn, session=f"s{args.seed}", timeout=args.timeout)
         report_stream = sys.stdout
     report, transcripts = wire.serve_session(ch, ctx, args.trials, args.seed, config)

@@ -3,11 +3,12 @@ factoring algorithm.
 
 Fixing one round-1 commitment y, the prover is replayed through rounds 2-3
 for chosen vectors r, asking for the measurement outcome in both bases
-(rewinding in between).  The two answers determine a unique single-qubit
-state, which reveals whether r.x0 = r.x1; combined with the known x0 this
-is a noisy oracle for the parity r.x1.  Goldreich-Levin list decoding of
-that oracle produces a candidate list for x1; any candidate that maps to y
-completes a claw and factors the modulus.
+(rewinding in between).  The pair is read back through the accept rule
+(each protocol.QubitState's value is the pair it predicts): equal answers
+mean the qubit is |r.x1>, so that bit is the guess; unequal ones mean
+r.x1 = 1 xor r.x0 for the known x0.  Goldreich-Levin list decoding of this
+noisy oracle for r.x1 produces a candidate list for x1; any candidate that
+maps to y completes a claw and factors the modulus.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import tcf
-from .protocol import ProtocolContext, QubitState, parity
+from .protocol import ProtocolContext, parity
 
 
 class BudgetExceeded(RuntimeError):
@@ -47,16 +48,6 @@ class GlParams:
             raise tcf.DomainError("need at least one probe")
 
 
-# state inferred from the (+pi/4, -pi/4) answer pair; exact inverse of the
-# accept table: each state has a unique pair of "more likely" outcomes
-_STATE_FROM_BITS = {
-    (0, 0): QubitState.ZERO,
-    (1, 1): QubitState.ONE,
-    (0, 1): QubitState.PLUS,
-    (1, 0): QubitState.MINUS,
-}
-
-
 class RewindableOracle:
     """Parity oracle r -> guess of r.x1 built from a rewindable prover.
 
@@ -81,13 +72,8 @@ class RewindableOracle:
         self.prover.reset()
         self.prover.round2(r)
         bit_minus = self.prover.round3(-1)
-        state = _STATE_FROM_BITS[(bit_plus, bit_minus)]
-        if state is QubitState.ZERO:
-            guess = 0
-        elif state is QubitState.ONE:
-            guess = 1
-        else:
-            guess = 1 ^ parity(r & self.x0)
+        # unequal answers predict a Hadamard state: r.x0 != r.x1
+        guess = bit_plus if bit_plus == bit_minus else 1 ^ parity(r & self.x0)
         self._cache[r] = guess
         return guess
 

@@ -111,10 +111,13 @@ class Transcript:
 
 
 class QubitState(enum.Enum):
-    ZERO = "0"
-    ONE = "1"
-    PLUS = "+"
-    MINUS = "-"
+    """A round-3 qubit; its value is the pair of bits it predicts, the more
+    likely outcome at +pi/4 and at -pi/4."""
+
+    ZERO = (0, 0)
+    ONE = (1, 1)
+    PLUS = (0, 1)
+    MINUS = (1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -135,17 +138,10 @@ def compute_qubit_state(x0: int, x1: int, r: int, d: int, rel_phase_bit: int = 0
     return QubitState.PLUS if sign == 0 else QubitState.MINUS
 
 
-_EXPECTED_BIT = {
-    (QubitState.ZERO, 1): 0, (QubitState.ZERO, -1): 0,
-    (QubitState.ONE, 1): 1, (QubitState.ONE, -1): 1,
-    (QubitState.PLUS, 1): 0, (QubitState.PLUS, -1): 1,
-    (QubitState.MINUS, 1): 1, (QubitState.MINUS, -1): 0,
-}
-
-
 def expected_bit(state: QubitState, basis_sign: int) -> int:
-    """The more likely outcome (probability cos^2(pi/8)) in the +/- pi/4 basis."""
-    return _EXPECTED_BIT[(state, basis_sign)]
+    """The more likely outcome (probability cos^2(pi/8)) in the
+    basis_sign * pi/4 basis, for basis_sign 1 or -1."""
+    return state.value[basis_sign < 0]
 
 
 def born_probability(state: QubitState, angle: float, outcome: int) -> float:

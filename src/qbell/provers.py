@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from . import tcf
 from .protocol import (ProtocolContext, QubitState, born_probability,
-                       compute_qubit_state, expected_bit, parity)
+                       compute_qubit_state, parity)
 from .seeds import CounterRandom, _path, derive_rng, derive_seed, first_bits
 
 
@@ -281,14 +281,15 @@ class CheaterProver(ProverBase):
         return first_bits(self._prefix + f"d|{r}".encode(), self.ctx.reg_width)
 
     def _round3_impl(self, r, d, basis_sign):
-        assumed = compute_qubit_state(self._x0_wire, self._x0_wire, r, d)
-        return expected_bit(assumed, basis_sign)
+        # |r.x0> predicts r.x0 in both bases
+        return parity(r & self._x0_wire)
 
 
-def measure_y(run: circuits.TwoBranchRun, width: int, rng) -> TwoBranchState:
-    """The y measurement after a two-branch circuit run.  If the branches'
-    outputs disagree it collapses the state onto one branch chosen
-    uniformly (one rng draw); equal registers leave a single branch too."""
+def measure_y(run, width: int, rng) -> TwoBranchState:
+    """The y measurement after a two-branch circuit run (a
+    circuits.TwoBranchRun).  If the branches' outputs disagree it collapses
+    the state onto one branch chosen uniformly (one rng draw); equal
+    registers leave a single branch too."""
     collapsed = None
     if run.y0 != run.y1:
         collapsed = rng.randrange(2)

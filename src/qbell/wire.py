@@ -107,7 +107,7 @@ class Channel:
         try:
             self.wfile.write(encode_frame(self.session, seq, msg))
             self.wfile.flush()
-        except (BrokenPipeError, OSError) as e:
+        except OSError as e:
             raise TransportError(f"send failed: {e}") from None
 
     def recv(self) -> dict:

@@ -106,13 +106,15 @@ class TestParityGuess:
         # it would be 3.6e-6 for Bin(6000, 1/2), and 1.6e-4 at 4,000 queries
         assert abs(hits / trials - 0.5) < 0.03
 
-    def test_inference_table_inverts_expected_bit(self):
-        # the (+,-) answer pair of each state is unique and maps back to it
-        for state in proto.QubitState:
-            pair = (proto.expected_bit(state, 1), proto.expected_bit(state, -1))
-            assert ex._STATE_FROM_BITS[pair] is state
-        assert len({(proto.expected_bit(s, 1), proto.expected_bit(s, -1))
-                    for s in proto.QubitState}) == 4
+    def test_answer_pairs_tell_computational_states_apart(self):
+        # the oracle's guess rests on this: the four states predict four
+        # distinct (+, -) answer pairs, whose bits agree exactly for |0> and
+        # |1>, and then equal the state's bit
+        pairs = {s: (proto.expected_bit(s, 1), proto.expected_bit(s, -1))
+                 for s in proto.QubitState}
+        assert len(set(pairs.values())) == 4
+        assert {s: p for s, p in pairs.items() if p[0] == p[1]} == \
+            {proto.QubitState.ZERO: (0, 0), proto.QubitState.ONE: (1, 1)}
 
     def test_caching(self):
         oracle, _, keys = self._oracle(TruthfulOracleProver, seed=7)

@@ -155,6 +155,22 @@ class TestCheater:
         y, _, _ = prover.round1()
         assert proto.ProtocolContext.plain(pub).check_preimage_wire(prover.answer_preimage(), y)
 
+    @pytest.mark.parametrize("keys", [gen_exact_bits(24), tcf.ddh_gen(2, 10, seed=9)],
+                             ids=["rabin24", "ddh-k2"])
+    def test_round3_answers_as_the_assumed_state_predicts(self, keys):
+        # round 3 is exactly the expected bit of the computational state
+        # |r.x0> it assumes, for any r and d and in both bases
+        prover = provers.CheaterProver(keys.public(), seed=4)
+        prover.round1()
+        x0 = prover.answer_preimage()
+        width = prover.ctx.reg_width
+        rng = random.Random(6)
+        for _ in range(500):
+            r, d = rng.getrandbits(width), rng.getrandbits(width)
+            for sign in (1, -1):
+                assert prover._round3_impl(r, d, sign) == proto.expected_bit(
+                    proto.compute_qubit_state(x0, x0, r, d), sign)
+
 
 class TestRewindDeterminism:
     def test_reset_replays_identically(self):

@@ -10,6 +10,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from io import BytesIO
 from unittest import mock
 
@@ -1215,6 +1216,44 @@ class TestTcpTransport:
             verifier.wait()
         assert verifier.returncode == 3
         assert err.startswith(b"transport error: ")
+
+    def test_second_prover_is_refused_while_a_session_runs(self, tmp_path):
+        # the verifier stops listening once its one prover is in, so a second
+        # prove exits 3 at once instead of waiting out its --timeout
+        key = tmp_path / "k.json"
+        key.write_text(tcf.key_to_json(gen_exact_bits(16)))
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = str(probe.getsockname()[1])
+        verifier = subprocess.Popen(
+            [sys.executable, "-m", "qbell.cli", "verify", "--key", str(key),
+             "--transport", "tcp", "--port", port, "--timeout", "30"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=cli_env())
+        try:
+            # the first prover is this test: it takes the key frame, then stalls
+            deadline = time.monotonic() + 15
+            while True:
+                try:
+                    first = socket.create_connection(("127.0.0.1", port), timeout=15)
+                    break
+                except ConnectionRefusedError:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.05)
+            with first, first.makefile("rb") as rfile:
+                assert wire.decode_frame(rfile.readline())[2]["tag"] == "key"
+                start = time.monotonic()
+                second = subprocess.run(
+                    [sys.executable, "-m", "qbell.cli", "prove", "--prover", "cheater",
+                     "--transport", "tcp", "--port", port, "--timeout", "10"],
+                    capture_output=True, timeout=60, env=cli_env())
+                elapsed = time.monotonic() - start
+        finally:
+            verifier.kill()
+            verifier.wait()
+        assert second.returncode == 3, second.stderr
+        assert second.stderr.startswith(b"transport error: ")
+        assert b"Traceback" not in second.stderr
+        assert elapsed < 1.0
 
 
 # the modules that keygen, a run with the ideal or cheater prover and the
