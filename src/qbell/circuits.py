@@ -121,9 +121,9 @@ class ResourceReport:
 
 
 class QubitPool:
-    """Allocates qubit indices into a gate list, reusing discarded ones."""
+    """Allocates qubit indices into a gate sink, reusing discarded ones."""
 
-    def __init__(self, gates: list):
+    def __init__(self, gates):
         self.gates = gates
         self._free = []
         # the next fresh index; one is handed out only when none is free,
@@ -477,15 +477,19 @@ def montgomery_reduce(g, pool, T, modulus, method="schoolbook", cutoff=KARATSUBA
 # top-level builders
 
 def build_modsquare(N, lift_m=0, method="schoolbook", cutoff=KARATSUBA_CUTOFF):
-    """Circuit computing (k x)^2 * R' mod k^2 N on the x register, k = 3^lift_m.
+    """emit_modsquare into a new gate list, the form the engine runs."""
+    return emit_modsquare([], N, lift_m, method, cutoff)
+
+
+def emit_modsquare(gates, N, lift_m=0, method="schoolbook", cutoff=KARATSUBA_CUTOFF):
+    """Emit the circuit computing (k x)^2 * R' mod k^2 N, k = 3^lift_m, into
+    `gates`, any sink with an append method, and return the Circuit over it.
 
     The x register is lifted in place (a chain of x3 stages), squared into a
-    product register, and Montgomery-reduced.  The measured value is
-    (k x)^2 * R' mod k^2 N.  The metadata records the builder, k, the
-    modulus k^2 N, R' = R^-1 ("rprime") and its undo R ("r_undo").  The
-    domain-restriction comparator for x < ceil(N/2) is not part of the gate
-    list, since the simulated prover samples the domain directly.
-    """
+    product register, and Montgomery-reduced.  The metadata records the
+    builder, k, the modulus k^2 N, R' = R^-1 ("rprime") and its undo R
+    ("r_undo").  The domain-restriction comparator for x < ceil(N/2) is left
+    out, since the simulated prover samples the domain directly."""
     _check_modsquare(N, lift_m, method, cutoff)
     n = N.bit_length()
     k = 3 ** lift_m
@@ -493,7 +497,6 @@ def build_modsquare(N, lift_m=0, method="schoolbook", cutoff=KARATSUBA_CUTOFF):
     nm = modulus.bit_length()
     width = n + 2 * lift_m
 
-    gates = []
     pool = QubitPool(gates)
     x_reg = pool.new_register(width)
     w = n
@@ -524,7 +527,7 @@ def build_modsquare(N, lift_m=0, method="schoolbook", cutoff=KARATSUBA_CUTOFF):
 
 
 def _check_modsquare(N, lift_m, method, cutoff):
-    """build_modsquare's parameter checks.  Montgomery reduction needs only
+    """emit_modsquare's parameter checks.  Montgomery reduction needs only
     an odd modulus, so a prime passes."""
     if N % 2 == 0 or N < 15:
         raise CircuitError("modulus must be odd and >= 15")
@@ -874,64 +877,60 @@ def run_two_branch_batch(circuit: Circuit, x0s, x1s, error_prob, rng):
 # ---------------------------------------------------------------------------
 # resource accounting
 
-def _tally(gates, n_qubits) -> tuple:
-    """(gates, Toffolis, depth) of gate tuples in the Circuit.gates shape over
-    qubits 0..n_qubits-1, the depth by greedy qubit-disjoint layering.
+class Tally:
+    """A gate sink counting gates, Toffolis and greedy qubit-disjoint layers:
+    layer[q] is the layer of qubit q's last gate, which only rises, so the
+    depth is the largest.  It starts as n_qubits zeros and grows on each ALLOC
+    of the next fresh index.  Only X, CNOT, Toffoli and CPHASE are gates."""
 
-    ALLOC/DISCARD/MEASURE_Y are bookkeeping, not gates; they do not count
-    toward totals or depth.  A CPHASE's last field is not read.
-    """
-    total = toffoli = depth = 0
-    layer = [0] * n_qubits
-    for g in gates:
+    def __init__(self, n_qubits=0):
+        self.layer = [0] * n_qubits
+        self.total = self.toffoli = 0
+
+    def append(self, g) -> None:
         tag = g[0]
-        if tag == TOFFOLI:
+        layer = self.layer
+        if tag is TOFFOLI:
             _, a, b, t = g
-            toffoli += 1
+            self.toffoli += 1
             lv = layer[a]
             if layer[b] > lv:
                 lv = layer[b]
             if layer[t] > lv:
                 lv = layer[t]
-            lv += 1
-            layer[a] = layer[b] = layer[t] = lv
-        elif tag == CNOT:
+            layer[a] = layer[b] = layer[t] = lv + 1
+        elif tag is CNOT:
             _, a, t = g
             lv = layer[a]
             if layer[t] > lv:
                 lv = layer[t]
-            lv += 1
-            layer[a] = layer[t] = lv
-        elif tag == CPHASE:
-            _, controls, t, _ = g
-            lv = layer[t]
-            for c in controls:
-                if layer[c] > lv:
-                    lv = layer[c]
-            lv += 1
-            layer[t] = lv
-            for c in controls:
-                layer[c] = lv
-        elif tag == X:
-            t = g[1]
-            lv = layer[t] = layer[t] + 1
+            layer[a] = layer[t] = lv + 1
+        elif tag is X:
+            layer[g[1]] += 1
+        elif tag is CPHASE:
+            qs = (*g[1], g[2])
+            lv = 1 + max(map(layer.__getitem__, qs))
+            for q in qs:
+                layer[q] = lv
         else:
-            continue
-        total += 1
-        if lv > depth:
-            depth = lv
-    return total, toffoli, depth
+            if tag is ALLOC and g[1] == len(layer):
+                layer.append(0)
+            return
+        self.total += 1
 
 
-def count_resources(circuit: Circuit) -> ResourceReport:
-    """Gate totals plus a greedy qubit-disjoint layering depth.
-
-    ALLOC/DISCARD/MEASURE_Y are bookkeeping, not gates; they do not count
-    toward totals or depth.
-    """
-    total, toffoli, depth = _tally(circuit.gates, circuit.n_qubits)
-    return ResourceReport(qubits=circuit.n_qubits, total_gates=total,
-                          toffoli_count=toffoli, depth=depth)
+def count_resources(circuit) -> ResourceReport:
+    """Gate totals and greedy layering depth, from one Tally.  `circuit` is a
+    Circuit, whose gate list is fed to it, or a function that emits a circuit
+    into the sink it is given (a bound emit_modsquare), tallied as emitted."""
+    if callable(circuit):
+        circuit = circuit(tally := Tally())
+    else:
+        tally = Tally(circuit.n_qubits)
+        for g in circuit.gates:
+            tally.append(g)
+    return ResourceReport(qubits=circuit.n_qubits, total_gates=tally.total,
+                          toffoli_count=tally.toffoli, depth=max(tally.layer, default=0))
 
 
 # ---------------------------------------------------------------------------

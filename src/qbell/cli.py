@@ -294,12 +294,12 @@ def cmd_resources(args):
         if args.modulus:
             N = _number(int, args.modulus, "--modulus")
             if N.bit_length() != args.n:
-                raise UsageError(f"--modulus {N} is not an {args.n}-bit modulus")
+                raise UsageError(f"--modulus {N} has {N.bit_length()} bits, but --n is {args.n}")
         else:
             N = _exact_modulus(args.n)
         cutoff = circuits.KARATSUBA_CUTOFF if args.cutoff is None else args.cutoff
         rep = circuits.count_resources(
-            circuits.build_modsquare(N, method=builder, cutoff=cutoff))
+            lambda sink: circuits.emit_modsquare(sink, N, method=builder, cutoff=cutoff))
     else:
         if args.modulus:
             # the phase circuits' counts depend on n alone

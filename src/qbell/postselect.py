@@ -22,10 +22,11 @@ from .seeds import derive_rng, derive_seed
 
 def lift_key(keys: tcf.RabinKeyPair, m: int,
              method: str = "karatsuba") -> protocol.ProtocolContext:
-    """The context that reads the wire values of the lifted circuit (x3
-    chain, square, reduce) for k = 3^m: the circuit half of the one session
-    setup, cli.session_context, and the setup of each sweep m."""
-    circ = circuits.build_modsquare(keys.N, lift_m=m, method=method)
+    """The context reading the wire values of the lifted circuit (x3 chain,
+    square, reduce) for k = 3^m at the cutoff modsquare_gate_count reads:
+    the circuit half of cli.session_context, and each sweep m's setup."""
+    circ = circuits.build_modsquare(keys.N, lift_m=m, method=method,
+                                    cutoff=circuits.KARATSUBA_CUTOFF)
     return protocol.ProtocolContext.for_circuit(keys, circ)
 
 

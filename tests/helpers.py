@@ -405,9 +405,8 @@ def reference_phase_resources(variant, n):
     else:
         y = tuple(range(n, n + m_out))
         qubits = n + m_out + cc._phase_ancillas(variant, n)
-    total, toffoli, depth = cc._tally(_phase_gate_stream(variant, n, y), qubits)
-    return cc.ResourceReport(qubits=qubits, total_gates=total,
-                             toffoli_count=toffoli, depth=depth)
+    return cc.count_resources(cc.Circuit(n_qubits=qubits, gates=_phase_gate_stream(variant, n, y),
+                                         registers={}, metadata={}))
 
 
 def montgomery_stage(n, N, method="schoolbook", cutoff=32):

@@ -268,6 +268,28 @@ class TestResources:
                 assert cc.modsquare_gate_count(N, m, method) == \
                     gate_count(cc.build_modsquare(N, m, method)), (m, method)
 
+    @pytest.mark.parametrize("cutoff", [8, 32])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("method", ["schoolbook", "karatsuba"])
+    def test_tally_while_emitting_equals_list_count(self, method, m, cutoff):
+        # `qbell resources` tallies gates as emit_modsquare emits them and
+        # holds no list; the counts and the Circuit's other fields must be
+        # those of the built circuit
+        for N in (2063, gen_exact_bits(24).N, gen_exact_bits(80).N):
+            emitted = []
+
+            def emit(sink):
+                emitted.append(cc.emit_modsquare(sink, N, m, method, cutoff))
+                return emitted[0]
+
+            rep = cc.count_resources(emit)
+            built = cc.build_modsquare(N, m, method, cutoff)
+            assert rep == cc.count_resources(built), (N, m, method, cutoff)
+            assert (rep.total_gates, rep.toffoli_count, rep.depth) == reference_tally(built.gates)
+            assert isinstance(emitted[0].gates, cc.Tally)
+            assert (emitted[0].n_qubits, emitted[0].registers, emitted[0].metadata) == \
+                (built.n_qubits, built.registers, built.metadata)
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_reference_tally(self, data):

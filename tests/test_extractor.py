@@ -316,8 +316,13 @@ class TestExtractAndFactor:
         ctx = proto.ProtocolContext.plain(keys0)
         rng = derive_rng(903, "score")
         ts = [proto.run_iteration(ctx, Blend(proto.ProtocolContext.plain(keys0), seed=99), rng,
-                                  proto.IterationConfig(), i) for i in range(4000)]
+                                  proto.IterationConfig(), i) for i in range(14000)]
         rep = proto.score(ts)
+        # a round-3 bit is right with probability c = 0.9 cos^2(pi/8) + 0.05
+        # = 0.8182 and a preimage answer always, so the score is 4c - 3 =
+        # 0.273, and it clears 0.2 iff 5A >= 4T for A ~ Bin(T, c) over
+        # T ~ Bin(iterations, 1/2) measurement rounds.  The exact tail of a
+        # false failure is 1.8e-2 at 4,000 iterations and 4.7e-5 at 14,000
         assert float(rep.score) >= 0.2
 
         wins = 0
@@ -332,4 +337,11 @@ class TestExtractAndFactor:
                 wins += rep.factors == (keys.p, keys.q)
             except ex.ExtractionFailed:
                 pass
+        # a query is wrong with probability 1 - c^2 when r.x0 = r.x1, else
+        # c (1 - c).  A trial loses only if x0 has no claw partner (at most
+        # 7.0e-4 over these keys), some nonzero probe sum has weight <= 2 so
+        # that queries repeat (2.3e-3, counted as a loss), the probes are
+        # dependent (7.6e-6), or under the true signs a bit gets at least 64
+        # wrong votes of 127 (7.5e-6 in all).  Fewer than 20 wins in 40 then
+        # has probability at most P(Bin(40, 0.003) >= 21) = 1.3e-42
         assert wins >= trials // 2

@@ -36,6 +36,16 @@ class TestLiftKey:
         keys = tcf.RabinKeyPair(N=77, p=11, q=7)
         assert ps.lift_key(keys, 2, method="schoolbook").circuit.metadata["modulus"] == 6237
 
+    @pytest.mark.parametrize("cutoff", [8, 32])
+    def test_builds_at_the_counted_cutoff(self, monkeypatch, cutoff):
+        # the noise model takes the m = 0 gate count from modsquare_gate_count,
+        # which reads KARATSUBA_CUTOFF when called; lift_key builds with it
+        monkeypatch.setattr(cc, "KARATSUBA_CUTOFF", cutoff)
+        keys = gen_exact_bits(48)
+        for m in (0, 1):
+            assert ps.lift_key(keys, m).circuit.schedule.unitary == \
+                cc.modsquare_gate_count(keys.N, m, "karatsuba"), m
+
     def test_lifted_circuit_semantics(self):
         keys = tcf.RabinKeyPair(N=77, p=11, q=7)
         lifted = ps.lift_key(keys, 1, method="schoolbook")

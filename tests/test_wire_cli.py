@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from io import BytesIO
 from unittest import mock
 
@@ -486,6 +487,39 @@ class TestCli:
                        "--out", str(out)) == 0
         doc = json.loads(out.read_text())
         assert doc["qubits"] > 400 and doc["gates"] > 50_000
+
+    def test_resources_holds_no_gate_list(self, tmp_path):
+        # the 256-bit karatsuba circuit has 342,575 gates; a list of them
+        # peaked at about 46 MB under tracemalloc, and tallying them as they
+        # are emitted holds only the per-qubit layers
+        tracemalloc.start()
+        try:
+            assert run_cli("resources", "--builder", "karatsuba", "--n", "256",
+                           "--out", str(tmp_path / "res.json")) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+    @pytest.mark.parametrize("builder", ["schoolbook", "karatsuba"])
+    def test_resources_counts_through_count_resources(self, monkeypatch, tmp_path, builder):
+        # bench/layers.py times circuits.count_resources and hooks
+        # circuits.build_modsquare by name: one `resources` call is one
+        # count_resources call, and it builds no gate list
+        calls = {"count_resources": 0, "build_modsquare": 0}
+        for name in calls:
+            def counted(*args, _name=name, _inner=getattr(cc, name), **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(cc, name, counted)
+        assert run_cli("resources", "--builder", builder, "--n", "40",
+                       "--out", str(tmp_path / "res.json")) == 0
+        assert calls == {"count_resources": 1, "build_modsquare": 0}
+
+    def test_resources_modulus_of_another_width(self, capsys):
+        assert run_cli("resources", "--builder", "schoolbook", "--n", "16",
+                       "--modulus", "65537") == 2
+        assert capsys.readouterr().err == "error: --modulus 65537 has 17 bits, but --n is 16\n"
 
     def test_extract_cli(self, keyfiles, tmp_path):
         key, _ = keyfiles
