@@ -6,6 +6,11 @@ bookkeeping events: ALLOC (a qubit index enters use, value 0), DISCARD
 returned to the pool) and MEASURE_Y (the standard-basis readout of the
 output register, exactly once per circuit).
 
+The builders emit each ripple-carry step that discards its spent carry as
+one macro entry, ADD (a full adder) or HALF (a half adder), and the
+lowering, the engine and the resource tally take a macro as one step.
+Circuit.gates is the plain gate-by-gate expansion of the entries.
+
 Discarding garbage imprints a relative phase (-1)^(h . g(x)) between
 superposed branches, where h is the random string of Hadamard-basis
 outcomes and g(x) the garbage values on input x.  Builders here discard
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import takewhile
 
@@ -48,32 +53,65 @@ CPHASE = "CPHASE"
 ALLOC = "ALLOC"
 DISCARD = "DISCARD"
 MEASURE_Y = "MEASURE_Y"
+# macro tags: one ripple-carry step each, whose plain gates _expand gives
+ADD = "ADD"
+HALF = "HALF"
 
 UNITARY_TAGS = frozenset((X, CNOT, TOFFOLI, CPHASE))
 
 
-@dataclass
-class Circuit:
-    """A gate list over qubits 0..n_qubits-1.  Its tags are this module's
-    constants, which the engine tells apart by identity.  `schedule` is
-    lowered on first use, in one pass over the gate list; the gate list
-    must not change after that."""
+def _expand(entry) -> tuple:
+    """The plain gates of one circuit entry: a macro's, or the entry itself.
+    (ADD, a, b, cin, cout) is a full adder, b += a + cin, and (HALF, cin, c,
+    cout) a half adder, c += cin, each carrying into a fresh cout; each
+    then discards its spent carry-in, so the discard is its last event."""
+    tag = entry[0]
+    if tag is ADD:
+        _, a, b, cin, cout = entry
+        return ((ALLOC, cout), (TOFFOLI, a, b, cout), (CNOT, a, b), (TOFFOLI, b, cin, cout),
+                (CNOT, cin, b), (DISCARD, (cin,)))
+    if tag is HALF:
+        _, cin, c, cout = entry
+        return (ALLOC, cout), (TOFFOLI, cin, c, cout), (CNOT, cin, c), (DISCARD, (cin,))
+    return (entry,)
 
-    n_qubits: int
-    gates: list
-    registers: dict
-    metadata: dict = field(default_factory=dict)
+
+class Circuit:
+    """A circuit over qubits 0..n_qubits-1, given as its entry list: gates,
+    events and ADD/HALF macros, whose tags are this module's constants,
+    which the engine tells apart by identity.  `gates` is the plain
+    gate-by-gate list, every macro expanded, built on first read;
+    `schedule` is lowered on first use, in one pass over the entries.  The
+    entries must not change after either."""
+
+    def __init__(self, n_qubits, gates, registers, metadata=None):
+        self.n_qubits = n_qubits
+        self.entries = gates
+        self.registers = registers
+        self.metadata = {} if metadata is None else metadata
+
+    @cached_property
+    def gates(self) -> list:
+        return [g for entry in self.entries for g in _expand(entry)]
 
     @cached_property
     def schedule(self) -> "Schedule":
         load = set(self.registers["x"])
-        program, marks = [], []
-        append, mark = program.append, marks.append
+        program, starts = [], []
+        append, start = program.append, starts.append
         unitary = h_len = 0
-        for g in self.gates:
+        for g in self.entries:
             tag = g[0]
+            if tag is ADD or tag is HALF:
+                # its ALLOC is dropped: the x register is allocated first
+                start(unitary)
+                append(g)
+                unitary += 4 if tag is ADD else 2
+                h_len += 1
+                continue
             if tag in UNITARY_TAGS:
                 if tag is not CPHASE:
+                    start(unitary)
                     append(g)
                     unitary += 1
                 continue
@@ -83,27 +121,27 @@ class Circuit:
                 load.remove(g[1])
             elif tag is DISCARD:
                 h_len += len(g[1])
-            mark(unitary)
+            start(unitary)
             append(g)
-        return Schedule(program=program, unitary=unitary, h_len=h_len, marks=marks)
+        return Schedule(program=program, unitary=unitary, h_len=h_len, starts=starts)
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """A circuit lowered for the engine.  `program` is its gate list as the
-    engine runs it: CPHASE gates (diagonal, no effect on basis states) and
-    ALLOC events dropped, except the first ALLOC of each x-register qubit,
-    which loads its input row; a DISCARD zeroes its rows, so a re-allocated
-    qubit starts at 0.  A two-branch run's Pauli errors strike the
-    `unitary` X/CNOT/Toffoli gates, and its `h_len` discarded qubits each
-    take one Hadamard outcome.  marks[k] counts the unitary gates before
-    the k-th other entry of the program, so unitary gate u stands at
-    program index u + bisect_right(marks, u)."""
+    """A circuit lowered for the engine.  `program` is its entry list as the
+    engine runs it, macros kept: CPHASE gates (diagonal, no effect on basis
+    states) and ALLOC events dropped, except the first ALLOC of each
+    x-register qubit, which loads its input row; a DISCARD zeroes its rows,
+    so a re-allocated qubit starts at 0.  A two-branch run's Pauli errors
+    strike the `unitary` X/CNOT/Toffoli gates of the plain gate list, and
+    its `h_len` discarded qubits each take one Hadamard outcome.  starts[i]
+    counts the unitary gates before program entry i, so unitary gate u is
+    gate u - starts[i] of entry i = bisect_right(starts, u) - 1."""
 
     program: list
     unitary: int
     h_len: int
-    marks: list
+    starts: list
 
 
 @dataclass(frozen=True)
@@ -125,17 +163,20 @@ class QubitPool:
 
     def __init__(self, gates):
         self.gates = gates
-        self._free = []
+        self.free = []  # discarded indices, handed out again last first
         # the next fresh index; one is handed out only when none is free,
         # so this is also the peak number of live qubits
         self.peak = 0
 
+    def take(self) -> int:
+        """An index for a macro's carry-out, whose ALLOC the macro implies."""
+        if self.free:
+            return self.free.pop()
+        self.peak += 1
+        return self.peak - 1
+
     def new(self) -> int:
-        if self._free:
-            q = self._free.pop()
-        else:
-            q = self.peak
-            self.peak += 1
+        q = self.take()
         self.gates.append((ALLOC, q))
         return q
 
@@ -145,45 +186,39 @@ class QubitPool:
     def discard(self, qs) -> None:
         qs = (qs,) if isinstance(qs, int) else tuple(qs)
         self.gates.append((DISCARD, qs))
-        self._free.extend(qs)
+        self.free.extend(qs)
 
 
 # ---------------------------------------------------------------------------
 # arithmetic building blocks
 #
 # half_adder:  (a, b, cout) -> (a, a+b, cout + carry)
-# full_adder:  (a, b, cin, cout) -> (a, a+b+cin, cin, cout + carry)
-# _add_bit and _ripple discard the stale carry after each step; callers
-# discard the a input where it is a scratch partial product.
+# _add_bit and _ripple discard the stale carry after each step, as the one
+# macro entry each step is; callers discard the a input where it is a
+# scratch partial product.
 
 def _half_adder(g, a, b, cout):
     g.append((TOFFOLI, a, b, cout))
     g.append((CNOT, a, b))
 
 
-def _full_adder(g, a, b, cin, cout):
-    g.append((TOFFOLI, a, b, cout))
-    g.append((CNOT, a, b))
-    g.append((TOFFOLI, b, cin, cout))
-    g.append((CNOT, cin, b))
-
-
 def _add_bit(g, pool, a, b, cin):
-    """One ripple step: b += a + cin into a fresh carry-out, which is
-    returned; the spent carry-in is discarded."""
-    cout = pool.new()
-    _full_adder(g, a, b, cin, cout)
-    pool.discard(cin)
+    """One ripple step, an ADD entry: b += a + cin into a fresh carry-out,
+    which is returned; the spent carry-in is discarded."""
+    cout = pool.take()
+    g.append((ADD, a, b, cin, cout))
+    pool.free.append(cin)
     return cout
 
 
 def _ripple(g, pool, cin, C):
-    """Propagate the carry cin through C by half adders, then discard the
+    """Propagate the carry cin through C by HALF entries, then discard the
     last carry."""
+    free = pool.free
     for c in C:
-        cout = pool.new()
-        _half_adder(g, cin, c, cout)
-        pool.discard(cin)
+        cout = pool.take()
+        g.append((HALF, cin, c, cout))
+        free.append(cin)
         cin = cout
     pool.discard(cin)
 
@@ -681,15 +716,16 @@ class _Lanes:
 
 def _run_lanes(circuit: Circuit, inputs, runs=0, errors=(), draw_h=None) -> _Lanes:
     """Run the circuit's program once over one lane per input (x register
-    = input).
+    = input).  A macro runs as one instruction.
 
     With runs = R > 0 the lanes are blocks of R: noisy branch 0, noisy
     branch 1 and, when given, clean branch 0 and clean branch 1.  errors,
     (unitary gate, run, pick, pauli) in gate-major order as _sampled_errors
     yields them, strike the noisy pair of their run right after the gate;
     the program runs in error-free slices between them, each next error
-    taken once the previous one has struck; a Z or Y error folds into the
-    noisy pair's phase.
+    taken once the previous one has struck, and a macro holding a struck
+    gate runs gate by gate, as _expand gives them, from then on; a Z or Y
+    error folds into the noisy pair's phase.
 
     A discarded row leaves its pair row (row xor row >> R) & (2^R - 1) in
     `garbage`: bit j is g0 xor g1 of run j, all that run's discard phase
@@ -715,56 +751,92 @@ def _run_lanes(circuit: Circuit, inputs, runs=0, errors=(), draw_h=None) -> _Lan
     errors = iter(errors)
     err = next(errors, None)
     if err is not None:
-        unitary, marks = schedule.unitary, schedule.marks
+        unitary, starts = schedule.unitary, schedule.starts
     start = 0
+    rest, base = [], 0  # the unrun gates of a macro split by errors, from gate `base` on
     while True:
         if err is not None and err[0] < unitary:
             u = err[0]
-            stop = u + bisect_right(marks, u) + 1  # just past gate u
-            segment = program[start:stop]
+            if u < base:  # another error on the gate just struck
+                segment = ()
+            elif u - base < len(rest) - 1:  # a later gate of the split macro
+                segment, rest = rest[:u - base + 1], rest[u - base + 1:]
+                struck = segment[-1]
+            else:
+                i = bisect_right(starts, u) - 1
+                segment = program[start:i + 1]
+                if rest:
+                    segment[:0] = rest
+                struck, rest, start = program[i], [], i + 1
+                if struck[0] is ADD or struck[0] is HALF:
+                    split = list(_expand(segment.pop())[1:])  # past its ALLOC
+                    k = u - starts[i] + 1
+                    segment += split[:k]
+                    struck, rest = split[k - 1], split[k:]
+            base = u + 1
         else:
             err = None
-            segment = program[start:] if start else program
+            segment = rest + program[start:] if start else program
         for gate in segment:
             tag = gate[0]
-            if tag is TOFFOLI:
-                rows[gate[3]] ^= rows[gate[1]] & rows[gate[2]]
-            elif tag is CNOT:
-                rows[gate[2]] ^= rows[gate[1]]
-            elif tag is DISCARD:
-                if draw_h is not None:
-                    hs = draw_h(runs * len(gate[1]))
-                    for q in gate[1]:
-                        row = rows[q]
-                        rows[q] = 0
-                        h = hs & run_mask
-                        hs >>= runs
-                        row ^= row >> runs  # b0 xor b1, and 2R lanes up c0 xor c1
-                        phase ^= h & row
-                        clean ^= h & (row >> 2 * runs)
-                else:
-                    for q in gate[1]:
-                        row = rows[q]
-                        rows[q] = 0
-                        garbage.append((row ^ row >> runs) & run_mask)
-            elif tag is X:
-                rows[gate[1]] ^= full
-            elif tag is ALLOC:
-                rows[gate[1]] = loads[gate[1]]
-            elif tag is MEASURE_Y:
-                y_rows = [rows[q] for q in gate[1]]
+            if tag is ADD:
+                _, a, b, c, t = gate
+                ra, rb, row = rows[a], rows[b], rows[c]
+                s = ra ^ rb
+                rows[t] = ra & rb ^ s & row
+                rows[b] = s ^ row
+            elif tag is HALF:
+                _, c, b, t = gate
+                row, rb = rows[c], rows[b]
+                rows[t] = row & rb
+                rows[b] = row ^ rb
+            else:
+                if tag is TOFFOLI:
+                    rows[gate[3]] ^= rows[gate[1]] & rows[gate[2]]
+                elif tag is CNOT:
+                    rows[gate[2]] ^= rows[gate[1]]
+                elif tag is DISCARD:
+                    if draw_h is not None:
+                        hs = draw_h(runs * len(gate[1]))
+                        for q in gate[1]:
+                            row = rows[q]
+                            rows[q] = 0
+                            h = hs & run_mask
+                            hs >>= runs
+                            row ^= row >> runs  # b0 xor b1, and 2R lanes up c0 xor c1
+                            phase ^= h & row
+                            clean ^= h & (row >> 2 * runs)
+                    else:
+                        for q in gate[1]:
+                            row = rows[q]
+                            rows[q] = 0
+                            garbage.append((row ^ row >> runs) & run_mask)
+                elif tag is X:
+                    rows[gate[1]] ^= full
+                elif tag is ALLOC:
+                    rows[gate[1]] = loads[gate[1]]
+                elif tag is MEASURE_Y:
+                    y_rows = [rows[q] for q in gate[1]]
+                continue
+            # the macro's last event: the discard of its carry-in c, as above
+            rows[c] = 0
+            if draw_h is None:
+                garbage.append((row ^ row >> runs) & run_mask)
+            else:
+                h = draw_h(runs)
+                row ^= row >> runs
+                phase ^= h & row
+                clean ^= h & (row >> 2 * runs)
         if err is None:
             break
         _, lo, pick, pauli = err
-        gate = program[stop - 1]
-        q = gate[1 + pick % (len(gate) - 1)]
+        q = struck[1 + pick % (len(struck) - 1)]
         hi = lo + runs
         row = rows[q]
         if pauli != "X":  # Z or Y: sign flip where the two branches differ
             phase ^= (((row >> lo) ^ (row >> hi)) & 1) << lo
         if pauli != "Z":  # X or Y: bit flip in both branches
             rows[q] = row ^ (1 << lo) ^ (1 << hi)
-        start = stop
         err = next(errors, None)
     if y_rows is None:
         raise MalformedCircuit("circuit has no MEASURE_Y")
@@ -881,7 +953,8 @@ class Tally:
     """A gate sink counting gates, Toffolis and greedy qubit-disjoint layers:
     layer[q] is the layer of qubit q's last gate, which only rises, so the
     depth is the largest.  It starts as n_qubits zeros and grows on each ALLOC
-    of the next fresh index.  Only X, CNOT, Toffoli and CPHASE are gates."""
+    of the next fresh index, a macro's own included.  Only X, CNOT, Toffoli
+    and CPHASE are gates; a macro counts its gates and layers at once."""
 
     def __init__(self, n_qubits=0):
         self.layer = [0] * n_qubits
@@ -890,6 +963,25 @@ class Tally:
     def append(self, g) -> None:
         tag = g[0]
         layer = self.layer
+        if tag is ADD:  # Toffoli a,b->t, CNOT a->b, Toffoli b,c->t, CNOT c->b
+            _, a, b, c, t = g
+            if t == len(layer):
+                layer.append(0)
+            layer[a] = lv = max(layer[a], layer[b], layer[t]) + 2
+            layer[t] = lv = max(lv, layer[c]) + 1
+            layer[b] = layer[c] = lv + 1
+            self.toffoli += 2
+            self.total += 4
+            return
+        if tag is HALF:  # Toffoli a,b->t, CNOT a->b
+            _, a, b, t = g
+            if t == len(layer):
+                layer.append(0)
+            layer[t] = lv = max(layer[a], layer[b], layer[t]) + 1
+            layer[a] = layer[b] = lv + 1
+            self.toffoli += 1
+            self.total += 2
+            return
         if tag is TOFFOLI:
             _, a, b, t = g
             self.toffoli += 1
@@ -927,7 +1019,7 @@ def count_resources(circuit) -> ResourceReport:
         circuit = circuit(tally := Tally())
     else:
         tally = Tally(circuit.n_qubits)
-        for g in circuit.gates:
+        for g in circuit.entries:
             tally.append(g)
     return ResourceReport(qubits=circuit.n_qubits, total_gates=tally.total,
                           toffoli_count=tally.toffoli, depth=max(tally.layer, default=0))

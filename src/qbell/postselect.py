@@ -103,7 +103,7 @@ def _sweep_point(config: SweepConfig, m: int, ctx: protocol.ProtocolContext, gat
         runs, phases_v = circuits.run_two_branch_batch(
             ctx.circuit, [c[0] for c in claws], [c[1] for c in claws], noise.error_prob,
             engine_rng)
-        for (x0, x1, _), run, phase_v in zip(claws, runs, phases_v):
+        for (x0, x1, y_claw), run, phase_v in zip(claws, runs, phases_v):
             state = measure_y(run, ctx.reg_width, rng)
             if not is_valid_y(state.y, ctx.lift_k):
                 discarded += 1  # prover-side: re-run the circuit
@@ -117,7 +117,10 @@ def _sweep_point(config: SweepConfig, m: int, ctx: protocol.ProtocolContext, gat
                 cal_bits += 1
                 if run.phase == phase_v:
                     cal_state += 1
-            preimages = ctx.preimages(state.y)
+            # sample_claw draws x0 with a partner, so the claw's image has
+            # exactly the two roots x0 and x1 in the domain: no inversion
+            preimages = ((min(x0, x1), max(x0, x1)) if ctx.base_image(state.y) == y_claw
+                         else ctx.preimages(state.y))
             if not preimages:
                 discarded += 1  # verifier-side silent discard
                 continue

@@ -265,12 +265,12 @@ def predicted_state(ctx: ProtocolContext, preimages: tuple, r: int, d: int,
 # A session settles its pending claw rounds this many at a time, in one
 # evaluate_classical call.  Measured on the 64-bit karatsuba circuit at
 # m = 0 (2-vCPU Xeon VM, Python 3.11, best of 7): one call costs about
-# 3.5 ms on 1 claw, 5.7 ms on 16, 6.4 ms on 32 and 7.6 ms on 64, so a
-# round's share falls to about 0.20 ms at 32 claws and 0.12 ms at 64.  A
-# block of 64 made a 600-trial noisy session about 5% faster but changes
-# nothing in sessions with fewer than 33 pending rounds.  The bound keeps a
-# block's size, and the wait for its verdicts, independent of the
-# session's length.
+# 2.0 ms on 1 claw, 4.0 ms on 16, 4.7 ms on 32 and 5.6 ms on 64, so a
+# round's share falls to about 0.15 ms at 32 claws and 0.09 ms at 64.  A
+# block of 64 made a 600-trial noisy session (F = 0.5, m = 1, --postselect)
+# 15% faster in process, 0.21 -> 0.18 s, but changes nothing in sessions
+# with fewer than 33 pending rounds.  The bound keeps a block's size, and
+# the wait for its verdicts, independent of the session's length.
 SETTLE_BLOCK = 32
 
 

@@ -12,8 +12,8 @@ import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count, product
-from operator import itemgetter, sub
+from itertools import accumulate, product
+from operator import itemgetter
 
 import numpy as np
 
@@ -377,20 +377,20 @@ def gate_count(circuit):
 
 
 def reference_lowering(circuit):
-    """Circuit.schedule computed in several passes: a comprehension filters
-    the program, then passes over it find the bookkeeping entries' indices
-    and the discarded qubits.  The oracle for Circuit.schedule's one loop."""
+    """Circuit.schedule computed in several passes over the plain gate list:
+    a comprehension filters the program, then passes over it count the
+    unitary gates before each entry and the discarded qubits.  The oracle
+    for Circuit.schedule's one loop over the entries, once the macros it
+    keeps are expanded (test_circuits.py's _expanded)."""
     load = set(circuit.registers["x"])
     program = [g for g in circuit.gates
                if g[0] is not cc.CPHASE
                and (g[0] is not cc.ALLOC or (g[1] in load and not load.remove(g[1])))]
-    # program indices of the ALLOC/DISCARD/MEASURE_Y entries; the k-th has
-    # index - k unitary gates before it
     bookkeeping = frozenset((cc.ALLOC, cc.DISCARD, cc.MEASURE_Y))
-    at = list(compress(count(), map(bookkeeping.__contains__, map(itemgetter(0), program))))
+    unitary = [g[0] not in bookkeeping for g in program]
     return cc.Schedule(
-        program=program, unitary=len(program) - len(at), marks=list(map(sub, at, count())),
-        h_len=sum(len(program[i][1]) for i in at if program[i][0] is cc.DISCARD))
+        program=program, unitary=sum(unitary), starts=list(accumulate(unitary, initial=0))[:-1],
+        h_len=sum(len(g[1]) for g in program if g[0] is cc.DISCARD))
 
 
 def reference_phase_resources(variant, n):

@@ -286,7 +286,7 @@ class TestResources:
             built = cc.build_modsquare(N, m, method, cutoff)
             assert rep == cc.count_resources(built), (N, m, method, cutoff)
             assert (rep.total_gates, rep.toffoli_count, rep.depth) == reference_tally(built.gates)
-            assert isinstance(emitted[0].gates, cc.Tally)
+            assert isinstance(emitted[0].entries, cc.Tally)
             assert (emitted[0].n_qubits, emitted[0].registers, emitted[0].metadata) == \
                 (built.n_qubits, built.registers, built.metadata)
 
@@ -470,8 +470,9 @@ def test_transpose_matches_bitwise_oracle(case):
 def _random_circuit(data):
     """A valid circuit drawn gate by gate through a QubitPool: an x
     register, then allocations, discards (of x-register qubits too, which
-    the pool hands out again), X/CNOT/Toffoli/CPHASE gates on live qubits
-    and one MEASURE_Y at a random place."""
+    the pool hands out again), X/CNOT/Toffoli/CPHASE gates and the
+    builders' ripple-carry steps (_add_bit, _ripple) on live qubits, and
+    one MEASURE_Y at a random place."""
     gates = []
     pool = cc.QubitPool(gates)
     x_reg = pool.new_register(data.draw(st.integers(1, 5)))
@@ -479,7 +480,7 @@ def _random_circuit(data):
     n_ops = data.draw(st.integers(0, 50))
     measure_at = data.draw(st.integers(0, n_ops))
     kinds = st.sampled_from(("alloc", "discard", cc.X, cc.CNOT, cc.TOFFOLI, cc.TOFFOLI,
-                             cc.CNOT, cc.CPHASE))
+                             cc.CNOT, cc.CPHASE, "add", "add", "ripple"))
     arity = {cc.X: 1, cc.CNOT: 2, cc.TOFFOLI: 3, cc.CPHASE: 2}
     for i in range(n_ops + 1):
         if i == measure_at:
@@ -494,6 +495,14 @@ def _random_circuit(data):
                                     unique=True))
             pool.discard(qs)
             live = [q for q in live if q not in qs]
+        elif kind == "add" and len(live) >= 3:
+            a, b, cin = data.draw(st.permutations(live))[:3]
+            live.remove(cin)
+            live.append(cc._add_bit(gates, pool, a, b, cin))
+        elif kind == "ripple" and live:
+            cin, *rest = data.draw(st.permutations(live))
+            cc._ripple(gates, pool, cin, rest[:data.draw(st.integers(0, 3))])
+            live.remove(cin)
         elif kind in arity and len(live) >= arity[kind]:
             qs = data.draw(st.permutations(live))[:arity[kind]]
             gates.append((cc.CPHASE, qs[:1], qs[1], 0.5) if kind == cc.CPHASE
@@ -501,6 +510,26 @@ def _random_circuit(data):
         else:
             live.append(pool.new())
     return cc.Circuit(n_qubits=pool.peak, gates=gates, registers={"x": x_reg}, metadata={})
+
+
+def _expanded(schedule):
+    """The schedule with each macro of its program expanded past its ALLOC,
+    which lowering drops like every ALLOC but an input load, and starts
+    counted over the expanded gates: the form reference_lowering gives."""
+    program, starts = [], []
+    for entry, u in zip(schedule.program, schedule.starts):
+        for g in cc._expand(entry)[1:] or (entry,):
+            program.append(g)
+            starts.append(u)
+            u += g[0] in (cc.X, cc.CNOT, cc.TOFFOLI)
+    return cc.Schedule(program=program, unitary=schedule.unitary, h_len=schedule.h_len,
+                       starts=starts)
+
+
+def _macro_gates(schedule):
+    """The unitary gates that lie inside macros of the program."""
+    return [u for entry, start in zip(schedule.program, schedule.starts)
+            for u in range(start, start + len(cc._expand(entry)) - 2)]
 
 
 def _pair_rows(garbage, runs):
@@ -566,7 +595,7 @@ class TestEngineMatchesReference:
     def test_random_circuits_every_mode(self, data):
         circ = _random_circuit(data)
         validate_circuit(circ)
-        assert circ.schedule == reference_lowering(circ)
+        assert _expanded(circ.schedule) == reference_lowering(circ)
         width = len(circ.registers["x"])
         runs = data.draw(st.integers(1, 4))
         xs = data.draw(st.lists(st.integers(0, (1 << width) - 1),
@@ -592,6 +621,37 @@ class TestEngineMatchesReference:
                                    draw_h=b.getrandbits)
         _assert_lanes_equal(circ, runs, got, want)
         assert a.random() == b.random()
+        # an error on every gate inside a macro, two on some, in each mode
+        planted = []
+        for u in _macro_gates(circ.schedule):
+            run, pick, pauli, twice = data.draw(st.tuples(
+                st.integers(0, runs - 1), st.integers(0, 5), st.sampled_from("XYZ"),
+                st.booleans()))
+            planted += [(u, run, pick, pauli)] + [(u, run, 5 - pick, "Y")] * twice
+        classical = [(u, 0, pick, pauli) for u, _, pick, pauli in planted]
+        _assert_lanes_equal(circ, 0, cc._run_lanes(circ, xs, 0, classical),
+                            reference_run_lanes(circ, xs, 0, classical))
+        _assert_lanes_equal(circ, runs, cc._run_lanes(circ, xs, runs, planted),
+                            reference_run_lanes(circ, xs, runs, planted))
+        a, b = random.Random(seed), random.Random(seed)
+        _assert_lanes_equal(
+            circ, runs, cc._run_lanes(circ, xs + xs, runs, planted, draw_h=a.getrandbits),
+            reference_run_lanes(circ, xs + xs, runs, planted, draw_h=b.getrandbits))
+        assert a.random() == b.random()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_circuits_tally(self, data):
+        # the macros' closed-form counts, from the entry list and as
+        # emitted into a Tally that grows on each fresh index
+        circ = _random_circuit(data)
+        want = reference_tally(circ.gates)
+        rep = cc.count_resources(circ)
+        assert (rep.total_gates, rep.toffoli_count, rep.depth) == want
+        tally = cc.Tally()
+        for entry in circ.entries:
+            tally.append(entry)
+        assert (tally.total, tally.toffoli, max(tally.layer, default=0)) == want
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -680,13 +740,19 @@ class TestEngineMatchesReference:
 
 
 def test_schedule_positions_unitary_gates():
-    # marks put unitary gate u at program index u + bisect_right(marks, u)
+    # unitary gate u is gate u - starts[i] of program entry
+    # i = bisect_right(starts, u) - 1, its macro expanded past its ALLOC
     keys = gen_exact_bits(12)
     circ = cc.build_modsquare(keys.N, lift_m=1)
     sched = circ.schedule
-    unitary = [i for i, g in enumerate(sched.program) if g[0] in (cc.X, cc.CNOT, cc.TOFFOLI)]
+    unitary = [g for g in circ.gates if g[0] in (cc.X, cc.CNOT, cc.TOFFOLI)]
     assert len(unitary) == sched.unitary
-    assert all(i == u + bisect_right(sched.marks, u) for u, i in enumerate(unitary))
+
+    def located(u):
+        i = bisect_right(sched.starts, u) - 1
+        return (cc._expand(sched.program[i])[1:] or sched.program[i:i + 1])[u - sched.starts[i]]
+
+    assert all(located(u) == g for u, g in enumerate(unitary))
     assert sched.h_len == sum(len(g[1]) for g in circ.gates if g[0] == cc.DISCARD)
 
 
@@ -715,4 +781,4 @@ def test_builder_gate_order_pinned(N, method, cutoff, m, digest):
 @pytest.mark.parametrize("N,method,cutoff,m", [row[:4] for row in GATE_DIGESTS])
 def test_lowering_matches_reference(N, method, cutoff, m):
     circ = cc.build_modsquare(N, lift_m=m, method=method, cutoff=cutoff)
-    assert circ.schedule == reference_lowering(circ)
+    assert _expanded(circ.schedule) == reference_lowering(circ)

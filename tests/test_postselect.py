@@ -16,8 +16,8 @@ from qbell import circuits as cc
 from qbell import extractor, provers, tcf, wire
 from qbell.seeds import derive_rng
 
-from helpers import (NoCrossing, classical_ys, gate_count, gen_exact_bits, rejection_power,
-                     threshold_of)
+from helpers import (NoCrossing, classical_ys, gate_count, gen_exact_bits, record_inversions,
+                     rejection_power, threshold_of)
 
 
 class TestLiftKey:
@@ -306,6 +306,29 @@ class TestSweep:
         assert row.discard_rate > 0.3
         assert row.runtime_overhead > 1.0 / (1.0 - row.discard_rate)
 
+    @pytest.mark.parametrize("m", [None, 1, 3])
+    def test_claw_preimages_without_inversion(self, m):
+        # a kept run whose base image is its sampled claw's takes the claw,
+        # sorted, as its preimages: ctx.preimages of the claw's wire value
+        # on the plain context (m None) and on lifted ones
+        keys = gen_exact_bits(16)
+        ctx = proto.ProtocolContext.plain(keys) if m is None else \
+            ps.lift_key(keys, m, method="schoolbook")
+        rng = random.Random(m)
+        claws = [provers.sample_claw(keys, rng) for _ in range(40)]
+        wires = [y for *_, y in claws] if m is None else \
+            classical_ys(ctx.circuit, [x0 for x0, _, _ in claws])
+        for (x0, x1, y), y_wire in zip(claws, wires):
+            assert ctx.base_image(y_wire) == y
+            assert (min(x0, x1), max(x0, x1)) == ctx.preimages(y_wire)
+
+    def test_noise_free_sweep_inverts_nothing(self, monkeypatch):
+        # every kept run of a noise-free point measures its claw's image
+        images = record_inversions(monkeypatch)
+        cfg = ps.SweepConfig(m_values=(0, 1), fidelity_grid=(1.0,),
+                             trials_per_point=100, seed=8, method="schoolbook")
+        assert [row.kept for row in ps.run_sweep(cfg, gen_exact_bits(16))] == [100, 100]
+        assert images == []
 
     def test_out_of_range_images_discarded(self, monkeypatch):
         # y + k^2 N passes the prover's k^2 test but is no wire value the
