@@ -7,7 +7,8 @@ returned to the pool) and MEASURE_Y (the standard-basis readout of the
 output register, exactly once per circuit).
 
 The builders emit each ripple-carry step that discards its spent carry as
-one macro entry, ADD (a full adder) or HALF (a half adder), and the
+one macro entry: ADD (a full adder), HALF (a half adder) or PP (a full
+adder fed a Toffoli partial product, which it then discards too).  The
 lowering, the engine and the resource tally take a macro as one step.
 Circuit.gates is the plain gate-by-gate expansion of the entries.
 
@@ -31,6 +32,8 @@ so that both branches of a claw measure the identical y.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -56,16 +59,25 @@ MEASURE_Y = "MEASURE_Y"
 # macro tags: one ripple-carry step each, whose plain gates _expand gives
 ADD = "ADD"
 HALF = "HALF"
+PP = "PP"
 
 UNITARY_TAGS = frozenset((X, CNOT, TOFFOLI, CPHASE))
+# each macro's unitary gates and discarded qubits, in that order in _expand
+_MACRO_SIZES = {ADD: (4, 1), HALF: (2, 1), PP: (5, 2)}
 
 
 def _expand(entry) -> tuple:
     """The plain gates of one circuit entry: a macro's, or the entry itself.
     (ADD, a, b, cin, cout) is a full adder, b += a + cin, and (HALF, cin, c,
     cout) a half adder, c += cin, each carrying into a fresh cout; each
-    then discards its spent carry-in, so the discard is its last event."""
+    then discards its spent carry-in, so the discard is its last event.
+    (PP, x, y, a, b, cin, cout) computes x.y into a fresh a, runs the ADD
+    of a into b, and discards a after cin."""
     tag = entry[0]
+    if tag is PP:
+        _, x, y, a, b, cin, cout = entry
+        return ((ALLOC, a), (TOFFOLI, x, y, a),
+                *_expand((ADD, a, b, cin, cout)), (DISCARD, (a,)))
     if tag is ADD:
         _, a, b, cin, cout = entry
         return ((ALLOC, cout), (TOFFOLI, a, b, cout), (CNOT, a, b), (TOFFOLI, b, cin, cout),
@@ -78,7 +90,7 @@ def _expand(entry) -> tuple:
 
 class Circuit:
     """A circuit over qubits 0..n_qubits-1, given as its entry list: gates,
-    events and ADD/HALF macros, whose tags are this module's constants,
+    events and ADD/HALF/PP macros, whose tags are this module's constants,
     which the engine tells apart by identity.  `gates` is the plain
     gate-by-gate list, every macro expanded, built on first read;
     `schedule` is lowered on first use, in one pass over the entries.  The
@@ -100,14 +112,16 @@ class Circuit:
         program, starts = [], []
         append, start = program.append, starts.append
         unitary = h_len = 0
+        macros = _MACRO_SIZES
         for g in self.entries:
             tag = g[0]
-            if tag is ADD or tag is HALF:
-                # its ALLOC is dropped: the x register is allocated first
+            if tag in macros:
+                # its ALLOCs are dropped: the x register is allocated first
                 start(unitary)
                 append(g)
-                unitary += 4 if tag is ADD else 2
-                h_len += 1
+                n_unitary, n_discarded = macros[tag]
+                unitary += n_unitary
+                h_len += n_discarded
                 continue
             if tag in UNITARY_TAGS:
                 if tag is not CPHASE:
@@ -136,7 +150,7 @@ class Schedule:
     strike the `unitary` X/CNOT/Toffoli gates of the plain gate list, and
     its `h_len` discarded qubits each take one Hadamard outcome.  starts[i]
     counts the unitary gates before program entry i, so unitary gate u is
-    gate u - starts[i] of entry i = bisect_right(starts, u) - 1."""
+    unitary gate u - starts[i] of entry i = bisect_right(starts, u) - 1."""
 
     program: list
     unitary: int
@@ -193,9 +207,9 @@ class QubitPool:
 # arithmetic building blocks
 #
 # half_adder:  (a, b, cout) -> (a, a+b, cout + carry)
-# _add_bit and _ripple discard the stale carry after each step, as the one
-# macro entry each step is; callers discard the a input where it is a
-# scratch partial product.
+# _add_bit, _half_bit and _product_bit discard the stale carry after each
+# step, as the one macro entry each step is; _product_bit discards its
+# scratch partial product too.
 
 def _half_adder(g, a, b, cout):
     g.append((TOFFOLI, a, b, cout))
@@ -211,15 +225,31 @@ def _add_bit(g, pool, a, b, cin):
     return cout
 
 
+def _half_bit(g, pool, cin, c):
+    """One half-adder step, a HALF entry: c += cin into a fresh carry-out,
+    which is returned; the spent carry-in is discarded."""
+    cout = pool.take()
+    g.append((HALF, cin, c, cout))
+    pool.free.append(cin)
+    return cout
+
+
+def _product_bit(g, pool, x, y, b, cin):
+    """One partial-product step, a PP entry: x.y into a fresh qubit a, then
+    b += a + cin into a fresh carry-out, which is returned; the spent
+    carry-in and then a are discarded."""
+    a = pool.take()
+    cout = pool.take()
+    g.append((PP, x, y, a, b, cin, cout))
+    pool.free.extend((cin, a))
+    return cout
+
+
 def _ripple(g, pool, cin, C):
     """Propagate the carry cin through C by HALF entries, then discard the
     last carry."""
-    free = pool.free
     for c in C:
-        cout = pool.take()
-        g.append((HALF, cin, c, cout))
-        free.append(cin)
-        cin = cout
+        cin = _half_bit(g, pool, cin, c)
     pool.discard(cin)
 
 
@@ -240,17 +270,17 @@ def add_constant(g, pool, value, A):
         raise CircuitError("constant does not fit the register")
     cin = pool.new()
     for a in A:
-        cout = pool.new()
         if value & 1:
+            cout = pool.new()
             g.append((X, cin))
             g.append((X, a))
             _half_adder(g, cin, a, cout)
             g.append((X, a))
             g.append((X, cout))
+            pool.discard(cin)
+            cin = cout
         else:
-            _half_adder(g, cin, a, cout)
-        pool.discard(cin)
-        cin = cout
+            cin = _half_bit(g, pool, cin, a)
         value >>= 1
     pool.discard(cin)
 
@@ -269,11 +299,8 @@ def schoolbook_mult(g, pool, A, B, C):
         raise CircuitError("product register too short")
     for i, a in enumerate(A):
         cin = pool.new()
-        for j, b in enumerate(B):
-            d = pool.new()
-            g.append((TOFFOLI, a, b, d))
-            cin = _add_bit(g, pool, d, C[i + j], cin)
-            pool.discard(d)
+        for b, c in zip(B, C[i:]):
+            cin = _product_bit(g, pool, a, b, c, cin)
         _ripple(g, pool, cin, C[i + len(B):])
 
 
@@ -285,15 +312,9 @@ def schoolbook_square(g, pool, A, C):
     for i in range(n):
         # the diagonal term A[i] at weight 2i, then its carry into 2i + 1
         cin = _add_bit(g, pool, A[i], C[2 * i], pool.new())
-        cout = pool.new()
-        _half_adder(g, cin, C[2 * i + 1], cout)
-        pool.discard(cin)
-        cin = cout
+        cin = _half_bit(g, pool, cin, C[2 * i + 1])
         for j in range(i + 1, n):
-            a = pool.new()
-            g.append((TOFFOLI, A[i], A[j], a))
-            cin = _add_bit(g, pool, a, C[i + j + 1], cin)
-            pool.discard(a)
+            cin = _product_bit(g, pool, A[i], A[j], C[i + j + 1], cin)
         _ripple(g, pool, cin, C[i + n + 1:])
 
 
@@ -667,6 +688,9 @@ def modsquare_gate_count(N, lift_m, method) -> int:
 
 # _LANE_DIGITS[j] reads a byte as the binary digit "1" where its bit j is set
 _LANE_DIGITS = tuple(bytes(b"01"[(b >> j) & 1] for b in range(256)) for j in range(8))
+# _ROW_CODES[nb]: the unsigned array typecode of the smallest item that holds
+# nb bytes, for nb <= 8 (the typecodes go up in itemsize)
+_ROW_CODES = [next(code for code in "BHILQ" if array(code).itemsize >= nb) for nb in range(9)]
 
 
 def _transpose(rows, width) -> list:
@@ -674,16 +698,20 @@ def _transpose(rows, width) -> list:
     rows below 2**width.  Packs per-lane values into qubit rows, and
     unpacks rows into per-lane values.
 
-    Each row becomes nb = ceil(width / 8) little-endian bytes, last row
-    first; lane j is then byte j >> 3 of every row, one slice of the
+    Each row becomes nb >= width / 8 little-endian bytes, last row first:
+    one array item when a row fits one (up to 64 bits), its to_bytes
+    otherwise.  Lane j is then byte j >> 3 of every row, one slice of the
     packed data, translated into binary digits by its bit j & 7."""
     if not width:
         return []
     if not rows:
         return [0] * width
     nb = (width + 7) >> 3
-    if nb == 1:
-        data = bytes(reversed(rows))
+    if nb <= 8:
+        packed = array(_ROW_CODES[nb], rows[::-1])
+        if sys.byteorder == "big":
+            packed.byteswap()
+        data, nb = packed.tobytes(), packed.itemsize
     else:
         data = b"".join([row.to_bytes(nb, "little") for row in reversed(rows)])
     return [int(data[j >> 3::nb].translate(_LANE_DIGITS[j & 7]), 2) for j in range(width)]
@@ -695,14 +723,23 @@ def _sampled_errors(error_prob, rng, runs):
 
     Yields (gate, run, pick, pauli).  The struck qubit is
     touched[pick % len(touched)]; pick is uniform over range(6), a multiple
-    of every touched-qubit count, so the qubit is uniform too.
+    of every touched-qubit count, so the qubit is uniform too.  pick and
+    the Pauli's index are drawn as rng.randrange(6) and rng.randrange(3)
+    draw them, by rejection from getrandbits(3) and getrandbits(2).
     """
     log_keep = math.log1p(-error_prob) if error_prob < 1 else -math.inf
+    random, getrandbits, log = rng.random, rng.getrandbits, math.log
     pos = -1
     while True:
-        pos += 1 + int(math.log(1.0 - rng.random()) / log_keep)
+        pos += 1 + int(log(1.0 - random()) / log_keep)
         gate, run = divmod(pos, runs)
-        yield gate, run, rng.randrange(6), "XYZ"[rng.randrange(3)]
+        pick = getrandbits(3)
+        while pick > 5:
+            pick = getrandbits(3)
+        pauli = getrandbits(2)
+        while pauli == 3:
+            pauli = getrandbits(2)
+        yield gate, run, pick, "XYZ"[pauli]
 
 
 @dataclass
@@ -724,8 +761,8 @@ def _run_lanes(circuit: Circuit, inputs, runs=0, errors=(), draw_h=None) -> _Lan
     yields them, strike the noisy pair of their run right after the gate;
     the program runs in error-free slices between them, each next error
     taken once the previous one has struck, and a macro holding a struck
-    gate runs gate by gate, as _expand gives them, from then on; a Z or Y
-    error folds into the noisy pair's phase.
+    gate runs gate by gate from then on, as _expand gives them without the
+    ALLOC events; a Z or Y error folds into the noisy pair's phase.
 
     A discarded row leaves its pair row (row xor row >> R) & (2^R - 1) in
     `garbage`: bit j is g0 xor g1 of run j, all that run's discard phase
@@ -753,13 +790,15 @@ def _run_lanes(circuit: Circuit, inputs, runs=0, errors=(), draw_h=None) -> _Lan
     if err is not None:
         unitary, starts = schedule.unitary, schedule.starts
     start = 0
-    rest, base = [], 0  # the unrun gates of a macro split by errors, from gate `base` on
+    # the unrun gates of a macro split by errors, from unitary gate `base`
+    # on; its unitary gates end before gate `end`
+    rest, base, end = [], 0, 0
     while True:
         if err is not None and err[0] < unitary:
             u = err[0]
             if u < base:  # another error on the gate just struck
                 segment = ()
-            elif u - base < len(rest) - 1:  # a later gate of the split macro
+            elif u < end:  # a later gate of the split macro
                 segment, rest = rest[:u - base + 1], rest[u - base + 1:]
                 struck = segment[-1]
             else:
@@ -768,18 +807,29 @@ def _run_lanes(circuit: Circuit, inputs, runs=0, errors=(), draw_h=None) -> _Lan
                 if rest:
                     segment[:0] = rest
                 struck, rest, start = program[i], [], i + 1
-                if struck[0] is ADD or struck[0] is HALF:
-                    split = list(_expand(segment.pop())[1:])  # past its ALLOC
+                sizes = _MACRO_SIZES.get(struck[0])
+                if sizes is not None:
+                    # its plain gates without the ALLOCs: the unitary ones,
+                    # then the discards
+                    split = [g for g in _expand(segment.pop()) if g[0] is not ALLOC]
                     k = u - starts[i] + 1
                     segment += split[:k]
                     struck, rest = split[k - 1], split[k:]
+                    end = starts[i] + sizes[0]
             base = u + 1
         else:
             err = None
             segment = rest + program[start:] if start else program
         for gate in segment:
             tag = gate[0]
-            if tag is ADD:
+            if tag is PP:  # the ADD below, of the partial product ra = x.y
+                _, x, y, a, b, c, t = gate
+                ra = rows[x] & rows[y]
+                rb, row = rows[b], rows[c]
+                s = ra ^ rb
+                rows[t] = ra & rb ^ s & row
+                rows[b] = s ^ row
+            elif tag is ADD:
                 _, a, b, c, t = gate
                 ra, rb, row = rows[a], rows[b], rows[c]
                 s = ra ^ rb
@@ -818,15 +868,19 @@ def _run_lanes(circuit: Circuit, inputs, runs=0, errors=(), draw_h=None) -> _Lan
                 elif tag is MEASURE_Y:
                     y_rows = [rows[q] for q in gate[1]]
                 continue
-            # the macro's last event: the discard of its carry-in c, as above
+            # the macro's discards, as above: its carry-in c, then a PP's
+            # partial product, whose row stays 0 in `rows` (never written)
             rows[c] = 0
             if draw_h is None:
                 garbage.append((row ^ row >> runs) & run_mask)
+                if tag is PP:
+                    garbage.append((ra ^ ra >> runs) & run_mask)
             else:
-                h = draw_h(runs)
-                row ^= row >> runs
-                phase ^= h & row
-                clean ^= h & (row >> 2 * runs)
+                for row in (row, ra) if tag is PP else (row,):
+                    h = draw_h(runs)
+                    row ^= row >> runs
+                    phase ^= h & row
+                    clean ^= h & (row >> 2 * runs)
         if err is None:
             break
         _, lo, pick, pauli = err
@@ -963,6 +1017,14 @@ class Tally:
     def append(self, g) -> None:
         tag = g[0]
         layer = self.layer
+        if tag is PP:  # Toffoli x,y->a, then the ADD of a below
+            _, x, y, a, b, c, t = g
+            if a == len(layer):
+                layer.append(0)
+            layer[x] = layer[y] = layer[a] = max(layer[x], layer[y], layer[a]) + 1
+            self.toffoli += 1
+            self.total += 1
+            tag, g = ADD, (ADD, a, b, c, t)
         if tag is ADD:  # Toffoli a,b->t, CNOT a->b, Toffoli b,c->t, CNOT c->b
             _, a, b, c, t = g
             if t == len(layer):

@@ -265,11 +265,11 @@ def predicted_state(ctx: ProtocolContext, preimages: tuple, r: int, d: int,
 # A session settles its pending claw rounds this many at a time, in one
 # evaluate_classical call.  Measured on the 64-bit karatsuba circuit at
 # m = 0 (2-vCPU Xeon VM, Python 3.11, best of 7): one call costs about
-# 2.0 ms on 1 claw, 4.0 ms on 16, 4.7 ms on 32 and 5.6 ms on 64, so a
-# round's share falls to about 0.15 ms at 32 claws and 0.09 ms at 64.  A
+# 1.9 ms on 1 claw, 3.4 ms on 16, 4.0 ms on 32 and 5.1 ms on 64, so a
+# round's share falls to about 0.13 ms at 32 claws and 0.08 ms at 64.  A
 # block of 64 made a 600-trial noisy session (F = 0.5, m = 1, --postselect)
-# 15% faster in process, 0.21 -> 0.18 s, but changes nothing in sessions
-# with fewer than 33 pending rounds.  The bound keeps a block's size, and
+# 0-8% faster in process, 0.21 -> 0.19-0.21 s, but changes nothing in
+# sessions with fewer than 33 pending rounds.  The bound keeps a block's size, and
 # the wait for its verdicts, independent of the session's length.
 SETTLE_BLOCK = 32
 

@@ -309,11 +309,11 @@ def is_valid_y(y: int, k: int) -> bool:
 # pending, and each run_two_branch_block call runs one attempt of every
 # pending one.  Measured on the 64-bit karatsuba circuit at m = 0 with
 # F = 0.5 draws (2-vCPU Xeon VM, Python 3.11, best of 7): a call costs about
-# 4.7 ms for 25 runs, 5.3 ms for 32, 6.7 ms for 64 and 9.3 ms for 128, so a
-# run's share falls from 0.19 ms at 25 runs to 0.10 ms at 64 and 0.07 ms at
+# 3.8 ms for 25 runs, 4.4 ms for 32, 5.9 ms for 64 and 9.4 ms for 128, so a
+# run's share falls from 0.15 ms at 25 runs to 0.09 ms at 64 and 0.07 ms at
 # 128, beside about 0.005 ms of draws per attempt.  A 1,000-iteration
-# session at F = 0.5, m = 1 with --postselect took 0.43 s with a pool of 32,
-# 0.32 s with 64 and 0.28 s with 128, in process (best of 3).
+# session at F = 0.5, m = 1 with --postselect took 0.42 s with a pool of 32,
+# 0.33 s with 64 and 0.30 s with 128, in process (best of 3).
 ROUND1_POOL = 64
 
 

@@ -154,6 +154,18 @@ def hybrid_phase_run(circuit, x):
     return amps
 
 
+def reference_sampled_errors(error_prob, rng, runs):
+    """cc._sampled_errors as first written, drawing pick and Pauli with
+    randrange: the reference for its getrandbits rejection loops, which
+    must yield the same errors from the same stream."""
+    log_keep = math.log1p(-error_prob) if error_prob < 1 else -math.inf
+    pos = -1
+    while True:
+        pos += 1 + int(math.log(1.0 - rng.random()) / log_keep)
+        gate, run = divmod(pos, runs)
+        yield gate, run, rng.randrange(6), "XYZ"[rng.randrange(3)]
+
+
 def sequential_two_branch(circuit, x0, x1, error_prob, rng):
     """One two-branch run, one bit per qubit and branch: its Hadamard
     outcomes first, as one getrandbits(h_len) whose bit i goes to the i-th
@@ -165,7 +177,7 @@ def sequential_two_branch(circuit, x0, x1, error_prob, rng):
     bits = ([0] * circuit.n_qubits, [0] * circuit.n_qubits)
     loaded = set()
     h = rng.getrandbits(sum(len(gate[1]) for gate in circuit.gates if gate[0] == cc.DISCARD))
-    errors = cc._sampled_errors(error_prob, rng, 1) if error_prob > 0 else iter(())
+    errors = reference_sampled_errors(error_prob, rng, 1) if error_prob > 0 else iter(())
     err = next(errors, None)
     u = -1
     phase = k = 0  # k: the next discarded qubit

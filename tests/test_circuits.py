@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import random
 from bisect import bisect_right
@@ -15,8 +16,8 @@ from qbell import tcf
 
 from helpers import (blum_semiprimes, build_mul3_inplace, classical_ys, discarded_at_end,
                      gate_count, gen_exact_bits, montgomery_stage, planted_run,
-                     reference_lowering, reference_run_lanes, reference_tally,
-                     sequential_two_branch, validate_circuit)
+                     reference_lowering, reference_run_lanes, reference_sampled_errors,
+                     reference_tally, sequential_two_branch, validate_circuit)
 
 
 class TestMul3:
@@ -411,6 +412,17 @@ class TestTwoBranchRuns:
                     sequential_two_branch(circ, x0, x1, p, b), (p, seed)
                 assert a.random() == b.random()
 
+    @pytest.mark.parametrize("runs", [1, 25])
+    def test_sampler_matches_randrange_reference(self, runs):
+        # the rejection loops draw pick and Pauli as randrange does: the
+        # same errors from the same stream, which is left in the same state
+        for p in (0.001, 0.1, 0.7):
+            a, b = random.Random(p), random.Random(p)
+            got = list(itertools.islice(cc._sampled_errors(p, a, runs), 10_000))
+            want = list(itertools.islice(reference_sampled_errors(p, b, runs), 10_000))
+            assert got == want
+            assert a.random() == b.random()
+
     def test_block_errors_strike_only_their_run(self):
         keys = gen_exact_bits(12)
         circ = cc.build_modsquare(keys.N, lift_m=1, method="schoolbook")
@@ -471,8 +483,8 @@ def _random_circuit(data):
     """A valid circuit drawn gate by gate through a QubitPool: an x
     register, then allocations, discards (of x-register qubits too, which
     the pool hands out again), X/CNOT/Toffoli/CPHASE gates and the
-    builders' ripple-carry steps (_add_bit, _ripple) on live qubits, and
-    one MEASURE_Y at a random place."""
+    builders' ripple-carry steps (_add_bit, _product_bit, _ripple) on live
+    qubits, and one MEASURE_Y at a random place."""
     gates = []
     pool = cc.QubitPool(gates)
     x_reg = pool.new_register(data.draw(st.integers(1, 5)))
@@ -480,7 +492,8 @@ def _random_circuit(data):
     n_ops = data.draw(st.integers(0, 50))
     measure_at = data.draw(st.integers(0, n_ops))
     kinds = st.sampled_from(("alloc", "discard", cc.X, cc.CNOT, cc.TOFFOLI, cc.TOFFOLI,
-                             cc.CNOT, cc.CPHASE, "add", "add", "ripple"))
+                             cc.CNOT, cc.CPHASE, "add", "add", "product", "product",
+                             "ripple"))
     arity = {cc.X: 1, cc.CNOT: 2, cc.TOFFOLI: 3, cc.CPHASE: 2}
     for i in range(n_ops + 1):
         if i == measure_at:
@@ -499,6 +512,12 @@ def _random_circuit(data):
             a, b, cin = data.draw(st.permutations(live))[:3]
             live.remove(cin)
             live.append(cc._add_bit(gates, pool, a, b, cin))
+        elif kind == "product" and len(live) >= 2:
+            # the factors may be b or cin as well
+            x, y = data.draw(st.permutations(live))[:2]
+            b, cin = data.draw(st.permutations(live))[:2]
+            live.remove(cin)
+            live.append(cc._product_bit(gates, pool, x, y, b, cin))
         elif kind == "ripple" and live:
             cin, *rest = data.draw(st.permutations(live))
             cc._ripple(gates, pool, cin, rest[:data.draw(st.integers(0, 3))])
@@ -512,16 +531,28 @@ def _random_circuit(data):
     return cc.Circuit(n_qubits=pool.peak, gates=gates, registers={"x": x_reg}, metadata={})
 
 
+def _as_run(entry):
+    """A program entry as the engine runs it: a macro's plain gates without
+    their ALLOC events, which lowering drops like every ALLOC but an input
+    load; any other entry itself."""
+    gates = cc._expand(entry)
+    return [g for g in gates if g[0] is not cc.ALLOC] if len(gates) > 1 else [entry]
+
+
+def _is_unitary(gate):
+    return gate[0] in (cc.X, cc.CNOT, cc.TOFFOLI)
+
+
 def _expanded(schedule):
-    """The schedule with each macro of its program expanded past its ALLOC,
-    which lowering drops like every ALLOC but an input load, and starts
-    counted over the expanded gates: the form reference_lowering gives."""
+    """The schedule with each macro of its program as its plain gates
+    without ALLOC events, and starts counted over those gates: the form
+    reference_lowering gives."""
     program, starts = [], []
     for entry, u in zip(schedule.program, schedule.starts):
-        for g in cc._expand(entry)[1:] or (entry,):
+        for g in _as_run(entry):
             program.append(g)
             starts.append(u)
-            u += g[0] in (cc.X, cc.CNOT, cc.TOFFOLI)
+            u += _is_unitary(g)
     return cc.Schedule(program=program, unitary=schedule.unitary, h_len=schedule.h_len,
                        starts=starts)
 
@@ -529,7 +560,8 @@ def _expanded(schedule):
 def _macro_gates(schedule):
     """The unitary gates that lie inside macros of the program."""
     return [u for entry, start in zip(schedule.program, schedule.starts)
-            for u in range(start, start + len(cc._expand(entry)) - 2)]
+            if len(cc._expand(entry)) > 1
+            for u in range(start, start + sum(map(_is_unitary, cc._expand(entry))))]
 
 
 def _pair_rows(garbage, runs):
@@ -617,7 +649,7 @@ class TestEngineMatchesReference:
         got = cc._run_lanes(circ, xs + xs, runs, cc._sampled_errors(p, a, runs) if p else (),
                             draw_h=a.getrandbits)
         want = reference_run_lanes(circ, xs + xs, runs,
-                                   cc._sampled_errors(p, b, runs) if p else (),
+                                   reference_sampled_errors(p, b, runs) if p else (),
                                    draw_h=b.getrandbits)
         _assert_lanes_equal(circ, runs, got, want)
         assert a.random() == b.random()
@@ -730,7 +762,8 @@ class TestEngineMatchesReference:
         errors = recorded(0.1, a, 8)
         got = cc._run_lanes(circ, [*x0s, *x1s, *x0s, *x1s], 8, errors, draw_h=a.getrandbits)
         want = reference_run_lanes(circ, [*x0s, *x1s, *x0s, *x1s], 8,
-                                   cc._sampled_errors(0.1, b, 8), draw_h=b.getrandbits)
+                                   reference_sampled_errors(0.1, b, 8),
+                                   draw_h=b.getrandbits)
         _assert_lanes_equal(circ, 8, got, want)
         per_gate = {}
         for u, *_ in drawn[:-1]:
@@ -741,7 +774,8 @@ class TestEngineMatchesReference:
 
 def test_schedule_positions_unitary_gates():
     # unitary gate u is gate u - starts[i] of program entry
-    # i = bisect_right(starts, u) - 1, its macro expanded past its ALLOC
+    # i = bisect_right(starts, u) - 1, its macro as its plain gates without
+    # ALLOC events
     keys = gen_exact_bits(12)
     circ = cc.build_modsquare(keys.N, lift_m=1)
     sched = circ.schedule
@@ -750,7 +784,7 @@ def test_schedule_positions_unitary_gates():
 
     def located(u):
         i = bisect_right(sched.starts, u) - 1
-        return (cc._expand(sched.program[i])[1:] or sched.program[i:i + 1])[u - sched.starts[i]]
+        return _as_run(sched.program[i])[u - sched.starts[i]]
 
     assert all(located(u) == g for u, g in enumerate(unitary))
     assert sched.h_len == sum(len(g[1]) for g in circ.gates if g[0] == cc.DISCARD)
@@ -782,3 +816,34 @@ def test_builder_gate_order_pinned(N, method, cutoff, m, digest):
 def test_lowering_matches_reference(N, method, cutoff, m):
     circ = cc.build_modsquare(N, lift_m=m, method=method, cutoff=cutoff)
     assert _expanded(circ.schedule) == reference_lowering(circ)
+
+
+def _plain_macro_runs(entries):
+    """Where entries spell out a macro gate by gate: a partial product
+    Toffoli'd into a fresh qubit, ADDed and discarded (a PP), or a half
+    adder into a fresh carry that then discards its carry-in (a HALF)."""
+    found = []
+    for i, (a, t, s, d) in enumerate(zip(entries, entries[1:], entries[2:], entries[3:])):
+        if a[0] is cc.ALLOC and t[0] is cc.TOFFOLI and t[3] == a[1]:
+            if s[0] is cc.ADD and s[1] == a[1] and d == (cc.DISCARD, (a[1],)) \
+                    or s == (cc.CNOT, t[1], t[2]) and d == (cc.DISCARD, (t[1],)):
+                found.append(i)
+    return found
+
+
+@pytest.mark.parametrize("N,method,cutoff,m", [row[:4] for row in GATE_DIGESTS])
+def test_builders_store_each_step_as_one_macro(N, method, cutoff, m):
+    circ = cc.build_modsquare(N, lift_m=m, method=method, cutoff=cutoff)
+    assert _plain_macro_runs(circ.entries) == []
+    # with each PP spelled out as ALLOC, Toffoli, ADD, DISCARD and each HALF
+    # gate by gate, the finder sees every one of them
+    spelled = []
+    for e in circ.entries:
+        if e[0] is cc.PP:
+            _, x, y, a, b, cin, cout = e
+            spelled += [(cc.ALLOC, a), (cc.TOFFOLI, x, y, a), (cc.ADD, a, b, cin, cout),
+                        (cc.DISCARD, (a,))]
+        else:
+            spelled += cc._expand(e) if e[0] is cc.HALF else [e]
+    macros = sum(e[0] is cc.PP or e[0] is cc.HALF for e in circ.entries)
+    assert len(_plain_macro_runs(spelled)) == macros > 0

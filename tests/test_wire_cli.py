@@ -675,6 +675,77 @@ class TestCli:
         assert b"Traceback" not in proc.stderr
         assert proc.stderr.startswith(b"protocol error: ") and len(proc.stderr) < 120
 
+    # qbell's help, a subcommand's help and an unknown command's error, as
+    # printed at 80 columns
+    HELP_TEXTS = {
+        ("-h",): (0, """\
+usage: qbell [-h] {keygen,run,verify,prove,sweep,resources,extract} ...
+
+Interactive quantumness-test laboratory
+
+positional arguments:
+  {keygen,run,verify,prove,sweep,resources,extract}
+    keygen              generate a key pair
+    run                 run verifier and prover in process
+    verify              serve the verifier role
+    prove               run the prover role
+    sweep               post-selection fidelity sweep
+    resources           circuit resource estimates
+    extract             run the soundness extractor
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+        ("run", "-h"): (0, """\
+usage: qbell run [-h] [--trials TRIALS] [--seed SEED] [--ratio RATIO]
+                 [--postselect] [--transcripts TRANSCRIPTS] --key KEY
+                 [--prover PROVER] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --trials TRIALS
+  --seed SEED
+  --ratio RATIO
+  --postselect
+  --transcripts TRANSCRIPTS
+  --key KEY
+  --prover PROVER
+  --out OUT
+""", ""),
+        ("bogus",): (2, "", """\
+usage: qbell [-h] {keygen,run,verify,prove,sweep,resources,extract} ...
+qbell: error: argument command: invalid choice: 'bogus' (choose from 'keygen', \
+'run', 'verify', 'prove', 'sweep', 'resources', 'extract')
+"""),
+    }
+
+    @pytest.mark.parametrize("argv", list(HELP_TEXTS))
+    def test_help_and_unknown_command_pinned(self, monkeypatch, capsys, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        code = run_cli(*argv)
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == self.HELP_TEXTS[argv]
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "-h"), ("verify", "--help"), ("prove", "-h"), ("resources", "-h"),
+        ("run",), ("run", "--key", "k", "--bogus"), ("keygen", "--bits"),
+        ("prove", "--transport", "udp"), ("sweep", "--trials", "x", "--key", "k"),
+        ("extract", "--probes")])
+    def test_command_parser_parses_as_the_full_one(self, monkeypatch, capsys, argv):
+        # main builds only the named command's parser: the same output, exit
+        # code and namespace as with every command's
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def parse(parser):
+            try:
+                result = vars(parser.parse_args(argv))
+            except SystemExit as e:
+                result = e.code
+            out = capsys.readouterr()
+            return result, out.out, out.err
+
+        assert parse(cli.make_parser(argv[0])) == parse(cli.make_parser())
+
     def test_resources_help_states_the_cutoff_default(self, monkeypatch, capsys):
         # the help reads the default from circuits when it is shown
         for cutoff in (cc.KARATSUBA_CUTOFF, 13):
